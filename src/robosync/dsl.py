@@ -19,10 +19,13 @@ match [a-z][a-z0-9_]*):
 
 The LEVEL keyword is decorative: `touch LEVEL < 3` reads the same processed
 value as `touch < 3`; the sugar is recorded so formatting round-trips.
+Number literals must be finite as floats, and a condition may nest NOT and
+parentheses at most MAX_NESTING_DEPTH levels deep.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Mapping, Union
@@ -34,6 +37,10 @@ from .config import ActuatorSpec, SystemConfig
 SPEED_WORDS: dict[str, float] = {"slowly": 0.25, "quickly": 1.0}
 
 PASSTHROUGH_TOPIC_SUFFIX = "_proc"
+
+# Far beyond any hand-written rule, and shallow enough that parsing,
+# formatting and evaluating the condition stay within Python's recursion limit.
+MAX_NESTING_DEPTH = 100
 
 _KEYWORDS = frozenset(
     "WHEN DO ELSE END DEFINE MOVE PLAY SET WAIT LEVEL AND OR NOT SLOWLY QUICKLY".split()
@@ -244,9 +251,11 @@ def _lex(text: str) -> list[_Token]:
             m = _NUMBER_RE.match(line, col)
             if m:
                 literal = m.group()
-                tokens.append(
-                    _Token("NUMBER", literal, float(literal), SourceSpan(line_no, col + 1, len(literal)))
-                )
+                value = float(literal)
+                literal_span = SourceSpan(line_no, col + 1, len(literal))
+                if not math.isfinite(value):
+                    raise ParseError(f"number {literal} is out of range", literal_span)
+                tokens.append(_Token("NUMBER", literal, value, literal_span))
                 col = m.end()
                 continue
             raise ParseError(f"unexpected character {ch!r}", span)
@@ -265,6 +274,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self._tokens = tokens
         self._pos = 0
+        self._depth = 0  # NOT / '(' levels open around the current position
 
     @property
     def tok(self) -> _Token:
@@ -367,15 +377,18 @@ class _Parser:
         return left
 
     def unary(self) -> Condition:
-        if self.at("NOT"):
-            self.advance()
-            return Not(self.unary())
-        if self.at("LPAREN"):
-            self.advance()
+        if not (self.at("NOT") or self.at("LPAREN")):
+            return self.comparison()
+        if self._depth == MAX_NESTING_DEPTH:
+            raise ParseError(f"condition nested deeper than {MAX_NESTING_DEPTH} levels", self.tok.span)
+        self._depth += 1
+        if self.advance().kind == "NOT":
+            inner: Condition = Not(self.unary())
+        else:
             inner = self.condition()
             self.expect("RPAREN")
-            return inner
-        return self.comparison()
+        self._depth -= 1
+        return inner
 
     def comparison(self) -> Comparison:
         if not self.at("IDENT"):

@@ -314,7 +314,6 @@ def compute_stats(entries: Sequence[LogEntry]) -> SimStats:
 @dataclass(slots=True)
 class _Running:
     entry: sched.QueueEntry
-    start_us: int
     end_us: int
     cancelled: bool = False
 
@@ -347,6 +346,7 @@ class _Engine:
         self._heap_tie = 0
         self._window_us = config.scheduler.window_us
         self._next_window = self._window_us
+        self._gate_delta = {sensor.name: sensor.delta for sensor in config.sensors}
 
         self._build_plugins()
         self._build_topics()
@@ -408,16 +408,23 @@ class _Engine:
         cost = self.config.scheduler.default_task_cost_us
         program = self.program.program
 
-        # Which behaviors depend on which sensors and plugin instances.
+        # Which behaviors depend on which sensors and plugin instances, and
+        # each task's category, recorded where its id is built.
         usage: dict[str, set[str]] = {}
+        category: dict[str, sched.TaskCategory] = {}
+
+        def declare(task_id: str, task_category: sched.TaskCategory, behaviors: set[str]) -> None:
+            usage[task_id] = behaviors
+            category[task_id] = task_category
+
         for sensor in self.config.sensors:
-            usage[f"sensor_input.{sensor.name}"] = set()
+            declare(f"sensor_input.{sensor.name}", sched.TaskCategory.SENSOR_INPUT, set())
         for instance_id in self.plugins:
-            usage[f"algorithmic.{instance_id}"] = set()
+            declare(f"algorithmic.{instance_id}", sched.TaskCategory.ALGORITHMIC, set())
         for name in program.definitions:
-            usage[f"behavioral.{name}"] = {name}
+            declare(f"behavioral.{name}", sched.TaskCategory.BEHAVIORAL, {name})
         for actuator in self.config.actuators:
-            usage[f"control.{actuator.name}"] = set()
+            declare(f"control.{actuator.name}", sched.TaskCategory.CONTROL, set())
 
         topic_to_instance = {p.topic: i for i, p in self.plugins.items()}
         for rule in program.rules:
@@ -441,25 +448,17 @@ class _Engine:
         for check in self.config.safety_checks:
             safety_tasks.add(f"safety.{check.name}")
             safety_tasks.add(f"sensor_input.{check.sensor}")
+            category[f"safety.{check.name}"] = sched.TaskCategory.SAFETY
+            category[f"sensor_input.{check.sensor}"] = sched.TaskCategory.SENSOR_INPUT
 
         base = sched.assign_base_priorities(self.program.priorities, usage, safety_tasks)
-
-        def category_of(task_id: str) -> sched.TaskCategory:
-            prefix = task_id.split(".", 1)[0]
-            return {
-                "sensor_input": sched.TaskCategory.SENSOR_INPUT,
-                "algorithmic": sched.TaskCategory.ALGORITHMIC,
-                "behavioral": sched.TaskCategory.BEHAVIORAL,
-                "control": sched.TaskCategory.CONTROL,
-                "safety": sched.TaskCategory.SAFETY,
-            }[prefix]
 
         self.tasks: dict[str, sched.TaskDescriptor] = {}
         for task_id in list(usage) + sorted(safety_tasks - set(usage)):
             priority = base[task_id]
             self.tasks[task_id] = sched.TaskDescriptor(
                 id=task_id,
-                category=category_of(task_id),
+                category=category[task_id],
                 behaviors=frozenset(usage.get(task_id, ())),
                 base_priority=priority,
                 current_priority=priority,
@@ -522,6 +521,7 @@ class _Engine:
     def _handle_window(self) -> None:
         self.clock_us = max(self.clock_us, self._next_window)
         updates = sched.adapt_priorities(self.tasks, self.counters, self.config.scheduler)
+        self.queue.rekey(self.tasks)  # the only place queued tasks change priority
         for update in updates:
             self._log(
                 "priority_update",
@@ -579,9 +579,8 @@ class _Engine:
 
     def _finish_sensor_input(self, entry: sched.QueueEntry) -> None:
         reading: Reading = entry.payload  # type: ignore[assignment]
-        spec = self.config.sensor(reading.sensor)
         prev = self.gate_prev.get(reading.sensor)
-        if not gate_significant(prev, reading.value, spec.delta):
+        if not gate_significant(prev, reading.value, self._gate_delta[reading.sensor]):
             return  # null branch: nothing reaches the processing layer
         self.gate_prev[reading.sensor] = reading.value
         payload = {"sensor": reading.sensor, "t_us": reading.t_us, "value": reading.value}
@@ -794,11 +793,10 @@ class _Engine:
         entry = sched.select_next(self.queue, self.tasks)
         assert entry is not None
         task = self.tasks[entry.task_id]
-        # dispatch dominance: nothing still queued may outrank the pick
-        assert all(
-            self.tasks[e.task_id].current_priority <= task.current_priority
-            for e in self.queue.entries()
-        )
+        # dispatch dominance: the heap top is the best of what is still queued,
+        # so nothing may outrank the pick
+        runner_up = self.queue.peek(self.tasks)
+        assert runner_up is None or self.tasks[runner_up.task_id].current_priority <= task.current_priority
         self._log(
             "task_start",
             {
@@ -808,7 +806,7 @@ class _Engine:
                 "priority": task.current_priority,
             },
         )
-        running = _Running(entry=entry, start_us=self.clock_us, end_us=self.clock_us + task.cost_us)
+        running = _Running(entry=entry, end_us=self.clock_us + task.cost_us)
         self.running = running
         self._push(running.end_us, _RANK_TASK_DONE, "task_done", running)
 

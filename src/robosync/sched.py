@@ -5,7 +5,8 @@ adjustment, and dispatch selection over a ready queue."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
 from typing import AbstractSet, Mapping
 
 from .config import SchedulerParams
@@ -49,14 +50,10 @@ class TaskDescriptor:
 
 @dataclass(slots=True)
 class FrequencyCounter:
-    """Trigger timestamps for one behavior within the current tumbling window."""
+    """Trigger count of one behavior within the current tumbling window."""
 
     behavior: str
-    trigger_timestamps: list[int] = field(default_factory=list)
-
-    @property
-    def count(self) -> int:
-        return len(self.trigger_timestamps)
+    count: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,32 +77,68 @@ class QueueEntry:
 
 
 class ReadyQueue:
-    """FIFO-stamped set of runnable work items awaiting dispatch."""
+    """FIFO-stamped runnable work items, kept as a binary heap on the dispatch
+    key (-current priority, -category rank, enqueue sequence).
+
+    A pushed entry is keyed from the task table at the next `pop`/`peek`;
+    after that its key is frozen, so whoever changes a queued task's
+    `current_priority` must call `rekey` (the engine does, right after each
+    window's `adapt_priorities`)."""
 
     def __init__(self) -> None:
-        self._entries: list[QueueEntry] = []
+        self._heap: list[tuple[float, int, int, QueueEntry]] = []
+        self._unkeyed: list[QueueEntry] = []
         self._next_seq = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._heap) + len(self._unkeyed)
 
     def entries(self) -> tuple[QueueEntry, ...]:
-        return tuple(self._entries)
+        """Every queued entry in enqueue order."""
+        keyed = sorted(self._heap, key=lambda item: item[2])
+        return tuple(item[3] for item in keyed) + tuple(self._unkeyed)
 
     def push(self, task_id: str, t_us: int, payload: object = None) -> QueueEntry:
         entry = QueueEntry(task_id, self._next_seq, t_us, payload)
         self._next_seq += 1
-        self._entries.append(entry)
+        self._unkeyed.append(entry)
         return entry
 
-    def remove(self, entry: QueueEntry) -> None:
-        self._entries.remove(entry)
+    def pop(self, tasks: Mapping[str, TaskDescriptor]) -> QueueEntry | None:
+        """Remove and return the entry with the smallest key."""
+        self._key_unkeyed(tasks)
+        return heapq.heappop(self._heap)[3] if self._heap else None
+
+    def peek(self, tasks: Mapping[str, TaskDescriptor]) -> QueueEntry | None:
+        """The entry `pop` would return, left in place."""
+        self._key_unkeyed(tasks)
+        return self._heap[0][3] if self._heap else None
+
+    def rekey(self, tasks: Mapping[str, TaskDescriptor]) -> None:
+        """Recompute every key from the tasks' current priorities."""
+        entries = [item[3] for item in self._heap] + self._unkeyed
+        self._heap = [_dispatch_key(entry, tasks) for entry in entries]
+        self._unkeyed = []
+        heapq.heapify(self._heap)
 
     def purge(self, keep_categories: AbstractSet[TaskCategory], tasks: Mapping[str, TaskDescriptor]) -> list[QueueEntry]:
-        """Drop every queued entry whose task category is not in `keep_categories`."""
-        removed = [e for e in self._entries if tasks[e.task_id].category not in keep_categories]
-        self._entries = [e for e in self._entries if tasks[e.task_id].category in keep_categories]
+        """Drop every queued entry whose task category is not in `keep_categories`;
+        returns the dropped entries in enqueue order."""
+        entries = self.entries()
+        removed = [e for e in entries if tasks[e.task_id].category not in keep_categories]
+        self._heap = []
+        self._unkeyed = [e for e in entries if tasks[e.task_id].category in keep_categories]
         return removed
+
+    def _key_unkeyed(self, tasks: Mapping[str, TaskDescriptor]) -> None:
+        for entry in self._unkeyed:
+            heapq.heappush(self._heap, _dispatch_key(entry, tasks))
+        self._unkeyed.clear()
+
+
+def _dispatch_key(entry: QueueEntry, tasks: Mapping[str, TaskDescriptor]) -> tuple[float, int, int, QueueEntry]:
+    task = tasks[entry.task_id]
+    return (-task.current_priority, -task.category, entry.enqueue_seq, entry)
 
 
 def assign_base_priorities(
@@ -131,7 +164,7 @@ def assign_base_priorities(
 
 def record_trigger(counter: FrequencyCounter, t_us: int) -> FrequencyCounter:
     """Count one triggering of the counter's behavior at `t_us`."""
-    counter.trigger_timestamps.append(t_us)
+    counter.count += 1
     return counter
 
 
@@ -165,22 +198,13 @@ def adapt_priorities(
         updates.append(PriorityUpdate(task.id, task.current_priority, new, best_f, best_behavior, delta))
         task.current_priority = new
     for counter in counters.values():
-        counter.trigger_timestamps.clear()
+        counter.count = 0
     return updates
 
 
 def select_next(queue: ReadyQueue, tasks: Mapping[str, TaskDescriptor]) -> QueueEntry | None:
     """Pop the queue entry to run next: highest current priority, ties broken
     by category rank (safety > control > behavioral > algorithmic > sensor
-    input), then FIFO by enqueue sequence.  None when the queue is empty."""
-    best: QueueEntry | None = None
-    best_key: tuple[float, int, int] | None = None
-    for entry in queue.entries():
-        task = tasks[entry.task_id]
-        key = (task.current_priority, int(task.category), -entry.enqueue_seq)
-        if best_key is None or key > best_key:
-            best = entry
-            best_key = key
-    if best is not None:
-        queue.remove(best)
-    return best
+    input), then FIFO by enqueue sequence.  None when the queue is empty.
+    O(log n) per call; see `ReadyQueue` for when keys are taken."""
+    return queue.pop(tasks)

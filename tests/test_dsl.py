@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from robosync import dsl
 from robosync.config import parse_config
@@ -113,6 +115,37 @@ def test_play_requires_sound_marker():
     with pytest.raises(dsl.ParseError) as exc:
         dsl.parse_program('DEFINE d\nPLAY tune "x.wav"\nEND\n')
     assert "sound" in exc.value.expected
+
+
+@pytest.mark.parametrize("literal", ["1e999", "-1e999"])
+def test_non_finite_literal_rejected(literal):
+    with pytest.raises(dsl.ParseError, match="out of range") as exc:
+        dsl.parse_program(f"WHEN touch LEVEL < {literal}\nDO x\nEND\n")
+    assert exc.value.span == dsl.SourceSpan(1, 20, len(literal))
+
+
+@given(mantissa=st.integers(-999, 999), exponent=st.integers(-400, 400))
+def test_number_literal_roundtrips_or_raises_parse_error(mantissa, exponent):
+    literal = f"{mantissa}e{exponent}"
+    try:
+        program = dsl.parse_program(f"WHEN a < {literal}\nDO x\nEND\n")
+    except dsl.ParseError:
+        assert not math.isfinite(float(literal))
+        return
+    assert dsl.parse_program(dsl.format_program(program)) == program
+
+
+@pytest.mark.parametrize("opener, closer", [("(", ")"), ("NOT ", "")], ids=["parens", "not"])
+def test_nesting_depth_limit(opener, closer):
+    def rule(depth):
+        return f"WHEN {opener * depth}a < 1{closer * depth}\nDO x\nEND\n"
+
+    at_limit = dsl.parse_program(rule(dsl.MAX_NESTING_DEPTH))
+    assert dsl.parse_program(dsl.format_program(at_limit)) == at_limit
+    for depth in (dsl.MAX_NESTING_DEPTH + 1, 3000):
+        with pytest.raises(dsl.ParseError, match="nested deeper") as exc:
+            dsl.parse_program(rule(depth))
+        assert exc.value.span == dsl.SourceSpan(1, 6 + len(opener) * dsl.MAX_NESTING_DEPTH, len(opener.strip()))
 
 
 # ---------------------------------------------------------------------------

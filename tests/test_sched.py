@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from robosync import sched
 from robosync.config import SchedulerParams
@@ -263,3 +264,89 @@ def test_purge_keeps_safety_only():
     removed = queue.purge({sched.TaskCategory.SAFETY}, tasks)
     assert [e.task_id for e in removed] == ["work", "work"]
     assert [e.task_id for e in queue.entries()] == ["guard"]
+
+
+# ---------------------------------------------------------------------------
+# heap dispatch against the linear-scan oracle
+
+
+def _linear_select(entries, tasks):
+    """The list-scan dispatch the heap replaced: the maximum of (current
+    priority, category rank, -enqueue_seq) over every queued entry."""
+    best = None
+    best_key = None
+    for entry in entries:
+        task = tasks[entry.task_id]
+        key = (task.current_priority, int(task.category), -entry.enqueue_seq)
+        if best_key is None or key > best_key:
+            best = entry
+            best_key = key
+    if best is not None:
+        entries.remove(best)
+    return best
+
+
+# Few priority values (alpha 0.25 over a 1 s window moves a task along the
+# grid 0.25, 0.5, 0.75, 1.0) so that category and FIFO ties are common.
+_ORACLE_PARAMS = SchedulerParams(alpha=0.25, window_us=1_000_000, p_max=1.0, default_task_cost_us=100)
+
+_task_specs = st.lists(
+    st.tuples(
+        st.sampled_from(list(sched.TaskCategory)),
+        st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+        st.frozensets(st.sampled_from(["a", "b"])),
+    ),
+    min_size=1,
+    max_size=6,
+)
+# Pushes come in batches so the queue holds several keyed entries when a
+# window moves their priorities.  The engine purges once, at a halt, so the
+# purge is a single optional step rather than an operation of its own: purged
+# often, the queue would rarely hold the non-safety work whose keys go stale.
+_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.lists(st.integers(0, 5), min_size=1, max_size=5)),
+        st.tuples(st.just("select")),
+        st.tuples(st.just("window"), st.integers(0, 3), st.integers(0, 3)),
+    ),
+    min_size=10,
+    max_size=40,
+)
+
+
+@settings(max_examples=300)
+@given(specs=_task_specs, operations=_operations, purge_at=st.none() | st.integers(0, 40))
+@example(
+    specs=[(sched.TaskCategory.BEHAVIORAL, 0.25, frozenset({"a"})), (sched.TaskCategory.BEHAVIORAL, 0.5, frozenset())],
+    operations=[("push", [0, 1, 1]), ("select",), ("window", 3, 0), ("select",)],
+    purge_at=None,
+)  # a stale key after the window would pick t1 (0.5) over t0 (now 1.0)
+def test_heap_dispatch_matches_linear_oracle(specs, operations, purge_at):
+    tasks = {}
+    for i, (category, base, behaviors) in enumerate(specs):
+        if category is sched.TaskCategory.SAFETY:
+            base = 1.0
+        tasks[f"t{i}"] = _task(f"t{i}", category, base, behaviors)
+    counters = {b: sched.FrequencyCounter(b) for b in ("a", "b")}
+    queue = sched.ReadyQueue()
+    oracle = []
+    picked, expected = [], []
+    for step, op in enumerate(operations):
+        if step == purge_at:
+            removed = queue.purge({sched.TaskCategory.SAFETY}, tasks)
+            assert removed == [e for e in oracle if tasks[e.task_id].category is not sched.TaskCategory.SAFETY]
+            oracle = [e for e in oracle if tasks[e.task_id].category is sched.TaskCategory.SAFETY]
+        if op[0] == "push":
+            oracle.extend(queue.push(f"t{i % len(tasks)}", 0) for i in op[1])
+        elif op[0] == "select":
+            picked.append(sched.select_next(queue, tasks))
+            expected.append(_linear_select(oracle, tasks))
+        else:
+            for behavior, triggers in zip(("a", "b"), op[1:]):
+                for t in range(triggers):
+                    sched.record_trigger(counters[behavior], t)
+            sched.adapt_priorities(tasks, counters, _ORACLE_PARAMS)
+            queue.rekey(tasks)  # what the engine does after every window
+        assert len(queue) == len(oracle)
+    assert picked == expected
+    assert list(queue.entries()) == oracle
