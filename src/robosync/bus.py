@@ -2,15 +2,14 @@
 
 Messages flow strictly sensor -> processing -> behavior -> control, one hop
 at a time; subscriptions that skip or reverse layers are rejected.  Safety
-alerts are the single exception: they broadcast to every layer at once and
-outrank anything queued.
+checks are the single exception: they run on each raw reading as it arrives,
+ahead of anything queued, and a check that trips halts every layer at once.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .config import SafetyCheckSpec
@@ -25,11 +24,6 @@ class Layer(enum.IntEnum):
     @property
     def label(self) -> str:
         return self.name.lower()
-
-
-class Decision(enum.Enum):
-    CONTINUE = "continue"
-    ALERT_AND_HALT = "alert_and_halt"
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,16 +41,9 @@ class Message:
 
 
 @dataclass(frozen=True, slots=True)
-class SafetyAlert:
-    check: str
-    t_us: int
-    reading: float
-    decision: Decision
-
-
-@dataclass(frozen=True, slots=True)
 class DeliveryRecord:
-    """Audit row: one message (or alert) handed to one subscriber layer."""
+    """Audit row: one message handed to one subscriber, or one layer reached
+    by a safety halt."""
 
     topic: str
     producer_layer: Layer | None
@@ -96,17 +83,20 @@ class LayeringError(BusError):
 class Subscription:
     topic: Topic
     subscriber_layer: Layer
-    handler: Callable[[Message], None] | None = None
-    pending: deque = field(default_factory=deque)
+    handler: Callable[[Message], None]
+
+
+def _ignore(message: Message) -> None:
+    pass
 
 
 class MessageBus:
     """Single-owner, synchronous bus with a global atomic sequence.
 
     Topics are registered with a producer identity; only that producer may
-    publish.  Each subscriber either supplies a handler (invoked inline at
-    publish) or drains its `pending` queue.  Every delivery is recorded in
-    `deliveries` so layering can be audited after the fact.
+    publish.  Each subscriber's handler runs inline at publish, in
+    subscription order.  `routes` gives the static table the layering audit
+    is derived from.
     """
 
     def __init__(self) -> None:
@@ -115,7 +105,6 @@ class MessageBus:
         self._subs: dict[str, list[Subscription]] = {}
         self._next_seq = 0
         self._last_t_us = 0
-        self.deliveries: list[DeliveryRecord] = []
 
     def create_topic(self, name: str, producer_layer: Layer, producer: str) -> Topic:
         if name in self._topics:
@@ -141,7 +130,7 @@ class MessageBus:
         self,
         name: str,
         subscriber_layer: Layer,
-        handler: Callable[[Message], None] | None = None,
+        handler: Callable[[Message], None] = _ignore,
     ) -> Subscription:
         """Attach a subscriber; only the immediately downstream layer may listen."""
         topic = self.topic(name)
@@ -164,27 +153,17 @@ class MessageBus:
         message = Message(topic=topic, t_us=t_us, seq=self._next_seq, payload=payload)
         self._next_seq += 1
         for sub in self._subs[name]:
-            self.deliveries.append(
-                DeliveryRecord(name, topic.producer_layer, sub.subscriber_layer, message.seq)
-            )
-            if sub.handler is not None:
-                sub.handler(message)
-            else:
-                sub.pending.append(message)
+            sub.handler(message)
         return message
 
-    def broadcast_alert(self, alert: SafetyAlert) -> None:
-        """Deliver a halting alert to every layer at once, bypassing adjacency."""
-        for layer in Layer:
-            self.deliveries.append(
-                DeliveryRecord(f"safety.{alert.check}", None, layer, -1, safety=True)
-            )
+    def routes(self) -> dict[str, tuple[Layer, tuple[Layer, ...]]]:
+        """topic -> (producer layer, each subscriber's layer in subscription order)."""
+        return {
+            name: (topic.producer_layer, tuple(sub.subscriber_layer for sub in self._subs[name]))
+            for name, topic in self._topics.items()
+        }
 
 
-def evaluate_safety(reading: float, check: SafetyCheckSpec, t_us: int) -> SafetyAlert:
-    """Apply a safety check to a raw reading: halt only on a strict exceedance."""
-    if reading > check.threshold:
-        decision = Decision.ALERT_AND_HALT
-    else:
-        decision = Decision.CONTINUE
-    return SafetyAlert(check=check.name, t_us=t_us, reading=reading, decision=decision)
+def evaluate_safety(reading: float, check: SafetyCheckSpec) -> bool:
+    """Whether a raw reading trips a safety check: only a strict exceedance halts."""
+    return reading > check.threshold

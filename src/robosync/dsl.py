@@ -19,8 +19,10 @@ match [a-z][a-z0-9_]*):
 
 The LEVEL keyword is decorative: `touch LEVEL < 3` reads the same processed
 value as `touch < 3`; the sugar is recorded so formatting round-trips.
-Number literals must be finite as floats, and a condition may nest NOT and
-parentheses at most MAX_NESTING_DEPTH levels deep.
+Number literals must be finite as floats.  A condition may nest at most
+MAX_NESTING_DEPTH levels deep, where each NOT, each parenthesis and each
+AND/OR link counts one level: `a AND b AND c` parses to the left-deep
+`And(And(a, b), c)`, two levels.
 """
 
 from __future__ import annotations
@@ -274,7 +276,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self._tokens = tokens
         self._pos = 0
-        self._depth = 0  # NOT / '(' levels open around the current position
+        self._depth = 0  # NOT / '(' / AND / OR levels above the current operand
 
     @property
     def tok(self) -> _Token:
@@ -333,7 +335,7 @@ class _Parser:
 
     def rule(self) -> Rule:
         start = self.expect("WHEN")
-        condition = self.condition()
+        condition, _height = self.condition()
         self.expect("NEWLINE")
         self.expect("DO")
         then_tok = self.expect("IDENT")
@@ -362,33 +364,45 @@ class _Parser:
             else_span=else_span,
         )
 
-    def condition(self) -> Condition:
-        left = self.and_expr()
-        while self.at("OR"):
-            self.advance()
-            left = Or(left, self.and_expr())
-        return left
+    def condition(self) -> tuple[Condition, int]:
+        return self._chain("OR", Or, self.and_expr)
 
-    def and_expr(self) -> Condition:
-        left = self.unary()
-        while self.at("AND"):
-            self.advance()
-            left = And(left, self.unary())
-        return left
+    def and_expr(self) -> tuple[Condition, int]:
+        return self._chain("AND", And, self.unary)
 
-    def unary(self) -> Condition:
+    def _chain(self, word: str, node, operand) -> tuple[Condition, int]:
+        """`operand (word operand)*`, built left-deep; like every condition
+        production it returns the tree and its height in nesting levels, and
+        `_depth` plus a height never exceeds MAX_NESTING_DEPTH.  Each link puts
+        the chain so far one level deeper, so it spends one level."""
+        left, height = operand()
+        while self.at(word):
+            if self._depth + height >= MAX_NESTING_DEPTH:
+                raise self.too_deep()
+            self.advance()
+            self._depth += 1
+            right, right_height = operand()
+            self._depth -= 1
+            left, height = node(left, right), max(height, right_height) + 1
+        return left, height
+
+    def unary(self) -> tuple[Condition, int]:
         if not (self.at("NOT") or self.at("LPAREN")):
-            return self.comparison()
-        if self._depth == MAX_NESTING_DEPTH:
-            raise ParseError(f"condition nested deeper than {MAX_NESTING_DEPTH} levels", self.tok.span)
+            return self.comparison(), 0
+        if self._depth >= MAX_NESTING_DEPTH:
+            raise self.too_deep()
         self._depth += 1
         if self.advance().kind == "NOT":
-            inner: Condition = Not(self.unary())
+            inner, height = self.unary()
+            node: Condition = Not(inner)
         else:
-            inner = self.condition()
+            node, height = self.condition()
             self.expect("RPAREN")
         self._depth -= 1
-        return inner
+        return node, height + 1
+
+    def too_deep(self) -> ParseError:
+        return ParseError(f"condition nested deeper than {MAX_NESTING_DEPTH} levels", self.tok.span)
 
     def comparison(self) -> Comparison:
         if not self.at("IDENT"):
@@ -653,7 +667,6 @@ def bind_program(
     actuator_specs = {a.name: a for a in config.actuators}
     audio = [a.name for a in config.actuators if a.kind == "audio"]
     used_actuators: dict[str, ActuatorSpec] = {}
-    needs_audio = False
     for definition in program.definitions.values():
         for stmt in definition.body:
             if isinstance(stmt, (Move, Set)):
@@ -663,7 +676,6 @@ def bind_program(
                 else:
                     used_actuators[stmt.actuator] = spec
             elif isinstance(stmt, Play):
-                needs_audio = True
                 if len(audio) != 1:
                     errors.append(
                         BindError(
@@ -675,7 +687,6 @@ def bind_program(
     if errors:
         raise BindErrors(errors)
 
-    # needs_audio implies exactly one audio actuator here (errored otherwise)
     audio_name = audio[0] if len(audio) == 1 else None
     if audio_name is not None:
         used_actuators.setdefault(audio_name, actuator_specs[audio_name])

@@ -17,10 +17,10 @@ import json
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import sched
-from .bus import Decision, Layer, MessageBus, evaluate_safety
+from .bus import DeliveryRecord, Layer, Message, MessageBus, evaluate_safety
 from .config import ActuatorSpec, SystemConfig
 from .dsl import (
     BoundProgram,
@@ -100,7 +100,22 @@ class LogEntry:
 @dataclass(slots=True)
 class ExecutionLog:
     entries: list[LogEntry] = field(default_factory=list)
-    deliveries: tuple = ()
+    # the run's bus table: topic -> (producer layer, subscriber layers)
+    routes: Mapping[str, tuple[Layer, tuple[Layer, ...]]] = field(default_factory=dict)
+
+    @property
+    def deliveries(self) -> tuple[DeliveryRecord, ...]:
+        """The layering audit, derived from the log: one record per subscriber
+        of each logged message, and one per layer for a halt by a safety check."""
+        records: list[DeliveryRecord] = []
+        for entry in self.entries:
+            detail = entry.detail
+            if entry.kind == "message":
+                producer, subscribers = self.routes[detail["topic"]]
+                records.extend(DeliveryRecord(detail["topic"], producer, layer, detail["bus_seq"]) for layer in subscribers)
+            elif entry.kind == "safety_halt" and detail["sensor"] is not None:
+                records.extend(DeliveryRecord(f"safety.{detail['source']}", None, layer, -1, safety=True) for layer in Layer)
+        return tuple(records)
 
 
 @dataclass(frozen=True, slots=True)
@@ -382,25 +397,13 @@ class _Engine:
             for sensor in plugin.inputs:
                 self.bus.subscribe(sensor, Layer.PROCESSING, self._make_plugin_handler(instance_id))
         for plugin in self.plugins.values():
-            self.bus.subscribe(plugin.topic, Layer.BEHAVIOR, self._make_processed_handler(plugin.topic))
+            self.bus.subscribe(plugin.topic, Layer.BEHAVIOR, self._on_processed)
         for actuator in self.config.actuators:
-            self.bus.subscribe(f"{actuator.name}_cmd", Layer.CONTROL, lambda message: None)
+            self.bus.subscribe(f"{actuator.name}_cmd", Layer.CONTROL)
 
     def _make_plugin_handler(self, instance_id: str):
         def handler(message) -> None:
-            reading = Reading(
-                sensor=message.payload["sensor"],
-                t_us=message.payload["t_us"],
-                value=message.payload["value"],
-                seq=message.seq,
-            )
-            self.queue.push(f"algorithmic.{instance_id}", self.clock_us, (instance_id, reading))
-
-        return handler
-
-    def _make_processed_handler(self, topic: str):
-        def handler(message) -> None:
-            self._on_processed(topic, message.payload, message.seq)
+            self.queue.push(f"algorithmic.{instance_id}", self.clock_us, (instance_id, message.payload))
 
         return handler
 
@@ -514,7 +517,7 @@ class _Engine:
             while self._next_window <= self.horizon_us:
                 self._handle_window()
 
-        return ExecutionLog(entries=self.entries, deliveries=tuple(self.bus.deliveries))
+        return ExecutionLog(entries=self.entries, routes=self.bus.routes())
 
     # -- handlers ---------------------------------------------------------
 
@@ -545,9 +548,7 @@ class _Engine:
         for check in self.config.safety_checks:
             if check.sensor != event.sensor:
                 continue
-            alert = evaluate_safety(event.value, check, event.t_us)
-            if alert.decision is Decision.ALERT_AND_HALT:
-                self.bus.broadcast_alert(alert)
+            if evaluate_safety(event.value, check):
                 self._halt(
                     source=check.name,
                     sensor=event.sensor,
@@ -583,7 +584,7 @@ class _Engine:
         if not gate_significant(prev, reading.value, self._gate_delta[reading.sensor]):
             return  # null branch: nothing reaches the processing layer
         self.gate_prev[reading.sensor] = reading.value
-        payload = {"sensor": reading.sensor, "t_us": reading.t_us, "value": reading.value}
+        published = Reading(reading.sensor, reading.t_us, reading.value, seq=self.bus.next_seq)
         # Log before publishing so the message entry precedes anything its
         # synchronous fan-out produces.
         self._log(
@@ -597,7 +598,7 @@ class _Engine:
                 "reading_t_us": reading.t_us,
             },
         )
-        self.bus.publish(reading.sensor, payload, self.clock_us, f"sensor_input.{reading.sensor}")
+        self.bus.publish(reading.sensor, published, self.clock_us, f"sensor_input.{reading.sensor}")
 
     def _finish_algorithmic(self, entry: sched.QueueEntry) -> None:
         instance_id, reading = entry.payload  # type: ignore[misc]
@@ -617,8 +618,9 @@ class _Engine:
         )
         self.bus.publish(plugin.topic, processed.value, self.clock_us, f"algorithmic.{instance_id}")
 
-    def _on_processed(self, topic: str, value: float, bus_seq: int) -> None:
-        self.latest[topic] = value
+    def _on_processed(self, message: Message) -> None:
+        topic, bus_seq = message.topic.name, message.seq
+        self.latest[topic] = message.payload
         candidates: list[tuple[float, int, str, str]] = []
         for index, rule, signals in self._rules_by_topic.get(topic, ()):
             snapshot: dict[str, float] = {}

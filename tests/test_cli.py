@@ -60,6 +60,17 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_long_condition_chain_is_a_parse_error(tmp_files, tmp_path, capsys):
+    long_chain = tmp_path / "chain.rsb"
+    terms = " AND ".join(f"touch < {i}" for i in range(5000))
+    long_chain.write_text(f"WHEN {terms}\nDO gentle_response\nEND\n")
+    assert main(["parse", "-b", str(long_chain)]) == 1
+    assert capsys.readouterr().err.startswith("parse error: ")
+    argv = ["run", "-c", str(tmp_files["config"]), "-b", str(long_chain), "-t", str(tmp_files["trace"])]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("parse error: ")
+
+
 def test_run_writes_log_and_stats(tmp_files, tmp_path, capsys):
     out_path = tmp_path / "log.jsonl"
     code = main(

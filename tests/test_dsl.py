@@ -148,6 +148,58 @@ def test_nesting_depth_limit(opener, closer):
         assert exc.value.span == dsl.SourceSpan(1, 6 + len(opener) * dsl.MAX_NESTING_DEPTH, len(opener.strip()))
 
 
+def _chain_rule(word, links, depth=0):
+    """A rule whose condition is `links` WORD links inside `depth` parentheses."""
+    terms = f" {word} ".join(f"touch < {i + 1}" for i in range(links + 1))
+    return f"WHEN {'(' * depth}{terms}{')' * depth}\nDO gentle_response\nEND\n"
+
+
+def _operator_span(text, word, n):
+    """Span of the n-th (1-based) WORD operator on the rule's first line."""
+    column = -1
+    for _ in range(n):
+        column = text.index(f" {word} ", column + 1)
+    return dsl.SourceSpan(1, column + 2, len(word))
+
+
+@pytest.mark.parametrize("word", ["AND", "OR"])
+def test_chain_links_count_against_nesting_limit(word, touch_config_text):
+    limit = dsl.MAX_NESTING_DEPTH
+    program = dsl.parse_program(_chain_rule(word, limit) + "DEFINE gentle_response\nMOVE arms SLOWLY\nEND\n")
+    assert dsl.parse_program(dsl.format_program(program)) == program
+    bound = dsl.bind_program(program, parse_config(touch_config_text))
+    condition = bound.program.rules[0].condition
+    bounds = [i + 1 for i in range(limit + 1)]
+    combine = all if word == "AND" else any
+    for value in (0.0, 50.0, float(limit), float(limit + 1)):
+        expected = combine(value < b for b in bounds)
+        assert dsl.eval_condition(condition, {"touch": value}) is expected
+
+    for links in (limit + 1, 4999):
+        text = _chain_rule(word, links)
+        with pytest.raises(dsl.ParseError, match="nested deeper") as exc:
+            dsl.parse_program(text)
+        assert exc.value.span == _operator_span(text, word, limit + 1)
+
+
+def test_chain_links_share_the_budget_with_parentheses():
+    depth = 40
+    links = dsl.MAX_NESTING_DEPTH - depth
+    dsl.parse_program(_chain_rule("AND", links, depth))
+    text = _chain_rule("AND", links + 1, depth)
+    with pytest.raises(dsl.ParseError, match="nested deeper") as exc:
+        dsl.parse_program(text)
+    assert exc.value.span == _operator_span(text, "AND", links + 1)
+
+    # a parenthesised 60-link chain on the left (61 levels) sits below every
+    # later link, so the 40th link after it is the 101st level
+    group = _chain_rule("AND", 60, 1).splitlines()[0].removeprefix("WHEN ")
+    text = f"WHEN {group}" + " AND touch < 1" * 45 + "\nDO gentle_response\nEND\n"
+    with pytest.raises(dsl.ParseError, match="nested deeper") as exc:
+        dsl.parse_program(text)
+    assert exc.value.span == _operator_span(text, "AND", 60 + 40)
+
+
 # ---------------------------------------------------------------------------
 # formatting
 

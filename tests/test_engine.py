@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from robosync import engine as eng
+from robosync.bus import Layer
 from robosync.config import parse_config
 from robosync.dsl import bind_program, parse_program
 
@@ -601,3 +602,42 @@ def test_deliveries_respect_adjacency(touch_config_text, behavior_text, touch_tr
         if record.safety:
             continue
         assert int(record.subscriber_layer) == int(record.producer_layer) + 1
+
+
+@pytest.mark.parametrize("check_name", ["overforce", "override"])
+def test_safety_halt_adds_one_record_per_layer(check_name):
+    # a check may share the override's name: the audit keys on the halting sensor
+    config_text = SAFETY_CONFIG.replace('"overforce"', f'"{check_name}"')
+    trace_text = "\n".join(
+        [
+            '{"t_us": 1000, "sensor": "force", "value": 3.0}',
+            '{"t_us": 5000, "sensor": "force", "value": 12.0}',
+            '{"t_us": 6000, "sensor": "force", "value": 1.0}',
+        ]
+    )
+    log = _run_texts(config_text, SAFETY_PROGRAM, trace_text)
+    halt = next(e for e in log.entries if e.kind == "safety_halt")
+    messages = [e for e in log.entries if e.kind == "message"]
+    assert messages and all(e.seq < halt.seq for e in messages)
+    records = log.deliveries
+    assert [r.seq for r in records[:-4]] == [e.detail["bus_seq"] for e in messages]
+    assert not any(r.safety for r in records[:-4])
+    safety = records[-4:]
+    assert [r.subscriber_layer for r in safety] == list(Layer)
+    assert {(r.topic, r.producer_layer, r.seq, r.safety) for r in safety} == {
+        (f"safety.{check_name}", None, -1, True)
+    }
+
+
+def test_override_halt_adds_no_safety_record():
+    trace_text = "\n".join(
+        [
+            '{"t_us": 1000, "sensor": "force", "value": 3.0}',
+            '{"t_us": 5000, "override": "STOP"}',
+        ]
+    )
+    log = _run_texts(SAFETY_CONFIG, SAFETY_PROGRAM, trace_text)
+    assert any(e.kind == "safety_halt" for e in log.entries)
+    messages = [e for e in log.entries if e.kind == "message"]
+    assert [r.seq for r in log.deliveries] == [e.detail["bus_seq"] for e in messages]
+    assert not any(r.safety for r in log.deliveries)
