@@ -139,6 +139,18 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return ExitStatus.OK
 
 
+def _time_us(text: str) -> int:
+    """argparse type for a virtual time: a non-negative integer of microseconds."""
+    try:
+        value = int(text)
+    except ValueError:
+        pass
+    else:
+        if value >= 0:
+            return value
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="robosync", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -158,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-t", "--trace", required=True)
     p.add_argument("-o", "--output", default="-", help="log path, '-' for stdout")
     p.add_argument("--stats", action="store_true", help="print run statistics to stderr")
-    p.add_argument("--until", type=int, default=None, metavar="T_US", help="truncate the trace horizon")
+    p.add_argument("--until", type=_time_us, default=None, metavar="T_US", help="truncate the trace horizon")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("stats", help="summarize an execution log")

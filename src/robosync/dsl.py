@@ -22,7 +22,7 @@ value as `touch < 3`; the sugar is recorded so formatting round-trips.
 Number literals must be finite as floats.  A condition may nest at most
 MAX_NESTING_DEPTH levels deep, where each NOT, each parenthesis and each
 AND/OR link counts one level: `a AND b AND c` parses to the left-deep
-`And(And(a, b), c)`, two levels.
+`And(And(a, b), c)`, two levels.  A WAIT may last at most MAX_WAIT_US.
 """
 
 from __future__ import annotations
@@ -43,6 +43,10 @@ PASSTHROUGH_TOPIC_SUFFIX = "_proc"
 # Far beyond any hand-written rule, and shallow enough that parsing,
 # formatting and evaluating the condition stay within Python's recursion limit.
 MAX_NESTING_DEPTH = 100
+
+# Every window boundary up to a deferred command is ticked in virtual time, so
+# an unbounded WAIT would stall the run; a minute is far beyond any gesture.
+MAX_WAIT_US = 60_000_000
 
 _KEYWORDS = frozenset(
     "WHEN DO ELSE END DEFINE MOVE PLAY SET WAIT LEVEL AND OR NOT SLOWLY QUICKLY".split()
@@ -472,7 +476,10 @@ class _Parser:
             if not (self.at("IDENT") and unit_tok.text in ("ms", "us")):
                 raise self.error({"ms", "us"})
             self.advance()
-            duration_us = int(amount) * (1000 if unit_tok.text == "ms" else 1)
+            duration = amount * (1000 if unit_tok.text == "ms" else 1)
+            if duration > MAX_WAIT_US:
+                raise ParseError(f"WAIT duration must be at most {MAX_WAIT_US} us", number.span)
+            duration_us = int(duration)
             self.expect_end_of_line()
             return Wait(duration_us, span=number.span)
         raise self.error({"MOVE", "PLAY", "SET", "WAIT", "END"})

@@ -17,7 +17,7 @@ import json
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import sched
 from .bus import DeliveryRecord, Layer, Message, MessageBus, evaluate_safety
@@ -201,55 +201,125 @@ def load_trace(text: str, config: SystemConfig) -> list[TraceEvent]:
 # log serialization (external interface: stable keys, fixed 6-decimal floats)
 
 
-def _render_json(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format(value, ".6f")
-    if value is None:
-        return "null"
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        inner = ", ".join(f"{json.dumps(str(k))}: {_render_json(v)}" for k, v in value.items())
-        return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_render_json(v) for v in value) + "]"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+class _Quoted(dict):
+    """str -> its JSON literal; each distinct string is quoted once."""
+
+    def __missing__(self, text: str) -> str:
+        quoted = self[text] = json.dumps(text)
+        return quoted
+
+
+def _renderers() -> tuple[Callable[[object], str], Callable[[LogEntry], str]]:
+    """A fresh `(value, line)` pair of renderers sharing per-call caches.
+
+    `value` renders through one table keyed on the exact type; anything else
+    (an IntEnum, a str subclass, a dict subclass) takes the isinstance rules,
+    so it prints as its base type does.  `line` renders a log entry and its
+    newline from a template built once per (kind, detail keys) shape; the
+    engine's `_log` call sites alone decide which fields a kind carries.
+    """
+    quoted = _Quoted()
+    templates: dict[tuple, str] = {}
+
+    def by_base_type(value: object) -> str:
+        # bool and None have no subclasses, so the table always catches them
+        if isinstance(value, int):
+            return str(value)
+        if isinstance(value, float):
+            return format(value, ".6f")
+        if isinstance(value, str):
+            return json.dumps(value)
+        if isinstance(value, dict):
+            return render_dict(value)
+        if isinstance(value, (list, tuple)):
+            return render_items(value)
+        raise TypeError(f"cannot serialize {type(value).__name__}")
+
+    def key(k: object) -> str:
+        return quoted[k] if type(k) is str else json.dumps(str(k))
+
+    def render_dict(value: dict) -> str:
+        return "{" + ", ".join([f"{key(k)}: {render(v)}" for k, v in value.items()]) + "}"
+
+    def render_items(value: list | tuple) -> str:
+        return "[" + ", ".join([render(v) for v in value]) + "]"
+
+    table: dict[type, Callable] = {
+        float: "{:.6f}".format,
+        int: int.__repr__,
+        bool: {True: "true", False: "false"}.__getitem__,
+        type(None): {None: "null"}.__getitem__,
+        str: quoted.__getitem__,
+        dict: render_dict,
+        list: render_items,
+        tuple: render_items,
+    }
+    get = table.get
+
+    def render(value: object) -> str:
+        return get(type(value), by_base_type)(value)
+
+    def line(entry: LogEntry) -> str:
+        kind, detail = entry.kind, entry.detail
+        shape = (kind, *detail)
+        template = templates.get(shape)
+        if template is None:
+            head = '{"seq": %s, "t_us": %s, "kind": ' + render(kind).replace("%", "%%") + ', "detail": {'
+            template = head + ", ".join(key(k).replace("%", "%%") + ": %s" for k in detail) + "}}\n"
+            # 1 == True == 1.0 but they render apart: cache all-str shapes only
+            if type(kind) is str and all(type(k) is str for k in detail):
+                templates[shape] = template
+        values = (entry.seq, entry.t_us, *detail.values())
+        return template % tuple([get(type(v), by_base_type)(v) for v in values])  # render(v), inlined
+
+    return render, line
 
 
 def render_log_entry(entry: LogEntry) -> str:
-    return _render_json({"seq": entry.seq, "t_us": entry.t_us, "kind": entry.kind, "detail": entry.detail})
+    return _renderers()[1](entry)[:-1]
 
 
 def serialize_log(entries: Iterable[LogEntry]) -> str:
-    return "".join(render_log_entry(e) + "\n" for e in entries)
+    return "".join(map(_renderers()[1], entries))
+
+
+def _reject_constant(name: str) -> float:
+    raise ValueError(f"non-finite number {name}")
+
+
+# a log holds no NaN or Infinity, and stats computed from one would not be JSON
+_LOG_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_LOG_ENTRY_KEYS = frozenset({"seq", "t_us", "kind", "detail"})
 
 
 def parse_log(text: str) -> list[LogEntry]:
     """Read back a serialized log; raises MalformedLogError naming the line."""
+    decode = _LOG_DECODER.decode
     entries: list[LogEntry] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = decode(line)
         except json.JSONDecodeError as exc:
             raise MalformedLogError(f"invalid JSON: {exc.msg}", line_no) from None
-        if not isinstance(obj, dict) or set(obj) != {"seq", "t_us", "kind", "detail"}:
+        except ValueError as exc:  # a non-finite constant or an over-long integer
+            raise MalformedLogError(f"invalid JSON: {exc}", line_no) from None
+        if not isinstance(obj, dict) or obj.keys() != _LOG_ENTRY_KEYS:
             raise MalformedLogError("expected keys {seq, t_us, kind, detail}", line_no)
-        if obj["kind"] not in LOG_KINDS:
-            raise MalformedLogError(f"unknown kind {obj['kind']!r}", line_no)
-        if not isinstance(obj["detail"], dict):
+        seq, t_us, kind, detail = obj["seq"], obj["t_us"], obj["kind"], obj["detail"]
+        if type(seq) is not int or type(t_us) is not int:
+            raise MalformedLogError("seq and t_us must be integers", line_no)
+        if type(kind) is not str or kind not in LOG_KINDS:
+            raise MalformedLogError(f"unknown kind {kind!r}", line_no)
+        if not isinstance(detail, dict):
             raise MalformedLogError("detail must be an object", line_no)
-        entries.append(LogEntry(seq=obj["seq"], t_us=obj["t_us"], kind=obj["kind"], detail=obj["detail"]))
+        entries.append(LogEntry(seq, t_us, kind, detail))
     return entries
 
 
 def serialize_stats(stats: SimStats) -> str:
-    return _render_json(stats.to_dict()) + "\n"
+    return _renderers()[0](stats.to_dict()) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +352,10 @@ def compute_stats(entries: Sequence[LogEntry]) -> SimStats:
                 if key in open_tasks:
                     raise MalformedLogError(f"task {key[0]!r} started twice at seq {entry.seq}")
                 open_tasks[key] = entry.seq
-                latency = entry.t_us - entry.detail["enqueue_t_us"]
+                enqueue_t_us = entry.detail["enqueue_t_us"]
+                if type(enqueue_t_us) is not int:
+                    raise MalformedLogError(f"enqueue_t_us must be an integer at seq {entry.seq}")
+                latency = entry.t_us - enqueue_t_us
                 if latency < 0:
                     raise MalformedLogError(f"negative latency at seq {entry.seq}")
                 latencies.append(latency)
@@ -308,12 +381,16 @@ def compute_stats(entries: Sequence[LogEntry]) -> SimStats:
         task, enqueue_seq = next(iter(open_tasks))
         raise MalformedLogError(f"task {task!r} (enqueue_seq {enqueue_seq}) never finished")
 
+    try:
+        latency_mean_us = float(statistics.fmean(latencies)) if latencies else 0.0
+    except OverflowError:
+        raise MalformedLogError("latencies too large to average") from None
     return SimStats(
         messages_per_layer=tuple(layer_counts.items()),
         dispatches=dispatches,
         aborts=aborts,
         latency_min_us=min(latencies) if latencies else 0,
-        latency_mean_us=float(statistics.fmean(latencies)) if latencies else 0.0,
+        latency_mean_us=latency_mean_us,
         latency_max_us=max(latencies) if latencies else 0,
         behaviors_fired=fired,
         behaviors_suppressed=suppressed,

@@ -121,6 +121,33 @@ def test_run_until_zero_drops_everything(tmp_files, capsys):
     assert "sensor_event" not in out
 
 
+def test_run_negative_until_is_usage_error(tmp_files, capsys):
+    argv = [
+        "run",
+        "-c", str(tmp_files["config"]),
+        "-b", str(tmp_files["behavior"]),
+        "-t", str(tmp_files["trace"]),
+        "--until", "-5",
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--until: expected a non-negative integer, got '-5'" in captured.err
+
+
+def test_run_huge_wait_is_a_parse_error(tmp_files, tmp_path, capsys):
+    program = tmp_path / "wait.rsb"
+    program.write_text(
+        "WHEN touch LEVEL < 3\nDO gentle_response\nEND\n"
+        "DEFINE gentle_response\nWAIT 99999999999999999999 ms\nMOVE arms SLOWLY\nEND\n"
+    )
+    argv = ["run", "-c", str(tmp_files["config"]), "-b", str(program), "-t", str(tmp_files["trace"])]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("parse error: 5:6: WAIT duration must be at most")
+
+
 def test_run_bad_trace_exits_one(tmp_files, tmp_path, capsys):
     bad_trace = tmp_path / "bad.jsonl"
     bad_trace.write_text('{"t_us": 1, "sensor": "ghost", "value": 0}\n')
@@ -190,6 +217,20 @@ def test_stats_truncated_line_names_line(tmp_files, tmp_path, capsys):
     out_path.write_text("\n".join(text))
     assert main(["stats", str(out_path)]) == 1
     assert "line 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_us, enqueue_t_us", [("1e999", "0"), ("5", "NaN")], ids=["t_us_overflow", "nan"])
+def test_stats_never_prints_non_finite_numbers(tmp_path, capsys, t_us, enqueue_t_us):
+    log = tmp_path / "log.jsonl"
+    log.write_text(
+        f'{{"seq": 0, "t_us": {t_us}, "kind": "task_start", "detail": '
+        f'{{"task": "t", "enqueue_seq": 0, "enqueue_t_us": {enqueue_t_us}, "priority": 0.5}}}}\n'
+        '{"seq": 1, "t_us": 10, "kind": "task_finish", "detail": {"task": "t", "enqueue_seq": 0}}\n'
+    )
+    assert main(["stats", str(log)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("malformed log: line 1: ")
 
 
 def test_halted_run_exits_zero(tmp_files, tmp_path, capsys):

@@ -111,6 +111,22 @@ def test_wait_requires_positive_integer():
         dsl.parse_program("DEFINE d\nWAIT 1.5 ms\nEND\n")
 
 
+@pytest.mark.parametrize(
+    "amount", [f"{dsl.MAX_WAIT_US // 1000} ms", f"{dsl.MAX_WAIT_US} us"], ids=["ms", "us"]
+)
+def test_wait_bound_parses_and_roundtrips(amount):
+    program = dsl.parse_program(f"DEFINE d\nWAIT {amount}\nEND\n")
+    assert program.definitions["d"].body == (dsl.Wait(dsl.MAX_WAIT_US),)
+    assert dsl.parse_program(dsl.format_program(program)) == program
+
+
+@pytest.mark.parametrize("literal, unit", [(str(dsl.MAX_WAIT_US + 1), "us"), ("99999999999999999999", "ms")])
+def test_wait_past_bound_rejected(literal, unit):
+    with pytest.raises(dsl.ParseError, match="WAIT duration must be at most") as exc:
+        dsl.parse_program(f"DEFINE d\nWAIT {literal} {unit}\nEND\n")
+    assert exc.value.span == dsl.SourceSpan(2, 6, len(literal))
+
+
 def test_play_requires_sound_marker():
     with pytest.raises(dsl.ParseError) as exc:
         dsl.parse_program('DEFINE d\nPLAY tune "x.wav"\nEND\n')

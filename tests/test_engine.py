@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import enum
 import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from robosync import engine as eng
 from robosync.bus import Layer
@@ -558,11 +560,162 @@ def test_parse_log_rejects_garbage():
         eng.parse_log("not json\n")
 
 
+_FINISH_LINE = '{"seq": 1, "t_us": 10, "kind": "task_finish", "detail": {"task": "t", "enqueue_seq": 0}}\n'
+
+
+def _start_line(t_us="5", enqueue_t_us="0", kind='"task_start"', seq="0"):
+    return (
+        f'{{"seq": {seq}, "t_us": {t_us}, "kind": {kind}, "detail": '
+        f'{{"task": "t", "enqueue_seq": 0, "enqueue_t_us": {enqueue_t_us}, "priority": 0.5}}}}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        (_start_line(t_us="1e999"), "seq and t_us must be integers"),
+        (_start_line(t_us='"5"'), "seq and t_us must be integers"),
+        (_start_line(seq="true"), "seq and t_us must be integers"),
+        (_start_line(enqueue_t_us="NaN"), "non-finite number NaN"),
+        (_start_line(enqueue_t_us="-Infinity"), "non-finite number -Infinity"),
+        (_start_line(t_us="9" * 5000), "invalid JSON"),
+        (_start_line(kind="[1]"), "unknown kind"),
+    ],
+    ids=["t_us_overflow", "t_us_string", "seq_bool", "nan", "infinity", "int_too_long", "unhashable_kind"],
+)
+def test_parse_log_rejects_malformed_line(line, reason):
+    with pytest.raises(eng.MalformedLogError, match=reason) as exc:
+        eng.parse_log(_FINISH_LINE + line)
+    assert exc.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "enqueue_t_us, reason",
+    [("-1e999", "enqueue_t_us must be an integer"), ("1.5", "enqueue_t_us must be an integer"), ("-" + "9" * 400, "too large")],
+    ids=["overflow", "float", "huge_int"],
+)
+def test_stats_reject_latencies_that_are_not_json(enqueue_t_us, reason):
+    entries = eng.parse_log(_start_line(enqueue_t_us=enqueue_t_us) + _FINISH_LINE)
+    with pytest.raises(eng.MalformedLogError, match=reason):
+        eng.compute_stats(entries)
+
+
 def test_fixed_decimal_float_rendering():
     entry = eng.LogEntry(0, 5, "sensor_event", {"sensor": "s", "value": 2.0})
     assert eng.render_log_entry(entry) == (
         '{"seq": 0, "t_us": 5, "kind": "sensor_event", "detail": {"sensor": "s", "value": 2.000000}}'
     )
+
+
+def _render_json_oracle(value: object) -> str:
+    """The original recursive renderer, kept as the reference for the log format."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return format(value, ".6f")
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        inner = ", ".join(f"{json.dumps(str(k))}: {_render_json_oracle(v)}" for k, v in value.items())
+        return "{" + inner + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_render_json_oracle(v) for v in value) + "]"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _oracle_line(entry: eng.LogEntry) -> str:
+    return _render_json_oracle({"seq": entry.seq, "t_us": entry.t_us, "kind": entry.kind, "detail": entry.detail})
+
+
+_awkward_text = st.text(st.sampled_from('"\\%{}s \x00\x1f\n\t\x7fé€😀a'), max_size=6) | st.text(max_size=6)
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()  # includes -0.0, nan and inf
+    | _awkward_text
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_awkward_text, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _logs(draw):
+    """Entries drawn from a few (kind, detail keys) shapes, each filled with
+    fresh values of any type, so templates are reused across value types."""
+    kinds = st.sampled_from(sorted(eng.LOG_KINDS)) | _awkward_text
+    shapes = draw(st.lists(st.tuples(kinds, st.lists(_awkward_text, unique=True, max_size=4)), min_size=1, max_size=3))
+    entries = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind, keys = draw(st.sampled_from(shapes))
+        detail = {k: draw(_values) for k in keys}
+        entries.append(eng.LogEntry(draw(st.integers() | _scalars), draw(st.integers()), kind, detail))
+    return entries
+
+
+@settings(max_examples=300)
+@given(entries=_logs())
+def test_log_rendering_matches_oracle(entries):
+    assert [eng.render_log_entry(e) for e in entries] == [_oracle_line(e) for e in entries]
+    assert eng.serialize_log(entries) == "".join(_oracle_line(e) + "\n" for e in entries)
+
+
+@given(values=st.lists(_values, min_size=11, max_size=11))
+def test_stats_rendering_matches_oracle(values):
+    layers = tuple((label, value) for label, value in zip(("sensor", "processing"), values[:2]))
+    stats = eng.SimStats(layers, *values[2:])
+    assert eng.serialize_stats(stats) == _render_json_oracle(stats.to_dict()) + "\n"
+
+
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+class _Name(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [eng.LogEntry(0, 5, "behavior_fired", {"behavior": "b", "priority": _Level.HIGH})],
+        [eng.LogEntry(_Level.HIGH, 5, _Name("play_cmd"), {"resource": _Name('a"b.wav')})],
+        # a MOVE speed word bound to 1 clamps to the int 1 and prints as one
+        [
+            eng.LogEntry(0, 5, "actuator_cmd", {"actuator": "arms", "action": "move", "value": 0.25}),
+            eng.LogEntry(1, 6, "actuator_cmd", {"actuator": "arms", "action": "move", "value": 1}),
+        ],
+        # equal keys of different types share no template
+        [eng.LogEntry(0, 5, "k", {1: "a"}), eng.LogEntry(1, 5, "k", {True: "a"}), eng.LogEntry(2, 5, "k", {1.0: "a"})],
+    ],
+    ids=["int_enum", "str_subclass", "int_in_float_field", "equal_keys"],
+)
+def test_log_rendering_examples(entries):
+    assert eng.serialize_log(entries) == "".join(_oracle_line(e) + "\n" for e in entries)
+
+
+def test_int_speed_word_renders_as_int(touch_config_text, behavior_text, touch_trace_text):
+    config = parse_config(touch_config_text)
+    program = bind_program(parse_program(behavior_text), config, speed_words={"slowly": 1, "quickly": 1})
+    log = eng.run(config, program, eng.load_trace(touch_trace_text, config))
+    moves = [line for line in eng.serialize_log(log.entries).splitlines() if '"action": "move"' in line]
+    assert moves and all('"value": 1, ' in line or '"value": 1}' in line for line in moves)
+
+
+def test_unsupported_value_type_raises():
+    entry = eng.LogEntry(0, 5, "sensor_event", {"sensor": "s", "value": {1, 2}})
+    for render in (eng.render_log_entry, lambda e: eng.serialize_log([e]), _oracle_line):
+        with pytest.raises(TypeError, match="^cannot serialize set$"):
+            render(entry)
 
 
 def test_dispatch_dominance_reconstructed_from_log(touch_config_text):
