@@ -21,11 +21,13 @@ from .engine import (
     MalformedLogError,
     TraceError,
     compute_stats,
+    iter_log,
     load_trace,
     parse_log,
     serialize_log,
     serialize_stats,
 )
+from .sensorproc import NonFiniteOutputError
 
 
 class ExitStatus(enum.IntEnum):
@@ -111,6 +113,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     except BusError as exc:
         print(f"setup error: {exc}", file=sys.stderr)
         return ExitStatus.FAILURE
+    except NonFiniteOutputError as exc:
+        print(f"run error: {exc}", file=sys.stderr)
+        return ExitStatus.FAILURE
     rendered = serialize_log(log.entries)
     if args.output == "-":
         sys.stdout.write(rendered)
@@ -130,8 +135,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if text is None:
         return ExitStatus.USAGE
     try:
-        entries = parse_log(text)
-        stats = compute_stats(entries)
+        try:
+            stats = compute_stats(iter_log(text))
+        except MalformedLogError:
+            # the first malformed line outranks a stats error found before it
+            parse_log(text)
+            raise
     except MalformedLogError as exc:
         print(f"malformed log: {exc}", file=sys.stderr)
         return ExitStatus.FAILURE

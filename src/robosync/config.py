@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Sequence
 
@@ -29,6 +30,9 @@ DEFAULT_TASK_COST_US = 100
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _HEX_RE = re.compile(r"0[xX][0-9A-Fa-f]+")
+# a JSON string (an unterminated one runs to the end, so a scan stays linear),
+# bracket or number (integer digits, fraction, exponent)
+_JSON_TOKEN_RE = re.compile(r'"(?:[^"\\]|\\.)*"?|[\[{]|[\]}]|-?(\d+)(\.\d+)?([eE][-+]?\d+)?', re.ASCII | re.DOTALL)
 
 
 class ConfigError(Exception):
@@ -196,13 +200,25 @@ def _get_name(obj: dict, path: str) -> str:
     return name
 
 
+def finite_float(value: object) -> float | None:
+    """A JSON number as a finite float; None for any other value, and for an
+    integer too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
+
+
 def _get_number(obj: dict, key: str, path: str, *, default: float | None = None) -> float | None:
     if key not in obj:
         return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    value = finite_float(obj[key])
+    if value is None:
         raise SchemaError(f"{path}.{key}", "must be a finite number")
-    return float(value)
+    return value
 
 
 def _get_int(obj: dict, key: str, path: str, *, default: int | None = None, minimum: int = 0) -> int | None:
@@ -231,8 +247,11 @@ def _get_pin(obj: dict, path: str) -> int | None:
         return None
     value = obj["pin"]
     if isinstance(value, str) and value.isdigit():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+        try:
+            return int(value)
+        except ValueError:  # a digit int() does not take, or too many of them
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool) and value >= 0:
         return value
     raise SchemaError(f"{path}.pin", "must be a non-negative integer")
 
@@ -441,6 +460,32 @@ def default_priorities(behaviors: Sequence[BehaviorSpec]) -> list[BehaviorSpec]:
     return [replace(b, priority=v) for b, v in zip(behaviors, values)]
 
 
+def _unlocated_syntax_error(text: str, exc: ValueError | RecursionError) -> ConfigSyntaxError:
+    """Locate what json.loads rejects without a position: nesting past the
+    recursion limit, reported at the first bracket of the deepest nesting, or
+    an integer too long to convert, at the first such integer."""
+    pos = 0
+    if isinstance(exc, RecursionError):
+        reason = "nested too deeply"
+        depth = deepest = 0
+        for token in _JSON_TOKEN_RE.finditer(text):
+            if token.group() in ("[", "{"):
+                depth += 1
+                if depth > deepest:
+                    deepest, pos = depth, token.start()
+            elif token.group() in ("]", "}"):
+                depth -= 1
+    else:
+        reason = str(exc)
+        limit = sys.get_int_max_str_digits()
+        for token in _JSON_TOKEN_RE.finditer(text):
+            digits, fraction, exponent = token.groups()
+            if digits is not None and fraction is None and exponent is None and len(digits) > limit:
+                pos = token.start()
+                break
+    return ConfigSyntaxError(reason, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
+
+
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -457,6 +502,8 @@ def parse_config(text: str) -> SystemConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigSyntaxError(exc.msg, exc.lineno, exc.colno) from None
+    except (ValueError, RecursionError) as exc:
+        raise _unlocated_syntax_error(text, exc) from None
     if not isinstance(raw, dict):
         raise SchemaError("$", "top-level value must be an object")
     allowed = ("sensors", "actuators", "behaviors", "algorithms", "safety_checks", "scheduler")

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import heapq
 import json
-import math
 import statistics
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import sched
 from .bus import DeliveryRecord, Layer, Message, MessageBus, evaluate_safety
-from .config import ActuatorSpec, SystemConfig
+from .config import ActuatorSpec, SystemConfig, finite_float
 from .dsl import (
     BoundProgram,
     MissingSignalError,
@@ -166,6 +165,10 @@ def load_trace(text: str, config: SystemConfig) -> list[TraceEvent]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceError(line_no, f"invalid JSON: {exc.msg}") from None
+        except ValueError as exc:  # an over-long integer
+            raise TraceError(line_no, f"invalid JSON: {exc}") from None
+        except RecursionError:
+            raise TraceError(line_no, "invalid JSON: nested too deeply") from None
         if not isinstance(obj, dict):
             raise TraceError(line_no, "each line must be an object")
         t_us = obj.get("t_us")
@@ -174,14 +177,14 @@ def load_trace(text: str, config: SystemConfig) -> list[TraceEvent]:
         keys = set(obj)
         if keys == {"t_us", "sensor", "value"}:
             sensor = obj["sensor"]
-            value = obj["value"]
+            value = finite_float(obj["value"])
             if not isinstance(sensor, str):
                 raise TraceError(line_no, "sensor must be a string")
             if sensor not in sensor_names:
                 raise TraceError(line_no, f"unknown sensor {sensor!r}")
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            if value is None:
                 raise TraceError(line_no, "value must be a finite number")
-            events.append(TraceEvent(t_us=t_us, sensor=sensor, value=float(value)))
+            events.append(TraceEvent(t_us=t_us, sensor=sensor, value=value))
         elif keys == {"t_us", "override"}:
             command = obj["override"]
             if not isinstance(command, str):
@@ -292,19 +295,30 @@ _LOG_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 _LOG_ENTRY_KEYS = frozenset({"seq", "t_us", "kind", "detail"})
 
 
-def parse_log(text: str) -> list[LogEntry]:
-    """Read back a serialized log; raises MalformedLogError naming the line."""
-    decode = _LOG_DECODER.decode
-    entries: list[LogEntry] = []
+def iter_log(text: str) -> Iterator[LogEntry]:
+    """Read back a serialized log one entry at a time; raises
+    MalformedLogError naming the line when it reaches a bad one."""
+    scan, decode = _LOG_DECODER.scan_once, _LOG_DECODER.decode
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            obj = decode(line)
+            # `decode` scans from 0 too unless the line starts with whitespace,
+            # so a value that spans the whole line is exactly what it returns
+            # and an error raised at 0 is the one it raises; a short or failed
+            # scan (padding, extra data) goes to `decode` for its verdict
+            try:
+                obj, end = scan(line, 0)
+            except StopIteration:
+                end = -1
+            if end != len(line):
+                obj = decode(line)
         except json.JSONDecodeError as exc:
             raise MalformedLogError(f"invalid JSON: {exc.msg}", line_no) from None
         except ValueError as exc:  # a non-finite constant or an over-long integer
             raise MalformedLogError(f"invalid JSON: {exc}", line_no) from None
+        except RecursionError:
+            raise MalformedLogError("invalid JSON: nested too deeply", line_no) from None
         if not isinstance(obj, dict) or obj.keys() != _LOG_ENTRY_KEYS:
             raise MalformedLogError("expected keys {seq, t_us, kind, detail}", line_no)
         seq, t_us, kind, detail = obj["seq"], obj["t_us"], obj["kind"], obj["detail"]
@@ -314,8 +328,13 @@ def parse_log(text: str) -> list[LogEntry]:
             raise MalformedLogError(f"unknown kind {kind!r}", line_no)
         if not isinstance(detail, dict):
             raise MalformedLogError("detail must be an object", line_no)
-        entries.append(LogEntry(seq, t_us, kind, detail))
-    return entries
+        yield LogEntry(seq, t_us, kind, detail)
+
+
+def parse_log(text: str) -> list[LogEntry]:
+    """Read back a whole serialized log; raises MalformedLogError naming the
+    first bad line."""
+    return list(iter_log(text))
 
 
 def serialize_stats(stats: SimStats) -> str:
@@ -326,8 +345,9 @@ def serialize_stats(stats: SimStats) -> str:
 # statistics
 
 
-def compute_stats(entries: Sequence[LogEntry]) -> SimStats:
-    """Aggregate a log; raises MalformedLogError on unmatched start/finish."""
+def compute_stats(entries: Iterable[LogEntry]) -> SimStats:
+    """Aggregate a log in one pass over `entries`; raises MalformedLogError
+    on unmatched start/finish."""
     layer_counts = {layer.label: 0 for layer in Layer}
     dispatches = 0
     aborts = 0

@@ -3,6 +3,7 @@ plugin registry that turns raw readings into processed topic values."""
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -35,6 +36,11 @@ class UnknownPluginError(ValueError):
 
 class PluginParamError(ValueError):
     """Raised when a plugin's parameters are missing or malformed."""
+
+
+class NonFiniteOutputError(ValueError):
+    """Raised when a plugin step overflows to an infinity or a NaN, which the
+    log could not hold as JSON."""
 
 
 def gate_significant(prev: float | None, curr: float, delta: float) -> bool:
@@ -214,6 +220,11 @@ def run_algorithm(instance: PluginInstance, reading: Reading) -> ProcessedValue 
     value = instance._step(instance.state, reading)
     if value is None:
         return None
+    if not math.isfinite(value):
+        raise NonFiniteOutputError(
+            f"plugin {instance.name!r} gave non-finite output {value} "
+            f"for sensor {reading.sensor!r} at t_us {reading.t_us}"
+        )
     return ProcessedValue(
         topic=instance.topic,
         t_us=reading.t_us,

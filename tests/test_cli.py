@@ -148,6 +148,66 @@ def test_run_huge_wait_is_a_parse_error(tmp_files, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("parse error: 5:6: WAIT duration must be at most")
 
 
+_PLUGIN_CONFIG = (
+    '{"sensors": [{"name": "touch", "type": "virtual", "delta": 0.5}], '
+    '"actuators": [{"name": "arms", "type": "pwm", "pin": 10}, {"name": "sound", "type": "audio"}], '
+    '"algorithms": [{"name": "proc", "plugin": "%s", "inputs": ["touch"], "output": "proc"%s}]}'
+)
+
+
+@pytest.mark.parametrize(
+    "plugin, params, values, t_us",
+    [
+        ("moving_average", ', "params": {"k": 2}', ["1.7e308", "1.6e308"], 2000),
+        ("jerk_level", "", ["-1e308", "1e308", "-1e308"], 1002),
+    ],
+    ids=["moving_average", "jerk_level"],
+)
+def test_run_non_finite_plugin_output_is_a_run_error(tmp_files, tmp_path, capsys, plugin, params, values, t_us):
+    config = tmp_path / "config.json"
+    config.write_text(_PLUGIN_CONFIG % (plugin, params))
+    trace = tmp_path / "trace.jsonl"
+    step = 1000 if plugin == "moving_average" else 1
+    trace.write_text("".join(f'{{"t_us": {1000 + i * step}, "sensor": "touch", "value": {v}}}\n' for i, v in enumerate(values)))
+    log = tmp_path / "log.jsonl"
+    argv = ["run", "-c", str(config), "-b", str(tmp_files["behavior"]), "-t", str(trace), "-o", str(log)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"run error: plugin {plugin!r} gave non-finite output inf for sensor 'touch' at t_us {t_us}\n"
+    )
+    assert not log.exists()
+
+
+@pytest.mark.parametrize(
+    "reader, text, message",
+    [
+        ("stats", "[" * 100_000 + "]" * 100_000, "malformed log: line 1: invalid JSON: nested too deeply\n"),
+        ("trace", "[" * 100_000 + "]" * 100_000, "trace error: line 1: invalid JSON: nested too deeply\n"),
+        ("trace", '{"t_us": ' + "9" * 5000 + "}", "trace error: line 1: invalid JSON: Exceeds the limit"),
+        ("validate", "[" * 100_000 + "]" * 100_000, "line 1, column 100000: nested too deeply\n"),
+        ("validate", '{"scheduler": {"window_us": ' + "9" * 5000 + "}}", "line 1, column 29: Exceeds the limit"),
+        ("config", "[" * 100_000 + "]" * 100_000, "line 1, column 100000: nested too deeply\n"),
+    ],
+    ids=["stats_deep", "trace_deep", "trace_long_int", "validate_deep", "validate_long_int", "run_config_deep"],
+)
+def test_json_readers_never_trace_back(tmp_files, tmp_path, capsys, reader, text, message):
+    path = tmp_path / "input"
+    path.write_text(text)
+    argv = {
+        "stats": ["stats", str(path)],
+        "trace": ["run", "-c", str(tmp_files["config"]), "-b", str(tmp_files["behavior"]), "-t", str(path)],
+        "validate": ["validate", "-c", str(path)],
+        "config": ["run", "-c", str(path), "-b", str(tmp_files["behavior"]), "-t", str(tmp_files["trace"])],
+    }[reader]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    output = captured.out if reader == "validate" else captured.err
+    assert output.startswith(message)
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_run_bad_trace_exits_one(tmp_files, tmp_path, capsys):
     bad_trace = tmp_path / "bad.jsonl"
     bad_trace.write_text('{"t_us": 1, "sensor": "ghost", "value": 0}\n')

@@ -580,8 +580,9 @@ def _start_line(t_us="5", enqueue_t_us="0", kind='"task_start"', seq="0"):
         (_start_line(enqueue_t_us="-Infinity"), "non-finite number -Infinity"),
         (_start_line(t_us="9" * 5000), "invalid JSON"),
         (_start_line(kind="[1]"), "unknown kind"),
+        ("[" * 100_000 + "]" * 100_000 + "\n", "invalid JSON: nested too deeply"),
     ],
-    ids=["t_us_overflow", "t_us_string", "seq_bool", "nan", "infinity", "int_too_long", "unhashable_kind"],
+    ids=["t_us_overflow", "t_us_string", "seq_bool", "nan", "infinity", "int_too_long", "unhashable_kind", "deep_nesting"],
 )
 def test_parse_log_rejects_malformed_line(line, reason):
     with pytest.raises(eng.MalformedLogError, match=reason) as exc:

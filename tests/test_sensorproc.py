@@ -125,6 +125,35 @@ def test_moving_average_warmup_then_mean():
     assert out.source_seq == 1
 
 
+@pytest.mark.parametrize(
+    "plugin, readings",
+    [
+        ("moving_average", [(0, 1.7e308), (1, 1.6e308)]),  # the mean's sum overflows
+        ("jerk_level", [(0, -1e308), (1, 1e308), (2, -1e308)]),  # slopes overflow
+        ("jerk_level", [(0, -1e308), (1, 1e308), (2, 1.7e308)]),  # inf - inf is NaN
+    ],
+    ids=["average_inf", "jerk_inf", "jerk_nan"],
+)
+def test_non_finite_plugin_output_is_rejected(plugin, readings):
+    instance = sp.make_plugin(plugin, {"k": 2} if plugin == "moving_average" else {}, inputs=("s",), topic="out")
+    *warmup, (t_us, value) = readings
+    for t, v in warmup:
+        sp.run_algorithm(instance, sp.Reading("s", t, v))
+    with pytest.raises(sp.NonFiniteOutputError) as exc:
+        sp.run_algorithm(instance, sp.Reading("s", t_us, value))
+    assert isinstance(exc.value, ValueError)
+    assert f"plugin {plugin!r} gave non-finite output" in str(exc.value)
+    assert str(exc.value).endswith(f"for sensor 's' at t_us {t_us}")
+
+
+def test_largest_finite_plugin_output_passes():
+    plugin = sp.make_plugin("moving_average", {"k": 2}, inputs=("s",), topic="avg")
+    sp.run_algorithm(plugin, sp.Reading("s", 0, 1.7e308))
+    assert sp.run_algorithm(plugin, sp.Reading("s", 1, -1.7e308)).value == 0.0
+    plugin = sp.make_plugin("passthrough", {}, inputs=("s",), topic="s_proc")
+    assert sp.run_algorithm(plugin, sp.Reading("s", 0, 1.7976931348623157e308)).value == 1.7976931348623157e308
+
+
 def test_moving_average_state_is_bounded():
     plugin = sp.make_plugin("moving_average", {"k": 3}, inputs=("s",), topic="avg")
     for i in range(20):
