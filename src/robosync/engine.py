@@ -23,7 +23,6 @@ from .bus import DeliveryRecord, Layer, Message, MessageBus, evaluate_safety
 from .config import ActuatorSpec, SystemConfig, finite_float
 from .dsl import (
     BoundProgram,
-    MissingSignalError,
     Move,
     Play,
     Rule,
@@ -423,13 +422,6 @@ def compute_stats(entries: Iterable[LogEntry]) -> SimStats:
 # the engine
 
 
-@dataclass(slots=True)
-class _Running:
-    entry: sched.QueueEntry
-    end_us: int
-    cancelled: bool = False
-
-
 class _Engine:
     def __init__(
         self,
@@ -450,11 +442,11 @@ class _Engine:
         self.entries: list[LogEntry] = []
         self.clock_us = 0
         self.halted = False
-        self.running: _Running | None = None
-        self.latest: dict[str, float] = {}  # processing topic -> last value
+        self.running: sched.QueueEntry | None = None
+        self.values: dict[str, float] = {}  # condition signal -> last processed value
         self.gate_prev: dict[str, float] = {}  # sensor -> last forwarded value
 
-        self._heap: list[tuple[int, int, int, str, object]] = []
+        self._heap: list[tuple[int, int, int, object]] = []
         self._heap_tie = 0
         self._window_us = config.scheduler.window_us
         self._next_window = self._window_us
@@ -462,8 +454,8 @@ class _Engine:
 
         self._build_plugins()
         self._build_topics()
-        self._build_tasks()
         self._index_rules()
+        self._build_tasks()
 
     # -- setup ------------------------------------------------------------
 
@@ -527,16 +519,12 @@ class _Engine:
             declare(f"control.{actuator.name}", sched.TaskCategory.CONTROL, set())
 
         topic_to_instance = {p.topic: i for i, p in self.plugins.items()}
-        for rule in program.rules:
-            targets = {rule.then_behavior}
-            if rule.else_behavior is not None:
-                targets.add(rule.else_behavior)
-            for signal, _span in condition_signals(rule.condition):
-                topic = self.program.signal_topics[signal]
-                instance_id = topic_to_instance[topic]
-                usage[f"algorithmic.{instance_id}"].update(targets)
-                for sensor in self.plugins[instance_id].inputs:
-                    usage[f"sensor_input.{sensor}"].update(targets)
+        for topic, rules in self._rules_by_topic.items():
+            instance_id = topic_to_instance[topic]
+            targets = {t for _, rule, _ in rules for t in (rule.then_behavior, rule.else_behavior) if t is not None}
+            usage[f"algorithmic.{instance_id}"].update(targets)
+            for sensor in self.plugins[instance_id].inputs:
+                usage[f"sensor_input.{sensor}"].update(targets)
         for name, definition in program.definitions.items():
             for stmt in definition.body:
                 if isinstance(stmt, (Move, Set)):
@@ -544,22 +532,17 @@ class _Engine:
                 elif isinstance(stmt, Play) and self.program.audio_actuator is not None:
                     usage[f"control.{self.program.audio_actuator}"].add(name)
 
-        safety_tasks = set()
-        for check in self.config.safety_checks:
-            safety_tasks.add(f"safety.{check.name}")
-            safety_tasks.add(f"sensor_input.{check.sensor}")
-            category[f"safety.{check.name}"] = sched.TaskCategory.SAFETY
-            category[f"sensor_input.{check.sensor}"] = sched.TaskCategory.SENSOR_INPUT
-
+        # safety checks run inline on arrival; the sensors they watch are pinned
+        safety_tasks = {f"sensor_input.{check.sensor}" for check in self.config.safety_checks}
         base = sched.assign_base_priorities(self.program.priorities, usage, safety_tasks)
 
         self.tasks: dict[str, sched.TaskDescriptor] = {}
-        for task_id in list(usage) + sorted(safety_tasks - set(usage)):
+        for task_id, behaviors in usage.items():
             priority = base[task_id]
             self.tasks[task_id] = sched.TaskDescriptor(
                 id=task_id,
                 category=category[task_id],
-                behaviors=frozenset(usage.get(task_id, ())),
+                behaviors=frozenset(behaviors),
                 base_priority=priority,
                 current_priority=priority,
                 cost_us=cost,
@@ -567,11 +550,16 @@ class _Engine:
         self.counters = {name: sched.FrequencyCounter(name) for name in program.definitions}
 
     def _index_rules(self) -> None:
-        self._rules_by_topic: dict[str, list[tuple[int, Rule, tuple[str, ...]]]] = {}
+        """Each processing topic's bound signals, and its rules: each rule once
+        under every distinct topic its signals read."""
+        signal_topics = self.program.signal_topics
+        self._signals_by_topic: dict[str, list[str]] = {}
+        for signal, topic in signal_topics.items():
+            self._signals_by_topic.setdefault(topic, []).append(signal)
+        self._rules_by_topic: dict[str, list[tuple[int, Rule, frozenset[str]]]] = {}
         for index, rule in enumerate(self.program.program.rules):
-            signals = tuple(s for s, _ in condition_signals(rule.condition))
-            for signal in signals:
-                topic = self.program.signal_topics[signal]
+            signals = frozenset(s for s, _ in condition_signals(rule.condition))
+            for topic in dict.fromkeys(signal_topics[s] for s in signals):
                 self._rules_by_topic.setdefault(topic, []).append((index, rule, signals))
 
     # -- logging ----------------------------------------------------------
@@ -582,31 +570,31 @@ class _Engine:
 
     # -- event heap -------------------------------------------------------
 
-    def _push(self, t_us: int, rank: int, kind: str, payload: object) -> None:
-        heapq.heappush(self._heap, (t_us, rank, self._heap_tie, kind, payload))
+    def _push(self, t_us: int, rank: int, payload: object) -> None:
+        heapq.heappush(self._heap, (t_us, rank, self._heap_tie, payload))
         self._heap_tie += 1
 
     # -- main loop --------------------------------------------------------
 
     def run(self) -> ExecutionLog:
         for event in self.trace:
-            self._push(event.t_us, _RANK_TRACE, "trace", event)
+            self._push(event.t_us, _RANK_TRACE, event)
 
         while self._heap:
-            t_us, _rank, _tie, kind, payload = heapq.heappop(self._heap)
+            t_us, rank, _tie, payload = heapq.heappop(self._heap)
             if not self.halted:
                 while self.tasks and self._next_window <= t_us:
                     self._handle_window()
             self.clock_us = max(self.clock_us, t_us)
             if self.halted:
-                if kind == "trace":
+                if rank == _RANK_TRACE:
                     self._log_dropped(payload)
                 continue
-            if kind == "trace":
+            if rank == _RANK_TRACE:
                 self._handle_trace(payload)
-            elif kind == "task_done":
+            elif rank == _RANK_TASK_DONE:
                 self._handle_task_done(payload)
-            elif kind == "enqueue":
+            else:
                 self._handle_deferred_enqueue(payload)
             self._dispatch()
 
@@ -659,11 +647,10 @@ class _Engine:
             Reading(sensor=event.sensor, t_us=event.t_us, value=event.value),
         )
 
-    def _handle_task_done(self, running: _Running) -> None:
-        if running.cancelled:
-            return
+    def _handle_task_done(self, entry: sched.QueueEntry) -> None:
+        # after a halt the main loop handles no completion, so this task still runs
+        assert entry is self.running
         self.running = None
-        entry = running.entry
         task = self.tasks[entry.task_id]
         self._log("task_finish", {"task": entry.task_id, "enqueue_seq": entry.enqueue_seq})
         if task.category is sched.TaskCategory.SENSOR_INPUT:
@@ -717,20 +704,13 @@ class _Engine:
 
     def _on_processed(self, message: Message) -> None:
         topic, bus_seq = message.topic.name, message.seq
-        self.latest[topic] = message.payload
+        values = self.values
+        for signal in self._signals_by_topic.get(topic, ()):
+            values[signal] = message.payload
         candidates: list[tuple[float, int, str, str]] = []
         for index, rule, signals in self._rules_by_topic.get(topic, ()):
-            snapshot: dict[str, float] = {}
-            for signal in signals:
-                signal_topic = self.program.signal_topics[signal]
-                if signal_topic not in self.latest:
-                    break
-                snapshot[signal] = self.latest[signal_topic]
-            else:
-                try:
-                    outcome = eval_condition(rule.condition, snapshot)
-                except MissingSignalError:
-                    continue
+            if values.keys() >= signals:  # every signal of the rule has a value
+                outcome = eval_condition(rule.condition, values)
                 branch = "then" if outcome else "else"
                 target = rule.then_behavior if outcome else rule.else_behavior
                 if target is not None:
@@ -750,7 +730,7 @@ class _Engine:
             },
         )
         sched.record_trigger(self.counters[winner], self.clock_us)
-        self.queue.push(f"behavioral.{winner}", self.clock_us, (winner, bus_seq))
+        self.queue.push(f"behavioral.{winner}", self.clock_us, winner)
         for _prio, neg_index, behavior, branch in candidates[1:]:
             self._log(
                 "behavior_suppressed",
@@ -764,17 +744,16 @@ class _Engine:
             )
 
     def _finish_behavioral(self, entry: sched.QueueEntry) -> None:
-        behavior, _trigger_seq = entry.payload  # type: ignore[misc]
+        behavior: str = entry.payload  # type: ignore[assignment]
         definition = self.program.program.definitions[behavior]
         offset_us = 0
         for stmt in definition.body:
             if isinstance(stmt, Wait):
                 offset_us += stmt.duration_us
                 continue
-            command = self._command_for(stmt, behavior)
-            self._push(self.clock_us + offset_us, _RANK_ENQUEUE, "enqueue", command)
+            self._push(self.clock_us + offset_us, _RANK_ENQUEUE, (self._command_for(stmt), behavior))
 
-    def _command_for(self, stmt, behavior: str) -> dict:
+    def _command_for(self, stmt) -> dict:
         if isinstance(stmt, Move):
             speed = self.program.speed_words[stmt.speed] if isinstance(stmt.speed, str) else stmt.speed
             actuator = self.program.actuators[stmt.actuator]
@@ -782,7 +761,6 @@ class _Engine:
                 "action": "move",
                 "actuator": stmt.actuator,
                 "value": _clamp(speed, actuator),
-                "behavior": behavior,
             }
         if isinstance(stmt, Set):
             actuator = self.program.actuators[stmt.actuator]
@@ -790,7 +768,6 @@ class _Engine:
                 "action": "set",
                 "actuator": stmt.actuator,
                 "value": _clamp(stmt.value, actuator),
-                "behavior": behavior,
             }
         assert isinstance(stmt, Play)
         assert self.program.audio_actuator is not None
@@ -798,34 +775,33 @@ class _Engine:
             "action": "play",
             "actuator": self.program.audio_actuator,
             "resource": stmt.resource,
-            "behavior": behavior,
         }
 
-    def _handle_deferred_enqueue(self, command: dict) -> None:
+    def _handle_deferred_enqueue(self, item: tuple[dict, str]) -> None:
+        command, behavior = item
         actuator = command["actuator"]
-        payload = {k: v for k, v in command.items() if k != "behavior"}
         self._log(
             "message",
             {
                 "topic": f"{actuator}_cmd",
                 "layer": Layer.BEHAVIOR.label,
                 "bus_seq": self.bus.next_seq,
-                "command": payload,
-                "behavior": command["behavior"],
+                "command": command,
+                "behavior": behavior,
             },
         )
-        self.bus.publish(f"{actuator}_cmd", payload, self.clock_us, "rules")
-        self.queue.push(f"control.{actuator}", self.clock_us, command)
+        self.bus.publish(f"{actuator}_cmd", command, self.clock_us, "rules")
+        self.queue.push(f"control.{actuator}", self.clock_us, item)
 
     def _finish_control(self, entry: sched.QueueEntry) -> None:
-        command: dict = entry.payload  # type: ignore[assignment]
+        command, behavior = entry.payload  # type: ignore[misc]
         if command["action"] == "play":
             self._log(
                 "play_cmd",
                 {
                     "actuator": command["actuator"],
                     "resource": command["resource"],
-                    "behavior": command["behavior"],
+                    "behavior": behavior,
                 },
             )
         else:
@@ -835,7 +811,7 @@ class _Engine:
                     "actuator": command["actuator"],
                     "action": command["action"],
                     "value": command["value"],
-                    "behavior": command["behavior"],
+                    "behavior": behavior,
                 },
             )
 
@@ -847,13 +823,9 @@ class _Engine:
         threshold: float | None = None,
         command: str | None = None,
     ) -> None:
-        aborted = None
-        if self.running is not None and not self.running.cancelled:
-            task = self.tasks[self.running.entry.task_id]
-            if task.category is not sched.TaskCategory.SAFETY:
-                aborted = self.running
-                aborted.cancelled = True
-        purged = self.queue.purge({sched.TaskCategory.SAFETY}, self.tasks)
+        # no safety work is ever queued: the running task aborts, the queue empties
+        aborted, self.running = self.running, None
+        purged = self.queue.purge(frozenset(), self.tasks)
         neutral = {a.name: _clamp(0.0, a) for a in self.config.actuators}
         self._log(
             "safety_halt",
@@ -864,7 +836,7 @@ class _Engine:
                 "threshold": threshold,
                 "command": command,
                 "neutral": neutral,
-                "aborted": aborted.entry.task_id if aborted else None,
+                "aborted": aborted.task_id if aborted else None,
                 "purged": [e.task_id for e in purged],
             },
         )
@@ -872,12 +844,11 @@ class _Engine:
             self._log(
                 "task_abort",
                 {
-                    "task": aborted.entry.task_id,
-                    "enqueue_seq": aborted.entry.enqueue_seq,
+                    "task": aborted.task_id,
+                    "enqueue_seq": aborted.enqueue_seq,
                     "reason": "safety_halt",
                 },
             )
-            self.running = None
         self.halted = True
 
     def _log_dropped(self, event: TraceEvent) -> None:
@@ -905,9 +876,8 @@ class _Engine:
                 "priority": task.current_priority,
             },
         )
-        running = _Running(entry=entry, end_us=self.clock_us + task.cost_us)
-        self.running = running
-        self._push(running.end_us, _RANK_TASK_DONE, "task_done", running)
+        self.running = entry
+        self._push(self.clock_us + task.cost_us, _RANK_TASK_DONE, entry)
 
 
 def _clamp(value: float, actuator: ActuatorSpec) -> float:

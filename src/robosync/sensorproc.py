@@ -69,8 +69,8 @@ def touch_level(raw: float, thresholds: Sequence[float]) -> int:
 def jerk_level(history: Sequence[Reading]) -> float:
     """Magnitude of the second finite difference of the last three readings.
 
-    Slopes are taken per second (timestamps are microseconds).  Fewer than
-    three readings give 0.
+    Slopes are taken per second (timestamps are microseconds), so the three
+    timestamps must differ.  Fewer than three readings give 0.
     """
     if len(history) < 3:
         return 0.0
@@ -126,6 +126,8 @@ def _jerk_level(params: Mapping[str, object]) -> tuple[StepFn, int]:
         state.append(reading)
         if len(state) > 3:
             state.pop(0)
+        if any(a.t_us == b.t_us for a, b in zip(state, state[1:])):
+            return None  # no slope across zero time
         return jerk_level(state)
 
     return step, 3

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from robosync.cli import main
+from robosync.engine import parse_log
 
 
 @pytest.fixture()
@@ -178,6 +179,19 @@ def test_run_non_finite_plugin_output_is_a_run_error(tmp_files, tmp_path, capsys
         f"run error: plugin {plugin!r} gave non-finite output inf for sensor 'touch' at t_us {t_us}\n"
     )
     assert not log.exists()
+
+
+def test_run_jerk_level_at_one_instant_exits_zero(tmp_files, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(_PLUGIN_CONFIG % ("jerk_level", ""))
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("".join(f'{{"t_us": 1000, "sensor": "touch", "value": {v}}}\n' for v in (1, 5, 9)))
+    argv = ["run", "-c", str(config), "-b", str(tmp_files["behavior"]), "-t", str(trace)]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    processed = [e for e in parse_log(captured.out) if e.kind == "message" and e.detail["topic"] == "proc"]
+    assert [e.detail["value"] for e in processed] == [0.0]  # the later two readings share its t_us
 
 
 @pytest.mark.parametrize(

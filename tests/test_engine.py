@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from robosync import engine as eng
+from robosync import dsl, engine as eng
 from robosync.bus import Layer
 from robosync.config import parse_config
 from robosync.dsl import bind_program, parse_program
@@ -391,6 +391,122 @@ def test_at_most_one_fired_per_instant(touch_config_text):
     log = _run_texts(touch_config_text, THREE_RULES, trace_text)
     fired_times = [e.t_us for e in log.entries if e.kind == "behavior_fired"]
     assert len(fired_times) == len(set(fired_times))
+
+
+# ---------------------------------------------------------------------------
+# rule matching
+
+# `touch` is consumed by the algorithm `lvl`, so the signals `touch` and `lvl`
+# both read topic `lvl`; `force` is unconsumed and reads its passthrough topic.
+ALIAS_CONFIG = """
+{
+    "sensors": [
+        {"name": "touch", "type": "virtual", "delta": 0.5},
+        {"name": "force", "type": "virtual", "delta": 0.0}
+    ],
+    "actuators": [{"name": "arms", "type": "pwm"}],
+    "behaviors": [],
+    "algorithms": [{"name": "lvl", "plugin": "passthrough", "inputs": ["touch"], "output": "lvl"}]
+}
+"""
+
+ALIAS_DEFINITIONS = {
+    name: dsl.Definition(name, (dsl.Move("arms", speed),)) for name, speed in (("a", 0.1), ("b", 0.2), ("c", 0.3))
+}
+
+
+def test_rule_reading_one_topic_twice_fires_once():
+    program_text = "WHEN touch < 3 AND lvl < 3\nDO calm\nEND\n\nDEFINE calm\nMOVE arms SLOWLY\nEND\n"
+    log = _run_texts(ALIAS_CONFIG, program_text, '{"t_us": 1000, "sensor": "touch", "value": 2}')
+    assert [e.detail["behavior"] for e in log.entries if e.kind == "behavior_fired"] == ["calm"]
+    assert not any(e.kind == "behavior_suppressed" for e in log.entries)
+    assert eng.compute_stats(log.entries).behaviors_suppressed == 0
+
+
+def _oracle_rule_entries(program, latest, topic, bus_seq):
+    """The rule entries a processed message on `topic` yields, computed as the
+    engine once did: each rule once, on a snapshot of its own signals."""
+    topics = program.signal_topics
+    candidates = []
+    for index, rule in enumerate(program.program.rules):
+        signals = [signal for signal, _ in dsl.condition_signals(rule.condition)]
+        if topic not in {topics[s] for s in signals} or any(topics[s] not in latest for s in signals):
+            continue
+        outcome = dsl.eval_condition(rule.condition, {s: latest[topics[s]] for s in signals})
+        target = rule.then_behavior if outcome else rule.else_behavior
+        if target is not None:
+            candidates.append((program.priorities[target], -index, target, "then" if outcome else "else"))
+    candidates.sort(reverse=True)
+    if not candidates:
+        return []
+    (_, neg_index, winner, branch), *rest = candidates
+    fired = {
+        "behavior": winner,
+        "priority": program.priorities[winner],
+        "rule": -neg_index,
+        "branch": branch,
+        "trigger_seq": bus_seq,
+    }
+    return [("behavior_fired", fired)] + [
+        (
+            "behavior_suppressed",
+            {"behavior": b, "priority": program.priorities[b], "rule": -n, "branch": br, "winner": winner},
+        )
+        for _, n, b, br in rest
+    ]
+
+
+_alias_conditions = st.recursive(
+    st.builds(
+        dsl.Comparison,
+        signal=st.sampled_from(("touch", "lvl", "force")),
+        op=st.sampled_from(("<", "<=", ">", ">=", "==", "!=")),
+        value=st.integers(0, 4).map(float),
+    ),
+    lambda inner: st.one_of(st.builds(dsl.And, inner, inner), st.builds(dsl.Or, inner, inner), st.builds(dsl.Not, inner)),
+    max_leaves=4,
+)
+_alias_rules = st.lists(
+    st.builds(
+        dsl.Rule,
+        condition=_alias_conditions,
+        then_behavior=st.sampled_from(sorted(ALIAS_DEFINITIONS)),
+        else_behavior=st.none() | st.sampled_from(sorted(ALIAS_DEFINITIONS)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+_alias_readings = st.lists(
+    st.tuples(st.sampled_from((1000, 1050, 3000)), st.sampled_from(("touch", "force")), st.integers(0, 4)),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=200)
+@given(rules=_alias_rules, readings=_alias_readings)
+def test_rule_matching_matches_snapshot_oracle(rules, readings):
+    config = parse_config(ALIAS_CONFIG)
+    program = bind_program(dsl.BehaviorProgram(tuple(rules), ALIAS_DEFINITIONS), config)
+    trace_text = "\n".join(json.dumps({"t_us": t, "sensor": s, "value": v}) for t, s, v in readings)
+    entries = eng.run(config, program, eng.load_trace(trace_text, config)).entries
+    rule_kinds = ("behavior_fired", "behavior_suppressed")
+    latest: dict[str, float] = {}
+    matched = 0
+    for i, entry in enumerate(entries):
+        if entry.kind != "message" or entry.detail["layer"] != Layer.PROCESSING.label:
+            continue
+        topic = entry.detail["topic"]
+        latest[topic] = entry.detail["value"]
+        expected = _oracle_rule_entries(program, latest, topic, entry.detail["bus_seq"])
+        following = []
+        for later in entries[i + 1 :]:
+            if later.kind not in rule_kinds:
+                break
+            following.append((later.kind, later.detail))
+        assert following == expected
+        matched += len(expected)
+    assert matched == sum(e.kind in rule_kinds for e in entries)
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,16 @@ def test_jerk_plugin_tracks_window():
     assert len(plugin.state) <= plugin.max_state == 3
 
 
+def test_jerk_plugin_gives_nothing_across_zero_time():
+    plugin = sp.make_plugin("jerk_level", {}, inputs=("s",), topic="jerk")
+    outs = [
+        sp.run_algorithm(plugin, sp.Reading("s", t_us, v))
+        for t_us, v in ((1000, 1.0), (1000, 5.0), (1000, 9.0), (2000, 9.0), (3000, 9.0))
+    ]
+    # a window holding two readings of one instant has no slope; later ones do
+    assert [o if o is None else o.value for o in outs] == [0.0, None, None, None, 0.0]
+
+
 def test_threshold_classifier():
     plugin = sp.make_plugin("threshold_classifier", {"threshold": 5.0}, inputs=("s",), topic="hot")
     assert sp.run_algorithm(plugin, sp.Reading("s", 0, 5.0)).value == 0.0  # strict
