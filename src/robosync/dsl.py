@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
-from .config import ActuatorSpec, SystemConfig
+from .config import ActuatorSpec, SystemConfig, fill_priorities
 
 # Normalized actuator speeds for the DSL adverbs; override per binding via
 # the speed_words argument of bind_program.
@@ -635,8 +635,6 @@ def bind_program(
     the default pool over the definition listing.  All failures are collected
     and raised together as BindErrors.
     """
-    from .config import fill_priorities  # local to keep module-level imports slim
-
     errors: list[BindError] = []
     speeds = dict(SPEED_WORDS if speed_words is None else speed_words)
 
@@ -682,6 +680,8 @@ def bind_program(
                     errors.append(BindError(f"{stmt.actuator}: unknown actuator", stmt.span))
                 else:
                     used_actuators[stmt.actuator] = spec
+                if isinstance(stmt, Move) and isinstance(stmt.speed, str) and stmt.speed not in speeds:
+                    errors.append(BindError(f"{stmt.speed}: unknown speed word", stmt.span))
             elif isinstance(stmt, Play):
                 if len(audio) != 1:
                     errors.append(

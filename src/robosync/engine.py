@@ -20,9 +20,10 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import sched
 from .bus import DeliveryRecord, Layer, Message, MessageBus, evaluate_safety
-from .config import ActuatorSpec, SystemConfig, finite_float
+from .config import ActuatorSpec, SafetyCheckSpec, SystemConfig, finite_float
 from .dsl import (
     BoundProgram,
+    Definition,
     Move,
     Play,
     Rule,
@@ -147,7 +148,46 @@ class SimStats:
 
 
 # ---------------------------------------------------------------------------
+# JSON-lines reading
+
+
+def _json_lines(
+    text: str,
+    scan: Callable[[str, int], tuple[object, int]],
+    decode: Callable[[str], object],
+    error: Callable[[int, str], Exception],
+) -> Iterator[tuple[int, object]]:
+    """`(line number, value)` per non-blank line; a line that is not one JSON
+    value raises `error(line number, reason)`.
+
+    `decode` scans from 0 too unless the line starts with whitespace (or, for
+    `json.loads`, a BOM), so a value that spans the whole line is exactly what
+    it returns and an error raised at 0 is the one it raises; a short or
+    failed scan (padding, extra data) goes to `decode` for its verdict."""
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            try:
+                obj, end = scan(line, 0)
+            except StopIteration:
+                end = -1
+            if end != len(line):
+                obj = decode(line)
+        except json.JSONDecodeError as exc:
+            raise error(line_no, f"invalid JSON: {exc.msg}") from None
+        except ValueError as exc:  # a non-finite constant or an over-long integer
+            raise error(line_no, f"invalid JSON: {exc}") from None
+        except RecursionError:
+            raise error(line_no, "invalid JSON: nested too deeply") from None
+        yield line_no, obj
+
+
+# ---------------------------------------------------------------------------
 # trace loading
+
+# json.loads's settings: a NaN or Infinity value decodes, then fails the trace's own check
+_TRACE_SCAN = json.JSONDecoder().scan_once
 
 
 def load_trace(text: str, config: SystemConfig) -> list[TraceEvent]:
@@ -157,17 +197,7 @@ def load_trace(text: str, config: SystemConfig) -> list[TraceEvent]:
     """
     sensor_names = {s.name for s in config.sensors}
     events: list[TraceEvent] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceError(line_no, f"invalid JSON: {exc.msg}") from None
-        except ValueError as exc:  # an over-long integer
-            raise TraceError(line_no, f"invalid JSON: {exc}") from None
-        except RecursionError:
-            raise TraceError(line_no, "invalid JSON: nested too deeply") from None
+    for line_no, obj in _json_lines(text, _TRACE_SCAN, json.loads, TraceError):
         if not isinstance(obj, dict):
             raise TraceError(line_no, "each line must be an object")
         t_us = obj.get("t_us")
@@ -297,27 +327,8 @@ _LOG_ENTRY_KEYS = frozenset({"seq", "t_us", "kind", "detail"})
 def iter_log(text: str) -> Iterator[LogEntry]:
     """Read back a serialized log one entry at a time; raises
     MalformedLogError naming the line when it reaches a bad one."""
-    scan, decode = _LOG_DECODER.scan_once, _LOG_DECODER.decode
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            # `decode` scans from 0 too unless the line starts with whitespace,
-            # so a value that spans the whole line is exactly what it returns
-            # and an error raised at 0 is the one it raises; a short or failed
-            # scan (padding, extra data) goes to `decode` for its verdict
-            try:
-                obj, end = scan(line, 0)
-            except StopIteration:
-                end = -1
-            if end != len(line):
-                obj = decode(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedLogError(f"invalid JSON: {exc.msg}", line_no) from None
-        except ValueError as exc:  # a non-finite constant or an over-long integer
-            raise MalformedLogError(f"invalid JSON: {exc}", line_no) from None
-        except RecursionError:
-            raise MalformedLogError("invalid JSON: nested too deeply", line_no) from None
+    lines = _json_lines(text, _LOG_DECODER.scan_once, _LOG_DECODER.decode, lambda n, reason: MalformedLogError(reason, n))
+    for line_no, obj in lines:
         if not isinstance(obj, dict) or obj.keys() != _LOG_ENTRY_KEYS:
             raise MalformedLogError("expected keys {seq, t_us, kind, detail}", line_no)
         seq, t_us, kind, detail = obj["seq"], obj["t_us"], obj["kind"], obj["detail"]
@@ -451,122 +462,118 @@ class _Engine:
         self._window_us = config.scheduler.window_us
         self._next_window = self._window_us
         self._gate_delta = {sensor.name: sensor.delta for sensor in config.sensors}
-
-        self._build_plugins()
-        self._build_topics()
-        self._index_rules()
-        self._build_tasks()
+        self._finish = {
+            sched.TaskCategory.SENSOR_INPUT: self._finish_sensor_input,
+            sched.TaskCategory.ALGORITHMIC: self._finish_algorithmic,
+            sched.TaskCategory.BEHAVIORAL: self._finish_behavioral,
+            sched.TaskCategory.CONTROL: self._finish_control,
+        }
+        self._wire()
 
     # -- setup ------------------------------------------------------------
 
-    def _build_plugins(self) -> None:
-        self.plugins: dict[str, PluginInstance] = {}
-        consumed: set[str] = set()
-        for alg in self.config.algorithms:
-            self.plugins[alg.name] = make_plugin(
-                alg.plugin, alg.params_dict(), inputs=alg.inputs, topic=alg.output
-            )
-            consumed.update(alg.inputs)
-        for sensor in self.config.sensors:
-            if sensor.name not in consumed:
-                instance_id = passthrough_topic(sensor.name)
-                self.plugins[instance_id] = make_plugin(
-                    "passthrough", {}, inputs=(sensor.name,), topic=instance_id
-                )
-
-    def _build_topics(self) -> None:
-        for sensor in self.config.sensors:
-            self.bus.create_topic(sensor.name, Layer.SENSOR, producer=f"sensor_input.{sensor.name}")
-        for instance_id, plugin in self.plugins.items():
-            self.bus.create_topic(plugin.topic, Layer.PROCESSING, producer=f"algorithmic.{instance_id}")
-        for actuator in self.config.actuators:
-            self.bus.create_topic(f"{actuator.name}_cmd", Layer.BEHAVIOR, producer="rules")
-
-        for instance_id, plugin in self.plugins.items():
-            for sensor in plugin.inputs:
-                self.bus.subscribe(sensor, Layer.PROCESSING, self._make_plugin_handler(instance_id))
-        for plugin in self.plugins.values():
-            self.bus.subscribe(plugin.topic, Layer.BEHAVIOR, self._on_processed)
-        for actuator in self.config.actuators:
-            self.bus.subscribe(f"{actuator.name}_cmd", Layer.CONTROL)
-
-    def _make_plugin_handler(self, instance_id: str):
-        def handler(message) -> None:
-            self.queue.push(f"algorithmic.{instance_id}", self.clock_us, (instance_id, message.payload))
-
-        return handler
-
-    def _build_tasks(self) -> None:
-        cost = self.config.scheduler.default_task_cost_us
-        program = self.program.program
-
-        # Which behaviors depend on which sensors and plugin instances, and
-        # each task's category, recorded where its id is built.
-        usage: dict[str, set[str]] = {}
-        category: dict[str, sched.TaskCategory] = {}
-
-        def declare(task_id: str, task_category: sched.TaskCategory, behaviors: set[str]) -> None:
-            usage[task_id] = behaviors
-            category[task_id] = task_category
-
-        for sensor in self.config.sensors:
-            declare(f"sensor_input.{sensor.name}", sched.TaskCategory.SENSOR_INPUT, set())
-        for instance_id in self.plugins:
-            declare(f"algorithmic.{instance_id}", sched.TaskCategory.ALGORITHMIC, set())
-        for name in program.definitions:
-            declare(f"behavioral.{name}", sched.TaskCategory.BEHAVIORAL, {name})
-        for actuator in self.config.actuators:
-            declare(f"control.{actuator.name}", sched.TaskCategory.CONTROL, set())
-
-        topic_to_instance = {p.topic: i for i, p in self.plugins.items()}
-        for topic, rules in self._rules_by_topic.items():
-            instance_id = topic_to_instance[topic]
-            targets = {t for _, rule, _ in rules for t in (rule.then_behavior, rule.else_behavior) if t is not None}
-            usage[f"algorithmic.{instance_id}"].update(targets)
-            for sensor in self.plugins[instance_id].inputs:
-                usage[f"sensor_input.{sensor}"].update(targets)
-        for name, definition in program.definitions.items():
-            for stmt in definition.body:
-                if isinstance(stmt, (Move, Set)):
-                    usage[f"control.{stmt.actuator}"].add(name)
-                elif isinstance(stmt, Play) and self.program.audio_actuator is not None:
-                    usage[f"control.{self.program.audio_actuator}"].add(name)
-
-        # safety checks run inline on arrival; the sensors they watch are pinned
-        safety_tasks = {f"sensor_input.{check.sensor}" for check in self.config.safety_checks}
-        base = sched.assign_base_priorities(self.program.priorities, usage, safety_tasks)
-
-        self.tasks: dict[str, sched.TaskDescriptor] = {}
-        for task_id, behaviors in usage.items():
-            priority = base[task_id]
-            self.tasks[task_id] = sched.TaskDescriptor(
-                id=task_id,
-                category=category[task_id],
-                behaviors=frozenset(behaviors),
-                base_priority=priority,
-                current_priority=priority,
-                cost_us=cost,
-            )
-        self.counters = {name: sched.FrequencyCounter(name) for name in program.definitions}
-
-    def _index_rules(self) -> None:
-        """Each processing topic's bound signals, and its rules: each rule once
-        under every distinct topic its signals read."""
-        signal_topics = self.program.signal_topics
+    def _wire(self) -> None:
+        """One walk per pipeline stage (sensors, plugins, definitions,
+        actuators) creates that stage's topics, subscriptions and tasks.
+        Task ids go into `usage` in dispatch-category order, which is the
+        order windows log their priority updates in."""
+        config, program, bus = self.config, self.program, self.bus
+        # each processing topic's bound signals, and its rules: each rule once
+        # under every distinct topic its signals read
         self._signals_by_topic: dict[str, list[str]] = {}
-        for signal, topic in signal_topics.items():
+        for signal, topic in program.signal_topics.items():
             self._signals_by_topic.setdefault(topic, []).append(signal)
         self._rules_by_topic: dict[str, list[tuple[int, Rule, frozenset[str]]]] = {}
-        for index, rule in enumerate(self.program.program.rules):
+        for index, rule in enumerate(program.program.rules):
             signals = frozenset(s for s, _ in condition_signals(rule.condition))
-            for topic in dict.fromkeys(signal_topics[s] for s in signals):
+            for topic in dict.fromkeys(program.signal_topics[s] for s in signals):
                 self._rules_by_topic.setdefault(topic, []).append((index, rule, signals))
+
+        usage: dict[str, tuple[sched.TaskCategory, set[str]]] = {}
+
+        self._checks: dict[str, list[SafetyCheckSpec]] = {}  # sensor -> its checks, in config order
+        for check in config.safety_checks:
+            self._checks.setdefault(check.sensor, []).append(check)
+        for sensor in config.sensors:
+            bus.create_topic(sensor.name, Layer.SENSOR, producer=f"sensor_input.{sensor.name}")
+            usage[f"sensor_input.{sensor.name}"] = (sched.TaskCategory.SENSOR_INPUT, set())
+
+        consumed = {name for alg in config.algorithms for name in alg.inputs}
+        specs = [(alg.name, alg.plugin, alg.params_dict(), alg.inputs, alg.output) for alg in config.algorithms]
+        specs += [
+            (passthrough_topic(s.name), "passthrough", {}, (s.name,), passthrough_topic(s.name))
+            for s in config.sensors
+            if s.name not in consumed
+        ]
+        for instance_id, plugin_name, params, inputs, topic in specs:
+            plugin = make_plugin(plugin_name, params, inputs=inputs, topic=topic)
+            task_id = f"algorithmic.{instance_id}"
+            bus.create_topic(topic, Layer.PROCESSING, producer=task_id)
+            targets = {
+                target
+                for _, rule, _ in self._rules_by_topic.get(topic, ())
+                for target in (rule.then_behavior, rule.else_behavior)
+                if target is not None
+            }
+            usage[task_id] = (sched.TaskCategory.ALGORITHMIC, targets)
+            handler = self._make_plugin_handler(task_id, plugin)
+            for sensor_name in plugin.inputs:
+                bus.subscribe(sensor_name, Layer.PROCESSING, handler)
+                usage[f"sensor_input.{sensor_name}"][1].update(targets)
+            bus.subscribe(topic, Layer.BEHAVIOR, self._on_processed)
+
+        self._plans: dict[str, tuple[tuple[int, dict], ...]] = {}
+        self.counters: dict[str, sched.FrequencyCounter] = {}
+        controlled: dict[str, set[str]] = {}  # actuator -> the behaviors commanding it
+        for name, definition in program.program.definitions.items():
+            plan = self._plans[name] = _command_plan(definition, program)
+            self.counters[name] = sched.FrequencyCounter(name)
+            usage[f"behavioral.{name}"] = (sched.TaskCategory.BEHAVIORAL, {name})
+            for _offset_us, command in plan:
+                controlled.setdefault(command["actuator"], set()).add(name)
+
+        for actuator in config.actuators:
+            bus.create_topic(f"{actuator.name}_cmd", Layer.BEHAVIOR, producer="rules")
+            bus.subscribe(f"{actuator.name}_cmd", Layer.CONTROL)
+            usage[f"control.{actuator.name}"] = (sched.TaskCategory.CONTROL, controlled.get(actuator.name, set()))
+
+        # safety checks run inline on arrival; the sensors they watch are pinned
+        safety_tasks = {f"sensor_input.{sensor_name}" for sensor_name in self._checks}
+        base = sched.assign_base_priorities(
+            program.priorities, {task_id: behaviors for task_id, (_, behaviors) in usage.items()}, safety_tasks
+        )
+        cost = config.scheduler.default_task_cost_us
+        self.tasks: dict[str, sched.TaskDescriptor] = {
+            task_id: sched.TaskDescriptor(
+                id=task_id,
+                category=category,
+                behaviors=frozenset(behaviors),
+                base_priority=base[task_id],
+                current_priority=base[task_id],
+                cost_us=cost,
+            )
+            for task_id, (category, behaviors) in usage.items()
+        }
+
+    def _make_plugin_handler(self, task_id: str, plugin: PluginInstance):
+        def handler(message) -> None:
+            self.queue.push(task_id, self.clock_us, (plugin, message.payload))
+
+        return handler
 
     # -- logging ----------------------------------------------------------
 
     def _log(self, kind: str, detail: dict) -> None:
         assert not self.entries or self.clock_us >= self.entries[-1].t_us
         self.entries.append(LogEntry(len(self.entries), self.clock_us, kind, detail))
+
+    def _publish(self, topic: str, producer: str, payload: object, **fields: object) -> None:
+        """Log the `message` entry, then publish: the entry precedes anything
+        the synchronous fan-out logs."""
+        bus = self.bus
+        layer = bus.topic(topic).producer_layer
+        self._log("message", {"topic": topic, "layer": layer.label, "bus_seq": bus.next_seq, **fields})
+        bus.publish(topic, payload, self.clock_us, producer)
 
     # -- event heap -------------------------------------------------------
 
@@ -630,9 +637,7 @@ class _Engine:
             return
         assert event.sensor is not None and event.value is not None
         self._log("sensor_event", {"sensor": event.sensor, "value": event.value})
-        for check in self.config.safety_checks:
-            if check.sensor != event.sensor:
-                continue
+        for check in self._checks.get(event.sensor, ()):
             if evaluate_safety(event.value, check):
                 self._halt(
                     source=check.name,
@@ -651,16 +656,8 @@ class _Engine:
         # after a halt the main loop handles no completion, so this task still runs
         assert entry is self.running
         self.running = None
-        task = self.tasks[entry.task_id]
         self._log("task_finish", {"task": entry.task_id, "enqueue_seq": entry.enqueue_seq})
-        if task.category is sched.TaskCategory.SENSOR_INPUT:
-            self._finish_sensor_input(entry)
-        elif task.category is sched.TaskCategory.ALGORITHMIC:
-            self._finish_algorithmic(entry)
-        elif task.category is sched.TaskCategory.BEHAVIORAL:
-            self._finish_behavioral(entry)
-        elif task.category is sched.TaskCategory.CONTROL:
-            self._finish_control(entry)
+        self._finish[self.tasks[entry.task_id].category](entry)
 
     def _finish_sensor_input(self, entry: sched.QueueEntry) -> None:
         reading: Reading = entry.payload  # type: ignore[assignment]
@@ -669,38 +666,16 @@ class _Engine:
             return  # null branch: nothing reaches the processing layer
         self.gate_prev[reading.sensor] = reading.value
         published = Reading(reading.sensor, reading.t_us, reading.value, seq=self.bus.next_seq)
-        # Log before publishing so the message entry precedes anything its
-        # synchronous fan-out produces.
-        self._log(
-            "message",
-            {
-                "topic": reading.sensor,
-                "layer": Layer.SENSOR.label,
-                "bus_seq": self.bus.next_seq,
-                "value": reading.value,
-                "sensor": reading.sensor,
-                "reading_t_us": reading.t_us,
-            },
+        self._publish(
+            reading.sensor, entry.task_id, published, value=reading.value, sensor=reading.sensor, reading_t_us=reading.t_us
         )
-        self.bus.publish(reading.sensor, published, self.clock_us, f"sensor_input.{reading.sensor}")
 
     def _finish_algorithmic(self, entry: sched.QueueEntry) -> None:
-        instance_id, reading = entry.payload  # type: ignore[misc]
-        plugin = self.plugins[instance_id]
+        plugin, reading = entry.payload  # type: ignore[misc]
         processed = run_algorithm(plugin, reading)
         if processed is None:
             return
-        self._log(
-            "message",
-            {
-                "topic": plugin.topic,
-                "layer": Layer.PROCESSING.label,
-                "bus_seq": self.bus.next_seq,
-                "value": processed.value,
-                "source_seq": processed.source_seq,
-            },
-        )
-        self.bus.publish(plugin.topic, processed.value, self.clock_us, f"algorithmic.{instance_id}")
+        self._publish(plugin.topic, entry.task_id, processed.value, value=processed.value, source_seq=processed.source_seq)
 
     def _on_processed(self, message: Message) -> None:
         topic, bus_seq = message.topic.name, message.seq
@@ -745,52 +720,13 @@ class _Engine:
 
     def _finish_behavioral(self, entry: sched.QueueEntry) -> None:
         behavior: str = entry.payload  # type: ignore[assignment]
-        definition = self.program.program.definitions[behavior]
-        offset_us = 0
-        for stmt in definition.body:
-            if isinstance(stmt, Wait):
-                offset_us += stmt.duration_us
-                continue
-            self._push(self.clock_us + offset_us, _RANK_ENQUEUE, (self._command_for(stmt), behavior))
-
-    def _command_for(self, stmt) -> dict:
-        if isinstance(stmt, Move):
-            speed = self.program.speed_words[stmt.speed] if isinstance(stmt.speed, str) else stmt.speed
-            actuator = self.program.actuators[stmt.actuator]
-            return {
-                "action": "move",
-                "actuator": stmt.actuator,
-                "value": _clamp(speed, actuator),
-            }
-        if isinstance(stmt, Set):
-            actuator = self.program.actuators[stmt.actuator]
-            return {
-                "action": "set",
-                "actuator": stmt.actuator,
-                "value": _clamp(stmt.value, actuator),
-            }
-        assert isinstance(stmt, Play)
-        assert self.program.audio_actuator is not None
-        return {
-            "action": "play",
-            "actuator": self.program.audio_actuator,
-            "resource": stmt.resource,
-        }
+        for offset_us, command in self._plans[behavior]:
+            self._push(self.clock_us + offset_us, _RANK_ENQUEUE, (command, behavior))
 
     def _handle_deferred_enqueue(self, item: tuple[dict, str]) -> None:
         command, behavior = item
         actuator = command["actuator"]
-        self._log(
-            "message",
-            {
-                "topic": f"{actuator}_cmd",
-                "layer": Layer.BEHAVIOR.label,
-                "bus_seq": self.bus.next_seq,
-                "command": command,
-                "behavior": behavior,
-            },
-        )
-        self.bus.publish(f"{actuator}_cmd", command, self.clock_us, "rules")
+        self._publish(f"{actuator}_cmd", "rules", command, command=command, behavior=behavior)
         self.queue.push(f"control.{actuator}", self.clock_us, item)
 
     def _finish_control(self, entry: sched.QueueEntry) -> None:
@@ -882,6 +818,28 @@ class _Engine:
 
 def _clamp(value: float, actuator: ActuatorSpec) -> float:
     return min(max(value, actuator.min_value), actuator.max_value)
+
+
+def _command_plan(definition: Definition, program: BoundProgram) -> tuple[tuple[int, dict], ...]:
+    """A DEFINE body as `(offset_us, command)` pairs: each WAIT shifts the
+    commands after it, speed words are resolved and values clamped to the
+    actuator's bounds.  Every firing shares the command dicts: read-only."""
+    plan: list[tuple[int, dict]] = []
+    offset_us = 0
+    for stmt in definition.body:
+        match stmt:
+            case Wait(duration_us=duration_us):
+                offset_us += duration_us
+                continue
+            case Play(resource=resource):
+                command = {"action": "play", "actuator": program.audio_actuator, "resource": resource}
+            case Move(actuator=actuator, speed=speed):
+                speed = program.speed_words[speed] if isinstance(speed, str) else speed
+                command = {"action": "move", "actuator": actuator, "value": _clamp(speed, program.actuators[actuator])}
+            case Set(actuator=actuator, value=value):
+                command = {"action": "set", "actuator": actuator, "value": _clamp(value, program.actuators[actuator])}
+        plan.append((offset_us, command))
+    return tuple(plan)
 
 
 def run(

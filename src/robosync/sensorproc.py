@@ -181,7 +181,6 @@ class PluginInstance:
     """
 
     name: str
-    params: dict
     inputs: tuple[str, ...]
     topic: str
     state: list = field(default_factory=list)
@@ -200,11 +199,9 @@ def make_plugin(
     factory = PLUGIN_REGISTRY.get(name)
     if factory is None:
         raise UnknownPluginError(f"unknown plugin {name!r}")
-    params = dict(params or {})
-    step, max_state = factory(params)
+    step, max_state = factory(params or {})
     return PluginInstance(
         name=name,
-        params=params,
         inputs=tuple(inputs),
         topic=topic,
         max_state=max_state,

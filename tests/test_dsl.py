@@ -390,6 +390,19 @@ def test_bind_errors_aggregate(touch_config_text):
     assert len(exc.value.errors) == 3
 
 
+def test_bind_speed_word_missing_from_map_is_located(behavior_text, touch_config_text):
+    # the fixture program moves SLOWLY on line 8 and QUICKLY on line 13
+    config = parse_config(touch_config_text)
+    program = dsl.parse_program(behavior_text + "\nDEFINE d\nMOVE legs SLOWLY\nEND\n")
+    with pytest.raises(dsl.BindErrors) as exc:
+        dsl.bind_program(program, config, speed_words={"quickly": 1.0})
+    assert [(e.message, e.span.line) for e in exc.value.errors] == [
+        ("slowly: unknown speed word", 8),
+        ("legs: unknown actuator", 18),
+        ("slowly: unknown speed word", 18),
+    ]
+
+
 def test_play_needs_exactly_one_audio_actuator(behavior_text):
     no_audio = parse_config(
         '{"sensors": [{"name": "touch", "type": "virtual"}], "actuators": [{"name": "arms", "type": "pwm"}]}'

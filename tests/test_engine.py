@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import enum
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -11,6 +12,8 @@ from robosync import dsl, engine as eng
 from robosync.bus import Layer
 from robosync.config import parse_config
 from robosync.dsl import bind_program, parse_program
+
+from conftest import FIXTURES
 
 
 def _setup(config_text, program_text):
@@ -589,6 +592,80 @@ END
     assert cmds[1].t_us == 2400
 
 
+# The actuators' bounds make clamping matter: `arms` stops at 0.5, so MOVE
+# QUICKLY (1.0) clamps, and SET draws values past both bounds of each.
+EXPANSION_CONFIG = """
+{
+    "sensors": [{"name": "touch", "type": "virtual", "delta": 0.0}],
+    "actuators": [
+        {"name": "arms", "type": "pwm", "min_value": 0.0, "max_value": 0.5},
+        {"name": "grip", "type": "pwm", "min_value": -1.0, "max_value": 2.0},
+        {"name": "sound", "type": "audio"}
+    ],
+    "behaviors": [],
+    "algorithms": []
+}
+"""
+
+
+def _oracle_command(program, stmt) -> dict:
+    """One statement's command, built as the engine once built it each time a
+    behavior fired."""
+    if isinstance(stmt, dsl.Move):
+        speed = program.speed_words[stmt.speed] if isinstance(stmt.speed, str) else stmt.speed
+        actuator = program.actuators[stmt.actuator]
+        return {"action": "move", "actuator": stmt.actuator, "value": min(max(speed, actuator.min_value), actuator.max_value)}
+    if isinstance(stmt, dsl.Set):
+        actuator = program.actuators[stmt.actuator]
+        return {"action": "set", "actuator": stmt.actuator, "value": min(max(stmt.value, actuator.min_value), actuator.max_value)}
+    return {"action": "play", "actuator": program.audio_actuator, "resource": stmt.resource}
+
+
+def _oracle_expansion(program, body) -> list[tuple[int, dict]]:
+    """`(offset_us, command)` per non-WAIT statement: each WAIT delays every
+    statement after it."""
+    expansion, offset_us = [], 0
+    for stmt in body:
+        if isinstance(stmt, dsl.Wait):
+            offset_us += stmt.duration_us
+        else:
+            expansion.append((offset_us, _oracle_command(program, stmt)))
+    return expansion
+
+
+_expansion_statements = st.one_of(
+    st.builds(dsl.Move, st.sampled_from(("arms", "grip")), st.sampled_from(("slowly", "quickly")) | st.floats(0, 1)),
+    st.builds(dsl.Set, st.sampled_from(("arms", "grip")), st.floats(-3, 3)),
+    st.builds(dsl.Play, st.sampled_from(("a.wav", "b.wav"))),
+    st.builds(dsl.Wait, st.integers(1, 5).map(lambda ms: ms * 1000) | st.integers(1, 999)),
+)
+
+
+@settings(max_examples=200)
+@given(body=st.lists(_expansion_statements, max_size=7), times=st.sampled_from([(1000,), (1000, 1200), (1000, 4000)]))
+def test_behavior_expansion_matches_per_statement_oracle(body, times):
+    config = parse_config(EXPANSION_CONFIG)
+    rule = dsl.Rule(dsl.Comparison("touch", ">", 0.0), "b")
+    program = bind_program(dsl.BehaviorProgram((rule,), {"b": dsl.Definition("b", tuple(body))}), config)
+    trace_text = "\n".join(json.dumps({"t_us": t, "sensor": "touch", "value": i + 1}) for i, t in enumerate(times))
+    entries = eng.run(config, program, eng.load_trace(trace_text, config)).entries
+    expansion = _oracle_expansion(program, body)
+    finished = [e.t_us for e in entries if e.kind == "task_finish" and e.detail["task"] == "behavioral.b"]
+    assert len(finished) == len(times)
+    # deferred commands run in time order; a tie goes to the earlier firing, then the earlier statement
+    expected = sorted(((t + offset_us, command) for t in finished for offset_us, command in expansion), key=lambda x: x[0])
+    messages = [e for e in entries if e.kind == "message" and e.detail["layer"] == Layer.BEHAVIOR.label]
+    assert [(e.t_us, e.detail["command"]) for e in messages] == expected
+    # every control task b enqueues has b's priority, so they run in enqueue order
+    outputs = [(e.kind, e.detail) for e in entries if e.kind in ("actuator_cmd", "play_cmd")]
+    assert outputs == [
+        ("play_cmd", {"actuator": c["actuator"], "resource": c["resource"], "behavior": "b"})
+        if c["action"] == "play"
+        else ("actuator_cmd", {"actuator": c["actuator"], "action": c["action"], "value": c["value"], "behavior": "b"})
+        for _t, c in expected
+    ]
+
+
 # ---------------------------------------------------------------------------
 # stats
 
@@ -859,6 +936,45 @@ def test_trace_rejects_non_finite_values(touch_config_text):
     config = parse_config(touch_config_text)
     with pytest.raises(eng.TraceError, match="finite"):
         eng.load_trace('{"t_us": 1, "sensor": "touch", "value": Infinity}', config)
+
+
+def _readme_detail_fields() -> dict[tuple[str, str | None], tuple[str, ...]]:
+    """README's per-kind detail-field table: (kind, message layer or None) ->
+    field names in their documented order."""
+    text = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+    table = text.split("| kind | detail fields |\n", 1)[1].split("\n\n", 1)[0]
+    fields: dict[tuple[str, str | None], tuple[str, ...]] = {}
+    for row in table.splitlines()[1:]:
+        kind_cell, fields_cell = row.strip("|").split("|")
+        kind, layer = re.fullmatch(r" `(\w+)`(?: \(layer `(\w+)`\))? ", kind_cell).groups()
+        while "(" in fields_cell:  # drop each parenthesised remark, innermost first
+            fields_cell = re.sub(r"\([^()]*\)", "", fields_cell)
+        fields[(kind, layer)] = tuple(re.match(r" *`(\w+)`", part).group(1) for part in fields_cell.split(","))
+    return fields
+
+
+def test_readme_detail_fields_match_emitted_entries(touch_config_text, behavior_text, touch_trace_text):
+    # a window boundary, a rule that suppresses two others, a STOP during a
+    # running task and a reading after it cover the kinds the fixture trio lacks
+    halting_trace = "\n".join(
+        [
+            '{"t_us": 1000, "sensor": "touch", "value": 5}',
+            '{"t_us": 1000000, "sensor": "touch", "value": 1}',
+            '{"t_us": 1000050, "override": "STOP"}',
+            '{"t_us": 2000000, "sensor": "touch", "value": 2}',
+        ]
+    )
+    entries = (
+        _run_texts(touch_config_text, behavior_text, touch_trace_text).entries
+        + _run_texts(touch_config_text, THREE_RULES, halting_trace).entries
+    )
+    documented = _readme_detail_fields()
+    emitted: dict[tuple[str, str | None], set[tuple[str, ...]]] = {}
+    for entry in entries:
+        key = (entry.kind, entry.detail["layer"] if entry.kind == "message" else None)
+        emitted.setdefault(key, set()).add(tuple(entry.detail))
+    assert {kind for kind, _layer in emitted} == eng.LOG_KINDS
+    assert emitted == {key: {fields} for key, fields in documented.items()}
 
 
 # ---------------------------------------------------------------------------

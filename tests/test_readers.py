@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from robosync import engine as eng
 from robosync.cli import main
-from robosync.config import ConfigError, parse_config
+from robosync.config import ConfigError, finite_float, parse_config
 
 from conftest import FIXTURES
 
@@ -279,6 +279,68 @@ def test_load_trace_raises_only_trace_error(text):
         eng.load_trace(text, TOUCH_CONFIG)
     except eng.TraceError:
         pass
+
+
+def _load_trace_oracle(text: str, config) -> list:
+    """load_trace as it read lines before sharing a loop with iter_log: one
+    `json.loads` per line."""
+    sensor_names = {s.name for s in config.sensors}
+    events = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise eng.TraceError(line_no, f"invalid JSON: {exc.msg}") from None
+        except ValueError as exc:
+            raise eng.TraceError(line_no, f"invalid JSON: {exc}") from None
+        except RecursionError:
+            raise eng.TraceError(line_no, "invalid JSON: nested too deeply") from None
+        if not isinstance(obj, dict):
+            raise eng.TraceError(line_no, "each line must be an object")
+        t_us = obj.get("t_us")
+        if isinstance(t_us, bool) or not isinstance(t_us, int) or t_us < 0:
+            raise eng.TraceError(line_no, "t_us must be a non-negative integer")
+        keys = set(obj)
+        if keys == {"t_us", "sensor", "value"}:
+            sensor, value = obj["sensor"], finite_float(obj["value"])
+            if not isinstance(sensor, str):
+                raise eng.TraceError(line_no, "sensor must be a string")
+            if sensor not in sensor_names:
+                raise eng.TraceError(line_no, f"unknown sensor {sensor!r}")
+            if value is None:
+                raise eng.TraceError(line_no, "value must be a finite number")
+            events.append(eng.TraceEvent(t_us=t_us, sensor=sensor, value=value))
+        elif keys == {"t_us", "override"}:
+            command = obj["override"]
+            if not isinstance(command, str):
+                raise eng.TraceError(line_no, "override must be a string")
+            if command != eng.STOP_COMMAND:
+                raise eng.TraceError(line_no, f"unsupported override {command!r}")
+            events.append(eng.TraceEvent(t_us=t_us, override=command))
+        else:
+            raise eng.TraceError(line_no, "expected keys {t_us, sensor, value} or {t_us, override}")
+    events.sort(key=lambda e: e.t_us)
+    return events
+
+
+@settings(max_examples=300)
+@given(text=_trace_text())
+@example(text='\ufeff{"t_us": 1, "override": "STOP"}')
+@example(text=' {"t_us": 2, "sensor": "touch", "value": 1} \n{"t_us": 1, "override": "STOP"} 3')
+@example(text='{"t_us": 1, "sensor": "touch", "value": NaN}')
+def test_load_trace_matches_json_loads_oracle(text):
+    """The shared scan-then-decode loop reads a trace exactly as `json.loads`
+    did: the same events, or the same located error."""
+    try:
+        expected = _load_trace_oracle(text, TOUCH_CONFIG)
+    except eng.TraceError as exc:
+        with pytest.raises(eng.TraceError) as got:
+            eng.load_trace(text, TOUCH_CONFIG)
+        assert (got.value.line, got.value.reason) == (exc.line, exc.reason)
+    else:
+        assert eng.load_trace(text, TOUCH_CONFIG) == expected
 
 
 @settings(max_examples=300)
