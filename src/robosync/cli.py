@@ -19,6 +19,7 @@ from .config import ConfigError, parse_config
 from .dsl import BindErrors, ParseError, bind_program, format_program, parse_program
 from .engine import (
     MalformedLogError,
+    RunLimitError,
     TraceError,
     compute_stats,
     iter_log,
@@ -108,7 +109,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     except BusError as exc:
         print(f"setup error: {exc}", file=sys.stderr)
         return ExitStatus.FAILURE
-    except NonFiniteOutputError as exc:
+    except (NonFiniteOutputError, RunLimitError) as exc:
         print(f"run error: {exc}", file=sys.stderr)
         return ExitStatus.FAILURE
     rendered = serialize_log(log.entries)

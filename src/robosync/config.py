@@ -95,6 +95,10 @@ class ActuatorSpec:
     min_value: float = 0.0
     max_value: float = 1.0
 
+    def clamp(self, value: float) -> float:
+        """`value` limited to the actuator's bounds."""
+        return min(max(value, self.min_value), self.max_value)
+
 
 @dataclass(frozen=True, slots=True)
 class BehaviorSpec:
@@ -139,18 +143,6 @@ class SystemConfig:
     algorithms: tuple[AlgorithmSpec, ...] = ()
     safety_checks: tuple[SafetyCheckSpec, ...] = ()
     scheduler: SchedulerParams = SchedulerParams()
-
-    def sensor(self, name: str) -> SensorSpec:
-        for s in self.sensors:
-            if s.name == name:
-                return s
-        raise KeyError(name)
-
-    def actuator(self, name: str) -> ActuatorSpec:
-        for a in self.actuators:
-            if a.name == name:
-                return a
-        raise KeyError(name)
 
 
 @dataclass(frozen=True, slots=True)

@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
-from .config import ActuatorSpec, SystemConfig, fill_priorities
+from .config import SystemConfig, fill_priorities
 
 # Normalized actuator speeds for the DSL adverbs; override per binding via
 # the speed_words argument of bind_program.
@@ -182,9 +182,9 @@ class BoundProgram:
     program: BehaviorProgram
     signal_topics: dict[str, str]  # condition signal -> processing-layer topic
     priorities: dict[str, float]  # definition name -> scheduling priority
-    actuators: dict[str, ActuatorSpec]
-    audio_actuator: str | None
-    speed_words: dict[str, float]
+    # definition name -> its commands as `(offset_us, command)` pairs, in
+    # definition order; every firing shares the command dicts: read-only
+    plans: dict[str, tuple[tuple[int, dict], ...]]
 
 
 # ---------------------------------------------------------------------------
@@ -632,11 +632,13 @@ def bind_program(
     sensor, to the sensor's passthrough topic otherwise, or directly to an
     algorithm output named verbatim.  Definitions take the priority of the
     config behavior with the same name when one exists; the rest draw from
-    the default pool over the definition listing.  All failures are collected
-    and raised together as BindErrors.
+    the default pool over the definition listing.  Each definition becomes
+    its plan: a MOVE, SET or PLAY is a command, speed word resolved and value
+    clamped to the actuator's bounds, at the sum of the WAITs before it.  All
+    failures are collected and raised together as BindErrors.
     """
     errors: list[BindError] = []
-    speeds = dict(SPEED_WORDS if speed_words is None else speed_words)
+    speeds = SPEED_WORDS if speed_words is None else speed_words
 
     sensor_topic: dict[str, str] = {}
     algorithm_outputs = {alg.output for alg in config.algorithms}
@@ -671,37 +673,36 @@ def bind_program(
 
     actuator_specs = {a.name: a for a in config.actuators}
     audio = [a.name for a in config.actuators if a.kind == "audio"]
-    used_actuators: dict[str, ActuatorSpec] = {}
-    for definition in program.definitions.values():
+    plans: dict[str, tuple[tuple[int, dict], ...]] = {}
+    for name, definition in program.definitions.items():
+        plan: list[tuple[int, dict]] = []
+        offset_us = 0  # each WAIT shifts the commands after it
         for stmt in definition.body:
-            if isinstance(stmt, (Move, Set)):
-                spec = actuator_specs.get(stmt.actuator)
-                if spec is None:
-                    errors.append(BindError(f"{stmt.actuator}: unknown actuator", stmt.span))
-                else:
-                    used_actuators[stmt.actuator] = spec
-                if isinstance(stmt, Move) and isinstance(stmt.speed, str) and stmt.speed not in speeds:
-                    errors.append(BindError(f"{stmt.speed}: unknown speed word", stmt.span))
-            elif isinstance(stmt, Play):
-                if len(audio) != 1:
-                    errors.append(
-                        BindError(
-                            f"PLAY requires exactly one audio actuator, found {len(audio)}",
-                            stmt.span,
-                        )
-                    )
+            match stmt:
+                case Wait(duration_us=duration_us):
+                    offset_us += duration_us
+                    continue
+                case Play(resource=resource):
+                    if len(audio) != 1:
+                        errors.append(BindError(f"PLAY requires exactly one audio actuator, found {len(audio)}", stmt.span))
+                        continue
+                    command = {"action": "play", "actuator": audio[0], "resource": resource}
+                case Move(actuator=actuator, speed=value) | Set(actuator=actuator, value=value):
+                    actuator_spec = actuator_specs.get(actuator)
+                    if actuator_spec is None:
+                        errors.append(BindError(f"{actuator}: unknown actuator", stmt.span))
+                    if isinstance(value, str):
+                        if value not in speeds:
+                            errors.append(BindError(f"{value}: unknown speed word", stmt.span))
+                            continue
+                        value = speeds[value]
+                    if actuator_spec is None:
+                        continue
+                    action = "move" if isinstance(stmt, Move) else "set"
+                    command = {"action": action, "actuator": actuator, "value": actuator_spec.clamp(value)}
+            plan.append((offset_us, command))
+        plans[name] = tuple(plan)
 
     if errors:
         raise BindErrors(errors)
-
-    audio_name = audio[0] if len(audio) == 1 else None
-    if audio_name is not None:
-        used_actuators.setdefault(audio_name, actuator_specs[audio_name])
-    return BoundProgram(
-        program=program,
-        signal_topics=signal_topics,
-        priorities=priorities,
-        actuators=used_actuators,
-        audio_actuator=audio_name,
-        speed_words=speeds,
-    )
+    return BoundProgram(program=program, signal_topics=signal_topics, priorities=priorities, plans=plans)

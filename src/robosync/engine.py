@@ -20,19 +20,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import sched
 from .bus import DeliveryRecord, Layer, Message, MessageBus, evaluate_safety
-from .config import ActuatorSpec, SafetyCheckSpec, SystemConfig, finite_float
-from .dsl import (
-    BoundProgram,
-    Definition,
-    Move,
-    Play,
-    Rule,
-    Set,
-    Wait,
-    condition_signals,
-    eval_condition,
-    passthrough_topic,
-)
+from .config import SafetyCheckSpec, SystemConfig, finite_float
+from .dsl import BoundProgram, Rule, condition_signals, eval_condition, passthrough_topic
 from .sensorproc import PluginInstance, Reading, gate_significant, make_plugin, run_algorithm
 
 LOG_KINDS = frozenset(
@@ -61,12 +50,22 @@ _RANK_TRACE = 3
 
 STOP_COMMAND = "STOP"
 
+# Window boundaries log one `priority_update` per task however idle the time
+# between them, so theirs is the only entry count that does not grow with the
+# input's size: a trace gap or an `--until` far past `window_us` would stall
+# the run and fill memory.  A million is 25x the bench's largest run.
+MAX_WINDOW_ENTRIES = 1_000_000
+
 
 class TraceError(Exception):
     def __init__(self, line: int, reason: str):
         super().__init__(f"line {line}: {reason}")
         self.line = line
         self.reason = reason
+
+
+class RunLimitError(Exception):
+    """A run would log more than MAX_WINDOW_ENTRIES priority updates."""
 
 
 class MalformedLogError(Exception):
@@ -522,11 +521,9 @@ class _Engine:
                 usage[f"sensor_input.{sensor_name}"][1].update(targets)
             bus.subscribe(topic, Layer.BEHAVIOR, self._on_processed)
 
-        self._plans: dict[str, tuple[tuple[int, dict], ...]] = {}
         self.counters: dict[str, sched.FrequencyCounter] = {}
         controlled: dict[str, set[str]] = {}  # actuator -> the behaviors commanding it
-        for name, definition in program.program.definitions.items():
-            plan = self._plans[name] = _command_plan(definition, program)
+        for name, plan in program.plans.items():
             self.counters[name] = sched.FrequencyCounter(name)
             usage[f"behavioral.{name}"] = (sched.TaskCategory.BEHAVIORAL, {name})
             for _offset_us, command in plan:
@@ -589,9 +586,8 @@ class _Engine:
 
         while self._heap:
             t_us, rank, _tie, payload = heapq.heappop(self._heap)
-            if not self.halted:
-                while self.tasks and self._next_window <= t_us:
-                    self._handle_window()
+            if not self.halted and self._next_window <= t_us:
+                self._tick_windows(t_us)
             self.clock_us = max(self.clock_us, t_us)
             if self.halted:
                 if rank == _RANK_TRACE:
@@ -605,13 +601,25 @@ class _Engine:
                 self._handle_deferred_enqueue(payload)
             self._dispatch()
 
-        if not self.halted and self.horizon_us is not None and self.tasks:
-            while self._next_window <= self.horizon_us:
-                self._handle_window()
+        if not self.halted and self.horizon_us is not None:
+            self._tick_windows(self.horizon_us)
 
         return ExecutionLog(entries=self.entries, routes=self.bus.routes())
 
     # -- handlers ---------------------------------------------------------
+
+    def _tick_windows(self, until_us: int) -> None:
+        """Tick every window boundary up to `until_us`, unless the run would
+        then have logged more than MAX_WINDOW_ENTRIES priority updates: the
+        check comes before the first idle window, and never after a halt."""
+        windows = until_us // self._window_us
+        if windows * len(self.tasks) > MAX_WINDOW_ENTRIES:
+            raise RunLimitError(
+                f"{windows} window boundaries up to t_us {until_us} would log {windows * len(self.tasks)} "
+                f"priority updates, more than {MAX_WINDOW_ENTRIES}; raise window_us or shorten the run"
+            )
+        while self.tasks and self._next_window <= until_us:
+            self._handle_window()
 
     def _handle_window(self) -> None:
         self.clock_us = max(self.clock_us, self._next_window)
@@ -720,7 +728,7 @@ class _Engine:
 
     def _finish_behavioral(self, entry: sched.QueueEntry) -> None:
         behavior: str = entry.payload  # type: ignore[assignment]
-        for offset_us, command in self._plans[behavior]:
+        for offset_us, command in self.program.plans[behavior]:
             self._push(self.clock_us + offset_us, _RANK_ENQUEUE, (command, behavior))
 
     def _handle_deferred_enqueue(self, item: tuple[dict, str]) -> None:
@@ -761,8 +769,8 @@ class _Engine:
     ) -> None:
         # no safety work is ever queued: the running task aborts, the queue empties
         aborted, self.running = self.running, None
-        purged = self.queue.purge(frozenset(), self.tasks)
-        neutral = {a.name: _clamp(0.0, a) for a in self.config.actuators}
+        purged = self.queue.purge()
+        neutral = {a.name: a.clamp(0.0) for a in self.config.actuators}
         self._log(
             "safety_halt",
             {
@@ -816,32 +824,6 @@ class _Engine:
         self._push(self.clock_us + task.cost_us, _RANK_TASK_DONE, entry)
 
 
-def _clamp(value: float, actuator: ActuatorSpec) -> float:
-    return min(max(value, actuator.min_value), actuator.max_value)
-
-
-def _command_plan(definition: Definition, program: BoundProgram) -> tuple[tuple[int, dict], ...]:
-    """A DEFINE body as `(offset_us, command)` pairs: each WAIT shifts the
-    commands after it, speed words are resolved and values clamped to the
-    actuator's bounds.  Every firing shares the command dicts: read-only."""
-    plan: list[tuple[int, dict]] = []
-    offset_us = 0
-    for stmt in definition.body:
-        match stmt:
-            case Wait(duration_us=duration_us):
-                offset_us += duration_us
-                continue
-            case Play(resource=resource):
-                command = {"action": "play", "actuator": program.audio_actuator, "resource": resource}
-            case Move(actuator=actuator, speed=speed):
-                speed = program.speed_words[speed] if isinstance(speed, str) else speed
-                command = {"action": "move", "actuator": actuator, "value": _clamp(speed, program.actuators[actuator])}
-            case Set(actuator=actuator, value=value):
-                command = {"action": "set", "actuator": actuator, "value": _clamp(value, program.actuators[actuator])}
-        plan.append((offset_us, command))
-    return tuple(plan)
-
-
 def run(
     config: SystemConfig,
     program: BoundProgram,
@@ -849,5 +831,6 @@ def run(
     horizon_us: int | None = None,
 ) -> ExecutionLog:
     """Simulate a trace; `horizon_us` truncates the trace and extends window
-    boundary ticks through otherwise idle time (used by --until)."""
+    boundary ticks through otherwise idle time (used by --until).  Raises
+    RunLimitError past MAX_WINDOW_ENTRIES priority updates."""
     return _Engine(config, program, trace, horizon_us).run()

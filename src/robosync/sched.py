@@ -121,13 +121,11 @@ class ReadyQueue:
         self._unkeyed = []
         heapq.heapify(self._heap)
 
-    def purge(self, keep_categories: AbstractSet[TaskCategory], tasks: Mapping[str, TaskDescriptor]) -> list[QueueEntry]:
-        """Drop every queued entry whose task category is not in `keep_categories`;
-        returns the dropped entries in enqueue order."""
-        entries = self.entries()
-        removed = [e for e in entries if tasks[e.task_id].category not in keep_categories]
+    def purge(self) -> list[QueueEntry]:
+        """Drop every queued entry; returns them in enqueue order."""
+        removed = list(self.entries())
         self._heap = []
-        self._unkeyed = [e for e in entries if tasks[e.task_id].category in keep_categories]
+        self._unkeyed = []
         return removed
 
     def _key_unkeyed(self, tasks: Mapping[str, TaskDescriptor]) -> None:
@@ -157,8 +155,6 @@ def assign_base_priorities(
         if unknown:
             raise UnknownBehaviorError(f"task {task_id!r} uses unknown behavior {unknown[0]!r}")
         out[task_id] = max((behavior_priorities[b] for b in used), default=UNLINKED_BASE_PRIORITY)
-    for task_id in sorted(safety_tasks):
-        out.setdefault(task_id, 1.0)
     return out
 
 

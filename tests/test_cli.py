@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +181,37 @@ def test_run_non_finite_plugin_output_is_a_run_error(tmp_files, tmp_path, capsys
     assert captured.out == ""
     assert captured.err == (
         f"run error: plugin {plugin!r} gave non-finite output inf for sensor 'touch' at t_us {t_us}\n"
+    )
+    assert not log.exists()
+
+
+@pytest.mark.parametrize(
+    "trace_lines, until",
+    [
+        (['{"t_us": 1000, "sensor": "touch", "value": 2}', '{"t_us": 100000000000000, "sensor": "touch", "value": 2}'], None),
+        (None, "100000000000000"),
+    ],
+    ids=["trace_gap", "until"],
+)
+def test_run_over_idle_windows_is_refused_before_ticking_them(tmp_files, tmp_path, trace_lines, until):
+    # a subprocess with a timeout, so that a run that ticks the 10^8 idle
+    # windows fails the test instead of hanging the suite
+    trace = tmp_files["trace"]
+    if trace_lines is not None:
+        trace = tmp_path / "gap.jsonl"
+        trace.write_text("\n".join(trace_lines) + "\n")
+    log = tmp_path / "log.jsonl"
+    argv = ["run", "-c", str(tmp_files["config"]), "-b", str(tmp_files["behavior"]), "-t", str(trace), "-o", str(log)]
+    if until is not None:
+        argv += ["--until", until]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "robosync.cli", *argv], capture_output=True, text=True, env=env, timeout=10)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == (
+        "run error: 100000000 window boundaries up to t_us 100000000000000 would log 600000000 "
+        "priority updates, more than 1000000; raise window_us or shorten the run\n"
     )
     assert not log.exists()
 

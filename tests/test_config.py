@@ -11,14 +11,14 @@ from robosync import config as cfg
 def test_minimal_config_parses(minimal_config_text):
     config = cfg.parse_config(minimal_config_text)
     assert [s.name for s in config.sensors] == ["temp_sensor", "proximity_sensor"]
-    temp = config.sensor("temp_sensor")
+    temp, prox = config.sensors
     assert temp.kind == "i2c"
     assert temp.address == 0x40
     assert temp.pin is None
-    prox = config.sensor("proximity_sensor")
     assert prox.kind == "gpio"
     assert prox.pin == 5
-    motor = config.actuator("motor_1")
+    (motor,) = config.actuators
+    assert motor.name == "motor_1"
     assert motor.kind == "pwm"
     assert motor.pin == 10
     assert [b.name for b in config.behaviors] == ["temperature_check"]
@@ -28,8 +28,9 @@ def test_minimal_config_parses(minimal_config_text):
 
 def test_minimal_config_defaults(minimal_config_text):
     config = cfg.parse_config(minimal_config_text)
-    assert config.sensor("temp_sensor").delta == 0.0
-    assert config.sensor("temp_sensor").period_us == 10_000
+    assert config.sensors[0].name == "temp_sensor"
+    assert config.sensors[0].delta == 0.0
+    assert config.sensors[0].period_us == 10_000
     assert config.scheduler.alpha == 0.05
     assert config.scheduler.window_us == 1_000_000
     assert config.scheduler.p_max == 1.0

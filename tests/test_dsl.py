@@ -4,12 +4,12 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from robosync import dsl
 from robosync.config import parse_config
 
-from conftest import generate_program
+from conftest import _gen_condition, generate_program
 
 
 def test_reference_program_parses(behavior_text):
@@ -250,6 +250,37 @@ def test_fuzzed_programs_roundtrip():
         assert dsl.parse_program(dsl.format_program(program)) == program
 
 
+# Fragments that are, or nearly are, DSL tokens: spliced into canonical text
+# they make inputs that get past the lexer and fail, or pass, deep in the parser.
+_FRAGMENTS = (
+    "WHEN", "DO", "ELSE", "END", "DEFINE", "MOVE", "PLAY", "SET", "WAIT", "LEVEL", "AND", "OR", "NOT",
+    "SLOWLY", "QUICKLY", "FAST", "sound", "ms", "us", "touch", "arms", "(", ")", "<", "<=", "==", "!=",
+    "=", "-", "0", "-0", "0.5", "1.5", ".5", "7.", "1e3", "1e999", "99999999999999999999", '"a.wav"', '"',
+    "#", "\n", "\r", "\t", " ", "\x0b", "\u2028", "é",
+)
+
+
+@st.composite
+def _dsl_texts(draw):
+    if draw(st.booleans()):
+        return draw(st.text() | st.lists(st.sampled_from(_FRAGMENTS)).map(" ".join))
+    text = dsl.format_program(generate_program(random.Random(draw(st.integers(0, 2**32 - 1)))))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_FRAGMENTS)) + text[at + draw(st.integers(0, 8)) :]
+    return text
+
+
+@settings(max_examples=500)
+@given(text=_dsl_texts())
+def test_arbitrary_text_parses_or_raises_parse_error_and_parsed_text_roundtrips(text):
+    try:
+        program = dsl.parse_program(text)
+    except dsl.ParseError:
+        return
+    assert dsl.parse_program(dsl.format_program(program)) == program
+
+
 def test_parse_determinism(behavior_text):
     first = dsl.parse_program(behavior_text)
     second = dsl.parse_program(behavior_text)
@@ -319,8 +350,16 @@ def test_bind_reference_program(behavior_text, touch_config_text):
     assert bound.signal_topics == {"touch": "touch_proc"}
     assert bound.priorities["gentle_response"] == pytest.approx(2 / 3)
     assert bound.priorities["aggressive_response"] == pytest.approx(1 / 3)
-    assert bound.audio_actuator == "sound"
-    assert bound.speed_words == {"slowly": 0.25, "quickly": 1.0}
+    assert bound.plans == {
+        "gentle_response": (
+            (0, {"action": "move", "actuator": "arms", "value": 0.25}),
+            (0, {"action": "play", "actuator": "sound", "resource": "greeting.wav"}),
+        ),
+        "aggressive_response": (
+            (0, {"action": "move", "actuator": "arms", "value": 1.0}),
+            (0, {"action": "play", "actuator": "sound", "resource": "warning.wav"}),
+        ),
+    }
 
 
 def test_bind_uses_config_behavior_priority(behavior_text, touch_config_text):
@@ -417,3 +456,61 @@ def test_bind_keeps_orders(behavior_text, touch_config_text):
     bound = dsl.bind_program(program, config)
     assert bound.program is program
     assert list(bound.program.definitions) == ["gentle_response", "aggressive_response"]
+
+
+# A statement may name an unknown actuator, or a speed word the binding's map
+# lacks; the speed words reach past `arms`'s bounds so the clamp matters.
+_bind_statements = st.one_of(
+    st.builds(dsl.Move, st.sampled_from(("arms", "sound", "legs")), st.sampled_from(("slowly", "quickly")) | st.floats(0, 1)),
+    st.builds(dsl.Set, st.sampled_from(("arms", "sound", "legs")), st.floats(-1e3, 1e3)),
+    st.builds(dsl.Play, st.sampled_from(("a.wav", "b.wav"))),
+    st.builds(dsl.Wait, st.integers(1, dsl.MAX_WAIT_US)),
+)
+
+
+@st.composite
+def _bind_programs(draw):
+    definitions = {
+        name: dsl.Definition(name, tuple(draw(st.lists(_bind_statements, max_size=6))))
+        for name in draw(st.lists(st.sampled_from(("d0", "d1", "d2")), unique=True, max_size=3))
+    }
+    targets = st.sampled_from((*definitions, "dance"))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rules = tuple(
+        dsl.Rule(_gen_condition(rng, draw(st.integers(0, 2))), draw(targets), draw(st.none() | targets))
+        for _ in range(draw(st.integers(0, 2)))
+    )
+    return dsl.BehaviorProgram(rules, definitions)
+
+
+@settings(max_examples=300)
+@given(
+    program=_bind_programs(),
+    speed_words=st.sampled_from([None, {"slowly": -1.0, "quickly": 2.0}, {"quickly": 1.0}, {}]),
+    audio=st.booleans(),
+)
+def test_bind_fuzz_raises_only_bind_errors_and_plans_stay_in_bounds(touch_config_text, program, speed_words, audio):
+    import json
+
+    doc = json.loads(touch_config_text)
+    if not audio:
+        doc["actuators"] = [a for a in doc["actuators"] if a["type"] != "audio"]
+    config = parse_config(json.dumps(doc))
+    try:
+        bound = dsl.bind_program(program, config, speed_words=speed_words)
+    except dsl.BindErrors as exc:
+        assert exc.errors
+        return
+    actuators = {a.name: a for a in config.actuators}
+    assert list(bound.plans) == list(program.definitions)
+    for name, definition in program.definitions.items():
+        plan = bound.plans[name]
+        assert len(plan) == sum(not isinstance(stmt, dsl.Wait) for stmt in definition.body)
+        offsets = [offset_us for offset_us, _command in plan]
+        assert offsets == sorted(offsets)
+        for _offset_us, command in plan:
+            spec = actuators[command["actuator"]]
+            if command["action"] == "play":
+                assert spec.kind == "audio"
+            else:
+                assert spec.min_value <= command["value"] <= spec.max_value

@@ -529,6 +529,33 @@ def test_empty_trace_with_horizon_ticks_windows(touch_config_text, behavior_text
     assert boundaries == [1_000_000, 2_000_000]
 
 
+def test_window_limit_is_the_exact_update_count(touch_config_text, behavior_text, monkeypatch):
+    # three boundaries up to the horizon, six tasks each: 18 updates
+    monkeypatch.setattr(eng, "MAX_WINDOW_ENTRIES", 18)
+    log = _run_texts(touch_config_text, behavior_text, "", horizon_us=3_000_000)
+    assert _kinds(log) == ["priority_update"] * 18
+    monkeypatch.setattr(eng, "MAX_WINDOW_ENTRIES", 17)
+    with pytest.raises(eng.RunLimitError, match="^3 window boundaries up to t_us 3000000 would log 18 priority updates"):
+        _run_texts(touch_config_text, behavior_text, "", horizon_us=3_000_000)
+
+
+def test_window_limit_covers_a_tail_that_waits_stretch(touch_config_text, monkeypatch):
+    # the trace ends in the first window; the WAIT defers the MOVE to 60.0013 s
+    program_text = "WHEN touch > 0\nDO d\nEND\nDEFINE d\nWAIT 60000 ms\nMOVE arms 0.5\nEND\n"
+    trace_text = '{"t_us": 1000, "sensor": "touch", "value": 1}'
+    log = _run_texts(touch_config_text, program_text, trace_text)
+    assert sum(e.kind == "priority_update" for e in log.entries) == 60 * 5
+    monkeypatch.setattr(eng, "MAX_WINDOW_ENTRIES", 299)
+    with pytest.raises(eng.RunLimitError, match="^60 window boundaries up to t_us 60001300 would log 300 priority"):
+        _run_texts(touch_config_text, program_text, trace_text)
+
+
+def test_window_limit_spares_a_run_that_halts_before_the_gap(touch_config_text, behavior_text):
+    trace_text = '{"t_us": 1000, "override": "STOP"}\n{"t_us": 100000000000000, "sensor": "touch", "value": 2}'
+    log = _run_texts(touch_config_text, behavior_text, trace_text)
+    assert _kinds(log) == ["safety_halt", "trace_dropped"]
+
+
 def test_priority_update_matches_formula(touch_config_text, behavior_text):
     # Five gentle firings inside the first window: F=5, alpha=0.05, W=1s.
     trace_lines = [
@@ -608,20 +635,22 @@ EXPANSION_CONFIG = """
 """
 
 
-def _oracle_command(program, stmt) -> dict:
+def _oracle_command(config, stmt) -> dict:
     """One statement's command, built as the engine once built it each time a
-    behavior fired."""
+    behavior fired: bounds from the config, speed words from the defaults."""
+    actuators = {a.name: a for a in config.actuators}
     if isinstance(stmt, dsl.Move):
-        speed = program.speed_words[stmt.speed] if isinstance(stmt.speed, str) else stmt.speed
-        actuator = program.actuators[stmt.actuator]
+        speed = dsl.SPEED_WORDS[stmt.speed] if isinstance(stmt.speed, str) else stmt.speed
+        actuator = actuators[stmt.actuator]
         return {"action": "move", "actuator": stmt.actuator, "value": min(max(speed, actuator.min_value), actuator.max_value)}
     if isinstance(stmt, dsl.Set):
-        actuator = program.actuators[stmt.actuator]
+        actuator = actuators[stmt.actuator]
         return {"action": "set", "actuator": stmt.actuator, "value": min(max(stmt.value, actuator.min_value), actuator.max_value)}
-    return {"action": "play", "actuator": program.audio_actuator, "resource": stmt.resource}
+    (audio,) = [a.name for a in config.actuators if a.kind == "audio"]
+    return {"action": "play", "actuator": audio, "resource": stmt.resource}
 
 
-def _oracle_expansion(program, body) -> list[tuple[int, dict]]:
+def _oracle_expansion(config, body) -> list[tuple[int, dict]]:
     """`(offset_us, command)` per non-WAIT statement: each WAIT delays every
     statement after it."""
     expansion, offset_us = [], 0
@@ -629,7 +658,7 @@ def _oracle_expansion(program, body) -> list[tuple[int, dict]]:
         if isinstance(stmt, dsl.Wait):
             offset_us += stmt.duration_us
         else:
-            expansion.append((offset_us, _oracle_command(program, stmt)))
+            expansion.append((offset_us, _oracle_command(config, stmt)))
     return expansion
 
 
@@ -649,7 +678,7 @@ def test_behavior_expansion_matches_per_statement_oracle(body, times):
     program = bind_program(dsl.BehaviorProgram((rule,), {"b": dsl.Definition("b", tuple(body))}), config)
     trace_text = "\n".join(json.dumps({"t_us": t, "sensor": "touch", "value": i + 1}) for i, t in enumerate(times))
     entries = eng.run(config, program, eng.load_trace(trace_text, config)).entries
-    expansion = _oracle_expansion(program, body)
+    expansion = _oracle_expansion(config, body)
     finished = [e.t_us for e in entries if e.kind == "task_finish" and e.detail["task"] == "behavioral.b"]
     assert len(finished) == len(times)
     # deferred commands run in time order; a tie goes to the earlier firing, then the earlier statement

@@ -38,11 +38,6 @@ def test_safety_overrides_usage():
     assert out == {"t": 1.0}
 
 
-def test_safety_tasks_without_usage_included():
-    out = sched.assign_base_priorities({}, {}, safety_tasks={"guard"})
-    assert out == {"guard": 1.0}
-
-
 def test_unlinked_task_gets_floor_priority():
     out = sched.assign_base_priorities({"a": 0.7}, {"t": set()})
     assert out == {"t": sched.UNLINKED_BASE_PRIORITY}
@@ -255,15 +250,17 @@ def test_dispatch_decisions_scale_invariant():
                 assert sched.select_next(queue, tasks).task_id == baseline
 
 
-def test_purge_keeps_safety_only():
+def test_purge_drops_every_entry_in_enqueue_order():
     tasks = {
-        "guard": _task("guard", sched.TaskCategory.SAFETY, 1.0),
-        "work": _task("work", sched.TaskCategory.CONTROL, 0.5),
+        "ctrl": _task("ctrl", sched.TaskCategory.CONTROL, 0.5),
+        "work": _task("work", sched.TaskCategory.BEHAVIORAL, 0.9),
     }
-    queue = _queue_with(tasks, "work", "guard", "work")
-    removed = queue.purge({sched.TaskCategory.SAFETY}, tasks)
-    assert [e.task_id for e in removed] == ["work", "work"]
-    assert [e.task_id for e in queue.entries()] == ["guard"]
+    queue = _queue_with(tasks, "ctrl", "work", "ctrl")
+    assert queue.peek(tasks).task_id == "work"  # keyed entries are dropped too
+    queue.push("work", 0)  # and so are unkeyed ones
+    removed = queue.purge()
+    assert [(e.task_id, e.enqueue_seq) for e in removed] == [("ctrl", 0), ("work", 1), ("ctrl", 2), ("work", 3)]
+    assert len(queue) == 0 and queue.entries() == ()
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +299,7 @@ _task_specs = st.lists(
 # Pushes come in batches so the queue holds several keyed entries when a
 # window moves their priorities.  The engine purges once, at a halt, so the
 # purge is a single optional step rather than an operation of its own: purged
-# often, the queue would rarely hold the non-safety work whose keys go stale.
+# often, the queue would rarely hold the work whose keys go stale.
 _operations = st.lists(
     st.one_of(
         st.tuples(st.just("push"), st.lists(st.integers(0, 5), min_size=1, max_size=5)),
@@ -333,9 +330,8 @@ def test_heap_dispatch_matches_linear_oracle(specs, operations, purge_at):
     picked, expected = [], []
     for step, op in enumerate(operations):
         if step == purge_at:
-            removed = queue.purge({sched.TaskCategory.SAFETY}, tasks)
-            assert removed == [e for e in oracle if tasks[e.task_id].category is not sched.TaskCategory.SAFETY]
-            oracle = [e for e in oracle if tasks[e.task_id].category is sched.TaskCategory.SAFETY]
+            assert queue.purge() == oracle
+            oracle = []
         if op[0] == "push":
             oracle.extend(queue.push(f"t{i % len(tasks)}", 0) for i in op[1])
         elif op[0] == "select":
