@@ -12,12 +12,14 @@ import argparse
 import enum
 import sys
 from pathlib import Path
+from typing import TextIO
 
 from . import engine as engine_mod
 from .bus import BusError
 from .config import ConfigError, parse_config
 from .dsl import BindErrors, ParseError, bind_program, format_program, parse_program
 from .engine import (
+    LogEntry,
     MalformedLogError,
     RunLimitError,
     TraceError,
@@ -29,6 +31,10 @@ from .engine import (
     serialize_stats,
 )
 from .sensorproc import NonFiniteOutputError
+
+
+# `robosync run` renders its log this many entries at a time
+LOG_BATCH_ENTRIES = 8192
 
 
 class ExitStatus(enum.IntEnum):
@@ -78,6 +84,13 @@ def cmd_parse(args: argparse.Namespace) -> int:
     return ExitStatus.OK
 
 
+def _write_log(out: TextIO, entries: list[LogEntry]) -> None:
+    """Render and write `entries` LOG_BATCH_ENTRIES at a time, so the text in
+    memory at once is one batch, not the whole log."""
+    for start in range(0, len(entries), LOG_BATCH_ENTRIES):
+        out.write(serialize_log(entries[start : start + LOG_BATCH_ENTRIES]))
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     config_text = _read(args.config)
     program_text = _read(args.behavior) if config_text is not None else None
@@ -112,12 +125,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     except (NonFiniteOutputError, RunLimitError) as exc:
         print(f"run error: {exc}", file=sys.stderr)
         return ExitStatus.FAILURE
-    rendered = serialize_log(log.entries)
     if args.output == "-":
-        sys.stdout.write(rendered)
+        _write_log(sys.stdout, log.entries)
     else:
         try:
-            Path(args.output).write_text(rendered, encoding="utf-8")
+            with open(args.output, "w", encoding="utf-8") as out:
+                _write_log(out, log.entries)
         except OSError as exc:
             print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
             return ExitStatus.USAGE

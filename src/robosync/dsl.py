@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
-from .config import SystemConfig, fill_priorities
+from .config import SystemConfig, fill_priorities, finite_float
 
 # Normalized actuator speeds for the DSL adverbs; override per binding via
 # the speed_words argument of bind_program.
@@ -592,23 +592,17 @@ def eval_condition(cond: Condition, snapshot: Mapping[str, float]) -> bool:
 
 def condition_signals(cond: Condition) -> list[tuple[str, SourceSpan | None]]:
     """The signals a condition references, in first-appearance order."""
-    out: list[tuple[str, SourceSpan | None]] = []
-    seen: set[str] = set()
-
-    def walk(node: Condition) -> None:
-        match node:
+    first: dict[str, SourceSpan | None] = {}  # signal -> span of its first comparison
+    stack = [cond]  # left operands are popped first
+    while stack:
+        match stack.pop():
             case Comparison(signal=signal, span=span):
-                if signal not in seen:
-                    seen.add(signal)
-                    out.append((signal, span))
+                first.setdefault(signal, span)
             case And(left=left, right=right) | Or(left=left, right=right):
-                walk(left)
-                walk(right)
+                stack += (right, left)
             case Not(inner=inner):
-                walk(inner)
-
-    walk(cond)
-    return out
+                stack.append(inner)
+    return list(first.items())
 
 
 def passthrough_topic(sensor: str) -> str:
@@ -634,8 +628,9 @@ def bind_program(
     config behavior with the same name when one exists; the rest draw from
     the default pool over the definition listing.  Each definition becomes
     its plan: a MOVE, SET or PLAY is a command, speed word resolved and value
-    clamped to the actuator's bounds, at the sum of the WAITs before it.  All
-    failures are collected and raised together as BindErrors.
+    clamped to the actuator's bounds, at the sum of the WAITs before it; a
+    speed word must map to a finite int or float.  All failures are
+    collected and raised together as BindErrors.
     """
     errors: list[BindError] = []
     speeds = SPEED_WORDS if speed_words is None else speed_words
@@ -694,6 +689,9 @@ def bind_program(
                     if isinstance(value, str):
                         if value not in speeds:
                             errors.append(BindError(f"{value}: unknown speed word", stmt.span))
+                            continue
+                        if finite_float(speeds[value]) is None:
+                            errors.append(BindError(f"{value}: speed word is not a finite number", stmt.span))
                             continue
                         value = speeds[value]
                     if actuator_spec is None:

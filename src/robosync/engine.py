@@ -149,6 +149,21 @@ class SimStats:
 # ---------------------------------------------------------------------------
 # JSON-lines reading
 
+# `_split_lines` hands `str.splitlines` about this many characters at a time
+_SPLIT_CHUNK = 1 << 20
+
+
+def _split_lines(text: str, chunk: int = _SPLIT_CHUNK) -> Iterator[str]:
+    r"""`text.splitlines()`, one chunk of at least `chunk` characters at a
+    time.  Each chunk but the last ends right after a `\n`, which always
+    ends a line and never begins a two-character break (`\r\n`), so the
+    lines and their break characters are exactly those of `splitlines`."""
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start + chunk - 1) + 1 or size
+        yield from text[start:end].splitlines()
+        start = end
+
 
 def _json_lines(
     text: str,
@@ -163,7 +178,7 @@ def _json_lines(
     `json.loads`, a BOM), so a value that spans the whole line is exactly what
     it returns and an error raised at 0 is the one it raises; a short or
     failed scan (padding, extra data) goes to `decode` for its verdict."""
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(_split_lines(text), start=1):
         if not line.strip():
             continue
         try:
@@ -240,19 +255,37 @@ class _Quoted(dict):
         return quoted
 
 
-def _renderers() -> tuple[Callable[[object], str], Callable[[LogEntry], str]]:
-    """A fresh `(value, line)` pair of renderers sharing per-call caches.
+class _Renderer:
+    """Log and stats rendering with caches that live as long as the renderer.
 
-    `value` renders through one table keyed on the exact type; anything else
-    (an IntEnum, a str subclass, a dict subclass) takes the isinstance rules,
-    so it prints as its base type does.  `line` renders a log entry and its
-    newline from a template built once per (kind, detail keys) shape; the
-    engine's `_log` call sites alone decide which fields a kind carries.
+    `render` renders a value through one table keyed on the exact scalar
+    type; anything else (a dict, a list, an IntEnum, a str subclass) takes
+    the isinstance rules, so it prints as its base type does.  `line`
+    renders a log entry and its newline from a template built once per
+    (kind, detail keys) shape; the engine's `_log` call sites alone decide
+    which fields a kind carries.  Nothing the renderer holds points back at
+    it, so reference counting frees it, and every string it cached, as soon
+    as its caller drops it.
     """
-    quoted = _Quoted()
-    templates: dict[tuple, str] = {}
 
-    def by_base_type(value: object) -> str:
+    __slots__ = ("quoted", "templates", "get")
+
+    def __init__(self) -> None:
+        self.quoted = _Quoted()
+        self.templates: dict[tuple, str] = {}
+        # scalars only: a container's entry would call back into the renderer, a cycle
+        self.get = {
+            float: "{:.6f}".format,
+            int: int.__repr__,
+            bool: {True: "true", False: "false"}.__getitem__,
+            type(None): {None: "null"}.__getitem__,
+            str: self.quoted.__getitem__,
+        }.get
+
+    def render(self, value: object) -> str:
+        return self.get(type(value), self.by_base_type)(value)
+
+    def by_base_type(self, value: object) -> str:
         # bool and None have no subclasses, so the table always catches them
         if isinstance(value, int):
             return str(value)
@@ -261,57 +294,35 @@ def _renderers() -> tuple[Callable[[object], str], Callable[[LogEntry], str]]:
         if isinstance(value, str):
             return json.dumps(value)
         if isinstance(value, dict):
-            return render_dict(value)
+            return "{" + ", ".join([f"{self.key(k)}: {self.render(v)}" for k, v in value.items()]) + "}"
         if isinstance(value, (list, tuple)):
-            return render_items(value)
+            return "[" + ", ".join([self.render(v) for v in value]) + "]"
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
-    def key(k: object) -> str:
-        return quoted[k] if type(k) is str else json.dumps(str(k))
+    def key(self, k: object) -> str:
+        return self.quoted[k] if type(k) is str else json.dumps(str(k))
 
-    def render_dict(value: dict) -> str:
-        return "{" + ", ".join([f"{key(k)}: {render(v)}" for k, v in value.items()]) + "}"
-
-    def render_items(value: list | tuple) -> str:
-        return "[" + ", ".join([render(v) for v in value]) + "]"
-
-    table: dict[type, Callable] = {
-        float: "{:.6f}".format,
-        int: int.__repr__,
-        bool: {True: "true", False: "false"}.__getitem__,
-        type(None): {None: "null"}.__getitem__,
-        str: quoted.__getitem__,
-        dict: render_dict,
-        list: render_items,
-        tuple: render_items,
-    }
-    get = table.get
-
-    def render(value: object) -> str:
-        return get(type(value), by_base_type)(value)
-
-    def line(entry: LogEntry) -> str:
+    def line(self, entry: LogEntry) -> str:
         kind, detail = entry.kind, entry.detail
         shape = (kind, *detail)
-        template = templates.get(shape)
+        template = self.templates.get(shape)
         if template is None:
-            head = '{"seq": %s, "t_us": %s, "kind": ' + render(kind).replace("%", "%%") + ', "detail": {'
-            template = head + ", ".join(key(k).replace("%", "%%") + ": %s" for k in detail) + "}}\n"
+            head = '{"seq": %s, "t_us": %s, "kind": ' + self.render(kind).replace("%", "%%") + ', "detail": {'
+            template = head + ", ".join(self.key(k).replace("%", "%%") + ": %s" for k in detail) + "}}\n"
             # 1 == True == 1.0 but they render apart: cache all-str shapes only
             if type(kind) is str and all(type(k) is str for k in detail):
-                templates[shape] = template
+                self.templates[shape] = template
+        get, by_base_type = self.get, self.by_base_type
         values = (entry.seq, entry.t_us, *detail.values())
         return template % tuple([get(type(v), by_base_type)(v) for v in values])  # render(v), inlined
 
-    return render, line
-
 
 def render_log_entry(entry: LogEntry) -> str:
-    return _renderers()[1](entry)[:-1]
+    return _Renderer().line(entry)[:-1]
 
 
 def serialize_log(entries: Iterable[LogEntry]) -> str:
-    return "".join(map(_renderers()[1], entries))
+    return "".join(map(_Renderer().line, entries))
 
 
 def _reject_constant(name: str) -> float:
@@ -347,7 +358,7 @@ def parse_log(text: str) -> list[LogEntry]:
 
 
 def serialize_stats(stats: SimStats) -> str:
-    return _renderers()[0](stats.to_dict()) + "\n"
+    return _Renderer().render(stats.to_dict()) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -461,12 +472,6 @@ class _Engine:
         self._window_us = config.scheduler.window_us
         self._next_window = self._window_us
         self._gate_delta = {sensor.name: sensor.delta for sensor in config.sensors}
-        self._finish = {
-            sched.TaskCategory.SENSOR_INPUT: self._finish_sensor_input,
-            sched.TaskCategory.ALGORITHMIC: self._finish_algorithmic,
-            sched.TaskCategory.BEHAVIORAL: self._finish_behavioral,
-            sched.TaskCategory.CONTROL: self._finish_control,
-        }
         self._wire()
 
     # -- setup ------------------------------------------------------------
@@ -604,7 +609,11 @@ class _Engine:
         if not self.halted and self.horizon_us is not None:
             self._tick_windows(self.horizon_us)
 
-        return ExecutionLog(entries=self.entries, routes=self.bus.routes())
+        log = ExecutionLog(entries=self.entries, routes=self.bus.routes())
+        # the bus's handlers point back at the engine: without the bus, nothing
+        # keeps a finished engine (and its entries) alive but its callers
+        del self.bus
+        return log
 
     # -- handlers ---------------------------------------------------------
 
@@ -665,7 +674,7 @@ class _Engine:
         assert entry is self.running
         self.running = None
         self._log("task_finish", {"task": entry.task_id, "enqueue_seq": entry.enqueue_seq})
-        self._finish[self.tasks[entry.task_id].category](entry)
+        self._FINISH[self.tasks[entry.task_id].category](self, entry)
 
     def _finish_sensor_input(self, entry: sched.QueueEntry) -> None:
         reading: Reading = entry.payload  # type: ignore[assignment]
@@ -758,6 +767,14 @@ class _Engine:
                     "behavior": behavior,
                 },
             )
+
+    # plain functions, not bound methods, so the table holds no engine
+    _FINISH = {
+        sched.TaskCategory.SENSOR_INPUT: _finish_sensor_input,
+        sched.TaskCategory.ALGORITHMIC: _finish_algorithmic,
+        sched.TaskCategory.BEHAVIORAL: _finish_behavioral,
+        sched.TaskCategory.CONTROL: _finish_control,
+    }
 
     def _halt(
         self,

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from robosync import cli
 from robosync.cli import main
 from robosync.engine import parse_log
 
@@ -214,6 +215,28 @@ def test_run_over_idle_windows_is_refused_before_ticking_them(tmp_files, tmp_pat
         "priority updates, more than 1000000; raise window_us or shorten the run\n"
     )
     assert not log.exists()
+
+
+@pytest.mark.parametrize("batch", [1, 2, 7])
+def test_run_output_does_not_depend_on_the_batch_size(tmp_files, tmp_path, fixtures_dir, capsys, monkeypatch, batch):
+    monkeypatch.setattr(cli, "LOG_BATCH_ENTRIES", batch)
+    golden_log = (fixtures_dir / "golden_touch_log.jsonl").read_bytes()
+    golden_stats = (fixtures_dir / "golden_touch_stats.json").read_text(encoding="utf-8")
+    argv = ["run", "-c", str(tmp_files["config"]), "-b", str(tmp_files["behavior"]), "-t", str(tmp_files["trace"])]
+    log = tmp_path / "log.jsonl"
+    assert main([*argv, "-o", str(log)]) == 0
+    assert log.read_bytes() == golden_log
+    assert main([*argv, "-o", "-"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == golden_log
+    assert main([*argv, "-o", os.devnull, "--stats"]) == 0
+    assert capsys.readouterr().err == golden_stats
+
+    gap = tmp_path / "gap.jsonl"
+    gap.write_text('{"t_us": 1000, "sensor": "touch", "value": 2}\n{"t_us": 100000000000000, "sensor": "touch", "value": 2}\n')
+    gap_log = tmp_path / "gap_log.jsonl"
+    assert main(["run", "-c", str(tmp_files["config"]), "-b", str(tmp_files["behavior"]), "-t", str(gap), "-o", str(gap_log)]) == 1
+    assert capsys.readouterr().err.startswith("run error: ")
+    assert not gap_log.exists()
 
 
 def test_run_jerk_level_at_one_instant_exits_zero(tmp_files, tmp_path, capsys):

@@ -442,6 +442,17 @@ def test_bind_speed_word_missing_from_map_is_located(behavior_text, touch_config
     ]
 
 
+@pytest.mark.parametrize("speed", [float("nan"), float("inf"), "0.5"], ids=["nan", "inf", "string"])
+def test_bind_speed_word_that_is_not_a_finite_number_is_located(behavior_text, touch_config_text, speed):
+    config = parse_config(touch_config_text)
+    program = dsl.parse_program(behavior_text)
+    move = program.definitions["gentle_response"].body[0]  # MOVE arms SLOWLY, line 8
+    with pytest.raises(dsl.BindErrors) as exc:
+        dsl.bind_program(program, config, speed_words={"slowly": speed, "quickly": 1.0})
+    assert [(e.message, e.span) for e in exc.value.errors] == [("slowly: speed word is not a finite number", move.span)]
+    assert move.span.line == 8
+
+
 def test_play_needs_exactly_one_audio_actuator(behavior_text):
     no_audio = parse_config(
         '{"sensors": [{"name": "touch", "type": "virtual"}], "actuators": [{"name": "arms", "type": "pwm"}]}'
@@ -486,7 +497,9 @@ def _bind_programs(draw):
 @settings(max_examples=300)
 @given(
     program=_bind_programs(),
-    speed_words=st.sampled_from([None, {"slowly": -1.0, "quickly": 2.0}, {"quickly": 1.0}, {}]),
+    speed_words=st.sampled_from(
+        [None, {"slowly": -1.0, "quickly": 2.0}, {"quickly": 1.0}, {}, {"slowly": math.nan, "quickly": 1.0}]
+    ),
     audio=st.booleans(),
 )
 def test_bind_fuzz_raises_only_bind_errors_and_plans_stay_in_bounds(touch_config_text, program, speed_words, audio):

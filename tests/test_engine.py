@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import enum
+import gc
 import json
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -166,6 +168,26 @@ def test_determinism_byte_identical(touch_config_text, behavior_text, touch_trac
     first = eng.serialize_log(_run_texts(touch_config_text, behavior_text, touch_trace_text).entries)
     second = eng.serialize_log(_run_texts(touch_config_text, behavior_text, touch_trace_text).entries)
     assert first == second
+
+
+def test_finished_run_leaves_no_cyclic_garbage(touch_config_text, behavior_text, touch_trace_text):
+    # reference counting alone frees a finished engine, whose entries die with
+    # the log, and each renderer with its caches
+    config, program = _setup(touch_config_text, behavior_text)
+    trace = eng.load_trace(touch_trace_text, config)
+    gc.collect()
+    gc.disable()
+    try:
+        log = eng.run(config, program, trace)
+        entries = log.entries
+        del log
+        assert sys.getrefcount(entries) == 2  # `entries` and the call's argument
+        eng.serialize_log(entries)
+        eng.serialize_stats(eng.compute_stats(entries))
+        del entries
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_causality_audit(touch_config_text, behavior_text, touch_trace_text):

@@ -171,6 +171,22 @@ def test_compute_stats_accepts_a_one_shot_iterator():
 
 
 # ---------------------------------------------------------------------------
+# the lazy line splitter == str.splitlines
+
+# every character `str.splitlines` breaks at, with `\r\n` as one break
+_SPLIT_ALPHABET = "ab \n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@settings(max_examples=500)
+@given(text=st.text(_SPLIT_ALPHABET, max_size=40), chunk=st.integers(1, 7))
+@example(text="a\r\nb", chunk=2)  # a cut at the chunk size would split the \r\n
+@example(text="\r\n\r\n", chunk=1)
+@example(text="ab\r\n\x85b\r\nab", chunk=3)
+def test_lazy_line_split_matches_splitlines(text, chunk):
+    assert list(eng._split_lines(text, chunk)) == text.splitlines()
+
+
+# ---------------------------------------------------------------------------
 # each reader raises only its own domain error
 
 _DEPTHS = st.one_of(st.integers(1, 50), st.sampled_from([900, 1_000, 5_000, 100_000]))
