@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import enum
+import functools
 import sys
 from pathlib import Path
 from typing import TextIO
@@ -169,6 +170,7 @@ def _time_us(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
 
 
+@functools.cache  # one parser per process: a parser sits in reference cycles
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="robosync", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -482,6 +482,22 @@ def _unlocated_syntax_error(text: str, exc: ValueError | RecursionError) -> Conf
 # public operations
 
 
+def processing_stages(config: SystemConfig) -> tuple[AlgorithmSpec, ...]:
+    """Every processing stage in wiring order: the config's algorithms, then a
+    passthrough stage `<sensor>_proc` for each sensor no algorithm reads."""
+    consumed = {name for alg in config.algorithms for name in alg.inputs}
+    return config.algorithms + tuple(
+        AlgorithmSpec(f"{s.name}_proc", "passthrough", (s.name,), f"{s.name}_proc")
+        for s in config.sensors
+        if s.name not in consumed
+    )
+
+
+def command_topic(actuator: str) -> str:
+    """Behavior-layer topic carrying an actuator's commands."""
+    return f"{actuator}_cmd"
+
+
 def parse_config(text: str) -> SystemConfig:
     """Parse and fully validate a configuration document.
 
@@ -571,11 +587,21 @@ def validate_config(config: SystemConfig) -> ValidationReport:
     if (config.algorithms or config.safety_checks) and not config.sensors:
         issues.append(ValidationIssue("sensors", "at least one sensor required by algorithms or safety checks"))
 
-    outputs: set[str] = set()
-    for i, alg in enumerate(config.algorithms):
-        if alg.output in outputs:
-            issues.append(ValidationIssue(f"algorithms[{i}].output", "duplicate"))
-        outputs.add(alg.output)
+    # every topic has one producer: a later claim on a topic is the collision
+    sensor_paths = {s.name: f"sensors[{i}].name" for i, s in enumerate(config.sensors)}
+    claims = [(s.name, "topic", f"sensors[{i}].name") for i, s in enumerate(config.sensors)]
+    for i, stage in enumerate(processing_stages(config)):
+        if i < len(config.algorithms):
+            claims.append((stage.output, "topic", f"algorithms[{i}].output"))
+        else:
+            claims.append((stage.output, "passthrough topic", sensor_paths[stage.inputs[0]]))
+    claims += [(command_topic(a.name), "command topic", f"actuators[{i}].name") for i, a in enumerate(config.actuators)]
+    producers: dict[str, str] = {}  # topic -> the path of its first claim
+    for topic, what, path in claims:
+        if topic in producers:
+            issues.append(ValidationIssue(path, f"{what} {topic!r} is already produced by {producers[topic]}"))
+        else:
+            producers[topic] = path
 
     seen: set[float] = set()
     for i, b in enumerate(config.behaviors):

@@ -32,13 +32,10 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
-from .config import SystemConfig, fill_priorities, finite_float
+from .config import SystemConfig, fill_priorities, processing_stages
 
-# Normalized actuator speeds for the DSL adverbs; override per binding via
-# the speed_words argument of bind_program.
+# Normalized actuator speeds for the DSL adverbs.
 SPEED_WORDS: dict[str, float] = {"slowly": 0.25, "quickly": 1.0}
-
-PASSTHROUGH_TOPIC_SUFFIX = "_proc"
 
 # Far beyond any hand-written rule, and shallow enough that parsing,
 # formatting and evaluating the condition stay within Python's recursion limit.
@@ -605,53 +602,37 @@ def condition_signals(cond: Condition) -> list[tuple[str, SourceSpan | None]]:
     return list(first.items())
 
 
-def passthrough_topic(sensor: str) -> str:
-    """Processing-layer topic carrying a sensor's gated values when no
-    algorithm consumes it."""
-    return f"{sensor}{PASSTHROUGH_TOPIC_SUFFIX}"
-
-
 # ---------------------------------------------------------------------------
 # binding
 
 
-def bind_program(
-    program: BehaviorProgram,
-    config: SystemConfig,
-    speed_words: Mapping[str, float] | None = None,
-) -> BoundProgram:
+def bind_program(program: BehaviorProgram, config: SystemConfig) -> BoundProgram:
     """Resolve signals, behaviors, and actuators against a validated config.
 
-    Signals bind to the output topic of the first algorithm consuming that
-    sensor, to the sensor's passthrough topic otherwise, or directly to an
-    algorithm output named verbatim.  Definitions take the priority of the
-    config behavior with the same name when one exists; the rest draw from
-    the default pool over the definition listing.  Each definition becomes
-    its plan: a MOVE, SET or PLAY is a command, speed word resolved and value
-    clamped to the actuator's bounds, at the sum of the WAITs before it; a
-    speed word must map to a finite int or float.  All failures are
-    collected and raised together as BindErrors.
+    Signals bind to the output topic of the first processing stage reading
+    that sensor (an algorithm, or the sensor's passthrough stage when none
+    does), or directly to an algorithm output named verbatim.  Definitions
+    take the priority of the config behavior with the same name when one
+    exists; the rest draw from the default pool over the definition listing.
+    Each definition becomes its plan: a MOVE, SET or PLAY is a command, speed
+    word resolved and value clamped to the actuator's bounds, at the sum of
+    the WAITs before it.  All failures are collected and raised together as
+    BindErrors.
     """
     errors: list[BindError] = []
-    speeds = SPEED_WORDS if speed_words is None else speed_words
 
-    sensor_topic: dict[str, str] = {}
-    algorithm_outputs = {alg.output for alg in config.algorithms}
+    topic_of: dict[str, str] = {}  # a signal's name -> the topic it reads
+    for stage in processing_stages(config):
+        for sensor in stage.inputs:
+            topic_of.setdefault(sensor, stage.output)
     for alg in config.algorithms:
-        for sensor in alg.inputs:
-            sensor_topic.setdefault(sensor, alg.output)
-    for sensor in config.sensors:
-        sensor_topic.setdefault(sensor.name, passthrough_topic(sensor.name))
+        topic_of.setdefault(alg.output, alg.output)
 
     signal_topics: dict[str, str] = {}
     for rule in program.rules:
         for signal, span in condition_signals(rule.condition):
-            if signal in signal_topics:
-                continue
-            if signal in sensor_topic:
-                signal_topics[signal] = sensor_topic[signal]
-            elif signal in algorithm_outputs:
-                signal_topics[signal] = signal
+            if signal in topic_of:
+                signal_topics[signal] = topic_of[signal]
             else:
                 errors.append(BindError(f"{signal}: unknown signal", span))
         for target, span in ((rule.then_behavior, rule.then_span), (rule.else_behavior, rule.else_span)):
@@ -686,16 +667,9 @@ def bind_program(
                     actuator_spec = actuator_specs.get(actuator)
                     if actuator_spec is None:
                         errors.append(BindError(f"{actuator}: unknown actuator", stmt.span))
-                    if isinstance(value, str):
-                        if value not in speeds:
-                            errors.append(BindError(f"{value}: unknown speed word", stmt.span))
-                            continue
-                        if finite_float(speeds[value]) is None:
-                            errors.append(BindError(f"{value}: speed word is not a finite number", stmt.span))
-                            continue
-                        value = speeds[value]
-                    if actuator_spec is None:
                         continue
+                    if isinstance(value, str):
+                        value = SPEED_WORDS[value]
                     action = "move" if isinstance(stmt, Move) else "set"
                     command = {"action": action, "actuator": actuator, "value": actuator_spec.clamp(value)}
             plan.append((offset_us, command))

@@ -20,8 +20,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import sched
 from .bus import DeliveryRecord, Layer, Message, MessageBus, evaluate_safety
-from .config import SafetyCheckSpec, SystemConfig, finite_float
-from .dsl import BoundProgram, Rule, condition_signals, eval_condition, passthrough_topic
+from .config import SafetyCheckSpec, SystemConfig, command_topic, finite_float, processing_stages
+from .dsl import BoundProgram, Rule, condition_signals, eval_condition
 from .sensorproc import PluginInstance, Reading, gate_significant, make_plugin, run_algorithm
 
 LOG_KINDS = frozenset(
@@ -502,16 +502,10 @@ class _Engine:
             bus.create_topic(sensor.name, Layer.SENSOR, producer=f"sensor_input.{sensor.name}")
             usage[f"sensor_input.{sensor.name}"] = (sched.TaskCategory.SENSOR_INPUT, set())
 
-        consumed = {name for alg in config.algorithms for name in alg.inputs}
-        specs = [(alg.name, alg.plugin, alg.params_dict(), alg.inputs, alg.output) for alg in config.algorithms]
-        specs += [
-            (passthrough_topic(s.name), "passthrough", {}, (s.name,), passthrough_topic(s.name))
-            for s in config.sensors
-            if s.name not in consumed
-        ]
-        for instance_id, plugin_name, params, inputs, topic in specs:
-            plugin = make_plugin(plugin_name, params, inputs=inputs, topic=topic)
-            task_id = f"algorithmic.{instance_id}"
+        for stage in processing_stages(config):
+            topic = stage.output
+            plugin = make_plugin(stage.plugin, stage.params_dict(), inputs=stage.inputs, topic=topic)
+            task_id = f"algorithmic.{stage.name}"
             bus.create_topic(topic, Layer.PROCESSING, producer=task_id)
             targets = {
                 target
@@ -534,9 +528,11 @@ class _Engine:
             for _offset_us, command in plan:
                 controlled.setdefault(command["actuator"], set()).add(name)
 
+        self._command_topics: dict[str, str] = {}  # actuator -> its command topic
         for actuator in config.actuators:
-            bus.create_topic(f"{actuator.name}_cmd", Layer.BEHAVIOR, producer="rules")
-            bus.subscribe(f"{actuator.name}_cmd", Layer.CONTROL)
+            topic = self._command_topics[actuator.name] = command_topic(actuator.name)
+            bus.create_topic(topic, Layer.BEHAVIOR, producer="rules")
+            bus.subscribe(topic, Layer.CONTROL)
             usage[f"control.{actuator.name}"] = (sched.TaskCategory.CONTROL, controlled.get(actuator.name, set()))
 
         # safety checks run inline on arrival; the sensors they watch are pinned
@@ -589,31 +585,31 @@ class _Engine:
         for event in self.trace:
             self._push(event.t_us, _RANK_TRACE, event)
 
-        while self._heap:
-            t_us, rank, _tie, payload = heapq.heappop(self._heap)
-            if not self.halted and self._next_window <= t_us:
-                self._tick_windows(t_us)
-            self.clock_us = max(self.clock_us, t_us)
-            if self.halted:
+        try:
+            while self._heap:
+                t_us, rank, _tie, payload = heapq.heappop(self._heap)
+                if not self.halted and self._next_window <= t_us:
+                    self._tick_windows(t_us)
+                self.clock_us = max(self.clock_us, t_us)
+                if self.halted:
+                    if rank == _RANK_TRACE:
+                        self._log_dropped(payload)
+                    continue
                 if rank == _RANK_TRACE:
-                    self._log_dropped(payload)
-                continue
-            if rank == _RANK_TRACE:
-                self._handle_trace(payload)
-            elif rank == _RANK_TASK_DONE:
-                self._handle_task_done(payload)
-            else:
-                self._handle_deferred_enqueue(payload)
-            self._dispatch()
+                    self._handle_trace(payload)
+                elif rank == _RANK_TASK_DONE:
+                    self._handle_task_done(payload)
+                else:
+                    self._handle_deferred_enqueue(payload)
+                self._dispatch()
 
-        if not self.halted and self.horizon_us is not None:
-            self._tick_windows(self.horizon_us)
-
-        log = ExecutionLog(entries=self.entries, routes=self.bus.routes())
-        # the bus's handlers point back at the engine: without the bus, nothing
-        # keeps a finished engine (and its entries) alive but its callers
-        del self.bus
-        return log
+            if not self.halted and self.horizon_us is not None:
+                self._tick_windows(self.horizon_us)
+            return ExecutionLog(entries=self.entries, routes=self.bus.routes())
+        finally:
+            # the bus's handlers point back at the engine: without the bus, nothing
+            # keeps a finished or failed engine (and its entries) alive but its callers
+            del self.bus
 
     # -- handlers ---------------------------------------------------------
 
@@ -743,7 +739,7 @@ class _Engine:
     def _handle_deferred_enqueue(self, item: tuple[dict, str]) -> None:
         command, behavior = item
         actuator = command["actuator"]
-        self._publish(f"{actuator}_cmd", "rules", command, command=command, behavior=behavior)
+        self._publish(self._command_topics[actuator], "rules", command, command=command, behavior=behavior)
         self.queue.push(f"control.{actuator}", self.clock_us, item)
 
     def _finish_control(self, entry: sched.QueueEntry) -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -39,6 +40,52 @@ def test_validate_duplicate_priorities(tmp_path, capsys):
     assert main(["validate", "-c", str(bad)]) == 1
     out = capsys.readouterr().out
     assert out.startswith("behaviors[1].priority")
+
+
+_VIRTUAL = {"type": "virtual"}
+
+
+@pytest.mark.parametrize(
+    "doc, line",
+    [
+        (
+            {"sensors": [{"name": "a", **_VIRTUAL}], "algorithms": [{"name": "f", "plugin": "passthrough", "output": "a"}]},
+            "algorithms[0].output: topic 'a' is already produced by sensors[0].name",
+        ),
+        (
+            {
+                "sensors": [{"name": "a", **_VIRTUAL}, {"name": "b", **_VIRTUAL}],
+                "algorithms": [{"name": "f", "plugin": "passthrough", "inputs": ["a"], "output": "b_proc"}],
+            },
+            "sensors[1].name: passthrough topic 'b_proc' is already produced by algorithms[0].output",
+        ),
+        (
+            {"sensors": [{"name": "m_cmd", **_VIRTUAL}], "actuators": [{"name": "m", "type": "pwm"}]},
+            "actuators[0].name: command topic 'm_cmd' is already produced by sensors[0].name",
+        ),
+        (
+            {"sensors": [{"name": "a", **_VIRTUAL}, {"name": "a_proc", **_VIRTUAL}]},
+            "sensors[0].name: passthrough topic 'a_proc' is already produced by sensors[1].name",
+        ),
+        (
+            {
+                "sensors": [{"name": "a", **_VIRTUAL}],
+                "algorithms": [{"name": "f", "plugin": "passthrough"}, {"name": "g", "plugin": "passthrough", "output": "f"}],
+            },
+            "algorithms[1].output: topic 'f' is already produced by algorithms[0].output",
+        ),
+    ],
+    ids=["output_is_sensor", "output_is_passthrough", "sensor_is_command", "sensor_is_passthrough", "outputs_repeat"],
+)
+def test_topic_collision_is_located_by_validate_and_run(tmp_path, capsys, doc, line):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    (tmp_path / "empty").write_text("")
+    assert main(["validate", "-c", str(config)]) == 1
+    assert capsys.readouterr() == (line + "\n", "")
+    empty = str(tmp_path / "empty")
+    assert main(["run", "-c", str(config), "-b", empty, "-t", empty]) == 1
+    assert capsys.readouterr() == ("", line + "\n")  # not a `setup error:` from the bus
 
 
 def test_validate_missing_file(tmp_path, capsys):
@@ -385,6 +432,20 @@ def test_halted_run_exits_zero(tmp_files, tmp_path, capsys):
 def test_stats_of_golden_log_matches_golden_stats(fixtures_dir, capsys):
     assert main(["stats", str(fixtures_dir / "golden_touch_log.jsonl")]) == 0
     assert capsys.readouterr().out == (fixtures_dir / "golden_touch_stats.json").read_text()
+
+
+def test_main_leaves_no_cyclic_garbage(fixtures_dir, capsys):
+    # the argument parser sits in reference cycles, so the first call builds
+    # the one parser of the process and later calls reuse it
+    argv = ["stats", str(fixtures_dir / "golden_touch_log.jsonl")]
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_usage_error_exits_two():

@@ -3,9 +3,10 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from robosync import config as cfg
+from robosync import config as cfg, engine as eng
+from robosync.dsl import bind_program, parse_program
 
 
 def test_minimal_config_parses(minimal_config_text):
@@ -282,3 +283,38 @@ def test_accepted_configs_never_dangle():
     for text in (FULL_CONFIG,):
         config = cfg.parse_config(text)
         assert cfg.validate_config(config).ok
+
+
+# Names from a tiny alphabet, so sensor names, algorithm names and outputs
+# keep meeting each other's passthrough topics and actuator m's command topic.
+_TOPIC_NAMES = st.sampled_from(("a", "b", "a_proc", "b_proc", "m_cmd"))
+
+
+@st.composite
+def _colliding_configs(draw):
+    sensors = draw(st.lists(_TOPIC_NAMES, unique=True, max_size=3))
+    inputs = st.sampled_from(sensors) if sensors else _TOPIC_NAMES
+    algorithms = []
+    for name in draw(st.lists(st.sampled_from(("f", "a_proc", "m_cmd")), unique=True, max_size=3)):
+        algorithm = {"name": name, "plugin": "passthrough", "inputs": draw(st.lists(inputs, min_size=1, max_size=2))}
+        output = draw(st.none() | _TOPIC_NAMES)
+        if output is not None:
+            algorithm["output"] = output
+        algorithms.append(algorithm)
+    return {
+        "sensors": [{"name": name, "type": "virtual"} for name in sensors],
+        "actuators": [{"name": "m", "type": "pwm"}] if draw(st.booleans()) else [],
+        "algorithms": algorithms,
+    }
+
+
+@settings(max_examples=300)
+@given(doc=_colliding_configs())
+def test_a_config_that_validates_wires_without_bus_errors(doc):
+    try:
+        config = cfg.parse_config(json.dumps(doc))
+    except cfg.ConfigError:
+        return
+    # setup creates every topic and subscription; a BusError fails the test
+    log = eng.run(config, bind_program(parse_program(""), config), [])
+    assert log.entries == []

@@ -14,6 +14,7 @@ from robosync import dsl, engine as eng
 from robosync.bus import Layer
 from robosync.config import parse_config
 from robosync.dsl import bind_program, parse_program
+from robosync.sensorproc import NonFiniteOutputError
 
 from conftest import FIXTURES
 
@@ -172,9 +173,19 @@ def test_determinism_byte_identical(touch_config_text, behavior_text, touch_trac
 
 def test_finished_run_leaves_no_cyclic_garbage(touch_config_text, behavior_text, touch_trace_text):
     # reference counting alone frees a finished engine, whose entries die with
-    # the log, and each renderer with its caches
+    # the log, each renderer with its caches, and an engine whose run failed
     config, program = _setup(touch_config_text, behavior_text)
     trace = eng.load_trace(touch_trace_text, config)
+    gap = eng.load_trace('{"t_us": 1000, "sensor": "touch", "value": 2}\n{"t_us": 100000000000000, "sensor": "touch", "value": 2}', config)
+    average_config, average_program = _setup(
+        touch_config_text.replace(
+            '"algorithms": []',
+            '"algorithms": [{"name": "avg", "plugin": "moving_average", "inputs": ["touch"], "params": {"k": 2}}]',
+        ),
+        behavior_text,
+    )
+    overflow = eng.load_trace('{"t_us": 1000, "sensor": "touch", "value": 1.7e308}\n{"t_us": 2000, "sensor": "touch", "value": 1.6e308}', average_config)
+    failing = [(config, program, gap, eng.RunLimitError), (average_config, average_program, overflow, NonFiniteOutputError)]
     gc.collect()
     gc.disable()
     try:
@@ -186,6 +197,14 @@ def test_finished_run_leaves_no_cyclic_garbage(touch_config_text, behavior_text,
         eng.serialize_stats(eng.compute_stats(entries))
         del entries
         assert gc.collect() == 0
+        for run_config, run_program, run_trace, error in failing:
+            try:
+                eng.run(run_config, run_program, run_trace)
+            except error:
+                pass
+            else:
+                pytest.fail(f"the run raised no {error.__name__}")
+            assert gc.collect() == 0, error.__name__
     finally:
         gc.enable()
 
@@ -934,7 +953,7 @@ class _Name(str):
     [
         [eng.LogEntry(0, 5, "behavior_fired", {"behavior": "b", "priority": _Level.HIGH})],
         [eng.LogEntry(_Level.HIGH, 5, _Name("play_cmd"), {"resource": _Name('a"b.wav')})],
-        # a MOVE speed word bound to 1 clamps to the int 1 and prints as one
+        # an int in a field the engine fills with floats prints as an int
         [
             eng.LogEntry(0, 5, "actuator_cmd", {"actuator": "arms", "action": "move", "value": 0.25}),
             eng.LogEntry(1, 6, "actuator_cmd", {"actuator": "arms", "action": "move", "value": 1}),
@@ -946,14 +965,6 @@ class _Name(str):
 )
 def test_log_rendering_examples(entries):
     assert eng.serialize_log(entries) == "".join(_oracle_line(e) + "\n" for e in entries)
-
-
-def test_int_speed_word_renders_as_int(touch_config_text, behavior_text, touch_trace_text):
-    config = parse_config(touch_config_text)
-    program = bind_program(parse_program(behavior_text), config, speed_words={"slowly": 1, "quickly": 1})
-    log = eng.run(config, program, eng.load_trace(touch_trace_text, config))
-    moves = [line for line in eng.serialize_log(log.entries).splitlines() if '"action": "move"' in line]
-    assert moves and all('"value": 1, ' in line or '"value": 1}' in line for line in moves)
 
 
 def test_unsupported_value_type_raises():
