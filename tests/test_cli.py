@@ -80,11 +80,11 @@ _VIRTUAL = {"type": "virtual"}
 def test_topic_collision_is_located_by_validate_and_run(tmp_path, capsys, doc, line):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
-    (tmp_path / "empty").write_text("")
+    empty = tmp_path / "empty"
+    empty.write_text("")
     assert main(["validate", "-c", str(config)]) == 1
     assert capsys.readouterr() == (line + "\n", "")
-    empty = str(tmp_path / "empty")
-    assert main(["run", "-c", str(config), "-b", empty, "-t", empty]) == 1
+    assert main(["run", "-c", str(config), "-b", str(empty), "-t", str(empty)]) == 1
     assert capsys.readouterr() == ("", line + "\n")  # not a `setup error:` from the bus
 
 
