@@ -32,7 +32,9 @@ class Topic:
     producer_layer: Layer
 
 
-@dataclass(frozen=True, slots=True)
+# not frozen: one is built per publish, and a frozen dataclass takes about 3x
+# as long to build
+@dataclass(slots=True)
 class Message:
     topic: Topic
     t_us: int

@@ -589,8 +589,9 @@ def validate_config(config: SystemConfig) -> ValidationReport:
 
     # every topic has one producer: a later claim on a topic is the collision
     sensor_paths = {s.name: f"sensors[{i}].name" for i, s in enumerate(config.sensors)}
+    stages = processing_stages(config)
     claims = [(s.name, "topic", f"sensors[{i}].name") for i, s in enumerate(config.sensors)]
-    for i, stage in enumerate(processing_stages(config)):
+    for i, stage in enumerate(stages):
         if i < len(config.algorithms):
             claims.append((stage.output, "topic", f"algorithms[{i}].output"))
         else:
@@ -602,6 +603,19 @@ def validate_config(config: SystemConfig) -> ValidationReport:
             issues.append(ValidationIssue(path, f"{what} {topic!r} is already produced by {producers[topic]}"))
         else:
             producers[topic] = path
+
+    # every stage is one task, `algorithmic.<name>`: the passthrough stages claim
+    # their names first, as they follow from the sensors' names
+    owners = {
+        stage.name: f"the passthrough stage of {sensor_paths[stage.inputs[0]]}"
+        for stage in stages[len(config.algorithms) :]
+    }
+    for i, alg in enumerate(config.algorithms):
+        path = f"algorithms[{i}].name"
+        if alg.name in owners:
+            issues.append(ValidationIssue(path, f"stage name {alg.name!r} is already taken by {owners[alg.name]}"))
+        else:
+            owners[alg.name] = path
 
     seen: set[float] = set()
     for i, b in enumerate(config.behaviors):

@@ -75,7 +75,9 @@ class MalformedLogError(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True, slots=True)
+# not frozen: one is built per trace line, and a frozen dataclass takes about
+# 3x as long to build (its __init__ goes through object.__setattr__)
+@dataclass(slots=True)
 class TraceEvent:
     t_us: int
     sensor: str | None = None
@@ -87,7 +89,9 @@ class TraceEvent:
         return self.override is not None
 
 
-@dataclass(frozen=True, slots=True)
+# not frozen: one is built per log entry written or read back, and a frozen
+# dataclass takes about 3x as long to build
+@dataclass(slots=True)
 class LogEntry:
     seq: int
     t_us: int
@@ -472,7 +476,11 @@ class _Engine:
         self._window_us = config.scheduler.window_us
         self._next_window = self._window_us
         self._gate_delta = {sensor.name: sensor.delta for sensor in config.sensors}
-        self._wire()
+        try:
+            self._wire()
+        except BaseException:
+            del self.bus  # its handlers point back at the engine, as after `run`
+            raise
 
     # -- setup ------------------------------------------------------------
 

@@ -56,7 +56,9 @@ class FrequencyCounter:
     count: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+# not frozen: one is built per non-safety task at every window boundary, and a
+# frozen dataclass takes about 3x as long to build
+@dataclass(slots=True)
 class PriorityUpdate:
     """One task's adjustment at a window boundary."""
 
@@ -68,7 +70,9 @@ class PriorityUpdate:
     delta: float
 
 
-@dataclass(frozen=True, slots=True)
+# not frozen: one is built per push, and a frozen dataclass takes about 3x as
+# long to build
+@dataclass(slots=True)
 class QueueEntry:
     task_id: str
     enqueue_seq: int
@@ -173,22 +177,28 @@ def adapt_priorities(
 
     Every non-safety task is recomputed from its base: the linked behavior
     with the highest trigger count F contributes alpha * F / W (W in seconds),
-    capped at p_max.  Counters reset for the next window.  Returns one update
-    record per adjusted task, in task insertion order.
+    capped at p_max; of behaviors tied on F, the name that sorts first wins.
+    A task none of whose behaviors fired keeps its base, with F 0 and no
+    behavior.  Counters reset for the next window.  Returns one update record
+    per non-safety task, in task insertion order.
+
+    Only the behaviors that fired this window are looked at: a task costs at
+    most one lookup per fired behavior, however many behaviors it links.
     """
     w_seconds = params.window_us / 1e6
+    fired = {name: counter.count for name, counter in counters.items() if counter.count > 0}
+    fired_names = frozenset(fired)
     updates: list[PriorityUpdate] = []
     for task in tasks.values():
         if task.category is TaskCategory.SAFETY:
             continue
-        best_behavior: str | None = None
-        best_f = 0
-        for behavior in sorted(task.behaviors):
-            counter = counters.get(behavior)
-            f = counter.count if counter is not None else 0
-            if f > best_f:
-                best_f = f
-                best_behavior = behavior
+        # a set intersection walks the smaller of its two sets
+        linked = task.behaviors & fired_names
+        if linked:
+            best_behavior: str | None = min(linked, key=lambda name: (-fired[name], name))
+            best_f = fired[best_behavior]
+        else:
+            best_behavior, best_f = None, 0
         delta = params.alpha * best_f / w_seconds
         new = min(task.base_priority + delta, params.p_max)
         updates.append(PriorityUpdate(task.id, task.current_priority, new, best_f, best_behavior, delta))

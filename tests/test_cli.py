@@ -74,8 +74,23 @@ _VIRTUAL = {"type": "virtual"}
             },
             "algorithms[1].output: topic 'f' is already produced by algorithms[0].output",
         ),
+        (
+            # no topic collides, but unread sensor b's passthrough stage is named b_proc too
+            {
+                "sensors": [{"name": "a", **_VIRTUAL}, {"name": "b", **_VIRTUAL}],
+                "algorithms": [{"name": "b_proc", "plugin": "passthrough", "inputs": ["a"], "output": "x"}],
+            },
+            "algorithms[0].name: stage name 'b_proc' is already taken by the passthrough stage of sensors[1].name",
+        ),
     ],
-    ids=["output_is_sensor", "output_is_passthrough", "sensor_is_command", "sensor_is_passthrough", "outputs_repeat"],
+    ids=[
+        "output_is_sensor",
+        "output_is_passthrough",
+        "sensor_is_command",
+        "sensor_is_passthrough",
+        "outputs_repeat",
+        "name_is_passthrough_stage",
+    ],
 )
 def test_topic_collision_is_located_by_validate_and_run(tmp_path, capsys, doc, line):
     config = tmp_path / "config.json"

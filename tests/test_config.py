@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from robosync import config as cfg, engine as eng
 from robosync.dsl import bind_program, parse_program
@@ -240,6 +240,32 @@ def test_validate_reports_dangling_safety_sensor():
     assert [i.path for i in report.issues] == ["safety_checks[0].sensor"]
 
 
+def test_validate_reports_algorithm_named_like_a_passthrough_stage():
+    # b has no reader, so its passthrough stage b_proc would share task algorithmic.b_proc
+    config = cfg.SystemConfig(
+        sensors=(cfg.SensorSpec("a", "virtual"), cfg.SensorSpec("b", "virtual")),
+        algorithms=(cfg.AlgorithmSpec("b_proc", "passthrough", ("a",), "x"),),
+    )
+    assert cfg.report_lines(cfg.validate_config(config)) == [
+        "algorithms[0].name: stage name 'b_proc' is already taken by the passthrough stage of sensors[1].name"
+    ]
+    # once an algorithm reads b, b has no passthrough stage and the name is free
+    reads_b = cfg.SystemConfig(
+        sensors=config.sensors, algorithms=(cfg.AlgorithmSpec("b_proc", "passthrough", ("b",), "x"),)
+    )
+    assert cfg.validate_config(reads_b).ok
+
+
+def test_validate_reports_repeated_algorithm_names():
+    sensors = (cfg.SensorSpec("a", "virtual"),)
+    algorithms = (
+        cfg.AlgorithmSpec("f", "passthrough", ("a",), "x"),
+        cfg.AlgorithmSpec("f", "passthrough", ("a",), "y"),
+    )
+    report = cfg.validate_config(cfg.SystemConfig(sensors=sensors, algorithms=algorithms))
+    assert cfg.report_lines(report) == ["algorithms[1].name: stage name 'f' is already taken by algorithms[0].name"]
+
+
 FULL_CONFIG = json.dumps(
     {
         "sensors": [
@@ -287,6 +313,7 @@ def test_accepted_configs_never_dangle():
 
 # Names from a tiny alphabet, so sensor names, algorithm names and outputs
 # keep meeting each other's passthrough topics and actuator m's command topic.
+# Output x is no sensor's name, so a stage can collide on its name alone.
 _TOPIC_NAMES = st.sampled_from(("a", "b", "a_proc", "b_proc", "m_cmd"))
 
 
@@ -297,7 +324,7 @@ def _colliding_configs(draw):
     algorithms = []
     for name in draw(st.lists(st.sampled_from(("f", "a_proc", "m_cmd")), unique=True, max_size=3)):
         algorithm = {"name": name, "plugin": "passthrough", "inputs": draw(st.lists(inputs, min_size=1, max_size=2))}
-        output = draw(st.none() | _TOPIC_NAMES)
+        output = draw(st.none() | _TOPIC_NAMES | st.just("x"))
         if output is not None:
             algorithm["output"] = output
         algorithms.append(algorithm)
@@ -310,6 +337,12 @@ def _colliding_configs(draw):
 
 @settings(max_examples=300)
 @given(doc=_colliding_configs())
+@example(
+    doc={
+        "sensors": [{"name": "a", "type": "virtual"}, {"name": "b", "type": "virtual"}],
+        "algorithms": [{"name": "a_proc", "plugin": "passthrough", "inputs": ["b"], "output": "x"}],
+    }
+)  # the algorithm shares stage name a_proc with sensor a's passthrough
 def test_a_config_that_validates_wires_without_bus_errors(doc):
     try:
         config = cfg.parse_config(json.dumps(doc))
@@ -318,3 +351,6 @@ def test_a_config_that_validates_wires_without_bus_errors(doc):
     # setup creates every topic and subscription; a BusError fails the test
     log = eng.run(config, bind_program(parse_program(""), config), [])
     assert log.entries == []
+    # and each stage is a task of its own
+    stage_names = [stage.name for stage in cfg.processing_stages(config)]
+    assert len(set(stage_names)) == len(stage_names)

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from robosync import dsl, engine as eng
-from robosync.bus import Layer
-from robosync.config import parse_config
+from robosync.bus import BusError, Layer
+from robosync.config import ActuatorSpec, SensorSpec, SystemConfig, parse_config
 from robosync.dsl import bind_program, parse_program
 from robosync.sensorproc import NonFiniteOutputError
 
@@ -173,7 +173,7 @@ def test_determinism_byte_identical(touch_config_text, behavior_text, touch_trac
 
 def test_finished_run_leaves_no_cyclic_garbage(touch_config_text, behavior_text, touch_trace_text):
     # reference counting alone frees a finished engine, whose entries die with
-    # the log, each renderer with its caches, and an engine whose run failed
+    # the log, each renderer with its caches, and an engine whose run or setup failed
     config, program = _setup(touch_config_text, behavior_text)
     trace = eng.load_trace(touch_trace_text, config)
     gap = eng.load_trace('{"t_us": 1000, "sensor": "touch", "value": 2}\n{"t_us": 100000000000000, "sensor": "touch", "value": 2}', config)
@@ -185,7 +185,14 @@ def test_finished_run_leaves_no_cyclic_garbage(touch_config_text, behavior_text,
         behavior_text,
     )
     overflow = eng.load_trace('{"t_us": 1000, "sensor": "touch", "value": 1.7e308}\n{"t_us": 2000, "sensor": "touch", "value": 1.6e308}', average_config)
-    failing = [(config, program, gap, eng.RunLimitError), (average_config, average_program, overflow, NonFiniteOutputError)]
+    # unvalidated: sensor m_cmd takes actuator m's command topic, so wiring the bus fails
+    colliding_config = SystemConfig(sensors=(SensorSpec("m_cmd", "virtual"),), actuators=(ActuatorSpec("m", "pwm"),))
+    colliding_program = bind_program(parse_program(""), colliding_config)
+    failing = [
+        (config, program, gap, eng.RunLimitError),
+        (average_config, average_program, overflow, NonFiniteOutputError),
+        (colliding_config, colliding_program, [], BusError),
+    ]
     gc.collect()
     gc.disable()
     try:

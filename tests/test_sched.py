@@ -164,6 +164,79 @@ def test_window_in_seconds():
 
 
 # ---------------------------------------------------------------------------
+# window adaptation against the sorted-scan oracle
+
+
+def _linear_adapt(tasks, counters, params):
+    """The scan `adapt_priorities` replaced: every task's linked behaviors in
+    name order, where only a strictly higher count takes over the lead."""
+    w_seconds = params.window_us / 1e6
+    updates = []
+    for task in tasks.values():
+        if task.category is sched.TaskCategory.SAFETY:
+            continue
+        best_behavior = None
+        best_f = 0
+        for behavior in sorted(task.behaviors):
+            counter = counters.get(behavior)
+            f = counter.count if counter is not None else 0
+            if f > best_f:
+                best_f = f
+                best_behavior = behavior
+        delta = params.alpha * best_f / w_seconds
+        new = min(task.base_priority + delta, params.p_max)
+        updates.append(sched.PriorityUpdate(task.id, task.current_priority, new, best_f, best_behavior, delta))
+        task.current_priority = new
+    for counter in counters.values():
+        counter.count = 0
+    return updates
+
+
+# "x" never has a counter; counts of 0-3 make ties on the highest count common
+_LINKABLE = ("a", "b", "c", "d", "x")
+
+
+@settings(max_examples=300)
+@given(
+    specs=st.lists(
+        st.tuples(
+            st.sampled_from(list(sched.TaskCategory)),
+            st.sampled_from([0.1, 0.25, 0.5, 0.75]),
+            st.frozensets(st.sampled_from(_LINKABLE)),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    counted=st.lists(st.sampled_from(_LINKABLE[:-1]), unique=True),
+    windows=st.lists(st.dictionaries(st.sampled_from(_LINKABLE[:-1]), st.integers(0, 3)), min_size=1, max_size=4),
+)
+@example(
+    specs=[(sched.TaskCategory.ALGORITHMIC, 0.25, frozenset({"a", "b"}))],
+    counted=["b", "a"],
+    windows=[{"a": 2, "b": 2}],
+)  # a tie on F goes to the name that sorts first, whatever the counters' order
+def test_adapt_matches_sorted_scan_oracle(specs, counted, windows):
+    def build():
+        tasks = {
+            f"t{i}": _task(f"t{i}", category, 1.0 if category is sched.TaskCategory.SAFETY else base, behaviors)
+            for i, (category, base, behaviors) in enumerate(specs)
+        }
+        return tasks, {name: sched.FrequencyCounter(name) for name in counted}
+
+    tasks, counters = build()
+    oracle_tasks, oracle_counters = build()
+    params = _params(alpha=0.1)  # 0.75 + 3 * 0.1 reaches p_max
+    for triggers in windows:
+        for name, count in triggers.items():
+            for t_us in range(count if name in counters else 0):
+                sched.record_trigger(counters[name], t_us)
+                sched.record_trigger(oracle_counters[name], t_us)
+        assert sched.adapt_priorities(tasks, counters, params) == _linear_adapt(oracle_tasks, oracle_counters, params)
+        assert counters == oracle_counters
+        assert tasks == oracle_tasks
+
+
+# ---------------------------------------------------------------------------
 # dispatch
 
 
