@@ -2,8 +2,9 @@
 simulations, and summarize execution logs.
 
 Exit codes: 0 success, 1 domain failure (validation/parse/bind/trace/log
-errors), 2 usage or I/O error.  Machine-readable output (logs, stats) goes to
-stdout; diagnostics go to stderr.
+errors, or an input file that is not UTF-8), 2 usage or I/O error.
+Machine-readable output (logs, stats) goes to stdout; diagnostics go to
+stderr.
 """
 
 from __future__ import annotations
@@ -44,18 +45,27 @@ class ExitStatus(enum.IntEnum):
     USAGE = 2
 
 
-def _read(path: str) -> str | None:
+class _Unreadable(Exception):
+    """An input file could not be read; its diagnostic is printed and its
+    exit status is the one argument."""
+
+
+def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot read {path}: {exc.strerror}", file=sys.stderr)
-        return None
+        status = ExitStatus.USAGE
+    except UnicodeDecodeError as exc:
+        # the readers get universal newlines, so "\r\n" and a lone "\r" end a line too
+        line = len((exc.object[: exc.start] + b".").splitlines())
+        print(f"error: {path}: line {line}: invalid UTF-8 byte 0x{exc.object[exc.start]:02x}", file=sys.stderr)
+        status = ExitStatus.FAILURE
+    raise _Unreadable(status)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
     text = _read(args.config)
-    if text is None:
-        return ExitStatus.USAGE
     try:
         parse_config(text)
     except ConfigError as exc:
@@ -68,8 +78,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_parse(args: argparse.Namespace) -> int:
     text = _read(args.behavior)
-    if text is None:
-        return ExitStatus.USAGE
     try:
         program = parse_program(text)
     except ParseError as exc:
@@ -93,11 +101,7 @@ def _write_log(out: TextIO, entries: list[LogEntry]) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config_text = _read(args.config)
-    program_text = _read(args.behavior) if config_text is not None else None
-    trace_text = _read(args.trace) if program_text is not None else None
-    if config_text is None or program_text is None or trace_text is None:
-        return ExitStatus.USAGE
+    config_text, program_text, trace_text = _read(args.config), _read(args.behavior), _read(args.trace)
     try:
         config = parse_config(config_text)
         program = bind_program(parse_program(program_text), config)
@@ -142,8 +146,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     text = _read(args.log)
-    if text is None:
-        return ExitStatus.USAGE
     try:
         try:
             stats = compute_stats(iter_log(text))
@@ -202,7 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return int(args.func(args))
+    try:
+        return int(args.func(args))
+    except _Unreadable as exc:
+        return int(exc.args[0])
 
 
 if __name__ == "__main__":

@@ -24,22 +24,26 @@ from .config import SafetyCheckSpec, SystemConfig, command_topic, finite_float, 
 from .dsl import BoundProgram, Rule, condition_signals, eval_condition
 from .sensorproc import PluginInstance, Reading, gate_significant, make_plugin, run_algorithm
 
-LOG_KINDS = frozenset(
-    {
-        "sensor_event",
-        "message",
-        "task_start",
-        "task_finish",
-        "task_abort",
-        "behavior_fired",
-        "behavior_suppressed",
-        "actuator_cmd",
-        "play_cmd",
-        "priority_update",
-        "safety_halt",
-        "trace_dropped",
-    }
-)
+# The log schema: each entry shape, (kind, producing layer for a `message`,
+# else None), -> its detail fields in the order they are written.  The `_log`
+# call sites fill them; `serialize_log` refuses any other shape.
+LOG_FIELDS: dict[tuple[str, str | None], tuple[str, ...]] = {
+    ("sensor_event", None): ("sensor", "value"),
+    ("message", "sensor"): ("topic", "layer", "bus_seq", "value", "sensor", "reading_t_us"),
+    ("message", "processing"): ("topic", "layer", "bus_seq", "value", "source_seq"),
+    ("message", "behavior"): ("topic", "layer", "bus_seq", "command", "behavior"),
+    ("task_start", None): ("task", "enqueue_seq", "enqueue_t_us", "priority"),
+    ("task_finish", None): ("task", "enqueue_seq"),
+    ("task_abort", None): ("task", "enqueue_seq", "reason"),
+    ("behavior_fired", None): ("behavior", "priority", "rule", "branch", "trigger_seq"),
+    ("behavior_suppressed", None): ("behavior", "priority", "rule", "branch", "winner"),
+    ("actuator_cmd", None): ("actuator", "action", "value", "behavior"),
+    ("play_cmd", None): ("actuator", "resource", "behavior"),
+    ("priority_update", None): ("task", "old", "new", "f_max", "behavior", "delta"),
+    ("safety_halt", None): ("source", "sensor", "reading", "threshold", "command", "neutral", "aborted", "purged"),
+    ("trace_dropped", None): ("sensor", "value", "command"),
+}
+LOG_KINDS = frozenset(kind for kind, _layer in LOG_FIELDS)
 
 # Intra-timestamp processing order: window boundaries close before any work
 # at the boundary instant, completions before deferred enqueues, and trace
@@ -259,24 +263,31 @@ class _Quoted(dict):
         return quoted
 
 
-class _Renderer:
-    """Log and stats rendering with caches that live as long as the renderer.
+# (kind, *detail fields) -> the line with a %s for seq, t_us and each field
+_TEMPLATES = {
+    (kind, *fields): '{"seq": %s, "t_us": %s, "kind": "' + kind + '", "detail": {'
+    + ", ".join(f'"{name}": %s' for name in fields) + "}}\n"
+    for (kind, _layer), fields in LOG_FIELDS.items()
+}
 
-    `render` renders a value through one table keyed on the exact scalar
-    type; anything else (a dict, a list, an IntEnum, a str subclass) takes
-    the isinstance rules, so it prints as its base type does.  `line`
-    renders a log entry and its newline from a template built once per
-    (kind, detail keys) shape; the engine's `_log` call sites alone decide
-    which fields a kind carries.  Nothing the renderer holds points back at
-    it, so reference counting frees it, and every string it cached, as soon
-    as its caller drops it.
+
+class _Renderer:
+    """Log and stats rendering with a string cache that lives as long as the
+    renderer.
+
+    `render` renders a value through one table keyed on its exact scalar
+    type; anything else must be a plain list, or a plain dict with str keys.
+    `line` renders a log entry and its newline from its shape's template in
+    `_TEMPLATES`.  Off-schema shapes and values of any other type raise
+    TypeError.  Nothing the renderer holds points back at it, so reference
+    counting frees it, and every string it cached, as soon as its caller
+    drops it.
     """
 
-    __slots__ = ("quoted", "templates", "get")
+    __slots__ = ("quoted", "get")
 
     def __init__(self) -> None:
         self.quoted = _Quoted()
-        self.templates: dict[tuple, str] = {}
         # scalars only: a container's entry would call back into the renderer, a cycle
         self.get = {
             float: "{:.6f}".format,
@@ -287,42 +298,26 @@ class _Renderer:
         }.get
 
     def render(self, value: object) -> str:
-        return self.get(type(value), self.by_base_type)(value)
+        return self.get(type(value), self.container)(value)
 
-    def by_base_type(self, value: object) -> str:
-        # bool and None have no subclasses, so the table always catches them
-        if isinstance(value, int):
-            return str(value)
-        if isinstance(value, float):
-            return format(value, ".6f")
-        if isinstance(value, str):
-            return json.dumps(value)
-        if isinstance(value, dict):
-            return "{" + ", ".join([f"{self.key(k)}: {self.render(v)}" for k, v in value.items()]) + "}"
-        if isinstance(value, (list, tuple)):
+    def container(self, value: object) -> str:
+        if type(value) is list:
             return "[" + ", ".join([self.render(v) for v in value]) + "]"
-        raise TypeError(f"cannot serialize {type(value).__name__}")
-
-    def key(self, k: object) -> str:
-        return self.quoted[k] if type(k) is str else json.dumps(str(k))
+        if type(value) is not dict:
+            raise TypeError(f"cannot serialize {type(value).__name__}")
+        for k in value:
+            if type(k) is not str:
+                raise TypeError(f"cannot serialize {type(k).__name__} key {k!r}")
+        return "{" + ", ".join([f"{self.quoted[k]}: {self.render(v)}" for k, v in value.items()]) + "}"
 
     def line(self, entry: LogEntry) -> str:
-        kind, detail = entry.kind, entry.detail
-        shape = (kind, *detail)
-        template = self.templates.get(shape)
+        detail = entry.detail
+        template = _TEMPLATES.get((entry.kind, *detail))
         if template is None:
-            head = '{"seq": %s, "t_us": %s, "kind": ' + self.render(kind).replace("%", "%%") + ', "detail": {'
-            template = head + ", ".join(self.key(k).replace("%", "%%") + ": %s" for k in detail) + "}}\n"
-            # 1 == True == 1.0 but they render apart: cache all-str shapes only
-            if type(kind) is str and all(type(k) is str for k in detail):
-                self.templates[shape] = template
-        get, by_base_type = self.get, self.by_base_type
+            raise TypeError(f"off-schema log entry: kind {entry.kind!r} with detail fields {list(detail)}")
+        get, container = self.get, self.container
         values = (entry.seq, entry.t_us, *detail.values())
-        return template % tuple([get(type(v), by_base_type)(v) for v in values])  # render(v), inlined
-
-
-def render_log_entry(entry: LogEntry) -> str:
-    return _Renderer().line(entry)[:-1]
+        return template % tuple([get(type(v), container)(v) for v in values])  # render(v), inlined
 
 
 def serialize_log(entries: Iterable[LogEntry]) -> str:
@@ -636,7 +631,7 @@ class _Engine:
 
     def _handle_window(self) -> None:
         self.clock_us = max(self.clock_us, self._next_window)
-        updates = sched.adapt_priorities(self.tasks, self.counters, self.config.scheduler)
+        updates = sched.adapt_priorities(self.tasks, self.counters, self.config.scheduler, self.clock_us)
         self.queue.rekey(self.tasks)  # the only place queued tasks change priority
         for update in updates:
             self._log(

@@ -6,10 +6,12 @@ from __future__ import annotations
 
 import enum
 import heapq
+import math
 from dataclasses import dataclass
 from typing import AbstractSet, Mapping
 
 from .config import SchedulerParams
+from .sensorproc import NonFiniteOutputError
 
 # Base priority for tasks no behavior uses; keeps dispatch total without
 # letting orphan work outrank real behaviors.
@@ -172,15 +174,17 @@ def adapt_priorities(
     tasks: Mapping[str, TaskDescriptor],
     counters: Mapping[str, FrequencyCounter],
     params: SchedulerParams,
+    t_us: int,
 ) -> list[PriorityUpdate]:
-    """Apply the windowed adjustment at a tumbling-window boundary.
+    """Apply the windowed adjustment at the tumbling-window boundary `t_us`.
 
     Every non-safety task is recomputed from its base: the linked behavior
     with the highest trigger count F contributes alpha * F / W (W in seconds),
     capped at p_max; of behaviors tied on F, the name that sorts first wins.
     A task none of whose behaviors fired keeps its base, with F 0 and no
     behavior.  Counters reset for the next window.  Returns one update record
-    per non-safety task, in task insertion order.
+    per non-safety task, in task insertion order.  Raises NonFiniteOutputError
+    when alpha * F / W overflows, since the log could not hold it as JSON.
 
     Only the behaviors that fired this window are looked at: a task costs at
     most one lookup per fired behavior, however many behaviors it links.
@@ -200,6 +204,11 @@ def adapt_priorities(
         else:
             best_behavior, best_f = None, 0
         delta = params.alpha * best_f / w_seconds
+        if not math.isfinite(delta):
+            raise NonFiniteOutputError(
+                f"priority adjustment alpha * F / W is {delta} for behavior {best_behavior!r} "
+                f"with F {best_f} in the window ending at t_us {t_us}"
+            )
         new = min(task.base_priority + delta, params.p_max)
         updates.append(PriorityUpdate(task.id, task.current_priority, new, best_f, best_behavior, delta))
         task.current_priority = new

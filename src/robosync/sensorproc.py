@@ -43,8 +43,9 @@ class PluginParamError(ValueError):
 
 
 class NonFiniteOutputError(ValueError):
-    """Raised when a plugin step overflows to an infinity or a NaN, which the
-    log could not hold as JSON."""
+    """Raised when a plugin step, or a window's priority adjustment in
+    `sched.adapt_priorities`, overflows to an infinity or a NaN, which the log
+    could not hold as JSON."""
 
 
 def gate_significant(prev: float | None, curr: float, delta: float) -> bool:

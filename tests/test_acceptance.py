@@ -114,7 +114,7 @@ def test_criterion_4_adaptive_priority_arithmetic():
                         counter = sched.FrequencyCounter("b")
                         for k in range(f):
                             sched.record_trigger(counter, k)
-                        sched.adapt_priorities(tasks, {"b": counter}, params)
+                        sched.adapt_priorities(tasks, {"b": counter}, params, params.window_us)
                         expected = min(base + alpha * f / w_seconds, 1.0)
                         assert abs(tasks["t"].current_priority - expected) <= 1e-12
                         assert tasks["guard"].current_priority == 1.0

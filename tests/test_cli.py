@@ -342,6 +342,46 @@ def test_json_readers_never_trace_back(tmp_files, tmp_path, capsys, reader, text
     assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [("validate", "-c"), ("parse", "-b"), ("run", "-c"), ("run", "-b"), ("run", "-t"), ("stats", None)],
+    ids=["validate_config", "parse_behavior", "run_config", "run_behavior", "run_trace", "stats_log"],
+)
+def test_invalid_utf8_input_is_a_located_domain_error(tmp_files, tmp_path, capsys, command, flag):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b'{"t_us": 1}\r\n\r  \xff "x"\n')  # the bad byte is on line 3, as the readers count lines
+    if command == "run":  # the other two inputs are good
+        inputs = {"-c": tmp_files["config"], "-b": tmp_files["behavior"], "-t": tmp_files["trace"], flag: bad}
+        argv = ["run", *(arg for f, path in inputs.items() for arg in (f, str(path)))]
+    else:
+        argv = [command, *filter(None, [flag]), str(bad)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: line 3: invalid UTF-8 byte 0xff\n"
+
+
+def test_run_priority_overflow_is_a_run_error(tmp_files, tmp_path, capsys):
+    # validation cannot refuse this alpha: whether alpha * F / W overflows depends on the trace's F
+    config = tmp_path / "config.json"
+    doc = json.loads(tmp_files["config"].read_text())
+    doc["scheduler"] = {"alpha": 1e308, "window_us": 1000}
+    config.write_text(json.dumps(doc))
+    assert main(["validate", "-c", str(config)]) == 0
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text('{"t_us": 100, "sensor": "touch", "value": 2}\n{"t_us": 1500, "sensor": "touch", "value": 3}\n')
+    log = tmp_path / "log.jsonl"
+    capsys.readouterr()
+    assert main(["run", "-c", str(config), "-b", str(tmp_files["behavior"]), "-t", str(trace), "-o", str(log)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "run error: priority adjustment alpha * F / W is inf for behavior 'gentle_response' "
+        "with F 1 in the window ending at t_us 1000\n"
+    )
+    assert not log.exists()
+
+
 def test_run_bad_trace_exits_one(tmp_files, tmp_path, capsys):
     bad_trace = tmp_path / "bad.jsonl"
     bad_trace.write_text('{"t_us": 1, "sensor": "ghost", "value": 0}\n')

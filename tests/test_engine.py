@@ -873,8 +873,8 @@ def test_stats_reject_latencies_that_are_not_json(enqueue_t_us, reason):
 
 def test_fixed_decimal_float_rendering():
     entry = eng.LogEntry(0, 5, "sensor_event", {"sensor": "s", "value": 2.0})
-    assert eng.render_log_entry(entry) == (
-        '{"seq": 0, "t_us": 5, "kind": "sensor_event", "detail": {"sensor": "s", "value": 2.000000}}'
+    assert eng.serialize_log([entry]) == (
+        '{"seq": 0, "t_us": 5, "kind": "sensor_event", "detail": {"sensor": "s", "value": 2.000000}}\n'
     )
 
 
@@ -910,25 +910,23 @@ _scalars = (
     | st.floats()  # includes -0.0, nan and inf
     | _awkward_text
 )
+# the types the renderer takes: exact scalars, plain lists and plain dicts with str keys
 _values = st.recursive(
     _scalars,
-    lambda inner: st.lists(inner, max_size=3)
-    | st.lists(inner, max_size=3).map(tuple)
-    | st.dictionaries(_awkward_text, inner, max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_awkward_text, inner, max_size=3),
     max_leaves=8,
 )
 
 
 @st.composite
 def _logs(draw):
-    """Entries drawn from a few (kind, detail keys) shapes, each filled with
-    fresh values of any type, so templates are reused across value types."""
-    kinds = st.sampled_from(sorted(eng.LOG_KINDS)) | _awkward_text
-    shapes = draw(st.lists(st.tuples(kinds, st.lists(_awkward_text, unique=True, max_size=4)), min_size=1, max_size=3))
+    """Entries of a few schema rows, each filled with fresh values of any
+    type the renderer takes, so templates are reused across value types."""
+    rows = draw(st.lists(st.sampled_from(sorted(eng.LOG_FIELDS.items())), min_size=1, max_size=3))
     entries = []
     for _ in range(draw(st.integers(1, 8))):
-        kind, keys = draw(st.sampled_from(shapes))
-        detail = {k: draw(_values) for k in keys}
+        (kind, _layer), fields = draw(st.sampled_from(rows))
+        detail = {name: draw(_values) for name in fields}
         entries.append(eng.LogEntry(draw(st.integers() | _scalars), draw(st.integers()), kind, detail))
     return entries
 
@@ -936,7 +934,7 @@ def _logs(draw):
 @settings(max_examples=300)
 @given(entries=_logs())
 def test_log_rendering_matches_oracle(entries):
-    assert [eng.render_log_entry(e) for e in entries] == [_oracle_line(e) for e in entries]
+    assert [eng.serialize_log([e]) for e in entries] == [_oracle_line(e) + "\n" for e in entries]
     assert eng.serialize_log(entries) == "".join(_oracle_line(e) + "\n" for e in entries)
 
 
@@ -955,30 +953,81 @@ class _Name(str):
     pass
 
 
+def _halt(neutral):
+    values = ("override", None, None, None, "STOP", neutral, None, [])
+    return eng.LogEntry(0, 5, "safety_halt", dict(zip(eng.LOG_FIELDS[("safety_halt", None)], values)))
+
+
+def _behavior_message(command):
+    detail = {"topic": "arms_cmd", "layer": "behavior", "bus_seq": 3, "command": command, "behavior": "b"}
+    return eng.LogEntry(0, 5, "message", detail)
+
+
+def _fired(priority):
+    detail = {"behavior": "b", "priority": priority, "rule": 0, "branch": "then", "trigger_seq": 2}
+    return eng.LogEntry(0, 5, "behavior_fired", detail)
+
+
+def _actuator_cmd(seq, value):
+    return eng.LogEntry(seq, 6, "actuator_cmd", {"actuator": "arms", "action": "move", "value": value, "behavior": "b"})
+
+
+# each entry either renders as the oracle does (None) or is refused with the message
 @pytest.mark.parametrize(
-    "entries",
+    "entries, refusal",
     [
-        [eng.LogEntry(0, 5, "behavior_fired", {"behavior": "b", "priority": _Level.HIGH})],
-        [eng.LogEntry(_Level.HIGH, 5, _Name("play_cmd"), {"resource": _Name('a"b.wav')})],
+        ([_fired(_Level.HIGH)], "^cannot serialize _Level$"),
+        (
+            [eng.LogEntry(0, 5, "play_cmd", {"actuator": "sound", "resource": _Name('a"b.wav'), "behavior": "b"})],
+            "^cannot serialize _Name$",
+        ),
         # an int in a field the engine fills with floats prints as an int
-        [
-            eng.LogEntry(0, 5, "actuator_cmd", {"actuator": "arms", "action": "move", "value": 0.25}),
-            eng.LogEntry(1, 6, "actuator_cmd", {"actuator": "arms", "action": "move", "value": 1}),
-        ],
-        # equal keys of different types share no template
-        [eng.LogEntry(0, 5, "k", {1: "a"}), eng.LogEntry(1, 5, "k", {True: "a"}), eng.LogEntry(2, 5, "k", {1.0: "a"})],
+        ([_actuator_cmd(0, 0.25), _actuator_cmd(1, 1)], None),
+        # 1 == True == 1.0, and none of them is a str key
+        ([_halt({1: 0.0}), _halt({True: 0.0}), _halt({1.0: 0.0})], r"^cannot serialize (int|bool|float) key (1|True|1\.0)$"),
+        ([_behavior_message({"action": "move", "actuator": "arms", 0: 0.5})], "^cannot serialize int key 0$"),
+        ([_behavior_message({"action": "move", "actuator": "arms", _Name("value"): 0.5})], "^cannot serialize _Name key 'value'$"),
     ],
-    ids=["int_enum", "str_subclass", "int_in_float_field", "equal_keys"],
+    ids=["int_enum", "str_subclass", "int_in_float_field", "equal_keys", "int_command_key", "str_subclass_command_key"],
 )
-def test_log_rendering_examples(entries):
-    assert eng.serialize_log(entries) == "".join(_oracle_line(e) + "\n" for e in entries)
+def test_log_rendering_examples(entries, refusal):
+    for entry in entries:
+        if refusal is None:
+            assert eng.serialize_log([entry]) == _oracle_line(entry) + "\n"
+        else:
+            with pytest.raises(TypeError, match=refusal):
+                eng.serialize_log([entry])
+
+
+_TASK_FINISH = {"task": "t", "enqueue_seq": 0}
+
+
+@pytest.mark.parametrize(
+    "kind, detail",
+    [
+        ("task_finish", {"task": "t"}),
+        ("task_finish", {**_TASK_FINISH, "reason": "safety_halt"}),
+        ("task_finish", {"enqueue_seq": 0, "task": "t"}),
+        ("task_done", _TASK_FINISH),
+        ("message", {"topic": "touch", "layer": "sensor", "bus_seq": 0, "value": 1.0}),
+        ("message", {}),
+    ],
+    ids=["missing_field", "extra_field", "reordered_fields", "unknown_kind", "short_message", "empty_detail"],
+)
+def test_off_schema_entries_are_refused(kind, detail):
+    entries = [eng.LogEntry(0, 5, "task_finish", dict(_TASK_FINISH)), eng.LogEntry(1, 5, kind, detail)]
+    message = f"off-schema log entry: kind {kind!r} with detail fields {list(detail)}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        eng.serialize_log(entries)
 
 
 def test_unsupported_value_type_raises():
-    entry = eng.LogEntry(0, 5, "sensor_event", {"sensor": "s", "value": {1, 2}})
-    for render in (eng.render_log_entry, lambda e: eng.serialize_log([e]), _oracle_line):
-        with pytest.raises(TypeError, match="^cannot serialize set$"):
-            render(entry)
+    for value in ({1, 2}, (1, 2)):
+        message = f"^cannot serialize {type(value).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            eng.serialize_log([eng.LogEntry(0, 5, "sensor_event", {"sensor": "s", "value": value})])
+        with pytest.raises(TypeError, match=message):
+            eng.serialize_stats(eng.SimStats((("sensor", value),), 0, 0, 0, 0.0, 0, 0, 0, False, None))
 
 
 def test_dispatch_dominance_reconstructed_from_log(touch_config_text):
@@ -1022,7 +1071,12 @@ def _readme_detail_fields() -> dict[tuple[str, str | None], tuple[str, ...]]:
     return fields
 
 
-def test_readme_detail_fields_match_emitted_entries(touch_config_text, behavior_text, touch_trace_text):
+def test_readme_detail_fields_table_is_log_fields():
+    # same rows, fields and order, with no run needed
+    assert list(_readme_detail_fields().items()) == list(eng.LOG_FIELDS.items())
+
+
+def test_emitted_entry_shapes_are_log_fields_rows(touch_config_text, behavior_text, touch_trace_text):
     # a window boundary, a rule that suppresses two others, a STOP during a
     # running task and a reading after it cover the kinds the fixture trio lacks
     halting_trace = "\n".join(
@@ -1037,13 +1091,11 @@ def test_readme_detail_fields_match_emitted_entries(touch_config_text, behavior_
         _run_texts(touch_config_text, behavior_text, touch_trace_text).entries
         + _run_texts(touch_config_text, THREE_RULES, halting_trace).entries
     )
-    documented = _readme_detail_fields()
     emitted: dict[tuple[str, str | None], set[tuple[str, ...]]] = {}
     for entry in entries:
         key = (entry.kind, entry.detail["layer"] if entry.kind == "message" else None)
         emitted.setdefault(key, set()).add(tuple(entry.detail))
-    assert {kind for kind, _layer in emitted} == eng.LOG_KINDS
-    assert emitted == {key: {fields} for key, fields in documented.items()}
+    assert emitted == {shape: {fields} for shape, fields in eng.LOG_FIELDS.items()}
 
 
 # ---------------------------------------------------------------------------

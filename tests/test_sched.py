@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from robosync import sched
+from robosync import sched, sensorproc as sp
 from robosync.config import SchedulerParams
 
 
@@ -86,7 +86,7 @@ def _params(alpha=0.05, window_us=1_000_000):
 
 def test_adapt_zero_frequency_keeps_base():
     tasks = {"t": _task("t", sched.TaskCategory.BEHAVIORAL, 0.5, {"b"})}
-    updates = sched.adapt_priorities(tasks, {"b": sched.FrequencyCounter("b")}, _params())
+    updates = sched.adapt_priorities(tasks, {"b": sched.FrequencyCounter("b")}, _params(), 1_000_000)
     assert tasks["t"].current_priority == 0.5
     assert updates[0].new == 0.5
     assert updates[0].f_max == 0
@@ -97,7 +97,7 @@ def test_adapt_formula_direct():
     counter = sched.FrequencyCounter("b")
     for t in range(4):
         sched.record_trigger(counter, t)
-    sched.adapt_priorities(tasks, {"b": counter}, _params(alpha=0.05))
+    sched.adapt_priorities(tasks, {"b": counter}, _params(alpha=0.05), 1_000_000)
     assert tasks["t"].current_priority == pytest.approx(0.5 + 0.05 * 4 / 1.0)
 
 
@@ -106,7 +106,7 @@ def test_adapt_caps_at_p_max():
     counter = sched.FrequencyCounter("b")
     for t in range(10):
         sched.record_trigger(counter, t)
-    sched.adapt_priorities(tasks, {"b": counter}, _params(alpha=0.05))
+    sched.adapt_priorities(tasks, {"b": counter}, _params(alpha=0.05), 1_000_000)
     assert tasks["t"].current_priority == 1.0  # min(0.9 + 0.5, 1.0)
 
 
@@ -116,7 +116,7 @@ def test_adapt_uses_max_frequency_behavior():
     sched.record_trigger(ca, 0)
     for t in range(3):
         sched.record_trigger(cb, t)
-    updates = sched.adapt_priorities(tasks, {"a": ca, "b": cb}, _params(alpha=0.1))
+    updates = sched.adapt_priorities(tasks, {"a": ca, "b": cb}, _params(alpha=0.1), 1_000_000)
     assert updates[0].behavior == "b"
     assert tasks["t"].current_priority == pytest.approx(0.2 + 0.1 * 3)
 
@@ -125,9 +125,9 @@ def test_adapt_resets_counters():
     tasks = {"t": _task("t", sched.TaskCategory.BEHAVIORAL, 0.5, {"b"})}
     counter = sched.FrequencyCounter("b")
     sched.record_trigger(counter, 5)
-    sched.adapt_priorities(tasks, {"b": counter}, _params())
+    sched.adapt_priorities(tasks, {"b": counter}, _params(), 1_000_000)
     assert counter.count == 0
-    sched.adapt_priorities(tasks, {"b": counter}, _params())
+    sched.adapt_priorities(tasks, {"b": counter}, _params(), 1_000_000)
     assert tasks["t"].current_priority == 0.5  # decays back once triggering stops
 
 
@@ -136,7 +136,7 @@ def test_adapt_recomputes_from_base_not_accumulating():
     counter = sched.FrequencyCounter("b")
     for boundary in range(5):
         sched.record_trigger(counter, boundary)
-        sched.adapt_priorities(tasks, {"b": counter}, _params(alpha=0.05))
+        sched.adapt_priorities(tasks, {"b": counter}, _params(alpha=0.05), 1_000_000)
         assert tasks["t"].current_priority == pytest.approx(0.55)
 
 
@@ -148,7 +148,7 @@ def test_adapt_never_touches_safety():
     counter = sched.FrequencyCounter("b")
     for t in range(100):
         sched.record_trigger(counter, t)
-    updates = sched.adapt_priorities(tasks, {"b": counter}, _params(alpha=1.0))
+    updates = sched.adapt_priorities(tasks, {"b": counter}, _params(alpha=1.0), 1_000_000)
     assert tasks["guard"].current_priority == 1.0
     assert all(u.task != "guard" for u in updates)
     assert tasks["t"].current_priority == 1.0  # capped
@@ -159,8 +159,32 @@ def test_window_in_seconds():
     counter = sched.FrequencyCounter("b")
     for t in range(4):
         sched.record_trigger(counter, t)
-    sched.adapt_priorities(tasks, {"b": counter}, _params(alpha=0.05, window_us=500_000))
+    sched.adapt_priorities(tasks, {"b": counter}, _params(alpha=0.05, window_us=500_000), 1_000_000)
     assert tasks["t"].current_priority == pytest.approx(0.1 + 0.05 * 4 / 0.5)
+
+
+@pytest.mark.parametrize("alpha, window_us, triggers", [(1e308, 1000, 1), (1e308, 1_000_000, 2), (1.7e308, 1_000_000, 2)])
+def test_adapt_refuses_an_adjustment_that_overflows(alpha, window_us, triggers):
+    # a validated alpha overflows once F is large enough, and F depends on the trace
+    tasks = {
+        "idle": _task("idle", sched.TaskCategory.CONTROL, 0.5),
+        "t": _task("t", sched.TaskCategory.BEHAVIORAL, 0.5, {"b"}),
+    }
+    counter = sched.FrequencyCounter("b")
+    for t in range(triggers):
+        sched.record_trigger(counter, t)
+    message = rf"^priority adjustment alpha \* F / W is inf for behavior 'b' with F {triggers} in the window ending at t_us 7000$"
+    with pytest.raises(sp.NonFiniteOutputError, match=message):
+        sched.adapt_priorities(tasks, {"b": counter}, _params(alpha=alpha, window_us=window_us), 7000)
+
+
+def test_adapt_keeps_the_largest_finite_adjustment():
+    tasks = {"t": _task("t", sched.TaskCategory.BEHAVIORAL, 0.5, {"b"})}
+    counter = sched.FrequencyCounter("b")
+    sched.record_trigger(counter, 0)
+    (update,) = sched.adapt_priorities(tasks, {"b": counter}, _params(alpha=1.7e308), 1_000_000)
+    assert update.delta == 1.7e308
+    assert update.new == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +255,7 @@ def test_adapt_matches_sorted_scan_oracle(specs, counted, windows):
             for t_us in range(count if name in counters else 0):
                 sched.record_trigger(counters[name], t_us)
                 sched.record_trigger(oracle_counters[name], t_us)
-        assert sched.adapt_priorities(tasks, counters, params) == _linear_adapt(oracle_tasks, oracle_counters, params)
+        assert sched.adapt_priorities(tasks, counters, params, 1_000_000) == _linear_adapt(oracle_tasks, oracle_counters, params)
         assert counters == oracle_counters
         assert tasks == oracle_tasks
 
@@ -414,7 +438,7 @@ def test_heap_dispatch_matches_linear_oracle(specs, operations, purge_at):
             for behavior, triggers in zip(("a", "b"), op[1:]):
                 for t in range(triggers):
                     sched.record_trigger(counters[behavior], t)
-            sched.adapt_priorities(tasks, counters, _ORACLE_PARAMS)
+            sched.adapt_priorities(tasks, counters, _ORACLE_PARAMS, 1_000_000)
             queue.rekey(tasks)  # what the engine does after every window
         assert len(queue) == len(oracle)
     assert picked == expected
