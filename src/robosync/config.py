@@ -11,13 +11,12 @@ fail fast instead of silently configuring nothing.
 from __future__ import annotations
 
 import json
-import math
 import re
 import sys
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Sequence
 
-from .sensorproc import PLUGIN_REGISTRY
+from .sensorproc import PLUGIN_REGISTRY, PluginParamError, finite_float
 
 SENSOR_KINDS = ("i2c", "spi", "gpio", "analog", "virtual")
 ACTUATOR_KINDS = ("pwm", "gpio", "audio", "virtual")
@@ -192,18 +191,6 @@ def _get_name(obj: dict, path: str) -> str:
     return name
 
 
-def finite_float(value: object) -> float | None:
-    """A JSON number as a finite float; None for any other value, and for an
-    integer too large for a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    try:
-        number = float(value)
-    except OverflowError:
-        return None
-    return number if math.isfinite(number) else None
-
-
 def _get_number(obj: dict, key: str, path: str, *, default: float | None = None) -> float | None:
     if key not in obj:
         return default
@@ -369,6 +356,10 @@ def _parse_algorithm(obj: Any, path: str, sensor_names: Sequence[str]) -> Algori
             if isinstance(value, bool) or not isinstance(value, (int, float, str)):
                 raise SchemaError(f"{path}.params.{key}", "must be a number or string")
             params.append((key, value))
+    try:
+        PLUGIN_REGISTRY[plugin](dict(params))
+    except PluginParamError as exc:
+        raise SchemaError(f"{path}.params.{exc.key}", exc.reason) from None
     return AlgorithmSpec(name=name, plugin=plugin, inputs=tuple(inputs), output=output, params=tuple(params))
 
 
@@ -502,8 +493,9 @@ def parse_config(text: str) -> SystemConfig:
     """Parse and fully validate a configuration document.
 
     Raises ConfigSyntaxError for malformed JSON, SchemaError (with a field
-    path) for shape violations, UnknownPluginError for unregistered plugins,
-    and CrossReferenceError when references dangle.  A returned config always
+    path) for shape violations and for plugin params the plugin's factory
+    refuses, UnknownPluginError for unregistered plugins, and
+    CrossReferenceError when references dangle.  A returned config always
     passes validate_config with an empty report.
     """
     try:

@@ -20,9 +20,9 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import sched
 from .bus import DeliveryRecord, Layer, Message, MessageBus, evaluate_safety
-from .config import SafetyCheckSpec, SystemConfig, command_topic, finite_float, processing_stages
+from .config import AlgorithmSpec, SafetyCheckSpec, SystemConfig, command_topic, processing_stages
 from .dsl import BoundProgram, Rule, condition_signals, eval_condition
-from .sensorproc import PluginInstance, Reading, gate_significant, make_plugin, run_algorithm
+from .sensorproc import Reading, Step, finite_float, gate_significant, make_plugin, run_algorithm
 
 # The log schema: each entry shape, (kind, producing layer for a `message`,
 # else None), -> its detail fields in the order they are written.  The `_log`
@@ -507,7 +507,7 @@ class _Engine:
 
         for stage in processing_stages(config):
             topic = stage.output
-            plugin = make_plugin(stage.plugin, stage.params_dict(), inputs=stage.inputs, topic=topic)
+            step = make_plugin(stage.plugin, stage.params_dict())
             task_id = f"algorithmic.{stage.name}"
             bus.create_topic(topic, Layer.PROCESSING, producer=task_id)
             targets = {
@@ -517,8 +517,8 @@ class _Engine:
                 if target is not None
             }
             usage[task_id] = (sched.TaskCategory.ALGORITHMIC, targets)
-            handler = self._make_plugin_handler(task_id, plugin)
-            for sensor_name in plugin.inputs:
+            handler = self._make_plugin_handler(task_id, stage, step)
+            for sensor_name in stage.inputs:
                 bus.subscribe(sensor_name, Layer.PROCESSING, handler)
                 usage[f"sensor_input.{sensor_name}"][1].update(targets)
             bus.subscribe(topic, Layer.BEHAVIOR, self._on_processed)
@@ -556,9 +556,9 @@ class _Engine:
             for task_id, (category, behaviors) in usage.items()
         }
 
-    def _make_plugin_handler(self, task_id: str, plugin: PluginInstance):
+    def _make_plugin_handler(self, task_id: str, stage: AlgorithmSpec, step: Step):
         def handler(message) -> None:
-            self.queue.push(task_id, self.clock_us, (plugin, message.payload))
+            self.queue.push(task_id, self.clock_us, (stage, step, message.payload))
 
         return handler
 
@@ -681,17 +681,17 @@ class _Engine:
         if not gate_significant(prev, reading.value, self._gate_delta[reading.sensor]):
             return  # null branch: nothing reaches the processing layer
         self.gate_prev[reading.sensor] = reading.value
-        published = Reading(reading.sensor, reading.t_us, reading.value, seq=self.bus.next_seq)
+        reading.seq = self.bus.next_seq
         self._publish(
-            reading.sensor, entry.task_id, published, value=reading.value, sensor=reading.sensor, reading_t_us=reading.t_us
+            reading.sensor, entry.task_id, reading, value=reading.value, sensor=reading.sensor, reading_t_us=reading.t_us
         )
 
     def _finish_algorithmic(self, entry: sched.QueueEntry) -> None:
-        plugin, reading = entry.payload  # type: ignore[misc]
-        processed = run_algorithm(plugin, reading)
-        if processed is None:
+        stage, step, reading = entry.payload  # type: ignore[misc]
+        value = run_algorithm(stage.plugin, step, reading)
+        if value is None:
             return
-        self._publish(plugin.topic, entry.task_id, processed.value, value=processed.value, source_seq=processed.source_seq)
+        self._publish(stage.output, entry.task_id, value, value=value, source_seq=reading.seq)
 
     def _on_processed(self, message: Message) -> None:
         topic, bus_seq = message.topic.name, message.seq

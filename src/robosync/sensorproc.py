@@ -1,16 +1,21 @@
 """Processing layer: significance gating, sensor-check functions, and the
-plugin registry that turns raw readings into processed topic values."""
+plugin registry that turns raw readings into processed topic values.
+
+A plugin is one factory in `PLUGIN_REGISTRY`: called with an algorithm's
+params, it checks them and returns a new step function, `step(reading) ->
+float | None`, that keeps its own bounded window in its closure.
+"""
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 
-# not frozen: one is built per reading, and one more per reading the gate
-# passes; a frozen dataclass takes about 3x as long to build
+# not frozen: one is built per reading, and the sensor-input task sets its
+# `seq` when the gate passes it; a frozen dataclass takes about 3x as long to build
 @dataclass(slots=True)
 class Reading:
     """One raw sensor sample; `seq` is the bus sequence number of the gated
@@ -22,30 +27,36 @@ class Reading:
     seq: int = 0
 
 
-# not frozen: one is built per plugin output, and a frozen dataclass takes
-# about 3x as long to build
-@dataclass(slots=True)
-class ProcessedValue:
-    """Output of a plugin run, bound for a processing-layer topic."""
-
-    topic: str
-    t_us: int
-    value: float
-    source_seq: int
-
-
 class UnknownPluginError(ValueError):
-    """Raised when constructing a plugin instance with an unregistered name."""
+    """Raised when making a plugin with an unregistered name."""
 
 
 class PluginParamError(ValueError):
-    """Raised when a plugin's parameters are missing or malformed."""
+    """Raised when a plugin parameter is missing or malformed; `key` names the
+    parameter and `reason` says what is wrong with it."""
+
+    def __init__(self, key: str, reason: str):
+        super().__init__(f"params.{key}: {reason}")
+        self.key = key
+        self.reason = reason
 
 
 class NonFiniteOutputError(ValueError):
     """Raised when a plugin step, or a window's priority adjustment in
     `sched.adapt_priorities`, overflows to an infinity or a NaN, which the log
     could not hold as JSON."""
+
+
+def finite_float(value: object) -> float | None:
+    """A JSON number as a finite float; None for any other value, and for an
+    integer too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
 
 
 def gate_significant(prev: float | None, curr: float, delta: float) -> bool:
@@ -68,7 +79,7 @@ def touch_level(raw: float, thresholds: Sequence[float]) -> int:
     Returns the count of thresholds <= raw, i.e. level 0..len(thresholds);
     boundary values land on the higher level.
     """
-    return bisect_right(list(thresholds), raw)
+    return bisect_right(thresholds, raw)
 
 
 def jerk_level(history: Sequence[Reading]) -> float:
@@ -87,87 +98,94 @@ def jerk_level(history: Sequence[Reading]) -> float:
     return abs(slope2 - slope1)
 
 
-# A step function consumes (state, reading) and returns the next processed
-# value, or None when the plugin has no new insight yet.
-StepFn = Callable[[list, Reading], "float | None"]
+# A step consumes one reading and returns the next processed value, or None
+# when the plugin has no new insight yet.
+Step = Callable[[Reading], "float | None"]
 
 
 def _parse_thresholds(params: Mapping[str, object]) -> list[float]:
     raw = params.get("thresholds")
     if raw is None:
-        raise PluginParamError("touch_level requires a 'thresholds' parameter")
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        values = [float(raw)]
-    elif isinstance(raw, str):
+        raise PluginParamError("thresholds", "required")
+    if isinstance(raw, str):
         try:
-            values = [float(part) for part in raw.split(",") if part.strip()]
-        except ValueError as exc:
-            raise PluginParamError(f"bad thresholds string {raw!r}") from exc
+            values = [finite_float(float(part)) for part in raw.split(",") if part.strip()]
+        except ValueError:  # a part that is no number
+            values = [None]
     else:
-        raise PluginParamError("thresholds must be a number or comma string")
+        values = [finite_float(raw)]
+    if None in values:
+        raise PluginParamError("thresholds", "must be a finite number or a comma string of finite numbers")
     if not values or any(b <= a for a, b in zip(values, values[1:])):
-        raise PluginParamError("thresholds must be non-empty and strictly ascending")
+        raise PluginParamError("thresholds", "must be non-empty and strictly ascending")
     return values
 
 
-def _passthrough(params: Mapping[str, object]) -> tuple[StepFn, int]:
-    def step(state: list, reading: Reading) -> float:
+def _passthrough(params: Mapping[str, object]) -> Step:
+    def step(reading: Reading) -> float:
         return reading.value
 
-    return step, 0
+    return step
 
 
-def _touch_level(params: Mapping[str, object]) -> tuple[StepFn, int]:
+def _touch_level(params: Mapping[str, object]) -> Step:
     thresholds = _parse_thresholds(params)
 
-    def step(state: list, reading: Reading) -> float:
+    def step(reading: Reading) -> float:
         return float(touch_level(reading.value, thresholds))
 
-    return step, 0
+    return step
 
 
-def _jerk_level(params: Mapping[str, object]) -> tuple[StepFn, int]:
-    def step(state: list, reading: Reading) -> float:
-        state.append(reading)
-        if len(state) > 3:
-            state.pop(0)
-        if any(a.t_us == b.t_us for a, b in zip(state, state[1:])):
+def _jerk_level(params: Mapping[str, object]) -> Step:
+    window: list[Reading] = []  # the last three readings
+
+    def step(reading: Reading) -> float | None:
+        window.append(reading)
+        if len(window) > 3:
+            del window[0]
+        if any(a.t_us == b.t_us for a, b in zip(window, window[1:])):
             return None  # no slope across zero time
-        return jerk_level(state)
+        return jerk_level(window)
 
-    return step, 3
+    return step
 
 
-def _moving_average(params: Mapping[str, object]) -> tuple[StepFn, int]:
-    k_raw = params.get("k", 3)
-    if isinstance(k_raw, bool) or not isinstance(k_raw, (int, float)) or int(k_raw) != k_raw or int(k_raw) < 1:
-        raise PluginParamError("moving_average parameter 'k' must be a positive integer")
-    k = int(k_raw)
+def _moving_average(params: Mapping[str, object]) -> Step:
+    k = params.get("k", 3)
+    if isinstance(k, float) and k.is_integer():  # 3.0; never an infinity or a NaN
+        k = int(k)
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise PluginParamError("k", "must be a positive integer")
+    window: list[float] = []  # the last k values
 
-    def step(state: list, reading: Reading) -> float | None:
-        state.append(reading.value)
-        if len(state) > k:
-            state.pop(0)
-        if len(state) < k:
+    def step(reading: Reading) -> float | None:
+        window.append(reading.value)
+        if len(window) > k:
+            del window[0]
+        if len(window) < k:
             return None  # warm-up: no new insight yet
-        return sum(state) / k
+        return sum(window) / k
 
-    return step, k
+    return step
 
 
-def _threshold_classifier(params: Mapping[str, object]) -> tuple[StepFn, int]:
-    raw = params.get("threshold")
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise PluginParamError("threshold_classifier requires a numeric 'threshold'")
-    limit = float(raw)
+def _threshold_classifier(params: Mapping[str, object]) -> Step:
+    if "threshold" not in params:
+        raise PluginParamError("threshold", "required")
+    limit = finite_float(params["threshold"])
+    if limit is None:
+        raise PluginParamError("threshold", "must be a finite number")
 
-    def step(state: list, reading: Reading) -> float:
+    def step(reading: Reading) -> float:
         return 1.0 if reading.value > limit else 0.0
 
-    return step, 0
+    return step
 
 
-PLUGIN_REGISTRY: dict[str, Callable[[Mapping[str, object]], tuple[StepFn, int]]] = {
+# name -> factory: `factory(params)` checks the params, raising
+# PluginParamError, and returns a new step with an empty window
+PLUGIN_REGISTRY: dict[str, Callable[[Mapping[str, object]], Step]] = {
     "passthrough": _passthrough,
     "touch_level": _touch_level,
     "jerk_level": _jerk_level,
@@ -176,62 +194,22 @@ PLUGIN_REGISTRY: dict[str, Callable[[Mapping[str, object]], tuple[StepFn, int]]]
 }
 
 
-@dataclass(slots=True)
-class PluginInstance:
-    """A configured, stateful processing function bound to an output topic.
-
-    Instances are deterministic transducers: identical input sequences yield
-    identical output sequences, including the None (no output) slots.  State
-    never grows beyond `max_state` entries.
-    """
-
-    name: str
-    inputs: tuple[str, ...]
-    topic: str
-    state: list = field(default_factory=list)
-    max_state: int = 0
-    _step: StepFn = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
-
-
-def make_plugin(
-    name: str,
-    params: Mapping[str, object] | None = None,
-    *,
-    inputs: Sequence[str],
-    topic: str,
-) -> PluginInstance:
-    """Construct a plugin instance; unknown names fail here, never at run time."""
+def make_plugin(name: str, params: Mapping[str, object] | None = None) -> Step:
+    """A new step of the named plugin; an unknown name or a bad parameter
+    fails here, never at run time.  Identical input sequences give a step
+    identical output sequences, the None (no output) slots included."""
     factory = PLUGIN_REGISTRY.get(name)
     if factory is None:
         raise UnknownPluginError(f"unknown plugin {name!r}")
-    step, max_state = factory(params or {})
-    return PluginInstance(
-        name=name,
-        inputs=tuple(inputs),
-        topic=topic,
-        max_state=max_state,
-        _step=step,
-    )
+    return factory(params or {})
 
 
-def run_algorithm(instance: PluginInstance, reading: Reading) -> ProcessedValue | None:
-    """Feed one reading through a plugin; None means nothing to publish."""
-    if reading.sensor not in instance.inputs:
-        raise ValueError(
-            f"reading from {reading.sensor!r} fed to plugin {instance.name!r} "
-            f"configured for inputs {instance.inputs}"
-        )
-    value = instance._step(instance.state, reading)
-    if value is None:
-        return None
-    if not math.isfinite(value):
-        raise NonFiniteOutputError(
-            f"plugin {instance.name!r} gave non-finite output {value} "
-            f"for sensor {reading.sensor!r} at t_us {reading.t_us}"
-        )
-    return ProcessedValue(
-        topic=instance.topic,
-        t_us=reading.t_us,
-        value=float(value),
-        source_seq=reading.seq,
+def run_algorithm(plugin: str, step: Step, reading: Reading) -> float | None:
+    """Feed one reading through a step of the named plugin: its finite output,
+    or None when there is nothing to publish."""
+    value = step(reading)
+    if value is None or math.isfinite(value):
+        return value
+    raise NonFiniteOutputError(
+        f"plugin {plugin!r} gave non-finite output {value} for sensor {reading.sensor!r} at t_us {reading.t_us}"
     )

@@ -103,6 +103,36 @@ def test_topic_collision_is_located_by_validate_and_run(tmp_path, capsys, doc, l
     assert capsys.readouterr() == ("", line + "\n")  # not a `setup error:` from the bus
 
 
+_LONG = "1" + "0" * 400  # an integer too large for a float
+
+
+@pytest.mark.parametrize(
+    "plugin, params, line",
+    [
+        ("touch_level", "{}", "algorithms[0].params.thresholds: required"),
+        ("moving_average", '{"k": 0}', "algorithms[0].params.k: must be a positive integer"),
+        ("moving_average", '{"k": NaN}', "algorithms[0].params.k: must be a positive integer"),
+        ("moving_average", '{"k": Infinity}', "algorithms[0].params.k: must be a positive integer"),
+        ("threshold_classifier", '{"threshold": "5"}', "algorithms[0].params.threshold: must be a finite number"),
+        ("threshold_classifier", '{"threshold": %s}' % _LONG, "algorithms[0].params.threshold: must be a finite number"),
+        (
+            "touch_level",
+            '{"thresholds": %s}' % _LONG,
+            "algorithms[0].params.thresholds: must be a finite number or a comma string of finite numbers",
+        ),
+    ],
+    ids=["no_thresholds", "k_zero", "k_nan", "k_infinity", "threshold_string", "threshold_long", "thresholds_long"],
+)
+def test_bad_plugin_params_are_located_by_validate_and_run(tmp_files, touch_config_text, capsys, plugin, params, line):
+    algorithm = '{"name": "p", "plugin": "%s", "inputs": ["touch"], "params": %s}' % (plugin, params)
+    tmp_files["config"].write_text(touch_config_text.replace('"algorithms": []', f'"algorithms": [{algorithm}]'))
+    assert main(["validate", "-c", str(tmp_files["config"])]) == 1
+    assert capsys.readouterr() == (line + "\n", "")
+    argv = ["run", "-c", str(tmp_files["config"]), "-b", str(tmp_files["behavior"]), "-t", str(tmp_files["trace"])]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", line + "\n")
+
+
 def test_validate_missing_file(tmp_path, capsys):
     assert main(["validate", "-c", str(tmp_path / "nope.json")]) == 2
     assert "cannot read" in capsys.readouterr().err

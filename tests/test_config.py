@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from robosync import config as cfg, engine as eng
 from robosync.dsl import bind_program, parse_program
+from robosync.sensorproc import PLUGIN_REGISTRY
 
 
 def test_minimal_config_parses(minimal_config_text):
@@ -315,6 +317,12 @@ def test_accepted_configs_never_dangle():
 # keep meeting each other's passthrough topics and actuator m's command topic.
 # Output x is no sensor's name, so a stage can collide on its name alone.
 _TOPIC_NAMES = st.sampled_from(("a", "b", "a_proc", "b_proc", "m_cmd"))
+# every registry plugin, by name or through a legacy path's stem
+_PLUGINS = st.sampled_from(sorted(PLUGIN_REGISTRY)).flatmap(
+    lambda name: st.sampled_from(({"plugin": name}, {"path": f"lib/{name}.so"}))
+)
+# each plugin param drawn missing (None) or from values on both sides of every rule
+_PARAM_VALUES = st.sampled_from((None, 0, 2.5, 3.0, 10**400, math.nan, math.inf, "5", "1,2,4", "4,2,1", True))
 
 
 @st.composite
@@ -323,7 +331,9 @@ def _colliding_configs(draw):
     inputs = st.sampled_from(sensors) if sensors else _TOPIC_NAMES
     algorithms = []
     for name in draw(st.lists(st.sampled_from(("f", "a_proc", "m_cmd")), unique=True, max_size=3)):
-        algorithm = {"name": name, "plugin": "passthrough", "inputs": draw(st.lists(inputs, min_size=1, max_size=2))}
+        algorithm = {"name": name, **draw(_PLUGINS), "inputs": draw(st.lists(inputs, min_size=1, max_size=2))}
+        params = {key: draw(_PARAM_VALUES) for key in ("k", "threshold", "thresholds")}
+        algorithm["params"] = {key: value for key, value in params.items() if value is not None}
         output = draw(st.none() | _TOPIC_NAMES | st.just("x"))
         if output is not None:
             algorithm["output"] = output
@@ -348,7 +358,8 @@ def test_a_config_that_validates_wires_without_bus_errors(doc):
         config = cfg.parse_config(json.dumps(doc))
     except cfg.ConfigError:
         return
-    # setup creates every topic and subscription; a BusError fails the test
+    # setup creates every topic, subscription and plugin step; any exception,
+    # a BusError or a plugin's PluginParamError, fails the test
     log = eng.run(config, bind_program(parse_program(""), config), [])
     assert log.entries == []
     # and each stage is a task of its own

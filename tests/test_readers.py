@@ -12,7 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from robosync import engine as eng
 from robosync.cli import main
-from robosync.config import ConfigError, finite_float, parse_config
+from robosync.config import ConfigError, parse_config
+from robosync.sensorproc import finite_float
 
 from conftest import FIXTURES
 
@@ -267,6 +268,8 @@ def _config_text(draw) -> str:
         '{{"behaviors": [{{"name": "b", "priority": {f}}}, {{"name": "c"}}]}}',
         '{{"sensors": [{{"name": "s", "type": "virtual"}}], "safety_checks": [{{"name": "k", "sensor": "s", "threshold": {f}}}]}}',
         '{{"sensors": [{{"name": "s", "type": "virtual"}}], "algorithms": [{{"name": "a", "plugin": "moving_average", "params": {{"k": {f}}}}}]}}',
+        '{{"sensors": [{{"name": "s", "type": "virtual"}}], "algorithms": [{{"name": "a", "plugin": "threshold_classifier", "params": {{"threshold": {f}}}}}]}}',
+        '{{"sensors": [{{"name": "s", "type": "virtual"}}], "algorithms": [{{"name": "a", "plugin": "touch_level", "params": {{"thresholds": {f}}}}}]}}',
         '{{"scheduler": {{"alpha": {f}, "p_max": 1, "window_us": 1000}}}}',
         '{{"scheduler": {{"window_us": {f}}}}}',
     ]

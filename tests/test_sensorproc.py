@@ -102,27 +102,18 @@ def test_jerk_short_history_is_zero():
 
 def test_unknown_plugin_fails_at_construction():
     with pytest.raises(sp.UnknownPluginError):
-        sp.make_plugin("warp_drive", {}, inputs=("s",), topic="t")
+        sp.make_plugin("warp_drive", {})
 
 
 def test_passthrough_identity():
-    plugin = sp.make_plugin("passthrough", {}, inputs=("s",), topic="s_proc")
-    out = sp.run_algorithm(plugin, sp.Reading("s", 10, 7.5, seq=3))
-    assert out == sp.ProcessedValue("s_proc", 10, 7.5, 3)
-
-
-def test_run_algorithm_rejects_foreign_sensor():
-    plugin = sp.make_plugin("passthrough", {}, inputs=("s",), topic="s_proc")
-    with pytest.raises(ValueError, match="configured for inputs"):
-        sp.run_algorithm(plugin, sp.Reading("other", 10, 1.0))
+    step = sp.make_plugin("passthrough")
+    assert sp.run_algorithm("passthrough", step, sp.Reading("s", 10, 7.5, seq=3)) == 7.5
 
 
 def test_moving_average_warmup_then_mean():
-    plugin = sp.make_plugin("moving_average", {"k": 2}, inputs=("s",), topic="avg")
-    assert sp.run_algorithm(plugin, sp.Reading("s", 0, 1.0, seq=0)) is None
-    out = sp.run_algorithm(plugin, sp.Reading("s", 1, 3.0, seq=1))
-    assert out is not None and out.value == 2.0  # (1 + 3) / 2
-    assert out.source_seq == 1
+    step = sp.make_plugin("moving_average", {"k": 2})
+    assert sp.run_algorithm("moving_average", step, sp.Reading("s", 0, 1.0)) is None
+    assert sp.run_algorithm("moving_average", step, sp.Reading("s", 1, 3.0)) == 2.0  # (1 + 3) / 2
 
 
 @pytest.mark.parametrize(
@@ -135,70 +126,81 @@ def test_moving_average_warmup_then_mean():
     ids=["average_inf", "jerk_inf", "jerk_nan"],
 )
 def test_non_finite_plugin_output_is_rejected(plugin, readings):
-    instance = sp.make_plugin(plugin, {"k": 2} if plugin == "moving_average" else {}, inputs=("s",), topic="out")
+    step = sp.make_plugin(plugin, {"k": 2} if plugin == "moving_average" else {})
     *warmup, (t_us, value) = readings
     for t, v in warmup:
-        sp.run_algorithm(instance, sp.Reading("s", t, v))
+        sp.run_algorithm(plugin, step, sp.Reading("s", t, v))
     with pytest.raises(sp.NonFiniteOutputError) as exc:
-        sp.run_algorithm(instance, sp.Reading("s", t_us, value))
+        sp.run_algorithm(plugin, step, sp.Reading("s", t_us, value))
     assert isinstance(exc.value, ValueError)
     assert f"plugin {plugin!r} gave non-finite output" in str(exc.value)
     assert str(exc.value).endswith(f"for sensor 's' at t_us {t_us}")
 
 
 def test_largest_finite_plugin_output_passes():
-    plugin = sp.make_plugin("moving_average", {"k": 2}, inputs=("s",), topic="avg")
-    sp.run_algorithm(plugin, sp.Reading("s", 0, 1.7e308))
-    assert sp.run_algorithm(plugin, sp.Reading("s", 1, -1.7e308)).value == 0.0
-    plugin = sp.make_plugin("passthrough", {}, inputs=("s",), topic="s_proc")
-    assert sp.run_algorithm(plugin, sp.Reading("s", 0, 1.7976931348623157e308)).value == 1.7976931348623157e308
+    step = sp.make_plugin("moving_average", {"k": 2})
+    sp.run_algorithm("moving_average", step, sp.Reading("s", 0, 1.7e308))
+    assert sp.run_algorithm("moving_average", step, sp.Reading("s", 1, -1.7e308)) == 0.0
+    step = sp.make_plugin("passthrough")
+    assert sp.run_algorithm("passthrough", step, sp.Reading("s", 0, 1.7976931348623157e308)) == 1.7976931348623157e308
 
 
-def test_moving_average_state_is_bounded():
-    plugin = sp.make_plugin("moving_average", {"k": 3}, inputs=("s",), topic="avg")
-    for i in range(20):
-        sp.run_algorithm(plugin, sp.Reading("s", i, float(i)))
-    assert len(plugin.state) <= plugin.max_state == 3
+def test_moving_average_is_mean_of_last_k():
+    rng = random.Random(5)
+    values = [rng.uniform(-1e6, 1e6) for _ in range(500)]
+    for k in (1, 2, 3, 7):
+        step = sp.make_plugin("moving_average", {"k": k})
+        outs = [sp.run_algorithm("moving_average", step, sp.Reading("s", i, v)) for i, v in enumerate(values)]
+        assert outs == [None if i + 1 < k else sum(values[i + 1 - k : i + 1]) / k for i in range(len(values))]
 
 
 def test_touch_level_plugin_matches_function():
-    plugin = sp.make_plugin("touch_level", {"thresholds": "1,2,4"}, inputs=("s",), topic="lvl")
-    out = sp.run_algorithm(plugin, sp.Reading("s", 0, 2.5))
-    assert out is not None
-    assert out.value == float(sp.touch_level(2.5, [1.0, 2.0, 4.0])) == 2.0
+    step = sp.make_plugin("touch_level", {"thresholds": "1,2,4"})
+    out = sp.run_algorithm("touch_level", step, sp.Reading("s", 0, 2.5))
+    assert out == float(sp.touch_level(2.5, [1.0, 2.0, 4.0])) == 2.0
 
 
 def test_touch_level_plugin_requires_ascending_thresholds():
-    with pytest.raises(sp.PluginParamError):
-        sp.make_plugin("touch_level", {"thresholds": "4,2,1"}, inputs=("s",), topic="lvl")
-    with pytest.raises(sp.PluginParamError):
-        sp.make_plugin("touch_level", {}, inputs=("s",), topic="lvl")
+    for params, reason in [
+        ({"thresholds": "4,2,1"}, "must be non-empty and strictly ascending"),
+        ({"thresholds": ""}, "must be non-empty and strictly ascending"),
+        ({}, "required"),
+        ({"thresholds": "1,nan"}, "must be a finite number or a comma string of finite numbers"),
+        ({"thresholds": "1,x"}, "must be a finite number or a comma string of finite numbers"),
+    ]:
+        with pytest.raises(sp.PluginParamError) as exc:
+            sp.make_plugin("touch_level", params)
+        assert (exc.value.key, exc.value.reason) == ("thresholds", reason)
 
 
 def test_jerk_plugin_tracks_window():
-    plugin = sp.make_plugin("jerk_level", {}, inputs=("s",), topic="jerk")
-    outs = [
-        sp.run_algorithm(plugin, sp.Reading("s", t_us, v))
-        for t_us, v in ((0, 0.0), (1_000_000, 0.0), (2_000_000, 1.0))
-    ]
-    assert [o.value for o in outs] == [0.0, 0.0, 1.0]
-    assert len(plugin.state) <= plugin.max_state == 3
+    rng = random.Random(3)
+    readings, t_us = [], 0
+    for _ in range(500):
+        t_us += rng.choice((0, 1, 250, 1000))  # equal stamps included
+        readings.append(sp.Reading("s", t_us, rng.uniform(-10, 10)))
+    step = sp.make_plugin("jerk_level")
+    for i, reading in enumerate(readings):
+        last = readings[max(0, i - 2) : i + 1]
+        at_one_instant = any(a.t_us == b.t_us for a, b in zip(last, last[1:]))
+        expected = None if at_one_instant else sp.jerk_level(last)
+        assert sp.run_algorithm("jerk_level", step, reading) == expected
 
 
 def test_jerk_plugin_gives_nothing_across_zero_time():
-    plugin = sp.make_plugin("jerk_level", {}, inputs=("s",), topic="jerk")
+    step = sp.make_plugin("jerk_level")
     outs = [
-        sp.run_algorithm(plugin, sp.Reading("s", t_us, v))
+        sp.run_algorithm("jerk_level", step, sp.Reading("s", t_us, v))
         for t_us, v in ((1000, 1.0), (1000, 5.0), (1000, 9.0), (2000, 9.0), (3000, 9.0))
     ]
     # a window holding two readings of one instant has no slope; later ones do
-    assert [o if o is None else o.value for o in outs] == [0.0, None, None, None, 0.0]
+    assert outs == [0.0, None, None, None, 0.0]
 
 
 def test_threshold_classifier():
-    plugin = sp.make_plugin("threshold_classifier", {"threshold": 5.0}, inputs=("s",), topic="hot")
-    assert sp.run_algorithm(plugin, sp.Reading("s", 0, 5.0)).value == 0.0  # strict
-    assert sp.run_algorithm(plugin, sp.Reading("s", 1, 5.1)).value == 1.0
+    step = sp.make_plugin("threshold_classifier", {"threshold": 5.0})
+    assert sp.run_algorithm("threshold_classifier", step, sp.Reading("s", 0, 5.0)) == 0.0  # strict
+    assert sp.run_algorithm("threshold_classifier", step, sp.Reading("s", 1, 5.1)) == 1.0
 
 
 def test_plugin_replay_determinism():
@@ -206,7 +208,7 @@ def test_plugin_replay_determinism():
     inputs = [sp.Reading("s", i * 10, rng.uniform(-5, 5), seq=i) for i in range(200)]
 
     def replay():
-        plugin = sp.make_plugin("moving_average", {"k": 4}, inputs=("s",), topic="avg")
-        return [sp.run_algorithm(plugin, r) for r in inputs]
+        step = sp.make_plugin("moving_average", {"k": 4})
+        return [sp.run_algorithm("moving_average", step, r) for r in inputs]
 
     assert replay() == replay()
