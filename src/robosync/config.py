@@ -322,6 +322,7 @@ def _parse_algorithm(obj: Any, path: str, sensor_names: Sequence[str]) -> Algori
     name = _get_name(obj, path)
     plugin = _get_str(obj, "plugin", path) or None
     module_path = _get_str(obj, "path", path) or None
+    legacy = plugin is None  # a `path` module may read params of its own
     if plugin is not None:
         if plugin not in PLUGIN_REGISTRY:
             raise UnknownPluginError(f"{path}.plugin", f"unknown plugin {plugin!r}")
@@ -356,10 +357,13 @@ def _parse_algorithm(obj: Any, path: str, sensor_names: Sequence[str]) -> Algori
             if isinstance(value, bool) or not isinstance(value, (int, float, str)):
                 raise SchemaError(f"{path}.params.{key}", "must be a number or string")
             params.append((key, value))
+    unread = dict(params)
     try:
-        PLUGIN_REGISTRY[plugin](dict(params))
+        PLUGIN_REGISTRY[plugin](unread)
     except PluginParamError as exc:
         raise SchemaError(f"{path}.params.{exc.key}", exc.reason) from None
+    if unread and not legacy:
+        raise SchemaError(f"{path}.params.{sorted(unread)[0]}", "unknown key")
     return AlgorithmSpec(name=name, plugin=plugin, inputs=tuple(inputs), output=output, params=tuple(params))
 
 
@@ -493,10 +497,10 @@ def parse_config(text: str) -> SystemConfig:
     """Parse and fully validate a configuration document.
 
     Raises ConfigSyntaxError for malformed JSON, SchemaError (with a field
-    path) for shape violations and for plugin params the plugin's factory
-    refuses, UnknownPluginError for unregistered plugins, and
-    CrossReferenceError when references dangle.  A returned config always
-    passes validate_config with an empty report.
+    path) for shape violations and plugin params the factory refuses or, in a
+    `plugin` entry, does not read; UnknownPluginError for unregistered
+    plugins, and CrossReferenceError when references dangle.  A returned
+    config always passes validate_config with an empty report.
     """
     try:
         raw = json.loads(text)

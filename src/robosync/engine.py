@@ -483,7 +483,8 @@ class _Engine:
         """One walk per pipeline stage (sensors, plugins, definitions,
         actuators) creates that stage's topics, subscriptions and tasks.
         Task ids go into `usage` in dispatch-category order, which is the
-        order windows log their priority updates in."""
+        order windows log their priority updates in.  Each site that queues
+        work then resolves its tasks once: the run looks up no task by id."""
         config, program, bus = self.config, self.program, self.bus
         # each processing topic's bound signals, and its rules: each rule once
         # under every distinct topic its signals read
@@ -505,9 +506,10 @@ class _Engine:
             bus.create_topic(sensor.name, Layer.SENSOR, producer=f"sensor_input.{sensor.name}")
             usage[f"sensor_input.{sensor.name}"] = (sched.TaskCategory.SENSOR_INPUT, set())
 
+        plugins: list[tuple[AlgorithmSpec, Step]] = []
         for stage in processing_stages(config):
             topic = stage.output
-            step = make_plugin(stage.plugin, stage.params_dict())
+            plugins.append((stage, make_plugin(stage.plugin, stage.params_dict())))
             task_id = f"algorithmic.{stage.name}"
             bus.create_topic(topic, Layer.PROCESSING, producer=task_id)
             targets = {
@@ -517,9 +519,7 @@ class _Engine:
                 if target is not None
             }
             usage[task_id] = (sched.TaskCategory.ALGORITHMIC, targets)
-            handler = self._make_plugin_handler(task_id, stage, step)
             for sensor_name in stage.inputs:
-                bus.subscribe(sensor_name, Layer.PROCESSING, handler)
                 usage[f"sensor_input.{sensor_name}"][1].update(targets)
             bus.subscribe(topic, Layer.BEHAVIOR, self._on_processed)
 
@@ -531,9 +531,8 @@ class _Engine:
             for _offset_us, command in plan:
                 controlled.setdefault(command["actuator"], set()).add(name)
 
-        self._command_topics: dict[str, str] = {}  # actuator -> its command topic
         for actuator in config.actuators:
-            topic = self._command_topics[actuator.name] = command_topic(actuator.name)
+            topic = command_topic(actuator.name)
             bus.create_topic(topic, Layer.BEHAVIOR, producer="rules")
             bus.subscribe(topic, Layer.CONTROL)
             usage[f"control.{actuator.name}"] = (sched.TaskCategory.CONTROL, controlled.get(actuator.name, set()))
@@ -544,7 +543,7 @@ class _Engine:
             program.priorities, {task_id: behaviors for task_id, (_, behaviors) in usage.items()}, safety_tasks
         )
         cost = config.scheduler.default_task_cost_us
-        self.tasks: dict[str, sched.TaskDescriptor] = {
+        tasks = self.tasks = {
             task_id: sched.TaskDescriptor(
                 id=task_id,
                 category=category,
@@ -556,9 +555,18 @@ class _Engine:
             for task_id, (category, behaviors) in usage.items()
         }
 
-    def _make_plugin_handler(self, task_id: str, stage: AlgorithmSpec, step: Step):
+        for stage, step in plugins:  # a sensor topic's subscribers keep the stage order
+            handler = self._make_plugin_handler(tasks[f"algorithmic.{stage.name}"], stage, step)
+            for sensor_name in stage.inputs:
+                bus.subscribe(sensor_name, Layer.PROCESSING, handler)
+        self._sensor_tasks = {sensor.name: tasks[f"sensor_input.{sensor.name}"] for sensor in config.sensors}
+        self._behavior_tasks = {name: tasks[f"behavioral.{name}"] for name in program.plans}
+        # actuator -> its command topic and its control task
+        self._controls = {a.name: (command_topic(a.name), tasks[f"control.{a.name}"]) for a in config.actuators}
+
+    def _make_plugin_handler(self, task: sched.TaskDescriptor, stage: AlgorithmSpec, step: Step):
         def handler(message) -> None:
-            self.queue.push(task_id, self.clock_us, (stage, step, message.payload))
+            self.queue.push(task, self.clock_us, (stage, step, message.payload))
 
         return handler
 
@@ -632,7 +640,7 @@ class _Engine:
     def _handle_window(self) -> None:
         self.clock_us = max(self.clock_us, self._next_window)
         updates = sched.adapt_priorities(self.tasks, self.counters, self.config.scheduler, self.clock_us)
-        self.queue.rekey(self.tasks)  # the only place queued tasks change priority
+        self.queue.rekey()  # the only place queued tasks change priority
         for update in updates:
             self._log(
                 "priority_update",
@@ -663,7 +671,7 @@ class _Engine:
                 )
                 return
         self.queue.push(
-            f"sensor_input.{event.sensor}",
+            self._sensor_tasks[event.sensor],
             self.clock_us,
             Reading(sensor=event.sensor, t_us=event.t_us, value=event.value),
         )
@@ -672,8 +680,8 @@ class _Engine:
         # after a halt the main loop handles no completion, so this task still runs
         assert entry is self.running
         self.running = None
-        self._log("task_finish", {"task": entry.task_id, "enqueue_seq": entry.enqueue_seq})
-        self._FINISH[self.tasks[entry.task_id].category](self, entry)
+        self._log("task_finish", {"task": entry.task.id, "enqueue_seq": entry.enqueue_seq})
+        self._FINISH[entry.task.category](self, entry)
 
     def _finish_sensor_input(self, entry: sched.QueueEntry) -> None:
         reading: Reading = entry.payload  # type: ignore[assignment]
@@ -683,7 +691,7 @@ class _Engine:
         self.gate_prev[reading.sensor] = reading.value
         reading.seq = self.bus.next_seq
         self._publish(
-            reading.sensor, entry.task_id, reading, value=reading.value, sensor=reading.sensor, reading_t_us=reading.t_us
+            reading.sensor, entry.task.id, reading, value=reading.value, sensor=reading.sensor, reading_t_us=reading.t_us
         )
 
     def _finish_algorithmic(self, entry: sched.QueueEntry) -> None:
@@ -691,7 +699,7 @@ class _Engine:
         value = run_algorithm(stage.plugin, step, reading)
         if value is None:
             return
-        self._publish(stage.output, entry.task_id, value, value=value, source_seq=reading.seq)
+        self._publish(stage.output, entry.task.id, value, value=value, source_seq=reading.seq)
 
     def _on_processed(self, message: Message) -> None:
         topic, bus_seq = message.topic.name, message.seq
@@ -721,7 +729,7 @@ class _Engine:
             },
         )
         sched.record_trigger(self.counters[winner], self.clock_us)
-        self.queue.push(f"behavioral.{winner}", self.clock_us, winner)
+        self.queue.push(self._behavior_tasks[winner], self.clock_us, winner)
         for _prio, neg_index, behavior, branch in candidates[1:]:
             self._log(
                 "behavior_suppressed",
@@ -741,9 +749,9 @@ class _Engine:
 
     def _handle_deferred_enqueue(self, item: tuple[dict, str]) -> None:
         command, behavior = item
-        actuator = command["actuator"]
-        self._publish(self._command_topics[actuator], "rules", command, command=command, behavior=behavior)
-        self.queue.push(f"control.{actuator}", self.clock_us, item)
+        topic, task = self._controls[command["actuator"]]
+        self._publish(topic, "rules", command, command=command, behavior=behavior)
+        self.queue.push(task, self.clock_us, item)
 
     def _finish_control(self, entry: sched.QueueEntry) -> None:
         command, behavior = entry.payload  # type: ignore[misc]
@@ -796,15 +804,15 @@ class _Engine:
                 "threshold": threshold,
                 "command": command,
                 "neutral": neutral,
-                "aborted": aborted.task_id if aborted else None,
-                "purged": [e.task_id for e in purged],
+                "aborted": aborted.task.id if aborted else None,
+                "purged": [e.task.id for e in purged],
             },
         )
         if aborted is not None:
             self._log(
                 "task_abort",
                 {
-                    "task": aborted.task_id,
+                    "task": aborted.task.id,
                     "enqueue_seq": aborted.enqueue_seq,
                     "reason": "safety_halt",
                 },
@@ -820,17 +828,17 @@ class _Engine:
     def _dispatch(self) -> None:
         if self.halted or self.running is not None or len(self.queue) == 0:
             return
-        entry = sched.select_next(self.queue, self.tasks)
+        entry = sched.select_next(self.queue)
         assert entry is not None
-        task = self.tasks[entry.task_id]
+        task = entry.task
         # dispatch dominance: the heap top is the best of what is still queued,
         # so nothing may outrank the pick
-        runner_up = self.queue.peek(self.tasks)
-        assert runner_up is None or self.tasks[runner_up.task_id].current_priority <= task.current_priority
+        runner_up = self.queue.peek()
+        assert runner_up is None or runner_up.task.current_priority <= task.current_priority
         self._log(
             "task_start",
             {
-                "task": entry.task_id,
+                "task": task.id,
                 "enqueue_seq": entry.enqueue_seq,
                 "enqueue_t_us": entry.enqueue_t_us,
                 "priority": task.current_priority,

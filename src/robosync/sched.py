@@ -76,7 +76,7 @@ class PriorityUpdate:
 # long to build
 @dataclass(slots=True)
 class QueueEntry:
-    task_id: str
+    task: TaskDescriptor
     enqueue_seq: int
     enqueue_t_us: int
     payload: object = None
@@ -86,62 +86,45 @@ class ReadyQueue:
     """FIFO-stamped runnable work items, kept as a binary heap on the dispatch
     key (-current priority, -category rank, enqueue sequence).
 
-    A pushed entry is keyed from the task table at the next `pop`/`peek`;
-    after that its key is frozen, so whoever changes a queued task's
-    `current_priority` must call `rekey` (the engine does, right after each
-    window's `adapt_priorities`)."""
+    An entry is keyed from its task's priority when it is pushed, and that key
+    is frozen, so whoever changes a queued task's `current_priority` must call
+    `rekey` (the engine does, right after each window's `adapt_priorities`)."""
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, int, QueueEntry]] = []
-        self._unkeyed: list[QueueEntry] = []
         self._next_seq = 0
 
     def __len__(self) -> int:
-        return len(self._heap) + len(self._unkeyed)
+        return len(self._heap)
 
-    def entries(self) -> tuple[QueueEntry, ...]:
-        """Every queued entry in enqueue order."""
-        keyed = sorted(self._heap, key=lambda item: item[2])
-        return tuple(item[3] for item in keyed) + tuple(self._unkeyed)
-
-    def push(self, task_id: str, t_us: int, payload: object = None) -> QueueEntry:
-        entry = QueueEntry(task_id, self._next_seq, t_us, payload)
+    def push(self, task: TaskDescriptor, t_us: int, payload: object = None) -> QueueEntry:
+        entry = QueueEntry(task, self._next_seq, t_us, payload)
         self._next_seq += 1
-        self._unkeyed.append(entry)
+        heapq.heappush(self._heap, _dispatch_key(entry))
         return entry
 
-    def pop(self, tasks: Mapping[str, TaskDescriptor]) -> QueueEntry | None:
+    def pop(self) -> QueueEntry | None:
         """Remove and return the entry with the smallest key."""
-        self._key_unkeyed(tasks)
         return heapq.heappop(self._heap)[3] if self._heap else None
 
-    def peek(self, tasks: Mapping[str, TaskDescriptor]) -> QueueEntry | None:
+    def peek(self) -> QueueEntry | None:
         """The entry `pop` would return, left in place."""
-        self._key_unkeyed(tasks)
         return self._heap[0][3] if self._heap else None
 
-    def rekey(self, tasks: Mapping[str, TaskDescriptor]) -> None:
+    def rekey(self) -> None:
         """Recompute every key from the tasks' current priorities."""
-        entries = [item[3] for item in self._heap] + self._unkeyed
-        self._heap = [_dispatch_key(entry, tasks) for entry in entries]
-        self._unkeyed = []
+        self._heap = [_dispatch_key(item[3]) for item in self._heap]
         heapq.heapify(self._heap)
 
     def purge(self) -> list[QueueEntry]:
         """Drop every queued entry; returns them in enqueue order."""
-        removed = list(self.entries())
+        removed = [item[3] for item in sorted(self._heap, key=lambda item: item[2])]
         self._heap = []
-        self._unkeyed = []
         return removed
 
-    def _key_unkeyed(self, tasks: Mapping[str, TaskDescriptor]) -> None:
-        for entry in self._unkeyed:
-            heapq.heappush(self._heap, _dispatch_key(entry, tasks))
-        self._unkeyed.clear()
 
-
-def _dispatch_key(entry: QueueEntry, tasks: Mapping[str, TaskDescriptor]) -> tuple[float, int, int, QueueEntry]:
-    task = tasks[entry.task_id]
+def _dispatch_key(entry: QueueEntry) -> tuple[float, int, int, QueueEntry]:
+    task = entry.task
     return (-task.current_priority, -task.category, entry.enqueue_seq, entry)
 
 
@@ -217,9 +200,10 @@ def adapt_priorities(
     return updates
 
 
-def select_next(queue: ReadyQueue, tasks: Mapping[str, TaskDescriptor]) -> QueueEntry | None:
+def select_next(queue: ReadyQueue) -> QueueEntry | None:
     """Pop the queue entry to run next: highest current priority, ties broken
     by category rank (safety > control > behavioral > algorithmic > sensor
     input), then FIFO by enqueue sequence.  None when the queue is empty.
-    O(log n) per call; see `ReadyQueue` for when keys are taken."""
-    return queue.pop(tasks)
+    O(log n) per call; the priority is the one the entry was keyed with, at
+    its push or at the last `ReadyQueue.rekey` since."""
+    return queue.pop()

@@ -1,9 +1,10 @@
 """Processing layer: significance gating, sensor-check functions, and the
 plugin registry that turns raw readings into processed topic values.
 
-A plugin is one factory in `PLUGIN_REGISTRY`: called with an algorithm's
-params, it checks them and returns a new step function, `step(reading) ->
-float | None`, that keeps its own bounded window in its closure.
+A plugin is one factory in `PLUGIN_REGISTRY`: called with a dict of an
+algorithm's params, it takes out the keys it reads, checks them and returns a
+new step function, `step(reading) -> float | None`, that keeps its own
+bounded window in its closure.  Whatever keys it leaves are unknown to it.
 """
 
 from __future__ import annotations
@@ -103,8 +104,8 @@ def jerk_level(history: Sequence[Reading]) -> float:
 Step = Callable[[Reading], "float | None"]
 
 
-def _parse_thresholds(params: Mapping[str, object]) -> list[float]:
-    raw = params.get("thresholds")
+def _parse_thresholds(params: dict[str, object]) -> list[float]:
+    raw = params.pop("thresholds", None)
     if raw is None:
         raise PluginParamError("thresholds", "required")
     if isinstance(raw, str):
@@ -121,14 +122,14 @@ def _parse_thresholds(params: Mapping[str, object]) -> list[float]:
     return values
 
 
-def _passthrough(params: Mapping[str, object]) -> Step:
+def _passthrough(params: dict[str, object]) -> Step:
     def step(reading: Reading) -> float:
         return reading.value
 
     return step
 
 
-def _touch_level(params: Mapping[str, object]) -> Step:
+def _touch_level(params: dict[str, object]) -> Step:
     thresholds = _parse_thresholds(params)
 
     def step(reading: Reading) -> float:
@@ -137,7 +138,7 @@ def _touch_level(params: Mapping[str, object]) -> Step:
     return step
 
 
-def _jerk_level(params: Mapping[str, object]) -> Step:
+def _jerk_level(params: dict[str, object]) -> Step:
     window: list[Reading] = []  # the last three readings
 
     def step(reading: Reading) -> float | None:
@@ -151,8 +152,8 @@ def _jerk_level(params: Mapping[str, object]) -> Step:
     return step
 
 
-def _moving_average(params: Mapping[str, object]) -> Step:
-    k = params.get("k", 3)
+def _moving_average(params: dict[str, object]) -> Step:
+    k = params.pop("k", 3)
     if isinstance(k, float) and k.is_integer():  # 3.0; never an infinity or a NaN
         k = int(k)
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
@@ -170,10 +171,10 @@ def _moving_average(params: Mapping[str, object]) -> Step:
     return step
 
 
-def _threshold_classifier(params: Mapping[str, object]) -> Step:
+def _threshold_classifier(params: dict[str, object]) -> Step:
     if "threshold" not in params:
         raise PluginParamError("threshold", "required")
-    limit = finite_float(params["threshold"])
+    limit = finite_float(params.pop("threshold"))
     if limit is None:
         raise PluginParamError("threshold", "must be a finite number")
 
@@ -183,9 +184,10 @@ def _threshold_classifier(params: Mapping[str, object]) -> Step:
     return step
 
 
-# name -> factory: `factory(params)` checks the params, raising
-# PluginParamError, and returns a new step with an empty window
-PLUGIN_REGISTRY: dict[str, Callable[[Mapping[str, object]], Step]] = {
+# name -> factory: `factory(params)` takes the keys it reads out of `params`,
+# checks them, raising PluginParamError, and returns a new step with an empty
+# window; the keys left in `params` are the ones it does not know
+PLUGIN_REGISTRY: dict[str, Callable[[dict[str, object]], Step]] = {
     "passthrough": _passthrough,
     "touch_level": _touch_level,
     "jerk_level": _jerk_level,
@@ -195,13 +197,13 @@ PLUGIN_REGISTRY: dict[str, Callable[[Mapping[str, object]], Step]] = {
 
 
 def make_plugin(name: str, params: Mapping[str, object] | None = None) -> Step:
-    """A new step of the named plugin; an unknown name or a bad parameter
-    fails here, never at run time.  Identical input sequences give a step
-    identical output sequences, the None (no output) slots included."""
+    """A new step of the named plugin, which ignores keys it does not read; an
+    unknown name or a bad parameter fails here, never at run time.  Identical
+    input sequences give a step identical outputs, None (no output) included."""
     factory = PLUGIN_REGISTRY.get(name)
     if factory is None:
         raise UnknownPluginError(f"unknown plugin {name!r}")
-    return factory(params or {})
+    return factory(dict(params or {}))
 
 
 def run_algorithm(plugin: str, step: Step, reading: Reading) -> float | None:

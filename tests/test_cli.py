@@ -120,8 +120,18 @@ _LONG = "1" + "0" * 400  # an integer too large for a float
             '{"thresholds": %s}' % _LONG,
             "algorithms[0].params.thresholds: must be a finite number or a comma string of finite numbers",
         ),
+        ("moving_average", '{"K": 5}', "algorithms[0].params.K: unknown key"),
     ],
-    ids=["no_thresholds", "k_zero", "k_nan", "k_infinity", "threshold_string", "threshold_long", "thresholds_long"],
+    ids=[
+        "no_thresholds",
+        "k_zero",
+        "k_nan",
+        "k_infinity",
+        "threshold_string",
+        "threshold_long",
+        "thresholds_long",
+        "k_misspelt",
+    ],
 )
 def test_bad_plugin_params_are_located_by_validate_and_run(tmp_files, touch_config_text, capsys, plugin, params, line):
     algorithm = '{"name": "p", "plugin": "%s", "inputs": ["touch"], "params": %s}' % (plugin, params)

@@ -323,6 +323,17 @@ _PLUGINS = st.sampled_from(sorted(PLUGIN_REGISTRY)).flatmap(
 )
 # each plugin param drawn missing (None) or from values on both sides of every rule
 _PARAM_VALUES = st.sampled_from((None, 0, 2.5, 3.0, 10**400, math.nan, math.inf, "5", "1,2,4", "4,2,1", True))
+# the params each plugin reads; a legacy `path` entry may carry any of them
+_OWN_KEYS = {
+    "passthrough": (),
+    "touch_level": ("thresholds",),
+    "jerk_level": (),
+    "moving_average": ("k",),
+    "threshold_classifier": ("threshold",),
+}
+_ALL_KEYS = ("k", "threshold", "thresholds")
+# now and then one misspelt key, which a `plugin` entry must refuse
+_MISSPELT_KEYS = st.sampled_from((None,) * 8 + ("K", "treshold"))
 
 
 @st.composite
@@ -332,8 +343,10 @@ def _colliding_configs(draw):
     algorithms = []
     for name in draw(st.lists(st.sampled_from(("f", "a_proc", "m_cmd")), unique=True, max_size=3)):
         algorithm = {"name": name, **draw(_PLUGINS), "inputs": draw(st.lists(inputs, min_size=1, max_size=2))}
-        params = {key: draw(_PARAM_VALUES) for key in ("k", "threshold", "thresholds")}
-        algorithm["params"] = {key: value for key, value in params.items() if value is not None}
+        keys = _OWN_KEYS[algorithm["plugin"]] if "plugin" in algorithm else _ALL_KEYS
+        params = {key: draw(_PARAM_VALUES) for key in keys}
+        params[draw(_MISSPELT_KEYS)] = 5
+        algorithm["params"] = {key: value for key, value in params.items() if key is not None and value is not None}
         output = draw(st.none() | _TOPIC_NAMES | st.just("x"))
         if output is not None:
             algorithm["output"] = output
@@ -358,6 +371,8 @@ def test_a_config_that_validates_wires_without_bus_errors(doc):
         config = cfg.parse_config(json.dumps(doc))
     except cfg.ConfigError:
         return
+    for algorithm in doc["algorithms"]:  # a `plugin` entry parses with its own keys only
+        assert "plugin" not in algorithm or set(algorithm["params"]) <= set(_OWN_KEYS[algorithm["plugin"]])
     # setup creates every topic, subscription and plugin step; any exception,
     # a BusError or a plugin's PluginParamError, fails the test
     log = eng.run(config, bind_program(parse_program(""), config), [])
@@ -365,3 +380,15 @@ def test_a_config_that_validates_wires_without_bus_errors(doc):
     # and each stage is a task of its own
     stage_names = [stage.name for stage in cfg.processing_stages(config)]
     assert len(set(stage_names)) == len(stage_names)
+
+
+def test_unknown_param_keys_are_refused_for_plugin_entries_only():
+    def parse(source):
+        algorithm = {"name": "f", **source, "inputs": ["a"], "params": {"k": 4, "K": 5}}
+        return cfg.parse_config(json.dumps({"sensors": [{"name": "a", "type": "virtual"}], "algorithms": [algorithm]}))
+
+    with pytest.raises(cfg.SchemaError) as exc:
+        parse({"plugin": "moving_average"})
+    assert (exc.value.path, exc.value.reason) == ("algorithms[0].params.K", "unknown key")
+    # a legacy `path` module may read params of its own
+    assert parse({"path": "lib/moving_average.so"}).algorithms[0].params == (("k", 4), ("K", 5))

@@ -267,7 +267,7 @@ def test_adapt_matches_sorted_scan_oracle(specs, counted, windows):
 def _queue_with(tasks, *task_ids):
     queue = sched.ReadyQueue()
     for task_id in task_ids:
-        queue.push(task_id, 0)
+        queue.push(tasks[task_id], 0)
     return queue
 
 
@@ -277,7 +277,7 @@ def test_select_strict_maximum():
         "b": _task("b", sched.TaskCategory.BEHAVIORAL, 0.3),
     }
     queue = _queue_with(tasks, "a", "b")
-    assert sched.select_next(queue, tasks).task_id == "a"
+    assert sched.select_next(queue).task.id == "a"
 
 
 def test_select_breaks_ties_by_category():
@@ -286,7 +286,7 @@ def test_select_breaks_ties_by_category():
         "ctrl": _task("ctrl", sched.TaskCategory.CONTROL, 1.0),
     }
     queue = _queue_with(tasks, "ctrl", "guard")  # control enqueued first
-    assert sched.select_next(queue, tasks).task_id == "guard"
+    assert sched.select_next(queue).task.id == "guard"
 
 
 def test_category_order_is_total():
@@ -299,7 +299,7 @@ def test_category_order_is_total():
     ]
     tasks = {c.label: _task(c.label, c, 0.5) for c in order}
     queue = _queue_with(tasks, *reversed([c.label for c in order]))
-    picked = [sched.select_next(queue, tasks).task_id for _ in range(len(order))]
+    picked = [sched.select_next(queue).task.id for _ in range(len(order))]
     assert picked == [c.label for c in order]
 
 
@@ -309,14 +309,14 @@ def test_select_fifo_on_full_tie():
         "b": _task("b", sched.TaskCategory.CONTROL, 0.5),
     }
     queue = sched.ReadyQueue()
-    first = queue.push("a", 0)
-    queue.push("b", 0)
-    selected = sched.select_next(queue, tasks)
-    assert (selected.task_id, selected.enqueue_seq) == ("a", first.enqueue_seq)
+    first = queue.push(tasks["a"], 0)
+    queue.push(tasks["b"], 0)
+    selected = sched.select_next(queue)
+    assert (selected.task.id, selected.enqueue_seq) == ("a", first.enqueue_seq)
 
 
 def test_select_empty_queue():
-    assert sched.select_next(sched.ReadyQueue(), {}) is None
+    assert sched.select_next(sched.ReadyQueue()) is None
 
 
 def test_select_uses_current_priority():
@@ -326,7 +326,9 @@ def test_select_uses_current_priority():
     }
     queue = _queue_with(tasks, "a", "b")
     tasks["a"].current_priority = 0.9
-    assert sched.select_next(queue, tasks).task_id == "a"
+    assert queue.peek().task.id == "b"  # the key is the one taken at push
+    queue.rekey()
+    assert sched.select_next(queue).task.id == "a"
 
 
 def test_dispatch_decisions_scale_invariant():
@@ -342,9 +344,9 @@ def test_dispatch_decisions_scale_invariant():
             }
             queue = _queue_with(tasks, *[f"t{i}" for i in range(n)])
             if c == 1.0:
-                baseline = sched.select_next(queue, tasks).task_id
+                baseline = sched.select_next(queue).task.id
             else:
-                assert sched.select_next(queue, tasks).task_id == baseline
+                assert sched.select_next(queue).task.id == baseline
 
 
 def test_purge_drops_every_entry_in_enqueue_order():
@@ -352,25 +354,25 @@ def test_purge_drops_every_entry_in_enqueue_order():
         "ctrl": _task("ctrl", sched.TaskCategory.CONTROL, 0.5),
         "work": _task("work", sched.TaskCategory.BEHAVIORAL, 0.9),
     }
-    queue = _queue_with(tasks, "ctrl", "work", "ctrl")
-    assert queue.peek(tasks).task_id == "work"  # keyed entries are dropped too
-    queue.push("work", 0)  # and so are unkeyed ones
+    queue = _queue_with(tasks, "ctrl", "work", "ctrl", "work")
+    assert queue.peek().task.id == "work"  # purge returns enqueue order, not key order
     removed = queue.purge()
-    assert [(e.task_id, e.enqueue_seq) for e in removed] == [("ctrl", 0), ("work", 1), ("ctrl", 2), ("work", 3)]
-    assert len(queue) == 0 and queue.entries() == ()
+    assert [(e.task.id, e.enqueue_seq) for e in removed] == [("ctrl", 0), ("work", 1), ("ctrl", 2), ("work", 3)]
+    assert len(queue) == 0 and queue.peek() is None
 
 
 # ---------------------------------------------------------------------------
 # heap dispatch against the linear-scan oracle
 
 
-def _linear_select(entries, tasks):
+def _linear_select(entries):
     """The list-scan dispatch the heap replaced: the maximum of (current
-    priority, category rank, -enqueue_seq) over every queued entry."""
+    priority, category rank, -enqueue_seq) over every queued entry, each
+    priority read now rather than when its entry was pushed."""
     best = None
     best_key = None
     for entry in entries:
-        task = tasks[entry.task_id]
+        task = entry.task
         key = (task.current_priority, int(task.category), -entry.enqueue_seq)
         if best_key is None or key > best_key:
             best = entry
@@ -430,16 +432,16 @@ def test_heap_dispatch_matches_linear_oracle(specs, operations, purge_at):
             assert queue.purge() == oracle
             oracle = []
         if op[0] == "push":
-            oracle.extend(queue.push(f"t{i % len(tasks)}", 0) for i in op[1])
+            oracle.extend(queue.push(tasks[f"t{i % len(tasks)}"], 0) for i in op[1])
         elif op[0] == "select":
-            picked.append(sched.select_next(queue, tasks))
-            expected.append(_linear_select(oracle, tasks))
+            picked.append(sched.select_next(queue))
+            expected.append(_linear_select(oracle))
         else:
             for behavior, triggers in zip(("a", "b"), op[1:]):
                 for t in range(triggers):
                     sched.record_trigger(counters[behavior], t)
             sched.adapt_priorities(tasks, counters, _ORACLE_PARAMS, 1_000_000)
-            queue.rekey(tasks)  # what the engine does after every window
+            queue.rekey()  # what the engine does after every window
         assert len(queue) == len(oracle)
     assert picked == expected
-    assert list(queue.entries()) == oracle
+    assert queue.purge() == oracle
