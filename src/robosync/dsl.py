@@ -2,27 +2,32 @@
 formatter, condition evaluator, and the binder that resolves a parsed program
 against a system configuration.
 
-Grammar (line oriented; keywords uppercase; '#' starts a comment; identifiers
-match [a-z][a-z0-9_]*):
+Tokens, tried in this order at each position of a line (`_TOKEN_RE`): blanks
+and a '#' comment to the end of the line, skipped; STRING ("..." within the
+line); OP; LPAREN; RPAREN; WORD ([A-Z][A-Z_]*, which must be a keyword);
+IDENT ([a-z][a-z0-9_]*); NUMBER (with optional sign and exponent).  Grammar,
+where NL is the end of a line that has tokens and `sound`, `ms`, `us` are
+IDENTs:
 
     Program     := (Rule | Definition)*
-    Rule        := WHEN Cond NL DO ident NL (ELSE NL DO ident NL)? END
+    Rule        := WHEN Cond NL DO IDENT NL (ELSE NL DO IDENT NL)? END
     Cond        := AndExpr (OR AndExpr)*
     AndExpr     := Unary (AND Unary)*
-    Unary       := NOT Unary | '(' Cond ')' | Comparison
-    Comparison  := ident [LEVEL] ('<'|'<='|'>'|'>='|'=='|'!=') number
-    Definition  := DEFINE ident NL Statement* END
-    Statement   := MOVE ident (SLOWLY | QUICKLY | number)
-                 | PLAY sound string
-                 | SET ident number
-                 | WAIT integer (ms | us)
+    Unary       := NOT Unary | LPAREN Cond RPAREN | Comparison
+    Comparison  := IDENT [LEVEL] OP NUMBER
+    Definition  := DEFINE IDENT NL Statement* END
+    Statement   := MOVE IDENT (SLOWLY | QUICKLY | NUMBER)
+                 | PLAY sound STRING
+                 | SET IDENT NUMBER
+                 | WAIT NUMBER (ms | us)
 
 The LEVEL keyword is decorative: `touch LEVEL < 3` reads the same processed
 value as `touch < 3`; the sugar is recorded so formatting round-trips.
 Number literals must be finite as floats.  A condition may nest at most
 MAX_NESTING_DEPTH levels deep, where each NOT, each parenthesis and each
 AND/OR link counts one level: `a AND b AND c` parses to the left-deep
-`And(And(a, b), c)`, two levels.  A WAIT may last at most MAX_WAIT_US.
+`And(And(a, b), c)`, two levels.  A WAIT's NUMBER is a positive integer, and
+the WAIT may last at most MAX_WAIT_US.
 """
 
 from __future__ import annotations
@@ -48,10 +53,7 @@ MAX_WAIT_US = 60_000_000
 _KEYWORDS = frozenset(
     "WHEN DO ELSE END DEFINE MOVE PLAY SET WAIT LEVEL AND OR NOT SLOWLY QUICKLY".split()
 )
-_COMPARISON_OPS = ("<=", ">=", "==", "!=", "<", ">")
-_IDENT_RE = re.compile(r"[a-z][a-z0-9_]*")
-_UPPER_RE = re.compile(r"[A-Z][A-Z_]*")
-_NUMBER_RE = re.compile(r"[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?")
+_COMPARISON_OPS = ("<=", ">=", "==", "!=", "<", ">")  # longest first, as `_TOKEN_RE` tries them
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,7 +190,22 @@ class BoundProgram:
 # lexer
 
 
-@dataclass(frozen=True, slots=True)
+# one match per token, groups tried in order; `bad` takes any character the
+# others refuse, so the matches of a line cover every character of it
+_TOKEN_RE = re.compile(
+    r'(?P<skip>[ \t\r]+|#.*)'
+    r'|"(?P<STRING>[^"]*)"'
+    rf"|(?P<OP>{'|'.join(_COMPARISON_OPS)})"
+    r"|(?P<LPAREN>\()|(?P<RPAREN>\))"
+    r"|(?P<WORD>[A-Z][A-Z_]*)"
+    r"|(?P<IDENT>[a-z][a-z0-9_]*)"
+    r"|(?P<NUMBER>[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?)"
+    r"|(?P<bad>.)"
+)
+
+
+# not frozen: one is built per token, and a frozen dataclass takes about 3x as long to build
+@dataclass(slots=True)
 class _Token:
     kind: str  # keyword text, or one of IDENT NUMBER STRING OP LPAREN RPAREN NEWLINE EOF
     text: str
@@ -200,70 +217,28 @@ def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         start_count = len(tokens)
-        col = 0
-        n = len(line)
-        while col < n:
-            ch = line[col]
-            if ch in " \t\r":
-                col += 1
+        for m in _TOKEN_RE.finditer(line):
+            kind = m.lastgroup
+            if kind == "skip":
                 continue
-            if ch == "#":
-                break
-            span = SourceSpan(line_no, col + 1)
-            if ch == "(":
-                tokens.append(_Token("LPAREN", "(", None, span))
-                col += 1
-                continue
-            if ch == ")":
-                tokens.append(_Token("RPAREN", ")", None, span))
-                col += 1
-                continue
-            if ch == '"':
-                end = line.find('"', col + 1)
-                if end < 0:
-                    raise ParseError("unterminated string", span)
-                literal = line[col + 1 : end]
-                tokens.append(
-                    _Token("STRING", literal, literal, SourceSpan(line_no, col + 1, end - col + 1))
-                )
-                col = end + 1
-                continue
-            two = line[col : col + 2]
-            if two in _COMPARISON_OPS:
-                tokens.append(_Token("OP", two, two, SourceSpan(line_no, col + 1, 2)))
-                col += 2
-                continue
-            if ch in "<>":
-                tokens.append(_Token("OP", ch, ch, span))
-                col += 1
-                continue
-            m = _UPPER_RE.match(line, col)
-            if m:
-                word = m.group()
-                if word not in _KEYWORDS:
-                    raise ParseError(f"unknown keyword {word!r}", SourceSpan(line_no, col + 1, len(word)))
-                tokens.append(_Token(word, word, None, SourceSpan(line_no, col + 1, len(word))))
-                col = m.end()
-                continue
-            m = _IDENT_RE.match(line, col)
-            if m:
-                word = m.group()
-                tokens.append(_Token("IDENT", word, word, SourceSpan(line_no, col + 1, len(word))))
-                col = m.end()
-                continue
-            m = _NUMBER_RE.match(line, col)
-            if m:
-                literal = m.group()
-                value = float(literal)
-                literal_span = SourceSpan(line_no, col + 1, len(literal))
+            lexeme = m.group(kind)
+            start = m.start()
+            span = SourceSpan(line_no, start + 1, m.end() - start)
+            if kind == "WORD":
+                if lexeme not in _KEYWORDS:
+                    raise ParseError(f"unknown keyword {lexeme!r}", span)
+                tokens.append(_Token(lexeme, lexeme, None, span))
+            elif kind == "NUMBER":
+                value = float(lexeme)
                 if not math.isfinite(value):
-                    raise ParseError(f"number {literal} is out of range", literal_span)
-                tokens.append(_Token("NUMBER", literal, value, literal_span))
-                col = m.end()
-                continue
-            raise ParseError(f"unexpected character {ch!r}", span)
+                    raise ParseError(f"number {lexeme} is out of range", span)
+                tokens.append(_Token(kind, lexeme, value, span))
+            elif kind == "bad":
+                raise ParseError("unterminated string" if lexeme == '"' else f"unexpected character {lexeme!r}", span)
+            else:
+                tokens.append(_Token(kind, lexeme, None if kind in ("LPAREN", "RPAREN") else lexeme, span))
         if len(tokens) > start_count:
-            tokens.append(_Token("NEWLINE", "\n", None, SourceSpan(line_no, n + 1)))
+            tokens.append(_Token("NEWLINE", "\n", None, SourceSpan(line_no, len(line) + 1)))
     last_line = text.count("\n") + 1
     tokens.append(_Token("EOF", "", None, SourceSpan(last_line, 1)))
     return tokens

@@ -366,7 +366,8 @@ def serialize_stats(stats: SimStats) -> str:
 
 def compute_stats(entries: Iterable[LogEntry]) -> SimStats:
     """Aggregate a log in one pass over `entries`; raises MalformedLogError
-    on unmatched start/finish."""
+    on unmatched start/finish, or the first malformed line's own error when
+    `entries` reads a log."""
     layer_counts = {layer.label: 0 for layer in Layer}
     dispatches = 0
     aborts = 0
@@ -377,6 +378,7 @@ def compute_stats(entries: Iterable[LogEntry]) -> SimStats:
     halt_t_us: int | None = None
     open_tasks: dict[tuple[str, int], int] = {}
 
+    entries = iter(entries)
     for entry in entries:
         kind = entry.kind
         try:
@@ -413,7 +415,13 @@ def compute_stats(entries: Iterable[LogEntry]) -> SimStats:
                 halted = True
                 if halt_t_us is None:
                     halt_t_us = entry.t_us
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, MalformedLogError) as exc:
+            # a malformed line later in the log outranks this entry's error:
+            # the log reader raises it while the rest is drained
+            for _entry in entries:
+                pass
+            if isinstance(exc, MalformedLogError):
+                raise
             raise MalformedLogError(f"{kind} entry at seq {entry.seq} is missing fields: {exc}") from None
 
     if open_tasks:

@@ -321,8 +321,10 @@ _TOPIC_NAMES = st.sampled_from(("a", "b", "a_proc", "b_proc", "m_cmd"))
 _PLUGINS = st.sampled_from(sorted(PLUGIN_REGISTRY)).flatmap(
     lambda name: st.sampled_from(({"plugin": name}, {"path": f"lib/{name}.so"}))
 )
-# each plugin param drawn missing (None) or from values on both sides of every rule
+# each plugin param drawn valid for its key about half of the time, otherwise
+# missing (None) or from values on both sides of every rule
 _PARAM_VALUES = st.sampled_from((None, 0, 2.5, 3.0, 10**400, math.nan, math.inf, "5", "1,2,4", "4,2,1", True))
+_VALID_PARAMS = {"k": (1, 4), "threshold": (2.5,), "thresholds": ("1,2,4",)}
 # the params each plugin reads; a legacy `path` entry may carry any of them
 _OWN_KEYS = {
     "passthrough": (),
@@ -344,7 +346,7 @@ def _colliding_configs(draw):
     for name in draw(st.lists(st.sampled_from(("f", "a_proc", "m_cmd")), unique=True, max_size=3)):
         algorithm = {"name": name, **draw(_PLUGINS), "inputs": draw(st.lists(inputs, min_size=1, max_size=2))}
         keys = _OWN_KEYS[algorithm["plugin"]] if "plugin" in algorithm else _ALL_KEYS
-        params = {key: draw(_PARAM_VALUES) for key in keys}
+        params = {key: draw(st.sampled_from(_VALID_PARAMS[key]) | _PARAM_VALUES) for key in keys}
         params[draw(_MISSPELT_KEYS)] = 5
         algorithm["params"] = {key: value for key, value in params.items() if key is not None and value is not None}
         output = draw(st.none() | _TOPIC_NAMES | st.just("x"))

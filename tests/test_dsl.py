@@ -56,6 +56,12 @@ def test_parse_error_carries_span():
     assert exc.value.span.column == 12
 
 
+def test_lone_comparison_at_end_of_line_spans_one_character():
+    with pytest.raises(dsl.ParseError) as exc:
+        dsl.parse_program("WHEN a > >\n")
+    assert exc.value.span == dsl.SourceSpan(1, 10, 1)
+
+
 def test_unknown_keyword_rejected():
     with pytest.raises(dsl.ParseError, match="unknown keyword 'JUMP'"):
         dsl.parse_program("JUMP\n")
@@ -279,6 +285,28 @@ def test_arbitrary_text_parses_or_raises_parse_error_and_parsed_text_roundtrips(
     except dsl.ParseError:
         return
     assert dsl.parse_program(dsl.format_program(program)) == program
+
+
+# each lexes on its own, so most lines drawn from them lex
+_LINE_FRAGMENTS = (
+    "WHEN", "LEVEL", "NOT", "SLOWLY", "touch", "a_1", "(", ")", "<", "<=", ">", ">=", "==", "!=",
+    "0", "-0.5", ".5", "7.", "1e-3", '"a.wav"', '"two words.wav"', "# note",
+)
+
+
+@given(parts=st.lists(st.tuples(st.sampled_from(_LINE_FRAGMENTS), st.sampled_from((" ", "\t", "")))))
+def test_each_token_span_covers_exactly_its_characters(parts):
+    line = "".join(fragment + separator for fragment, separator in parts)
+    try:
+        tokens = dsl._lex(line)
+    except dsl.ParseError:
+        return
+    for tok in tokens[:-1]:
+        if tok.kind == "NEWLINE":
+            continue
+        lexeme = f'"{tok.text}"' if tok.kind == "STRING" else tok.text
+        assert (tok.span.line, tok.span.length) == (1, len(lexeme))
+        assert line[tok.span.column - 1 : tok.span.column - 1 + len(lexeme)] == lexeme
 
 
 def test_parse_determinism(behavior_text):
