@@ -4,12 +4,17 @@ Messages flow strictly sensor -> processing -> behavior -> control, one hop
 at a time; subscriptions that skip or reverse layers are rejected.  Safety
 checks are the single exception: they run on each raw reading as it arrives,
 ahead of anything queued, and a check that trips halts every layer at once.
+
+Each topic is its own route, holding its subscriptions, so a publish looks
+up nothing.  The bus keeps no producer identity and no clock: that each
+topic has one producer is `config.validate_config`'s rule, and that time
+never goes back is the engine's.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .config import SafetyCheckSpec
@@ -26,18 +31,11 @@ class Layer(enum.IntEnum):
         return self.name.lower()
 
 
-@dataclass(frozen=True, slots=True)
-class Topic:
-    name: str
-    producer_layer: Layer
-
-
 # not frozen: one is built per publish, and a frozen dataclass takes about 3x
 # as long to build
 @dataclass(slots=True)
 class Message:
     topic: Topic
-    t_us: int
     seq: int
     payload: object
 
@@ -58,15 +56,7 @@ class BusError(Exception):
     pass
 
 
-class UnknownTopicError(BusError):
-    pass
-
-
 class DuplicateTopicError(BusError):
-    pass
-
-
-class ForeignPublisherError(BusError):
     pass
 
 
@@ -83,9 +73,22 @@ class LayeringError(BusError):
 
 @dataclass(slots=True)
 class Subscription:
-    topic: Topic
     subscriber_layer: Layer
     handler: Callable[[Message], None]
+
+
+@dataclass(slots=True, eq=False)
+class Topic:
+    """A route: the topic's name, its producer's layer and that layer's log
+    label, and its subscriptions in the order they were made."""
+
+    name: str
+    producer_layer: Layer
+    label: str = field(init=False)
+    subscriptions: list[Subscription] = field(init=False, default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.label = self.producer_layer.label
 
 
 def _ignore(message: Message) -> None:
@@ -95,33 +98,21 @@ def _ignore(message: Message) -> None:
 class MessageBus:
     """Single-owner, synchronous bus with a global atomic sequence.
 
-    Topics are registered with a producer identity; only that producer may
-    publish.  Each subscriber's handler runs inline at publish, in
-    subscription order.  `routes` gives the static table the layering audit
-    is derived from.
+    `create_topic` returns the topic, and `subscribe` and `publish` take it:
+    the bus looks up no name after setup and knows no producer identity.
+    Each subscriber's handler runs inline at publish, in subscription order.
+    `routes` gives the static table the layering audit is derived from.
     """
 
     def __init__(self) -> None:
         self._topics: dict[str, Topic] = {}
-        self._producers: dict[str, str] = {}
-        self._subs: dict[str, list[Subscription]] = {}
         self._next_seq = 0
-        self._last_t_us = 0
 
-    def create_topic(self, name: str, producer_layer: Layer, producer: str) -> Topic:
+    def create_topic(self, name: str, producer_layer: Layer) -> Topic:
         if name in self._topics:
             raise DuplicateTopicError(f"topic {name!r} already exists")
-        topic = Topic(name, producer_layer)
-        self._topics[name] = topic
-        self._producers[name] = producer
-        self._subs[name] = []
+        topic = self._topics[name] = Topic(name, producer_layer)
         return topic
-
-    def topic(self, name: str) -> Topic:
-        try:
-            return self._topics[name]
-        except KeyError:
-            raise UnknownTopicError(f"no topic {name!r}") from None
 
     @property
     def next_seq(self) -> int:
@@ -130,38 +121,35 @@ class MessageBus:
 
     def subscribe(
         self,
-        name: str,
+        topic: Topic,
         subscriber_layer: Layer,
         handler: Callable[[Message], None] = _ignore,
     ) -> Subscription:
         """Attach a subscriber; only the immediately downstream layer may listen."""
-        topic = self.topic(name)
         if int(subscriber_layer) != int(topic.producer_layer) + 1:
-            raise LayeringError(topic.producer_layer, subscriber_layer, name)
-        sub = Subscription(topic=topic, subscriber_layer=subscriber_layer, handler=handler)
-        self._subs[name].append(sub)
+            raise LayeringError(topic.producer_layer, subscriber_layer, topic.name)
+        sub = Subscription(subscriber_layer, handler)
+        topic.subscriptions.append(sub)
         return sub
 
-    def publish(self, name: str, payload: object, t_us: int, publisher: str) -> Message:
+    def publish(self, topic: Topic, payload: object) -> Message:
         """Publish one message; fan-out happens inline in subscription order."""
-        topic = self.topic(name)
-        if publisher != self._producers[name]:
-            raise ForeignPublisherError(
-                f"{publisher!r} is not the registered producer of {name!r}"
-            )
-        if t_us < self._last_t_us:
-            raise BusError(f"publish at t={t_us} before bus time {self._last_t_us}")
-        self._last_t_us = t_us
-        message = Message(topic=topic, t_us=t_us, seq=self._next_seq, payload=payload)
+        message = Message(topic, self._next_seq, payload)
         self._next_seq += 1
-        for sub in self._subs[name]:
+        for sub in topic.subscriptions:
             sub.handler(message)
         return message
+
+    def close(self) -> None:
+        """Detach every subscription: handlers that point back at their owner
+        then hold no topic in a reference cycle."""
+        for topic in self._topics.values():
+            topic.subscriptions.clear()
 
     def routes(self) -> dict[str, tuple[Layer, tuple[Layer, ...]]]:
         """topic -> (producer layer, each subscriber's layer in subscription order)."""
         return {
-            name: (topic.producer_layer, tuple(sub.subscriber_layer for sub in self._subs[name]))
+            name: (topic.producer_layer, tuple(sub.subscriber_layer for sub in topic.subscriptions))
             for name, topic in self._topics.items()
         }
 

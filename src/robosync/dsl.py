@@ -5,9 +5,11 @@ against a system configuration.
 Tokens, tried in this order at each position of a line (`_TOKEN_RE`): blanks
 and a '#' comment to the end of the line, skipped; STRING ("..." within the
 line); OP; LPAREN; RPAREN; WORD ([A-Z][A-Z_]*, which must be a keyword);
-IDENT ([a-z][a-z0-9_]*); NUMBER (with optional sign and exponent).  Grammar,
-where NL is the end of a line that has tokens and `sound`, `ms`, `us` are
-IDENTs:
+IDENT ([a-z][a-z0-9_]*); NUMBER (ASCII digits, with optional sign and
+exponent).  Lines are split as `str.splitlines` splits them, so a form
+feed or U+2028 ends a line as a line feed does, and EOF sits on the line
+after the last break.  Grammar, where NL is the end of a line that has
+tokens and `sound`, `ms`, `us` are IDENTs:
 
     Program     := (Rule | Definition)*
     Rule        := WHEN Cond NL DO IDENT NL (ELSE NL DO IDENT NL)? END
@@ -199,7 +201,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<LPAREN>\()|(?P<RPAREN>\))"
     r"|(?P<WORD>[A-Z][A-Z_]*)"
     r"|(?P<IDENT>[a-z][a-z0-9_]*)"
-    r"|(?P<NUMBER>[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?)"
+    r"|(?P<NUMBER>[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)"
     r"|(?P<bad>.)"
 )
 
@@ -239,8 +241,8 @@ def _lex(text: str) -> list[_Token]:
                 tokens.append(_Token(kind, lexeme, None if kind in ("LPAREN", "RPAREN") else lexeme, span))
         if len(tokens) > start_count:
             tokens.append(_Token("NEWLINE", "\n", None, SourceSpan(line_no, len(line) + 1)))
-    last_line = text.count("\n") + 1
-    tokens.append(_Token("EOF", "", None, SourceSpan(last_line, 1)))
+    # EOF starts the line after the last break, breaks counted as `splitlines` counts them
+    tokens.append(_Token("EOF", "", None, SourceSpan(len((text + ".").splitlines()), 1)))
     return tokens
 
 

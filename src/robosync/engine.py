@@ -12,6 +12,7 @@ Identical inputs always produce byte-identical serialized logs.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import statistics
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import sched
-from .bus import DeliveryRecord, Layer, Message, MessageBus, evaluate_safety
+from .bus import DeliveryRecord, Layer, Message, MessageBus, Topic, evaluate_safety
 from .config import AlgorithmSpec, SafetyCheckSpec, SystemConfig, command_topic, processing_stages
 from .dsl import BoundProgram, Rule, condition_signals, eval_condition
 from .sensorproc import Reading, Step, finite_float, gate_significant, make_plugin, run_algorithm
@@ -482,7 +483,7 @@ class _Engine:
         try:
             self._wire()
         except BaseException:
-            del self.bus  # its handlers point back at the engine, as after `run`
+            self.bus.close()  # its handlers point back at the engine, as after `run`
             raise
 
     # -- setup ------------------------------------------------------------
@@ -496,40 +497,41 @@ class _Engine:
         config, program, bus = self.config, self.program, self.bus
         # each processing topic's bound signals, and its rules: each rule once
         # under every distinct topic its signals read
-        self._signals_by_topic: dict[str, list[str]] = {}
-        for signal, topic in program.signal_topics.items():
-            self._signals_by_topic.setdefault(topic, []).append(signal)
-        self._rules_by_topic: dict[str, list[tuple[int, Rule, frozenset[str]]]] = {}
+        signals_by_topic: dict[str, list[str]] = {}
+        for signal, name in program.signal_topics.items():
+            signals_by_topic.setdefault(name, []).append(signal)
+        rules_by_topic: dict[str, list[tuple[int, Rule, frozenset[str]]]] = {}
         for index, rule in enumerate(program.program.rules):
             signals = frozenset(s for s, _ in condition_signals(rule.condition))
-            for topic in dict.fromkeys(program.signal_topics[s] for s in signals):
-                self._rules_by_topic.setdefault(topic, []).append((index, rule, signals))
+            for name in dict.fromkeys(program.signal_topics[s] for s in signals):
+                rules_by_topic.setdefault(name, []).append((index, rule, signals))
 
         usage: dict[str, tuple[sched.TaskCategory, set[str]]] = {}
 
         self._checks: dict[str, list[SafetyCheckSpec]] = {}  # sensor -> its checks, in config order
         for check in config.safety_checks:
             self._checks.setdefault(check.sensor, []).append(check)
+        sensor_topics: dict[str, Topic] = {}
         for sensor in config.sensors:
-            bus.create_topic(sensor.name, Layer.SENSOR, producer=f"sensor_input.{sensor.name}")
+            sensor_topics[sensor.name] = bus.create_topic(sensor.name, Layer.SENSOR)
             usage[f"sensor_input.{sensor.name}"] = (sched.TaskCategory.SENSOR_INPUT, set())
 
-        plugins: list[tuple[AlgorithmSpec, Step]] = []
+        plugins: list[tuple[AlgorithmSpec, Step, Topic]] = []
         for stage in processing_stages(config):
-            topic = stage.output
-            plugins.append((stage, make_plugin(stage.plugin, stage.params_dict())))
-            task_id = f"algorithmic.{stage.name}"
-            bus.create_topic(topic, Layer.PROCESSING, producer=task_id)
+            topic = bus.create_topic(stage.output, Layer.PROCESSING)
+            plugins.append((stage, make_plugin(stage.plugin, stage.params_dict()), topic))
+            rules = rules_by_topic.get(stage.output, [])
             targets = {
                 target
-                for _, rule, _ in self._rules_by_topic.get(topic, ())
+                for _, rule, _ in rules
                 for target in (rule.then_behavior, rule.else_behavior)
                 if target is not None
             }
-            usage[task_id] = (sched.TaskCategory.ALGORITHMIC, targets)
+            usage[f"algorithmic.{stage.name}"] = (sched.TaskCategory.ALGORITHMIC, targets)
             for sensor_name in stage.inputs:
                 usage[f"sensor_input.{sensor_name}"][1].update(targets)
-            bus.subscribe(topic, Layer.BEHAVIOR, self._on_processed)
+            handler = functools.partial(self._on_processed, signals_by_topic.get(stage.output, []), rules)
+            bus.subscribe(topic, Layer.BEHAVIOR, handler)
 
         self.counters: dict[str, sched.FrequencyCounter] = {}
         controlled: dict[str, set[str]] = {}  # actuator -> the behaviors commanding it
@@ -539,9 +541,9 @@ class _Engine:
             for _offset_us, command in plan:
                 controlled.setdefault(command["actuator"], set()).add(name)
 
+        command_topics: dict[str, Topic] = {}
         for actuator in config.actuators:
-            topic = command_topic(actuator.name)
-            bus.create_topic(topic, Layer.BEHAVIOR, producer="rules")
+            topic = command_topics[actuator.name] = bus.create_topic(command_topic(actuator.name), Layer.BEHAVIOR)
             bus.subscribe(topic, Layer.CONTROL)
             usage[f"control.{actuator.name}"] = (sched.TaskCategory.CONTROL, controlled.get(actuator.name, set()))
 
@@ -563,18 +565,18 @@ class _Engine:
             for task_id, (category, behaviors) in usage.items()
         }
 
-        for stage, step in plugins:  # a sensor topic's subscribers keep the stage order
-            handler = self._make_plugin_handler(tasks[f"algorithmic.{stage.name}"], stage, step)
+        for stage, step, topic in plugins:  # a sensor topic's subscribers keep the stage order
+            handler = self._make_plugin_handler(tasks[f"algorithmic.{stage.name}"], stage.plugin, step, topic)
             for sensor_name in stage.inputs:
-                bus.subscribe(sensor_name, Layer.PROCESSING, handler)
-        self._sensor_tasks = {sensor.name: tasks[f"sensor_input.{sensor.name}"] for sensor in config.sensors}
+                bus.subscribe(sensor_topics[sensor_name], Layer.PROCESSING, handler)
+        # sensor -> its topic and its input task; actuator -> its command topic and its control task
+        self._sensors = {name: (topic, tasks[f"sensor_input.{name}"]) for name, topic in sensor_topics.items()}
         self._behavior_tasks = {name: tasks[f"behavioral.{name}"] for name in program.plans}
-        # actuator -> its command topic and its control task
-        self._controls = {a.name: (command_topic(a.name), tasks[f"control.{a.name}"]) for a in config.actuators}
+        self._controls = {name: (topic, tasks[f"control.{name}"]) for name, topic in command_topics.items()}
 
-    def _make_plugin_handler(self, task: sched.TaskDescriptor, stage: AlgorithmSpec, step: Step):
+    def _make_plugin_handler(self, task: sched.TaskDescriptor, plugin: str, step: Step, output: Topic):
         def handler(message) -> None:
-            self.queue.push(task, self.clock_us, (stage, step, message.payload))
+            self.queue.push(task, self.clock_us, (plugin, step, output, message.payload))
 
         return handler
 
@@ -584,13 +586,12 @@ class _Engine:
         assert not self.entries or self.clock_us >= self.entries[-1].t_us
         self.entries.append(LogEntry(len(self.entries), self.clock_us, kind, detail))
 
-    def _publish(self, topic: str, producer: str, payload: object, **fields: object) -> None:
+    def _publish(self, topic: Topic, payload: object, **fields: object) -> None:
         """Log the `message` entry, then publish: the entry precedes anything
         the synchronous fan-out logs."""
         bus = self.bus
-        layer = bus.topic(topic).producer_layer
-        self._log("message", {"topic": topic, "layer": layer.label, "bus_seq": bus.next_seq, **fields})
-        bus.publish(topic, payload, self.clock_us, producer)
+        self._log("message", {"topic": topic.name, "layer": topic.label, "bus_seq": bus.next_seq, **fields})
+        bus.publish(topic, payload)
 
     # -- event heap -------------------------------------------------------
 
@@ -626,9 +627,10 @@ class _Engine:
                 self._tick_windows(self.horizon_us)
             return ExecutionLog(entries=self.entries, routes=self.bus.routes())
         finally:
-            # the bus's handlers point back at the engine: without the bus, nothing
-            # keeps a finished or failed engine (and its entries) alive but its callers
-            del self.bus
+            # the bus's handlers point back at the engine: once they are detached,
+            # nothing keeps a finished or failed engine (and its entries) alive but
+            # its callers
+            self.bus.close()
 
     # -- handlers ---------------------------------------------------------
 
@@ -678,11 +680,8 @@ class _Engine:
                     threshold=check.threshold,
                 )
                 return
-        self.queue.push(
-            self._sensor_tasks[event.sensor],
-            self.clock_us,
-            Reading(sensor=event.sensor, t_us=event.t_us, value=event.value),
-        )
+        topic, task = self._sensors[event.sensor]
+        self.queue.push(task, self.clock_us, (topic, Reading(sensor=event.sensor, t_us=event.t_us, value=event.value)))
 
     def _handle_task_done(self, entry: sched.QueueEntry) -> None:
         # after a halt the main loop handles no completion, so this task still runs
@@ -692,31 +691,29 @@ class _Engine:
         self._FINISH[entry.task.category](self, entry)
 
     def _finish_sensor_input(self, entry: sched.QueueEntry) -> None:
-        reading: Reading = entry.payload  # type: ignore[assignment]
+        topic, reading = entry.payload  # type: ignore[misc]
         prev = self.gate_prev.get(reading.sensor)
         if not gate_significant(prev, reading.value, self._gate_delta[reading.sensor]):
             return  # null branch: nothing reaches the processing layer
         self.gate_prev[reading.sensor] = reading.value
         reading.seq = self.bus.next_seq
-        self._publish(
-            reading.sensor, entry.task.id, reading, value=reading.value, sensor=reading.sensor, reading_t_us=reading.t_us
-        )
+        self._publish(topic, reading, value=reading.value, sensor=reading.sensor, reading_t_us=reading.t_us)
 
     def _finish_algorithmic(self, entry: sched.QueueEntry) -> None:
-        stage, step, reading = entry.payload  # type: ignore[misc]
-        value = run_algorithm(stage.plugin, step, reading)
+        plugin, step, topic, reading = entry.payload  # type: ignore[misc]
+        value = run_algorithm(plugin, step, reading)
         if value is None:
             return
-        self._publish(stage.output, entry.task.id, value, value=value, source_seq=reading.seq)
+        self._publish(topic, value, value=value, source_seq=reading.seq)
 
-    def _on_processed(self, message: Message) -> None:
-        topic, bus_seq = message.topic.name, message.seq
+    def _on_processed(self, signals: list[str], rules: list[tuple[int, Rule, frozenset[str]]], message: Message) -> None:
+        """A processing topic's behavior-layer handler: `_wire` binds in its signals and rules."""
         values = self.values
-        for signal in self._signals_by_topic.get(topic, ()):
+        for signal in signals:
             values[signal] = message.payload
         candidates: list[tuple[float, int, str, str]] = []
-        for index, rule, signals in self._rules_by_topic.get(topic, ()):
-            if values.keys() >= signals:  # every signal of the rule has a value
+        for index, rule, rule_signals in rules:
+            if values.keys() >= rule_signals:  # every signal of the rule has a value
                 outcome = eval_condition(rule.condition, values)
                 branch = "then" if outcome else "else"
                 target = rule.then_behavior if outcome else rule.else_behavior
@@ -733,7 +730,7 @@ class _Engine:
                 "priority": self.program.priorities[winner],
                 "rule": -neg_index,
                 "branch": winner_branch,
-                "trigger_seq": bus_seq,
+                "trigger_seq": message.seq,
             },
         )
         sched.record_trigger(self.counters[winner], self.clock_us)
@@ -758,7 +755,7 @@ class _Engine:
     def _handle_deferred_enqueue(self, item: tuple[dict, str]) -> None:
         command, behavior = item
         topic, task = self._controls[command["actuator"]]
-        self._publish(topic, "rules", command, command=command, behavior=behavior)
+        self._publish(topic, command, command=command, behavior=behavior)
         self.queue.push(task, self.clock_us, item)
 
     def _finish_control(self, entry: sched.QueueEntry) -> None:

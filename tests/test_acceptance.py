@@ -230,9 +230,9 @@ def test_criterion_7_layering_audit():
             assert int(record.subscriber_layer) == int(record.producer_layer) + 1
 
         bus = MessageBus()
-        bus.create_topic("touch", Layer.SENSOR, producer="sensor")
+        touch = bus.create_topic("touch", Layer.SENSOR)
         with pytest.raises(LayeringError):
-            bus.subscribe("touch", Layer.CONTROL)
+            bus.subscribe(touch, Layer.CONTROL)
 
 
 def test_criterion_8_dsl_roundtrip():

@@ -11,10 +11,10 @@ from robosync.config import SafetyCheckSpec
 
 def _bus_with_topics():
     bus = mbus.MessageBus()
-    bus.create_topic("touch", mbus.Layer.SENSOR, producer="sensor")
-    bus.create_topic("touch_proc", mbus.Layer.PROCESSING, producer="proc")
-    bus.create_topic("arms_cmd", mbus.Layer.BEHAVIOR, producer="rules")
-    return bus
+    touch = bus.create_topic("touch", mbus.Layer.SENSOR)
+    touch_proc = bus.create_topic("touch_proc", mbus.Layer.PROCESSING)
+    arms_cmd = bus.create_topic("arms_cmd", mbus.Layer.BEHAVIOR)
+    return bus, touch, touch_proc, arms_cmd
 
 
 # ---------------------------------------------------------------------------
@@ -22,43 +22,59 @@ def _bus_with_topics():
 
 
 def test_adjacent_subscription_allowed():
-    bus = _bus_with_topics()
-    sub = bus.subscribe("touch", mbus.Layer.PROCESSING)
-    assert sub.topic.name == "touch"
+    bus, touch, _, _ = _bus_with_topics()
+    sub = bus.subscribe(touch, mbus.Layer.PROCESSING)
+    assert touch.subscriptions == [sub]
+    assert bus.routes()["touch"] == (mbus.Layer.SENSOR, (mbus.Layer.PROCESSING,))
 
 
 def test_skipping_layers_rejected():
-    bus = _bus_with_topics()
+    bus, touch, _, _ = _bus_with_topics()
     with pytest.raises(mbus.LayeringError) as exc:
-        bus.subscribe("touch", mbus.Layer.CONTROL)
+        bus.subscribe(touch, mbus.Layer.CONTROL)
     assert exc.value.producer_layer is mbus.Layer.SENSOR
     assert exc.value.subscriber_layer is mbus.Layer.CONTROL
+    assert touch.subscriptions == []
 
 
 def test_reversed_direction_rejected():
-    bus = _bus_with_topics()
+    bus, _, touch_proc, arms_cmd = _bus_with_topics()
     with pytest.raises(mbus.LayeringError):
-        bus.subscribe("arms_cmd", mbus.Layer.PROCESSING)
+        bus.subscribe(arms_cmd, mbus.Layer.PROCESSING)
     with pytest.raises(mbus.LayeringError):
-        bus.subscribe("touch_proc", mbus.Layer.SENSOR)
+        bus.subscribe(touch_proc, mbus.Layer.SENSOR)
 
 
 def test_same_layer_rejected():
-    bus = _bus_with_topics()
+    bus, touch, _, _ = _bus_with_topics()
     with pytest.raises(mbus.LayeringError):
-        bus.subscribe("touch", mbus.Layer.SENSOR)
-
-
-def test_unknown_topic():
-    bus = _bus_with_topics()
-    with pytest.raises(mbus.UnknownTopicError):
-        bus.subscribe("ghost", mbus.Layer.PROCESSING)
+        bus.subscribe(touch, mbus.Layer.SENSOR)
 
 
 def test_duplicate_topic_rejected():
-    bus = _bus_with_topics()
+    bus, _, _, _ = _bus_with_topics()
     with pytest.raises(mbus.DuplicateTopicError):
-        bus.create_topic("touch", mbus.Layer.SENSOR, producer="other")
+        bus.create_topic("touch", mbus.Layer.SENSOR)
+
+
+def test_topic_carries_its_layer_label():
+    _, touch, touch_proc, arms_cmd = _bus_with_topics()
+    assert [(t.name, t.label) for t in (touch, touch_proc, arms_cmd)] == [
+        ("touch", "sensor"),
+        ("touch_proc", "processing"),
+        ("arms_cmd", "behavior"),
+    ]
+
+
+def test_close_detaches_every_subscription():
+    bus, touch, touch_proc, _ = _bus_with_topics()
+    got: list[mbus.Message] = []
+    bus.subscribe(touch, mbus.Layer.PROCESSING, got.append)
+    bus.subscribe(touch_proc, mbus.Layer.BEHAVIOR, got.append)
+    bus.close()
+    assert touch.subscriptions == touch_proc.subscriptions == []
+    assert bus.publish(touch, 1.0).seq == 0
+    assert got == []
 
 
 # ---------------------------------------------------------------------------
@@ -66,49 +82,43 @@ def test_duplicate_topic_rejected():
 
 
 def test_publish_without_subscribers_still_sequences():
-    bus = _bus_with_topics()
-    message = bus.publish("touch", 1.0, 10, publisher="sensor")
+    bus, touch, _, _ = _bus_with_topics()
+    message = bus.publish(touch, 1.0)
     assert message.seq == 0
+    assert message.topic is touch
 
 
 def test_fanout_delivers_identical_message():
-    bus = _bus_with_topics()
+    bus, touch, _, _ = _bus_with_topics()
     got_a: list[mbus.Message] = []
     got_b: list[mbus.Message] = []
-    bus.subscribe("touch", mbus.Layer.PROCESSING, got_a.append)
-    bus.subscribe("touch", mbus.Layer.PROCESSING, got_b.append)
-    message = bus.publish("touch", 4.2, 5, publisher="sensor")
+    bus.subscribe(touch, mbus.Layer.PROCESSING, got_a.append)
+    bus.subscribe(touch, mbus.Layer.PROCESSING, got_b.append)
+    message = bus.publish(touch, 4.2)
     assert got_a == [message]
     assert got_b == [message]
     assert got_a[0].seq == got_b[0].seq == 0
 
 
-def test_foreign_publisher_rejected():
-    bus = _bus_with_topics()
-    with pytest.raises(mbus.ForeignPublisherError):
-        bus.publish("touch", 1.0, 0, publisher="impostor")
-
-
 def test_global_seq_strictly_increasing_and_gap_free():
-    bus = _bus_with_topics()
-    seqs = [bus.publish("touch", float(i), i, publisher="sensor").seq for i in range(20)]
+    bus, touch, _, _ = _bus_with_topics()
+    seqs = [bus.publish(touch, float(i)).seq for i in range(20)]
     assert seqs == list(range(20))
 
 
 def test_interleaved_publishes_preserve_global_order():
     # Reference implementation: one flat list of (seq, topic, payload).
     bus = mbus.MessageBus()
-    bus.create_topic("a", mbus.Layer.SENSOR, producer="p")
-    bus.create_topic("b", mbus.Layer.SENSOR, producer="p")
+    topics = {name: bus.create_topic(name, mbus.Layer.SENSOR) for name in ("a", "b")}
     received: dict[str, list[mbus.Message]] = {"a": [], "b": []}
-    bus.subscribe("a", mbus.Layer.PROCESSING, received["a"].append)
-    bus.subscribe("b", mbus.Layer.PROCESSING, received["b"].append)
+    for name, topic in topics.items():
+        bus.subscribe(topic, mbus.Layer.PROCESSING, received[name].append)
 
     reference: list[tuple[int, str, float]] = []
     rng = random.Random(11)
     for i in range(200):
         topic = rng.choice(("a", "b"))
-        message = bus.publish(topic, float(i), i, publisher="p")
+        message = bus.publish(topics[topic], float(i))
         reference.append((message.seq, topic, float(i)))
 
     for name, messages in received.items():
@@ -119,19 +129,12 @@ def test_interleaved_publishes_preserve_global_order():
 
 
 def test_handler_invoked_in_subscription_order():
-    bus = _bus_with_topics()
+    bus, touch, _, _ = _bus_with_topics()
     calls: list[str] = []
-    bus.subscribe("touch", mbus.Layer.PROCESSING, lambda m: calls.append("first"))
-    bus.subscribe("touch", mbus.Layer.PROCESSING, lambda m: calls.append("second"))
-    bus.publish("touch", 0.0, 0, publisher="sensor")
+    bus.subscribe(touch, mbus.Layer.PROCESSING, lambda m: calls.append("first"))
+    bus.subscribe(touch, mbus.Layer.PROCESSING, lambda m: calls.append("second"))
+    bus.publish(touch, 0.0)
     assert calls == ["first", "second"]
-
-
-def test_publish_time_must_not_regress():
-    bus = _bus_with_topics()
-    bus.publish("touch", 1.0, 100, publisher="sensor")
-    with pytest.raises(mbus.BusError, match="before bus time"):
-        bus.publish("touch", 2.0, 50, publisher="sensor")
 
 
 # ---------------------------------------------------------------------------

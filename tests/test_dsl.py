@@ -62,6 +62,35 @@ def test_lone_comparison_at_end_of_line_spans_one_character():
     assert exc.value.span == dsl.SourceSpan(1, 10, 1)
 
 
+@pytest.mark.parametrize(
+    ("number", "column"),
+    [("\u0663", 10), ("\uff13", 10), ("1.\u0663", 12), ("1e\u0663", 12)],
+    ids=["arabic_indic", "fullwidth", "fraction", "exponent"],
+)
+def test_number_digits_are_ascii_only(number, column):
+    with pytest.raises(dsl.ParseError) as exc:
+        dsl.parse_program(f"WHEN a > {number}\nDO x\nEND\n")
+    assert str(exc.value) == f"1:{column}: unexpected character {number[-1]!r}"
+
+
+# every line break `str.splitlines` knows, the ones the lexer numbers lines by
+_LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@pytest.mark.parametrize("br", _LINE_BREAKS, ids=[repr(br) for br in _LINE_BREAKS])
+def test_eof_line_counts_breaks_as_the_tokens_do(br):
+    assert f"a{br}b".splitlines() == ["a", "b"]
+    with pytest.raises(dsl.ParseError) as exc:
+        dsl.parse_program(f"WHEN a > 1{br}DO x{br}")
+    assert str(exc.value) == "3:1: expected END, found EOF"
+    with pytest.raises(dsl.ParseError) as exc:
+        dsl.parse_program(f"WHEN a > 1{br}DO x")
+    assert str(exc.value) == "2:1: expected END, found EOF"
+    with pytest.raises(dsl.ParseError) as exc:
+        dsl.parse_program(f"WHEN a > 1{br}DO x{br}END{br}{br}BOGUS{br}")
+    assert str(exc.value) == "5:1: unknown keyword 'BOGUS'"
+
+
 def test_unknown_keyword_rejected():
     with pytest.raises(dsl.ParseError, match="unknown keyword 'JUMP'"):
         dsl.parse_program("JUMP\n")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from robosync import dsl, engine as eng
-from robosync.bus import BusError, Layer
+from robosync.bus import BusError, Layer, MessageBus
 from robosync.config import ActuatorSpec, SensorSpec, SystemConfig, parse_config
 from robosync.dsl import bind_program, parse_program
 from robosync.sensorproc import NonFiniteOutputError
@@ -214,6 +214,32 @@ def test_finished_run_leaves_no_cyclic_garbage(touch_config_text, behavior_text,
             assert gc.collect() == 0, error.__name__
     finally:
         gc.enable()
+
+
+def test_each_message_entry_is_one_publish_with_its_bus_seq(
+    touch_config_text, behavior_text, touch_trace_text, monkeypatch
+):
+    # bench/tracing.py wraps MessageBus.publish on the class and counts its
+    # calls as `bus.publish.calls`: the engine must look the method up at each
+    # call and make exactly one call per `message` entry, in log order
+    seqs: list[int] = []
+    publish = MessageBus.publish
+
+    def counting(self, *args, **kwargs):
+        message = publish(self, *args, **kwargs)
+        seqs.append(message.seq)
+        return message
+
+    monkeypatch.setattr(MessageBus, "publish", counting)
+    halt_trace = '{"t_us": 1000, "sensor": "force", "value": 3.0}\n{"t_us": 5000, "sensor": "force", "value": 12.0}'
+    runs = ((touch_config_text, behavior_text, touch_trace_text), (SAFETY_CONFIG, SAFETY_PROGRAM, halt_trace))
+    for config_text, program_text, trace_text in runs:
+        seqs.clear()
+        log = _run_texts(config_text, program_text, trace_text)
+        bus_seqs = [e.detail["bus_seq"] for e in log.entries if e.kind == "message"]
+        assert bus_seqs
+        assert seqs == bus_seqs
+    assert _kinds(log)[-1] == "safety_halt"
 
 
 def test_causality_audit(touch_config_text, behavior_text, touch_trace_text):
