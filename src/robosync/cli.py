@@ -2,7 +2,8 @@
 simulations, and summarize execution logs.
 
 Exit codes: 0 success, 1 domain failure (validation/parse/bind/trace/log
-errors, or an input file that is not UTF-8), 2 usage or I/O error.
+errors, or an input file that is not UTF-8), 2 usage or I/O error (a
+closed stdout pipe among them: the output stops early).
 Machine-readable output (logs, stats) goes to stdout; diagnostics go to
 stderr.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import enum
 import functools
+import os
 import sys
 from pathlib import Path
 from typing import TextIO
@@ -202,9 +204,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return int(args.func(args))
+        status = int(args.func(args))
+        sys.stdout.flush()  # a closed pipe fails here, not when Python exits
+        return status
     except _Unreadable as exc:
         return int(exc.args[0])
+    except BrokenPipeError as exc:
+        # stdout's reader is gone, so the output stopped early; what is still
+        # buffered goes to /dev/null, or flushing it at exit would fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write -: {exc.strerror}", file=sys.stderr)
+        return ExitStatus.USAGE
 
 
 if __name__ == "__main__":

@@ -7,9 +7,10 @@ and a '#' comment to the end of the line, skipped; STRING ("..." within the
 line); OP; LPAREN; RPAREN; WORD ([A-Z][A-Z_]*, which must be a keyword);
 IDENT ([a-z][a-z0-9_]*); NUMBER (ASCII digits, with optional sign and
 exponent).  Lines are split as `str.splitlines` splits them, so a form
-feed or U+2028 ends a line as a line feed does, and EOF sits on the line
-after the last break.  Grammar, where NL is the end of a line that has
-tokens and `sound`, `ms`, `us` are IDENTs:
+feed or U+2028 ends a line as a line feed does.  EOF sits one past the
+last character: right after a last line that has no break, else at column
+1 of the line after the last break.  Grammar, where NL is the end of a line
+that has tokens and `sound`, `ms`, `us` are IDENTs:
 
     Program     := (Rule | Definition)*
     Rule        := WHEN Cond NL DO IDENT NL (ELSE NL DO IDENT NL)? END
@@ -241,8 +242,11 @@ def _lex(text: str) -> list[_Token]:
                 tokens.append(_Token(kind, lexeme, None if kind in ("LPAREN", "RPAREN") else lexeme, span))
         if len(tokens) > start_count:
             tokens.append(_Token("NEWLINE", "\n", None, SourceSpan(line_no, len(line) + 1)))
-    # EOF starts the line after the last break, breaks counted as `splitlines` counts them
-    tokens.append(_Token("EOF", "", None, SourceSpan(len((text + ".").splitlines()), 1)))
+    # EOF sits one past the last character: "." lands after a last line that has
+    # no break, or on a line of its own after the last break, breaks counted as
+    # `splitlines` counts them
+    lines = (text + ".").splitlines()
+    tokens.append(_Token("EOF", "", None, SourceSpan(len(lines), len(lines[-1]))))
     return tokens
 
 

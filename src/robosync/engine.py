@@ -264,25 +264,15 @@ class _Quoted(dict):
         return quoted
 
 
-# (kind, *detail fields) -> the line with a %s for seq, t_us and each field
-_TEMPLATES = {
-    (kind, *fields): '{"seq": %s, "t_us": %s, "kind": "' + kind + '", "detail": {'
-    + ", ".join(f'"{name}": %s' for name in fields) + "}}\n"
-    for (kind, _layer), fields in LOG_FIELDS.items()
-}
-
-
 class _Renderer:
-    """Log and stats rendering with a string cache that lives as long as the
+    """Value rendering with a string cache that lives as long as the
     renderer.
 
     `render` renders a value through one table keyed on its exact scalar
-    type; anything else must be a plain list, or a plain dict with str keys.
-    `line` renders a log entry and its newline from its shape's template in
-    `_TEMPLATES`.  Off-schema shapes and values of any other type raise
-    TypeError.  Nothing the renderer holds points back at it, so reference
-    counting frees it, and every string it cached, as soon as its caller
-    drops it.
+    type; anything else must be a plain list, or a plain dict with str keys,
+    and values of any other type raise TypeError.  Nothing the renderer
+    holds points back at it, so reference counting frees it, and every
+    string it cached, as soon as its caller drops it.
     """
 
     __slots__ = ("quoted", "get")
@@ -311,18 +301,93 @@ class _Renderer:
                 raise TypeError(f"cannot serialize {type(k).__name__} key {k!r}")
         return "{" + ", ".join([f"{self.quoted[k]}: {self.render(v)}" for k, v in value.items()]) + "}"
 
-    def line(self, entry: LogEntry) -> str:
-        detail = entry.detail
-        template = _TEMPLATES.get((entry.kind, *detail))
-        if template is None:
-            raise TypeError(f"off-schema log entry: kind {entry.kind!r} with detail fields {list(detail)}")
-        get, container = self.get, self.container
-        values = (entry.seq, entry.t_us, *detail.values())
-        return template % tuple([get(type(v), container)(v) for v in values])  # render(v), inlined
+
+# each schema row as (kind, *detail fields), mapped to itself: a line's text
+# is built from the schema's own strings, never from an entry's
+_SHAPES = {shape: shape for shape in ((kind, *fields) for (kind, _layer), fields in LOG_FIELDS.items())}
+
+# exact value type -> its conversion in a line's `%` template and how the
+# line function passes the value: an int or a float is formatted in place, a
+# str is quoted once per call through the renderer's cache, None is the
+# literal null, and a bool, list or dict goes through `_Renderer.render`
+_CONVERSIONS: dict[type, tuple[str, str | None]] = {
+    int: ("%d", "{}"),
+    float: ("%.6f", "{}"),
+    str: ("%s", "q[{}]"),
+    type(None): ("null", None),
+    bool: ("%s", "c({})"),
+    list: ("%s", "c({})"),
+    dict: ("%s", "c({})"),
+}
+
+# (kind, *detail fields, *exact types of seq, t_us and each field) -> the
+# line function `(values, quoted, render) -> line`, compiled the first time
+# that signature is seen.  A key of n fields has 2n + 3 items, so no two
+# shapes share one.  Only signatures whose types are all in `_CONVERSIONS`
+# are stored, so the table is bounded by the rows and those types.
+_LineFunction = Callable[[tuple, _Quoted, Callable[[object], str]], str]
+_LINES: dict[tuple, _LineFunction] = {}
+
+
+def _render_fields(values: tuple, quoted: _Quoted, render: Callable[[object], str]) -> str:
+    """The line function of a refused signature: rendering field by field
+    raises the first unrenderable field's TypeError."""
+    return "".join(map(render, values))
+
+
+def _line_function(key: tuple) -> _LineFunction:
+    """Check a signature's shape against `LOG_FIELDS`, then compile and
+    store its line function, whose source holds only the schema's names,
+    the fixed conversions and value indices.  A signature with a type
+    outside `_CONVERSIONS` gets `_render_fields` and is not stored."""
+    width = (len(key) - 3) // 2  # detail fields
+    shape = _SHAPES.get(key[: width + 1])
+    if shape is None:
+        raise TypeError(f"off-schema log entry: kind {key[0]!r} with detail fields {list(key[1 : width + 1])}")
+    types = key[width + 1 :]
+    if not all(t in _CONVERSIONS for t in types):
+        return _render_fields
+    kind, *fields = shape
+    codes, args = [], []
+    for index, value_type in enumerate(types):
+        code, arg = _CONVERSIONS[value_type]
+        codes.append(code)
+        if arg is not None:
+            args.append(arg.format(f"v[{index}]") + ", ")
+    seq, t_us, *field_codes = codes
+    template = (
+        f'{{"seq": {seq}, "t_us": {t_us}, "kind": "{kind}", "detail": {{'
+        + ", ".join(f'"{name}": {code}' for name, code in zip(fields, field_codes))
+        + "}}\n"
+    )
+    line = _LINES[key] = eval(f"lambda v, q, c: {template!r} % ({''.join(args)})", {"__builtins__": {}})
+    return line
 
 
 def serialize_log(entries: Iterable[LogEntry]) -> str:
-    return "".join(map(_Renderer().line, entries))
+    """Render entries as JSON lines: per entry, one signature key, one table
+    lookup and one `%`.  Raises what a field-by-field render raises: the
+    off-schema TypeError first, then the first failing field's error."""
+    renderer = _Renderer()
+    quoted, render = renderer.quoted, renderer.render
+    lines = []
+    for entry in entries:
+        detail = entry.detail
+        values = (entry.seq, entry.t_us, *detail.values())
+        key = (entry.kind, *detail, *map(type, values))
+        line = _LINES.get(key) or _line_function(key)
+        try:
+            lines.append(line(values, quoted, render))
+        except (TypeError, ValueError, RecursionError) as exc:  # what rendering a value can raise
+            error = exc
+            break
+    else:
+        return "".join(lines)
+    # a compiled line may meet an error out of field order (its `%d` runs
+    # after every `render`), so the fields are rendered again one by one
+    for value in values:
+        render(value)
+    raise error
 
 
 def _reject_constant(name: str) -> float:

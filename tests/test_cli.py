@@ -288,6 +288,16 @@ def test_run_non_finite_plugin_output_is_a_run_error(tmp_files, tmp_path, capsys
     assert not log.exists()
 
 
+def _cli_argv(argv: list[str]) -> list[str]:
+    return [sys.executable, "-m", "robosync.cli", *argv]
+
+
+def _cli_env() -> dict[str, str]:
+    """The environment for a `robosync.cli` subprocess that imports this checkout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 @pytest.mark.parametrize(
     "trace_lines, until",
     [
@@ -307,9 +317,7 @@ def test_run_over_idle_windows_is_refused_before_ticking_them(tmp_files, tmp_pat
     argv = ["run", "-c", str(tmp_files["config"]), "-b", str(tmp_files["behavior"]), "-t", str(trace), "-o", str(log)]
     if until is not None:
         argv += ["--until", until]
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "robosync.cli", *argv], capture_output=True, text=True, env=env, timeout=10)
+    done = subprocess.run(_cli_argv(argv), capture_output=True, text=True, env=_cli_env(), timeout=10)
     assert done.returncode == 1
     assert done.stdout == ""
     assert done.stderr == (
@@ -317,6 +325,27 @@ def test_run_over_idle_windows_is_refused_before_ticking_them(tmp_files, tmp_pat
         "priority updates, more than 1000000; raise window_us or shorten the run\n"
     )
     assert not log.exists()
+
+
+def test_run_to_a_closed_pipe_is_an_io_error(tmp_files, tmp_path):
+    # 1,000 readings log 18,000 entries, three batches of more than a pipe's
+    # 64 KiB each, so some write comes after the reader has gone, buffered
+    # stdout or not
+    trace = tmp_path / "long.jsonl"
+    trace.write_text("".join(f'{{"t_us": {1000 * i}, "sensor": "touch", "value": {2 + 3 * (i % 2)}}}\n' for i in range(1, 1001)))
+    argv = ["run", "-c", str(tmp_files["config"]), "-b", str(tmp_files["behavior"]), "-t", str(trace), "-o", "-"]
+    with subprocess.Popen(_cli_argv(argv), stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env()) as proc:
+        try:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            status = proc.wait(timeout=30)
+        finally:
+            proc.kill()
+        stderr = proc.stderr.read().decode()
+    assert len(head) == 100 and head.startswith(b'{"seq": 0, "t_us": 1000, "kind": "sensor_event"')
+    assert status == 2
+    # one line: no traceback, and no "Exception ignored" from the flush at exit
+    assert stderr == "error: cannot write -: Broken pipe\n"
 
 
 @pytest.mark.parametrize("batch", [1, 2, 7])

@@ -85,7 +85,7 @@ def test_eof_line_counts_breaks_as_the_tokens_do(br):
     assert str(exc.value) == "3:1: expected END, found EOF"
     with pytest.raises(dsl.ParseError) as exc:
         dsl.parse_program(f"WHEN a > 1{br}DO x")
-    assert str(exc.value) == "2:1: expected END, found EOF"
+    assert str(exc.value) == "2:5: expected END, found EOF"
     with pytest.raises(dsl.ParseError) as exc:
         dsl.parse_program(f"WHEN a > 1{br}DO x{br}END{br}{br}BOGUS{br}")
     assert str(exc.value) == "5:1: unknown keyword 'BOGUS'"

@@ -1025,6 +1025,50 @@ def test_log_rendering_examples(entries, refusal):
                 eng.serialize_log([entry])
 
 
+# one value of each type a line function converts, with the floats whose
+# fixed-decimal forms are awkward
+_MIXED = (1, 2.5, True, None, "s", -0.0, float("nan"), 1e308)
+
+
+def _mixed_updates() -> list[eng.LogEntry]:
+    """Entries of one shape whose fields take each of `_MIXED` in turn: no
+    two share a type signature."""
+    fields = eng.LOG_FIELDS[("priority_update", None)]
+    return [
+        eng.LogEntry(i, 10 * i, "priority_update", {name: _MIXED[(i + j) % len(_MIXED)] for j, name in enumerate(fields)})
+        for i in range(len(_MIXED))
+    ]
+
+
+@pytest.mark.parametrize("first", ["together", "forward", "reverse"])
+def test_line_functions_do_not_depend_on_first_seen_order(first, monkeypatch):
+    # the table outlives each call: whichever signature it meets first, in
+    # whichever call, every later line renders as the oracle renders it
+    monkeypatch.setattr(eng, "_LINES", {})
+    entries = _mixed_updates()
+    expected = [_oracle_line(entry) + "\n" for entry in entries]
+    if first == "together":
+        assert eng.serialize_log(entries) == "".join(expected)
+    order = list(range(len(entries)))
+    for indices in (order[::-1], order) if first == "reverse" else (order, order[::-1]):
+        assert [eng.serialize_log([entries[i]]) for i in indices] == [expected[i] for i in indices]
+    assert eng.serialize_log(entries[::-1]) == "".join(expected[::-1])
+    assert eng.serialize_log(entries) == "".join(expected)
+    assert len(eng._LINES) == len(entries)
+
+
+def test_refused_signatures_are_not_stored(monkeypatch):
+    monkeypatch.setattr(eng, "_LINES", {})
+    play = {"actuator": "sound", "resource": "a.wav", "behavior": "b"}
+    eng.serialize_log([eng.LogEntry(0, 5, "play_cmd", play)])
+    assert len(eng._LINES) == 1
+    for i in range(1000):
+        name = type(f"_Name{i}", (str,), {})
+        with pytest.raises(TypeError, match=f"^cannot serialize _Name{i}$"):
+            eng.serialize_log([eng.LogEntry(0, 5, "play_cmd", {**play, "resource": name("a.wav")})])
+    assert len(eng._LINES) == 1
+
+
 _TASK_FINISH = {"task": "t", "enqueue_seq": 0}
 
 
