@@ -11,8 +11,10 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import enum
 import functools
+import io
 import os
 import sys
 from pathlib import Path
@@ -201,11 +203,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _buffered_stdout():
+    """Under `python -u` or PYTHONUNBUFFERED, stdout is a raw file whose short writes (to a pipe whose
+    reader has gone) are dropped silently: then a buffered writer on it, whose writes complete or raise."""
+    stdout = sys.stdout
+    if isinstance(getattr(stdout, "buffer", None), io.RawIOBase):
+        return open(stdout.fileno(), "w", encoding=stdout.encoding, errors=stdout.errors, closefd=False)
+    return contextlib.nullcontext(stdout)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        status = int(args.func(args))
-        sys.stdout.flush()  # a closed pipe fails here, not when Python exits
+        with _buffered_stdout() as stdout, contextlib.redirect_stdout(stdout):
+            status = int(args.func(args))
+            stdout.flush()  # a closed pipe fails here, not when Python exits
         return status
     except _Unreadable as exc:
         return int(exc.args[0])

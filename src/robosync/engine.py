@@ -7,6 +7,10 @@ reading is: arrival -> safety checks -> sensor-input task -> significance gate
 -> sensor message -> algorithmic task -> processed message -> rule evaluation
 -> behavioral task -> command messages -> control tasks -> actuator commands.
 
+A trace is a list of `Reading` and `Override` records; the trace's own
+`Reading` reaches the plugins unchanged.  Setup makes one task per stage,
+`<category label>.<name>`, sensors first, then stages, definitions, actuators.
+
 Identical inputs always produce byte-identical serialized logs.
 """
 
@@ -21,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import sched
 from .bus import DeliveryRecord, Layer, Message, MessageBus, Topic, evaluate_safety
-from .config import AlgorithmSpec, SafetyCheckSpec, SystemConfig, command_topic, processing_stages
+from .config import SafetyCheckSpec, SystemConfig, command_topic, processing_stages
 from .dsl import BoundProgram, Rule, condition_signals, eval_condition
 from .sensorproc import Reading, Step, finite_float, gate_significant, make_plugin, run_algorithm
 
@@ -80,18 +84,16 @@ class MalformedLogError(Exception):
         self.reason = reason
 
 
-# not frozen: one is built per trace line, and a frozen dataclass takes about
-# 3x as long to build (its __init__ goes through object.__setattr__)
-@dataclass(slots=True)
-class TraceEvent:
-    t_us: int
-    sensor: str | None = None
-    value: float | None = None
-    override: str | None = None
+@dataclass(frozen=True, slots=True)
+class Override:
+    """An operator command in the trace; `STOP` is the only one."""
 
-    @property
-    def is_override(self) -> bool:
-        return self.override is not None
+    t_us: int
+    command: str
+
+
+# one trace line: a sensor sample or an override
+TraceEvent = Reading | Override
 
 
 # not frozen: one is built per log entry written or read back, and a frozen
@@ -236,14 +238,14 @@ def load_trace(text: str, config: SystemConfig) -> list[TraceEvent]:
                 raise TraceError(line_no, f"unknown sensor {sensor!r}")
             if value is None:
                 raise TraceError(line_no, "value must be a finite number")
-            events.append(TraceEvent(t_us=t_us, sensor=sensor, value=value))
+            events.append(Reading(sensor, t_us, value))
         elif keys == {"t_us", "override"}:
             command = obj["override"]
             if not isinstance(command, str):
                 raise TraceError(line_no, "override must be a string")
             if command != STOP_COMMAND:
                 raise TraceError(line_no, f"unsupported override {command!r}")
-            events.append(TraceEvent(t_us=t_us, override=command))
+            events.append(Override(t_us, command))
         else:
             raise TraceError(
                 line_no, "expected keys {t_us, sensor, value} or {t_us, override}"
@@ -555,10 +557,10 @@ class _Engine:
 
     def _wire(self) -> None:
         """One walk per pipeline stage (sensors, plugins, definitions,
-        actuators) creates that stage's topics, subscriptions and tasks.
-        Task ids go into `usage` in dispatch-category order, which is the
-        order windows log their priority updates in.  Each site that queues
-        work then resolves its tasks once: the run looks up no task by id."""
+        actuators) creates that stage's topics, subscriptions and tasks, so
+        `tasks` holds them in dispatch-category order, which is the order
+        windows log their priority updates in.  Each site that queues work
+        keeps its tasks: the run looks up no task by id."""
         config, program, bus = self.config, self.program, self.bus
         # each processing topic's bound signals, and its rules: each rule once
         # under every distinct topic its signals read
@@ -571,79 +573,65 @@ class _Engine:
             for name in dict.fromkeys(program.signal_topics[s] for s in signals):
                 rules_by_topic.setdefault(name, []).append((index, rule, signals))
 
-        usage: dict[str, tuple[sched.TaskCategory, set[str]]] = {}
-
+        self.tasks: dict[str, sched.TaskDescriptor] = {}
         self._checks: dict[str, list[SafetyCheckSpec]] = {}  # sensor -> its checks, in config order
         for check in config.safety_checks:
             self._checks.setdefault(check.sensor, []).append(check)
-        sensor_topics: dict[str, Topic] = {}
+        # sensor -> its topic and its input task, whose behaviors the stages reading it add to
+        self._sensors: dict[str, tuple[Topic, sched.TaskDescriptor]] = {}
         for sensor in config.sensors:
-            sensor_topics[sensor.name] = bus.create_topic(sensor.name, Layer.SENSOR)
-            usage[f"sensor_input.{sensor.name}"] = (sched.TaskCategory.SENSOR_INPUT, set())
+            topic = bus.create_topic(sensor.name, Layer.SENSOR)
+            self._sensors[sensor.name] = (topic, self._add_task(sched.TaskCategory.SENSOR_INPUT, sensor.name))
 
-        plugins: list[tuple[AlgorithmSpec, Step, Topic]] = []
         for stage in processing_stages(config):
             topic = bus.create_topic(stage.output, Layer.PROCESSING)
-            plugins.append((stage, make_plugin(stage.plugin, stage.params_dict()), topic))
+            step = make_plugin(stage.plugin, stage.params_dict())
             rules = rules_by_topic.get(stage.output, [])
-            targets = {
-                target
-                for _, rule, _ in rules
-                for target in (rule.then_behavior, rule.else_behavior)
-                if target is not None
-            }
-            usage[f"algorithmic.{stage.name}"] = (sched.TaskCategory.ALGORITHMIC, targets)
-            for sensor_name in stage.inputs:
-                usage[f"sensor_input.{sensor_name}"][1].update(targets)
-            handler = functools.partial(self._on_processed, signals_by_topic.get(stage.output, []), rules)
-            bus.subscribe(topic, Layer.BEHAVIOR, handler)
+            branches = (target for _, rule, _ in rules for target in (rule.then_behavior, rule.else_behavior))
+            targets = frozenset(branches) - {None}
+            task = self._add_task(sched.TaskCategory.ALGORITHMIC, stage.name, targets)
+            topic_signals = signals_by_topic.get(stage.output, [])
+            bus.subscribe(topic, Layer.BEHAVIOR, functools.partial(self._on_processed, topic_signals, rules))
+            handler = functools.partial(self._on_reading, task, stage.plugin, step, topic)
+            for sensor_name in stage.inputs:  # a sensor topic's subscribers keep the stage order
+                sensor_topic, sensor_task = self._sensors[sensor_name]
+                sensor_task.behaviors |= targets
+                bus.subscribe(sensor_topic, Layer.PROCESSING, handler)
 
         self.counters: dict[str, sched.FrequencyCounter] = {}
+        self._behavior_tasks: dict[str, sched.TaskDescriptor] = {}
         controlled: dict[str, set[str]] = {}  # actuator -> the behaviors commanding it
         for name, plan in program.plans.items():
             self.counters[name] = sched.FrequencyCounter(name)
-            usage[f"behavioral.{name}"] = (sched.TaskCategory.BEHAVIORAL, {name})
+            self._behavior_tasks[name] = self._add_task(sched.TaskCategory.BEHAVIORAL, name, {name})
             for _offset_us, command in plan:
                 controlled.setdefault(command["actuator"], set()).add(name)
 
-        command_topics: dict[str, Topic] = {}
+        # actuator -> its command topic and its control task
+        self._controls: dict[str, tuple[Topic, sched.TaskDescriptor]] = {}
         for actuator in config.actuators:
-            topic = command_topics[actuator.name] = bus.create_topic(command_topic(actuator.name), Layer.BEHAVIOR)
+            topic = bus.create_topic(command_topic(actuator.name), Layer.BEHAVIOR)
             bus.subscribe(topic, Layer.CONTROL)
-            usage[f"control.{actuator.name}"] = (sched.TaskCategory.CONTROL, controlled.get(actuator.name, set()))
+            task = self._add_task(sched.TaskCategory.CONTROL, actuator.name, controlled.get(actuator.name, ()))
+            self._controls[actuator.name] = (topic, task)
 
         # safety checks run inline on arrival; the sensors they watch are pinned
-        safety_tasks = {f"sensor_input.{sensor_name}" for sensor_name in self._checks}
-        base = sched.assign_base_priorities(
-            program.priorities, {task_id: behaviors for task_id, (_, behaviors) in usage.items()}, safety_tasks
-        )
-        cost = config.scheduler.default_task_cost_us
-        tasks = self.tasks = {
-            task_id: sched.TaskDescriptor(
-                id=task_id,
-                category=category,
-                behaviors=frozenset(behaviors),
-                base_priority=base[task_id],
-                current_priority=base[task_id],
-                cost_us=cost,
-            )
-            for task_id, (category, behaviors) in usage.items()
-        }
+        behaviors = {task_id: task.behaviors for task_id, task in self.tasks.items()}
+        pinned = {self._sensors[sensor_name][1].id for sensor_name in self._checks}
+        base = sched.assign_base_priorities(program.priorities, behaviors, pinned)
+        for task_id, task in self.tasks.items():
+            task.base_priority = task.current_priority = base[task_id]
 
-        for stage, step, topic in plugins:  # a sensor topic's subscribers keep the stage order
-            handler = self._make_plugin_handler(tasks[f"algorithmic.{stage.name}"], stage.plugin, step, topic)
-            for sensor_name in stage.inputs:
-                bus.subscribe(sensor_topics[sensor_name], Layer.PROCESSING, handler)
-        # sensor -> its topic and its input task; actuator -> its command topic and its control task
-        self._sensors = {name: (topic, tasks[f"sensor_input.{name}"]) for name, topic in sensor_topics.items()}
-        self._behavior_tasks = {name: tasks[f"behavioral.{name}"] for name in program.plans}
-        self._controls = {name: (topic, tasks[f"control.{name}"]) for name, topic in command_topics.items()}
+    def _add_task(self, category: sched.TaskCategory, name: str, behaviors: Iterable[str] = ()) -> sched.TaskDescriptor:
+        """A new task `<category label>.<name>` at the end of `tasks`; `_wire`
+        sets its base priority once every task exists."""
+        task_id, cost = f"{category.label}.{name}", self.config.scheduler.default_task_cost_us
+        task = self.tasks[task_id] = sched.TaskDescriptor(task_id, category, frozenset(behaviors), 0.0, 0.0, cost)
+        return task
 
-    def _make_plugin_handler(self, task: sched.TaskDescriptor, plugin: str, step: Step, output: Topic):
-        def handler(message) -> None:
-            self.queue.push(task, self.clock_us, (plugin, step, output, message.payload))
-
-        return handler
+    def _on_reading(self, task: sched.TaskDescriptor, plugin: str, step: Step, output: Topic, message: Message) -> None:
+        """A sensor topic's processing-layer handler: `_wire` binds in one stage's task, plugin and output."""
+        self.queue.push(task, self.clock_us, (plugin, step, output, message.payload, message.seq))
 
     # -- logging ----------------------------------------------------------
 
@@ -731,22 +719,16 @@ class _Engine:
         self._next_window += self._window_us
 
     def _handle_trace(self, event: TraceEvent) -> None:
-        if event.is_override:
-            self._halt(source="override", command=event.override)
+        if isinstance(event, Override):
+            self._halt(source="override", command=event.command)
             return
-        assert event.sensor is not None and event.value is not None
         self._log("sensor_event", {"sensor": event.sensor, "value": event.value})
         for check in self._checks.get(event.sensor, ()):
             if evaluate_safety(event.value, check):
-                self._halt(
-                    source=check.name,
-                    sensor=event.sensor,
-                    reading=event.value,
-                    threshold=check.threshold,
-                )
+                self._halt(source=check.name, sensor=event.sensor, reading=event.value, threshold=check.threshold)
                 return
         topic, task = self._sensors[event.sensor]
-        self.queue.push(task, self.clock_us, (topic, Reading(sensor=event.sensor, t_us=event.t_us, value=event.value)))
+        self.queue.push(task, self.clock_us, (topic, event))
 
     def _handle_task_done(self, entry: sched.QueueEntry) -> None:
         # after a halt the main loop handles no completion, so this task still runs
@@ -761,19 +743,18 @@ class _Engine:
         if not gate_significant(prev, reading.value, self._gate_delta[reading.sensor]):
             return  # null branch: nothing reaches the processing layer
         self.gate_prev[reading.sensor] = reading.value
-        reading.seq = self.bus.next_seq
         self._publish(topic, reading, value=reading.value, sensor=reading.sensor, reading_t_us=reading.t_us)
 
     def _finish_algorithmic(self, entry: sched.QueueEntry) -> None:
-        plugin, step, topic, reading = entry.payload  # type: ignore[misc]
+        plugin, step, topic, reading, source_seq = entry.payload  # type: ignore[misc]
         value = run_algorithm(plugin, step, reading)
         if value is None:
             return
-        self._publish(topic, value, value=value, source_seq=reading.seq)
+        self._publish(topic, value, value=value, source_seq=source_seq)
 
     def _on_processed(self, signals: list[str], rules: list[tuple[int, Rule, frozenset[str]]], message: Message) -> None:
         """A processing topic's behavior-layer handler: `_wire` binds in its signals and rules."""
-        values = self.values
+        values, priorities = self.values, self.program.priorities
         for signal in signals:
             values[signal] = message.payload
         candidates: list[tuple[float, int, str, str]] = []
@@ -783,16 +764,16 @@ class _Engine:
                 branch = "then" if outcome else "else"
                 target = rule.then_behavior if outcome else rule.else_behavior
                 if target is not None:
-                    candidates.append((self.program.priorities[target], -index, target, branch))
+                    candidates.append((priorities[target], -index, target, branch))
         if not candidates:
             return
         candidates.sort(reverse=True)
-        _prio, neg_index, winner, winner_branch = candidates[0]
+        winner_priority, neg_index, winner, winner_branch = candidates[0]
         self._log(
             "behavior_fired",
             {
                 "behavior": winner,
-                "priority": self.program.priorities[winner],
+                "priority": winner_priority,
                 "rule": -neg_index,
                 "branch": winner_branch,
                 "trigger_seq": message.seq,
@@ -800,12 +781,12 @@ class _Engine:
         )
         sched.record_trigger(self.counters[winner], self.clock_us)
         self.queue.push(self._behavior_tasks[winner], self.clock_us, winner)
-        for _prio, neg_index, behavior, branch in candidates[1:]:
+        for priority, neg_index, behavior, branch in candidates[1:]:
             self._log(
                 "behavior_suppressed",
                 {
                     "behavior": behavior,
-                    "priority": self.program.priorities[behavior],
+                    "priority": priority,
                     "rule": -neg_index,
                     "branch": branch,
                     "winner": winner,
@@ -890,10 +871,10 @@ class _Engine:
         self.halted = True
 
     def _log_dropped(self, event: TraceEvent) -> None:
-        self._log(
-            "trace_dropped",
-            {"sensor": event.sensor, "value": event.value, "command": event.override},
-        )
+        if isinstance(event, Override):
+            self._log("trace_dropped", {"sensor": None, "value": None, "command": event.command})
+        else:
+            self._log("trace_dropped", {"sensor": event.sensor, "value": event.value, "command": None})
 
     def _dispatch(self) -> None:
         if self.halted or self.running is not None or len(self.queue) == 0:

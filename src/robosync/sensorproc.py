@@ -1,5 +1,6 @@
-"""Processing layer: significance gating, sensor-check functions, and the
-plugin registry that turns raw readings into processed topic values.
+"""Processing layer: the raw `Reading`, significance gating, sensor-check
+functions, and the plugin registry that turns readings into processed topic
+values.
 
 A plugin is one factory in `PLUGIN_REGISTRY`: called with a dict of an
 algorithm's params, it takes out the keys it reads, checks them and returns a
@@ -15,17 +16,17 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 
-# not frozen: one is built per reading, and the sensor-input task sets its
-# `seq` when the gate passes it; a frozen dataclass takes about 3x as long to build
+# not frozen: one is built per trace line, and a frozen dataclass takes about
+# 3x as long to build
 @dataclass(slots=True)
 class Reading:
-    """One raw sensor sample; `seq` is the bus sequence number of the gated
-    sensor message it travelled in (0 when not yet published)."""
+    """One raw sensor sample, as its trace line holds it.  The engine hands
+    this very object to the sensor-input task and to every plugin that reads
+    the sensor, and nothing changes it."""
 
     sensor: str
     t_us: int
     value: float
-    seq: int = 0
 
 
 class UnknownPluginError(ValueError):

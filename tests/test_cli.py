@@ -327,14 +327,16 @@ def test_run_over_idle_windows_is_refused_before_ticking_them(tmp_files, tmp_pat
     assert not log.exists()
 
 
-def test_run_to_a_closed_pipe_is_an_io_error(tmp_files, tmp_path):
-    # 1,000 readings log 18,000 entries, three batches of more than a pipe's
-    # 64 KiB each, so some write comes after the reader has gone, buffered
-    # stdout or not
+def _run_to_a_closed_pipe(tmp_files, tmp_path, readings: int, env: dict[str, str]) -> None:
+    """`robosync run -o -` on `readings` touch readings, its stdout closed
+    after 100 bytes: exit 2 with one line, no traceback and no "Exception
+    ignored" from the flush at exit."""
     trace = tmp_path / "long.jsonl"
-    trace.write_text("".join(f'{{"t_us": {1000 * i}, "sensor": "touch", "value": {2 + 3 * (i % 2)}}}\n' for i in range(1, 1001)))
+    trace.write_text(
+        "".join(f'{{"t_us": {1000 * i}, "sensor": "touch", "value": {2 + 3 * (i % 2)}}}\n' for i in range(1, readings + 1))
+    )
     argv = ["run", "-c", str(tmp_files["config"]), "-b", str(tmp_files["behavior"]), "-t", str(trace), "-o", "-"]
-    with subprocess.Popen(_cli_argv(argv), stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env()) as proc:
+    with subprocess.Popen(_cli_argv(argv), stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
         try:
             head = proc.stdout.read(100)
             proc.stdout.close()
@@ -343,9 +345,21 @@ def test_run_to_a_closed_pipe_is_an_io_error(tmp_files, tmp_path):
             proc.kill()
         stderr = proc.stderr.read().decode()
     assert len(head) == 100 and head.startswith(b'{"seq": 0, "t_us": 1000, "kind": "sensor_event"')
-    assert status == 2
-    # one line: no traceback, and no "Exception ignored" from the flush at exit
-    assert stderr == "error: cannot write -: Broken pipe\n"
+    assert (status, stderr) == (2, "error: cannot write -: Broken pipe\n")
+
+
+def test_run_to_a_closed_pipe_is_an_io_error(tmp_files, tmp_path):
+    # 1,000 readings log 18,000 entries, three batches of more than a pipe's
+    # 64 KiB each, so some write comes after the reader has gone, buffered
+    # stdout or not
+    _run_to_a_closed_pipe(tmp_files, tmp_path, 1000, _cli_env())
+
+
+def test_unbuffered_run_to_a_closed_pipe_is_an_io_error(tmp_files, tmp_path):
+    # under PYTHONUNBUFFERED stdout sits on a raw file: the one write of this
+    # one-batch, 545,512-byte log is cut short when the reader goes, and a
+    # dropped short write would exit 0 with nothing said
+    _run_to_a_closed_pipe(tmp_files, tmp_path, 200, {**_cli_env(), "PYTHONUNBUFFERED": "1"})
 
 
 @pytest.mark.parametrize("batch", [1, 2, 7])

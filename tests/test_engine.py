@@ -81,7 +81,7 @@ def test_load_trace_sorts_by_time(touch_config_text):
     )
     events = eng.load_trace(text, config)
     assert [e.t_us for e in events] == [100, 200, 300]
-    assert events[1].is_override
+    assert isinstance(events[1], eng.Override)
 
 
 def test_load_trace_stable_on_ties(touch_config_text):

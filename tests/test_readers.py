@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from robosync import engine as eng
 from robosync.cli import main
 from robosync.config import ConfigError, parse_config
-from robosync.sensorproc import finite_float
+from robosync.sensorproc import Reading, finite_float
 
 from conftest import FIXTURES
 
@@ -330,14 +330,14 @@ def _load_trace_oracle(text: str, config) -> list:
                 raise eng.TraceError(line_no, f"unknown sensor {sensor!r}")
             if value is None:
                 raise eng.TraceError(line_no, "value must be a finite number")
-            events.append(eng.TraceEvent(t_us=t_us, sensor=sensor, value=value))
+            events.append(Reading(sensor, t_us, value))
         elif keys == {"t_us", "override"}:
             command = obj["override"]
             if not isinstance(command, str):
                 raise eng.TraceError(line_no, "override must be a string")
             if command != eng.STOP_COMMAND:
                 raise eng.TraceError(line_no, f"unsupported override {command!r}")
-            events.append(eng.TraceEvent(t_us=t_us, override=command))
+            events.append(eng.Override(t_us, command))
         else:
             raise eng.TraceError(line_no, "expected keys {t_us, sensor, value} or {t_us, override}")
     events.sort(key=lambda e: e.t_us)

@@ -107,7 +107,7 @@ def test_unknown_plugin_fails_at_construction():
 
 def test_passthrough_identity():
     step = sp.make_plugin("passthrough")
-    assert sp.run_algorithm("passthrough", step, sp.Reading("s", 10, 7.5, seq=3)) == 7.5
+    assert sp.run_algorithm("passthrough", step, sp.Reading("s", 10, 7.5)) == 7.5
 
 
 def test_moving_average_warmup_then_mean():
@@ -205,7 +205,7 @@ def test_threshold_classifier():
 
 def test_plugin_replay_determinism():
     rng = random.Random(7)
-    inputs = [sp.Reading("s", i * 10, rng.uniform(-5, 5), seq=i) for i in range(200)]
+    inputs = [sp.Reading("s", i * 10, rng.uniform(-5, 5)) for i in range(200)]
 
     def replay():
         step = sp.make_plugin("moving_average", {"k": 4})
