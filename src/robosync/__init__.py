@@ -23,7 +23,6 @@ from .dsl import (
 )
 from .engine import (
     ExecutionLog,
-    SimStats,
     TraceError,
     compute_stats,
     load_trace,
@@ -43,7 +42,6 @@ __all__ = [
     "ExecutionLog",
     "ParseError",
     "SchemaError",
-    "SimStats",
     "SystemConfig",
     "TraceError",
     "bind_program",

@@ -30,7 +30,8 @@ Number literals must be finite as floats.  A condition may nest at most
 MAX_NESTING_DEPTH levels deep, where each NOT, each parenthesis and each
 AND/OR link counts one level: `a AND b AND c` parses to the left-deep
 `And(And(a, b), c)`, two levels.  A WAIT's NUMBER is a positive integer, and
-the WAIT may last at most MAX_WAIT_US.
+the WAIT may last at most MAX_WAIT_US.  A `-0` literal reads as `0`, the
+number its canonical form writes.
 """
 
 from __future__ import annotations
@@ -232,7 +233,8 @@ def _lex(text: str) -> list[_Token]:
                     raise ParseError(f"unknown keyword {lexeme!r}", span)
                 tokens.append(_Token(lexeme, lexeme, None, span))
             elif kind == "NUMBER":
-                value = float(lexeme)
+                # a negative zero reads as 0, as the canonical form writes it
+                value = float(lexeme) or 0.0
                 if not math.isfinite(value):
                     raise ParseError(f"number {lexeme} is out of range", span)
                 tokens.append(_Token(kind, lexeme, value, span))
@@ -284,21 +286,11 @@ class _Parser:
             return self.advance()
         raise self.error({kind})
 
-    def expect_end_of_line(self) -> None:
-        if self.at("EOF"):
-            return
-        self.expect("NEWLINE")
-
-    def skip_newlines(self) -> None:
-        while self.at("NEWLINE"):
-            self.advance()
-
     # -- grammar productions
 
     def program(self) -> BehaviorProgram:
         rules: list[Rule] = []
         definitions: dict[str, Definition] = {}
-        self.skip_newlines()
         while not self.at("EOF"):
             if self.at("WHEN"):
                 rules.append(self.rule())
@@ -312,7 +304,6 @@ class _Parser:
                 definitions[definition.name] = definition
             else:
                 raise self.error({"WHEN", "DEFINE"})
-            self.skip_newlines()
         return BehaviorProgram(tuple(rules), definitions)
 
     def rule(self) -> Rule:
@@ -321,22 +312,19 @@ class _Parser:
         self.expect("NEWLINE")
         self.expect("DO")
         then_tok = self.expect("IDENT")
-        self.expect_end_of_line()
-        self.skip_newlines()
+        self.expect("NEWLINE")
         else_name = None
         else_span = None
         if self.at("ELSE"):
             self.advance()
             self.expect("NEWLINE")
-            self.skip_newlines()
             self.expect("DO")
             else_tok = self.expect("IDENT")
             else_name = else_tok.text
             else_span = else_tok.span
-            self.expect_end_of_line()
-            self.skip_newlines()
+            self.expect("NEWLINE")
         self.expect("END")
-        self.expect_end_of_line()
+        self.expect("NEWLINE")
         return Rule(
             condition=condition,
             then_behavior=then_tok.text,
@@ -398,19 +386,17 @@ class _Parser:
             raise self.error(set(_COMPARISON_OPS))
         op = self.advance()
         number = self.expect("NUMBER")
-        return Comparison(signal.text, op.text, float(number.value), level, span=signal.span)  # type: ignore[arg-type]
+        return Comparison(signal.text, op.text, number.value, level, span=signal.span)  # type: ignore[arg-type]
 
     def definition(self) -> Definition:
         start = self.expect("DEFINE")
         name = self.expect("IDENT")
         self.expect("NEWLINE")
         body: list[Statement] = []
-        self.skip_newlines()
         while not self.at("END"):
             body.append(self.statement())
-            self.skip_newlines()
         self.expect("END")
-        self.expect_end_of_line()
+        self.expect("NEWLINE")
         return Definition(name.text, tuple(body), span=start.span)
 
     def statement(self) -> Statement:
@@ -422,12 +408,12 @@ class _Parser:
                 speed: float | str = word.kind.lower()
             elif self.at("NUMBER"):
                 number = self.advance()
-                speed = float(number.value)  # type: ignore[arg-type]
+                speed = number.value  # type: ignore[assignment]
                 if not (0.0 <= speed <= 1.0):
                     raise ParseError("MOVE speed must be within [0, 1]", number.span)
             else:
                 raise self.error({"SLOWLY", "QUICKLY", "NUMBER"})
-            self.expect_end_of_line()
+            self.expect("NEWLINE")
             return Move(actuator.text, speed, span=actuator.span)
         if self.at("PLAY"):
             self.advance()
@@ -436,18 +422,18 @@ class _Parser:
                 raise self.error({"sound"})
             self.advance()
             resource = self.expect("STRING")
-            self.expect_end_of_line()
-            return Play(str(resource.value), span=resource.span)
+            self.expect("NEWLINE")
+            return Play(resource.value, span=resource.span)  # type: ignore[arg-type]
         if self.at("SET"):
             self.advance()
             actuator = self.expect("IDENT")
             number = self.expect("NUMBER")
-            self.expect_end_of_line()
-            return Set(actuator.text, float(number.value), span=actuator.span)  # type: ignore[arg-type]
+            self.expect("NEWLINE")
+            return Set(actuator.text, number.value, span=actuator.span)  # type: ignore[arg-type]
         if self.at("WAIT"):
             self.advance()
             number = self.expect("NUMBER")
-            amount = float(number.value)  # type: ignore[arg-type]
+            amount: float = number.value  # type: ignore[assignment]
             if amount != int(amount) or amount < 1:
                 raise ParseError("WAIT duration must be a positive integer", number.span)
             unit_tok = self.tok
@@ -458,7 +444,7 @@ class _Parser:
             if duration > MAX_WAIT_US:
                 raise ParseError(f"WAIT duration must be at most {MAX_WAIT_US} us", number.span)
             duration_us = int(duration)
-            self.expect_end_of_line()
+            self.expect("NEWLINE")
             return Wait(duration_us, span=number.span)
         raise self.error({"MOVE", "PLAY", "SET", "WAIT", "END"})
 

@@ -128,36 +128,6 @@ class ExecutionLog:
         return tuple(records)
 
 
-@dataclass(frozen=True, slots=True)
-class SimStats:
-    messages_per_layer: tuple[tuple[str, int], ...]
-    dispatches: int
-    aborts: int
-    latency_min_us: int
-    latency_mean_us: float
-    latency_max_us: int
-    behaviors_fired: int
-    behaviors_suppressed: int
-    halted: bool
-    halt_t_us: int | None
-
-    def to_dict(self) -> dict:
-        return {
-            "messages_per_layer": dict(self.messages_per_layer),
-            "dispatches": self.dispatches,
-            "aborts": self.aborts,
-            "latency_us": {
-                "min": self.latency_min_us,
-                "mean": self.latency_mean_us,
-                "max": self.latency_max_us,
-            },
-            "behaviors_fired": self.behaviors_fired,
-            "behaviors_suppressed": self.behaviors_suppressed,
-            "halted": self.halted,
-            "halt_t_us": self.halt_t_us,
-        }
-
-
 # ---------------------------------------------------------------------------
 # JSON-lines reading
 
@@ -434,16 +404,17 @@ def parse_log(text: str) -> list[LogEntry]:
     return list(iter_log(text))
 
 
-def serialize_stats(stats: SimStats) -> str:
-    return _Renderer().render(stats.to_dict()) + "\n"
+def serialize_stats(stats: dict) -> str:
+    return _Renderer().render(stats) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # statistics
 
 
-def compute_stats(entries: Iterable[LogEntry]) -> SimStats:
-    """Aggregate a log in one pass over `entries`; raises MalformedLogError
+def compute_stats(entries: Iterable[LogEntry]) -> dict:
+    """Aggregate a log in one pass over `entries` into the stats document,
+    keys in the order `serialize_stats` writes them; raises MalformedLogError
     on unmatched start/finish, or the first malformed line's own error when
     `entries` reads a log."""
     stats = StatsAccumulator()
@@ -469,18 +440,18 @@ class StatsAccumulator:
     def __init__(self) -> None:
         stats_pass = _stats_pass()
         next(stats_pass)
-        self.count: Callable[[Iterable[LogEntry] | None], SimStats | None] = stats_pass.send
+        self.count: Callable[[Iterable[LogEntry] | None], dict | None] = stats_pass.send
 
     def add(self, entry: LogEntry) -> None:
         self.count((entry,))
 
-    def result(self) -> SimStats:
+    def result(self) -> dict:
         return self.count(None)
 
 
-def _stats_pass() -> Generator[SimStats | None, Iterable[LogEntry] | None, None]:
+def _stats_pass() -> Generator[dict | None, Iterable[LogEntry] | None, None]:
     """The one stats pass: each `send` of entries counts them, and sending
-    None ends the log and yields its SimStats."""
+    None ends the log and yields its stats document."""
     layer_counts = {layer.label: 0 for layer in Layer}
     dispatches = 0
     aborts = 0
@@ -539,18 +510,20 @@ def _stats_pass() -> Generator[SimStats | None, Iterable[LogEntry] | None, None]
         latency_mean_us = float(statistics.fmean(latencies)) if latencies else 0.0
     except OverflowError:
         raise MalformedLogError("latencies too large to average") from None
-    yield SimStats(
-        messages_per_layer=tuple(layer_counts.items()),
-        dispatches=dispatches,
-        aborts=aborts,
-        latency_min_us=min(latencies) if latencies else 0,
-        latency_mean_us=latency_mean_us,
-        latency_max_us=max(latencies) if latencies else 0,
-        behaviors_fired=fired,
-        behaviors_suppressed=suppressed,
-        halted=halted,
-        halt_t_us=halt_t_us,
-    )
+    yield {
+        "messages_per_layer": layer_counts,
+        "dispatches": dispatches,
+        "aborts": aborts,
+        "latency_us": {
+            "min": min(latencies) if latencies else 0,
+            "mean": latency_mean_us,
+            "max": max(latencies) if latencies else 0,
+        },
+        "behaviors_fired": fired,
+        "behaviors_suppressed": suppressed,
+        "halted": halted,
+        "halt_t_us": halt_t_us,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -745,18 +718,8 @@ class _Engine:
         self.clock_us = max(self.clock_us, self._next_window)
         updates = sched.adapt_priorities(self.tasks, self.counters, self.config.scheduler, self.clock_us)
         self.queue.rekey()  # the only place queued tasks change priority
-        for update in updates:
-            self._log(
-                "priority_update",
-                {
-                    "task": update.task,
-                    "old": update.old,
-                    "new": update.new,
-                    "f_max": update.f_max,
-                    "behavior": update.behavior,
-                    "delta": update.delta,
-                },
-            )
+        for detail in updates:
+            self._log("priority_update", detail)
         self._next_window += self._window_us
 
     def _handle_trace(self, event: TraceEvent) -> None:

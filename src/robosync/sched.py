@@ -58,20 +58,6 @@ class FrequencyCounter:
     count: int = 0
 
 
-# not frozen: one is built per non-safety task at every window boundary, and a
-# frozen dataclass takes about 3x as long to build
-@dataclass(slots=True)
-class PriorityUpdate:
-    """One task's adjustment at a window boundary."""
-
-    task: str
-    old: float
-    new: float
-    f_max: int
-    behavior: str | None
-    delta: float
-
-
 # not frozen: one is built per push, and a frozen dataclass takes about 3x as
 # long to build
 @dataclass(slots=True)
@@ -158,15 +144,16 @@ def adapt_priorities(
     counters: Mapping[str, FrequencyCounter],
     params: SchedulerParams,
     t_us: int,
-) -> list[PriorityUpdate]:
+) -> list[dict]:
     """Apply the windowed adjustment at the tumbling-window boundary `t_us`.
 
     Every non-safety task is recomputed from its base: the linked behavior
     with the highest trigger count F contributes alpha * F / W (W in seconds),
     capped at p_max; of behaviors tied on F, the name that sorts first wins.
     A task none of whose behaviors fired keeps its base, with F 0 and no
-    behavior.  Counters reset for the next window.  Returns one update record
-    per non-safety task, in task insertion order.  Raises NonFiniteOutputError
+    behavior.  Counters reset for the next window.  Returns one
+    `priority_update` log detail per non-safety task, in task insertion order,
+    its keys in `engine.LOG_FIELDS` order.  Raises NonFiniteOutputError
     when alpha * F / W overflows, since the log could not hold it as JSON.
 
     Only the behaviors that fired this window are looked at: a task costs at
@@ -175,7 +162,7 @@ def adapt_priorities(
     w_seconds = params.window_us / 1e6
     fired = {name: counter.count for name, counter in counters.items() if counter.count > 0}
     fired_names = frozenset(fired)
-    updates: list[PriorityUpdate] = []
+    updates: list[dict] = []
     for task in tasks.values():
         if task.category is TaskCategory.SAFETY:
             continue
@@ -193,7 +180,8 @@ def adapt_priorities(
                 f"with F {best_f} in the window ending at t_us {t_us}"
             )
         new = min(task.base_priority + delta, params.p_max)
-        updates.append(PriorityUpdate(task.id, task.current_priority, new, best_f, best_behavior, delta))
+        old = task.current_priority
+        updates.append({"task": task.id, "old": old, "new": new, "f_max": best_f, "behavior": best_behavior, "delta": delta})
         task.current_priority = new
     for counter in counters.values():
         counter.count = 0

@@ -338,6 +338,33 @@ def test_each_token_span_covers_exactly_its_characters(parts):
         assert line[tok.span.column - 1 : tok.span.column - 1 + len(lexeme)] == lexeme
 
 
+# a line of fragments, a blank line or a comment-only line
+_LEX_LINES = (
+    st.lists(st.tuples(st.sampled_from(_LINE_FRAGMENTS), st.sampled_from((" ", "\t", "")))).map(
+        lambda parts: "".join(fragment + separator for fragment, separator in parts)
+    )
+    | st.sampled_from(("", " ", "\t", "# note", "  # note"))
+)
+
+
+@given(
+    lines=st.lists(st.tuples(_LEX_LINES, st.sampled_from(_LINE_BREAKS))),
+    last=_LEX_LINES,
+)
+def test_lexer_ends_each_line_that_has_tokens_with_one_newline(lines, last):
+    """The parser relies on this: no NEWLINE comes first or follows another,
+    and one comes right before EOF whenever any other token exists."""
+    text = "".join(line + br for line, br in lines) + last
+    try:
+        kinds = [tok.kind for tok in dsl._lex(text)]
+    except dsl.ParseError:
+        return
+    assert kinds[-1] == "EOF"
+    assert kinds[0] != "NEWLINE"
+    assert ("NEWLINE", "NEWLINE") not in zip(kinds, kinds[1:])
+    assert len(kinds) == 1 or kinds[-2] == "NEWLINE"
+
+
 def test_parse_determinism(behavior_text):
     first = dsl.parse_program(behavior_text)
     second = dsl.parse_program(behavior_text)

@@ -510,7 +510,7 @@ def test_rule_reading_one_topic_twice_fires_once():
     log = _run_texts(ALIAS_CONFIG, program_text, '{"t_us": 1000, "sensor": "touch", "value": 2}')
     assert [e.detail["behavior"] for e in log.entries if e.kind == "behavior_fired"] == ["calm"]
     assert not any(e.kind == "behavior_suppressed" for e in log.entries)
-    assert eng.compute_stats(log.entries).behaviors_suppressed == 0
+    assert eng.compute_stats(log.entries)["behaviors_suppressed"] == 0
 
 
 def _oracle_rule_entries(program, latest, topic, bus_seq):
@@ -788,13 +788,13 @@ def test_behavior_expansion_matches_per_statement_oracle(body, times):
 
 def test_stats_empty_log():
     stats = eng.compute_stats([])
-    assert stats.dispatches == 0
-    assert stats.aborts == 0
-    assert stats.halted is False
-    assert stats.halt_t_us is None
-    assert stats.latency_min_us == stats.latency_max_us == 0
-    assert stats.latency_mean_us == 0.0
-    assert dict(stats.messages_per_layer) == {"sensor": 0, "processing": 0, "behavior": 0, "control": 0}
+    assert stats["dispatches"] == 0
+    assert stats["aborts"] == 0
+    assert stats["halted"] is False
+    assert stats["halt_t_us"] is None
+    assert stats["latency_us"]["min"] == stats["latency_us"]["max"] == 0
+    assert stats["latency_us"]["mean"] == 0.0
+    assert stats["messages_per_layer"] == {"sensor": 0, "processing": 0, "behavior": 0, "control": 0}
 
 
 def test_stats_zero_latency_task():
@@ -803,8 +803,8 @@ def test_stats_zero_latency_task():
         eng.LogEntry(1, 200, "task_finish", {"task": "t", "enqueue_seq": 0}),
     ]
     stats = eng.compute_stats(entries)
-    assert stats.dispatches == 1
-    assert stats.latency_min_us == stats.latency_mean_us == stats.latency_max_us == 0
+    assert stats["dispatches"] == 1
+    assert stats["latency_us"]["min"] == stats["latency_us"]["mean"] == stats["latency_us"]["max"] == 0
 
 
 def test_stats_recount_oracle(touch_config_text, behavior_text, touch_trace_text):
@@ -814,11 +814,11 @@ def test_stats_recount_oracle(touch_config_text, behavior_text, touch_trace_text
     # independent recount: a plain Counter walk over the entries
     kinds = Counter(e.kind for e in log.entries)
     layers = Counter(e.detail["layer"] for e in log.entries if e.kind == "message")
-    assert stats.dispatches == kinds["task_start"]
-    assert stats.aborts == kinds.get("task_abort", 0)
-    assert stats.behaviors_fired == kinds["behavior_fired"]
-    assert stats.behaviors_suppressed == kinds.get("behavior_suppressed", 0)
-    assert dict(stats.messages_per_layer) == {
+    assert stats["dispatches"] == kinds["task_start"]
+    assert stats["aborts"] == kinds.get("task_abort", 0)
+    assert stats["behaviors_fired"] == kinds["behavior_fired"]
+    assert stats["behaviors_suppressed"] == kinds.get("behavior_suppressed", 0)
+    assert stats["messages_per_layer"] == {
         "sensor": layers.get("sensor", 0),
         "processing": layers.get("processing", 0),
         "behavior": layers.get("behavior", 0),
@@ -827,10 +827,10 @@ def test_stats_recount_oracle(touch_config_text, behavior_text, touch_trace_text
     latencies = [
         e.t_us - e.detail["enqueue_t_us"] for e in log.entries if e.kind == "task_start"
     ]
-    assert stats.latency_min_us == min(latencies)
-    assert stats.latency_max_us == max(latencies)
-    assert stats.latency_mean_us == pytest.approx(sum(latencies) / len(latencies))
-    assert stats.halted is False
+    assert stats["latency_us"]["min"] == min(latencies)
+    assert stats["latency_us"]["max"] == max(latencies)
+    assert stats["latency_us"]["mean"] == pytest.approx(sum(latencies) / len(latencies))
+    assert stats["halted"] is False
 
 
 def test_stats_unmatched_start_rejected():
@@ -979,9 +979,17 @@ def test_log_rendering_matches_oracle(entries):
 
 @given(values=st.lists(_values, min_size=11, max_size=11))
 def test_stats_rendering_matches_oracle(values):
-    layers = tuple((label, value) for label, value in zip(("sensor", "processing"), values[:2]))
-    stats = eng.SimStats(layers, *values[2:])
-    assert eng.serialize_stats(stats) == _render_json_oracle(stats.to_dict()) + "\n"
+    stats = {
+        "messages_per_layer": {"sensor": values[0], "processing": values[1]},
+        "dispatches": values[2],
+        "aborts": values[3],
+        "latency_us": {"min": values[4], "mean": values[5], "max": values[6]},
+        "behaviors_fired": values[7],
+        "behaviors_suppressed": values[8],
+        "halted": values[9],
+        "halt_t_us": values[10],
+    }
+    assert eng.serialize_stats(stats) == _render_json_oracle(stats) + "\n"
 
 
 class _Level(enum.IntEnum):
@@ -1110,7 +1118,7 @@ def test_unsupported_value_type_raises():
         with pytest.raises(TypeError, match=message):
             eng.serialize_log([eng.LogEntry(0, 5, "sensor_event", {"sensor": "s", "value": value})])
         with pytest.raises(TypeError, match=message):
-            eng.serialize_stats(eng.SimStats((("sensor", value),), 0, 0, 0, 0.0, 0, 0, 0, False, None))
+            eng.serialize_stats(eng.compute_stats([]) | {"messages_per_layer": {"sensor": value}})
 
 
 def test_dispatch_dominance_reconstructed_from_log(touch_config_text):

@@ -6,9 +6,10 @@ arguments; without it the run gets none.
 Each trio, and the touch trio, also checks metamorphic relations between
 two runs: shifting the trace by whole windows shifts the log, and renaming
 every name by a prefix renames the log.  Appending readings to a run that
-halts adds only `trace_dropped` entries.  And every run keeps the reading
-chain: each processed value names the sensor message it came from, and the
-trace it ran is left as it was."""
+halts adds only `trace_dropped` entries.  The canonical form of a program
+(`robosync parse`) replays to the same log as the program.  And every run
+keeps the reading chain: each processed value names the sensor message it
+came from, and the trace it ran is left as it was."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from robosync.cli import build_parser, main
 from robosync.config import parse_config, processing_stages
-from robosync.dsl import _TOKEN_RE, bind_program, parse_program
+from robosync.dsl import _TOKEN_RE, bind_program, format_program, parse_program
 from robosync.engine import LogEntry, load_trace, run, serialize_log
 
 from conftest import FIXTURES
@@ -306,3 +307,36 @@ def test_processed_values_name_their_sensor_message_and_the_trace_is_kept(trio):
     assert processed > 0
 
     assert serialize_log(run(config, program, trace, horizon_us=until).entries) == serialize_log(log)
+
+
+# ---------------------------------------------------------------------------
+# canonical form: formatting a program changes nothing a run logs
+
+
+def _assert_canonical_replay(config_text: str, program_text: str, trace_text: str, until: int | None) -> None:
+    canonical = format_program(parse_program(program_text))
+    log = _replay(*_bind(config_text, program_text), trace_text, until)
+    assert serialize_log(_replay(*_bind(config_text, canonical), trace_text, until)) == serialize_log(log)
+
+
+@pytest.mark.parametrize("trio", sorted(TRIOS))
+def test_the_canonical_program_replays_to_the_same_log(trio):
+    _assert_canonical_replay(*_texts(trio))
+
+
+# number literals whose canonical form is written differently; MOVE takes
+# only speeds within [0, 1], and SET clamps `7.` to arms' max_value
+_MOVE_LITERALS = ("-0", "-0.0", "0", ".5", "1e-3", "1")
+_SET_LITERALS = (*_MOVE_LITERALS, "7.")
+
+
+@given(move=st.sampled_from(_MOVE_LITERALS), set_value=st.sampled_from(_SET_LITERALS))
+def test_the_canonical_form_of_drawn_literals_replays_to_the_same_log(move, set_value):
+    """The touch program with one MOVE speed written as a drawn literal and
+    the other MOVE made a SET of one: a literal and its canonical spelling
+    command the same value."""
+    config_text, program_text, trace_text, until = _texts("touch")
+    assert program_text.count("MOVE arms SLOWLY") == program_text.count("MOVE arms QUICKLY") == 1
+    program_text = program_text.replace("MOVE arms SLOWLY", f"MOVE arms {move}")
+    program_text = program_text.replace("MOVE arms QUICKLY", f"SET arms {set_value}")
+    _assert_canonical_replay(config_text, program_text, trace_text, until)

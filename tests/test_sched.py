@@ -88,8 +88,8 @@ def test_adapt_zero_frequency_keeps_base():
     tasks = {"t": _task("t", sched.TaskCategory.BEHAVIORAL, 0.5, {"b"})}
     updates = sched.adapt_priorities(tasks, {"b": sched.FrequencyCounter("b")}, _params(), 1_000_000)
     assert tasks["t"].current_priority == 0.5
-    assert updates[0].new == 0.5
-    assert updates[0].f_max == 0
+    assert updates[0]["new"] == 0.5
+    assert updates[0]["f_max"] == 0
 
 
 def test_adapt_formula_direct():
@@ -117,7 +117,7 @@ def test_adapt_uses_max_frequency_behavior():
     for t in range(3):
         sched.record_trigger(cb, t)
     updates = sched.adapt_priorities(tasks, {"a": ca, "b": cb}, _params(alpha=0.1), 1_000_000)
-    assert updates[0].behavior == "b"
+    assert updates[0]["behavior"] == "b"
     assert tasks["t"].current_priority == pytest.approx(0.2 + 0.1 * 3)
 
 
@@ -150,7 +150,7 @@ def test_adapt_never_touches_safety():
         sched.record_trigger(counter, t)
     updates = sched.adapt_priorities(tasks, {"b": counter}, _params(alpha=1.0), 1_000_000)
     assert tasks["guard"].current_priority == 1.0
-    assert all(u.task != "guard" for u in updates)
+    assert all(u["task"] != "guard" for u in updates)
     assert tasks["t"].current_priority == 1.0  # capped
 
 
@@ -183,8 +183,8 @@ def test_adapt_keeps_the_largest_finite_adjustment():
     counter = sched.FrequencyCounter("b")
     sched.record_trigger(counter, 0)
     (update,) = sched.adapt_priorities(tasks, {"b": counter}, _params(alpha=1.7e308), 1_000_000)
-    assert update.delta == 1.7e308
-    assert update.new == 1.0
+    assert update["delta"] == 1.7e308
+    assert update["new"] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +209,9 @@ def _linear_adapt(tasks, counters, params):
                 best_behavior = behavior
         delta = params.alpha * best_f / w_seconds
         new = min(task.base_priority + delta, params.p_max)
-        updates.append(sched.PriorityUpdate(task.id, task.current_priority, new, best_f, best_behavior, delta))
+        updates.append(
+            {"task": task.id, "old": task.current_priority, "new": new, "f_max": best_f, "behavior": best_behavior, "delta": delta}
+        )
         task.current_priority = new
     for counter in counters.values():
         counter.count = 0
