@@ -25,11 +25,14 @@ from . import engine as engine_mod
 from .bus import BusError
 from .config import ConfigError, parse_config
 from .dsl import BindErrors, ParseError, bind_program, format_program, parse_program
-# parse_log, compute_stats and serialize_log stay names of this module, though
-# nothing here calls parse_log: bench/tracing.py patches all three here
+# parse_log and serialize_log stay names of this module though nothing here
+# calls them (the writer renders through each row's `emit`): the benchmark's
+# tracer, bench/tracing.py, looks up each function it wraps (these two and
+# compute_stats) in this module's namespace, and a missing one fails it
 from .engine import (
-    LogEntry,
+    LogRow,
     MalformedLogError,
+    Renderer,
     RunLimitError,
     StatsAccumulator,
     TraceError,
@@ -116,24 +119,27 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 
 class _LogWriter:
-    """A run's sink: `add` takes each entry as it is logged, and every
-    LOG_BATCH_ENTRIES entries are rendered and written at once, so the log
-    in memory at once is one batch.  `flush` writes the last batch."""
+    """A run's sink: `add` renders each entry as it is logged, through its
+    row's `emit`, and every LOG_BATCH_ENTRIES lines are written at once, so
+    the log in memory at once is one batch of text.  `flush` writes the
+    last batch."""
 
-    __slots__ = ("out", "batch")
+    __slots__ = ("out", "batch", "quoted", "render")
 
     def __init__(self, out: TextIO) -> None:
         self.out = out
-        self.batch: list[LogEntry] = []
+        self.batch: list[str] = []
+        renderer = Renderer()
+        self.quoted, self.render = renderer.quoted, renderer.render
 
-    def add(self, entry: LogEntry) -> None:
+    def add(self, row: LogRow, seq: int, t_us: int, values: tuple) -> None:
         batch = self.batch
-        batch.append(entry)
+        batch.append(row.emit(self.quoted, self.render, seq, t_us, *values))
         if len(batch) >= LOG_BATCH_ENTRIES:
             self.flush()
 
     def flush(self) -> None:
-        self.out.write(serialize_log(self.batch))
+        self.out.write("".join(self.batch))
         self.batch.clear()
 
 
@@ -192,7 +198,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         with _output(args.output) as out:
             writer = _LogWriter(out)
-            sink = writer.add if stats is None else lambda entry: (writer.add(entry), stats.add(entry))
+            sink = writer.add if stats is None else lambda *logged: (writer.add(*logged), stats.add(*logged))
             engine_mod.run(config, program, trace, horizon_us=args.until, sink=sink)
             writer.flush()
     except BusError as exc:

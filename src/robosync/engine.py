@@ -30,24 +30,117 @@ from .config import SafetyCheckSpec, SystemConfig, command_topic, processing_sta
 from .dsl import BoundProgram, Rule, condition_signals, eval_condition
 from .sensorproc import Reading, Step, finite_float, gate_significant, make_plugin, run_algorithm
 
+# a value's type, exact or as a schema row declares it -> its conversion in a
+# line's `%` template and the expression that passes value `{0}` to it: an int
+# or a float is formatted in place, a str is quoted once per call through the
+# renderer's cache, None is the literal null, a bool, list or dict goes through
+# `Renderer.render`, and a field declared nullable has a `null` branch
+_CONVERSIONS: dict[object, tuple[str, str | None]] = {
+    int: ("%d", "{0}"),
+    float: ("%.6f", "{0}"),
+    str: ("%s", "q[{0}]"),
+    type(None): ("null", None),
+    bool: ("%s", "c({0})"),
+    list: ("%s", "c({0})"),
+    dict: ("%s", "c({0})"),
+    str | None: ("%s", "'null' if {0} is None else q[{0}]"),
+    float | None: ("%s", "'null' if {0} is None else '%.6f' % {0}"),
+}
+
+
+def _compile_line(kind: str, fields: Sequence[str], types: Sequence[object]) -> Callable[..., str]:
+    """The line function `(quoted, render, seq, t_us, *values) -> line` of an
+    entry of `kind` with these detail fields, for values of these types (seq's,
+    t_us's, then each field's): one `%` template with the conversions inlined,
+    whose source holds only the schema's names, the fixed conversions and
+    parameter names, never an entry's text."""
+    params = [f"v{index}" for index in range(len(types))]
+    codes, args = [], []
+    for param, value_type in zip(params, types):
+        code, arg = _CONVERSIONS[value_type]
+        codes.append(code)
+        if arg is not None:
+            args.append(arg.format(param) + ", ")
+    seq, t_us, *field_codes = codes
+    template = (
+        f'{{"seq": {seq}, "t_us": {t_us}, "kind": "{kind}", "detail": {{'
+        + ", ".join(f'"{name}": {code}' for name, code in zip(fields, field_codes))
+        + "}}\n"
+    )
+    return eval(f"lambda q, c, {', '.join(params)}: {template!r} % ({''.join(args)})", {"__builtins__": {}})
+
+
+class LogRow(tuple):
+    """A row of the log schema: the tuple of its detail field names, in the
+    order they are written, with its entries' `kind`, each field's declared
+    type in `types`, and `emit`, the row's line function compiled at import:
+    `emit(quoted, render, seq, t_us, *values) -> line`.  `emit` checks
+    nothing; the engine passes values of the declared types, and tests hold
+    its lines to `serialize_log`'s."""
+
+    kind: str
+    types: tuple[object, ...]
+    emit: Callable[..., str]
+
+    def __new__(cls, kind: str, fields: Mapping[str, object]) -> LogRow:
+        row = super().__new__(cls, fields)
+        row.kind, row.types = kind, tuple(fields.values())
+        row.emit = _compile_line(kind, row, (int, int, *row.types))
+        return row
+
+    def entry(self, seq: int, t_us: int, values: tuple) -> LogEntry:
+        """The entry whose line `emit` writes."""
+        return LogEntry(seq, t_us, self.kind, dict(zip(self, values)))
+
+
 # The log schema: each entry shape, (kind, producing layer for a `message`,
-# else None), -> its detail fields in the order they are written.  The `_log`
-# call sites fill them; `serialize_log` refuses any other shape.
-LOG_FIELDS: dict[tuple[str, str | None], tuple[str, ...]] = {
-    ("sensor_event", None): ("sensor", "value"),
-    ("message", "sensor"): ("topic", "layer", "bus_seq", "value", "sensor", "reading_t_us"),
-    ("message", "processing"): ("topic", "layer", "bus_seq", "value", "source_seq"),
-    ("message", "behavior"): ("topic", "layer", "bus_seq", "command", "behavior"),
-    ("task_start", None): ("task", "enqueue_seq", "enqueue_t_us", "priority"),
-    ("task_finish", None): ("task", "enqueue_seq"),
-    ("task_abort", None): ("task", "enqueue_seq", "reason"),
-    ("behavior_fired", None): ("behavior", "priority", "rule", "branch", "trigger_seq"),
-    ("behavior_suppressed", None): ("behavior", "priority", "rule", "branch", "winner"),
-    ("actuator_cmd", None): ("actuator", "action", "value", "behavior"),
-    ("play_cmd", None): ("actuator", "resource", "behavior"),
-    ("priority_update", None): ("task", "old", "new", "f_max", "behavior", "delta"),
-    ("safety_halt", None): ("source", "sensor", "reading", "threshold", "command", "neutral", "aborted", "purged"),
-    ("trace_dropped", None): ("sensor", "value", "command"),
+# else None), -> its row.  The `_log` call sites pass each row's values in its
+# field order; `serialize_log` refuses any other shape.
+_SENSOR_EVENT = LogRow("sensor_event", {"sensor": str, "value": float})
+_SENSOR_MESSAGE = LogRow(
+    "message", {"topic": str, "layer": str, "bus_seq": int, "value": float, "sensor": str, "reading_t_us": int}
+)
+_PROCESSED_MESSAGE = LogRow("message", {"topic": str, "layer": str, "bus_seq": int, "value": float, "source_seq": int})
+_COMMAND_MESSAGE = LogRow("message", {"topic": str, "layer": str, "bus_seq": int, "command": dict, "behavior": str})
+_TASK_START = LogRow("task_start", {"task": str, "enqueue_seq": int, "enqueue_t_us": int, "priority": float})
+_TASK_FINISH = LogRow("task_finish", {"task": str, "enqueue_seq": int})
+_TASK_ABORT = LogRow("task_abort", {"task": str, "enqueue_seq": int, "reason": str})
+_FIRED = LogRow("behavior_fired", {"behavior": str, "priority": float, "rule": int, "branch": str, "trigger_seq": int})
+_SUPPRESSED = LogRow("behavior_suppressed", {"behavior": str, "priority": float, "rule": int, "branch": str, "winner": str})
+_ACTUATOR_CMD = LogRow("actuator_cmd", {"actuator": str, "action": str, "value": float, "behavior": str})
+_PLAY_CMD = LogRow("play_cmd", {"actuator": str, "resource": str, "behavior": str})
+_PRIORITY_UPDATE = LogRow(
+    "priority_update", {"task": str, "old": float, "new": float, "f_max": int, "behavior": str | None, "delta": float}
+)
+_SAFETY_HALT = LogRow(
+    "safety_halt",
+    {
+        "source": str,
+        "sensor": str | None,
+        "reading": float | None,
+        "threshold": float | None,
+        "command": str | None,
+        "neutral": dict,
+        "aborted": str | None,
+        "purged": list,
+    },
+)
+_TRACE_DROPPED = LogRow("trace_dropped", {"sensor": str | None, "value": float | None, "command": str | None})
+LOG_FIELDS: dict[tuple[str, str | None], LogRow] = {
+    ("sensor_event", None): _SENSOR_EVENT,
+    ("message", "sensor"): _SENSOR_MESSAGE,
+    ("message", "processing"): _PROCESSED_MESSAGE,
+    ("message", "behavior"): _COMMAND_MESSAGE,
+    ("task_start", None): _TASK_START,
+    ("task_finish", None): _TASK_FINISH,
+    ("task_abort", None): _TASK_ABORT,
+    ("behavior_fired", None): _FIRED,
+    ("behavior_suppressed", None): _SUPPRESSED,
+    ("actuator_cmd", None): _ACTUATOR_CMD,
+    ("play_cmd", None): _PLAY_CMD,
+    ("priority_update", None): _PRIORITY_UPDATE,
+    ("safety_halt", None): _SAFETY_HALT,
+    ("trace_dropped", None): _TRACE_DROPPED,
 }
 LOG_KINDS = frozenset(kind for kind, _layer in LOG_FIELDS)
 
@@ -95,6 +188,9 @@ class Override:
 
 # one trace line: a sensor sample or an override
 TraceEvent = Reading | Override
+
+# what a run hands each entry to as it is logged: `sink(row, seq, t_us, values)`
+LogSink = Callable[[LogRow, int, int, tuple], object]
 
 
 # not frozen: one is built per log entry written or read back, and a frozen
@@ -245,15 +341,16 @@ class _Quoted(dict):
         return quoted
 
 
-class _Renderer:
+class Renderer:
     """Value rendering with a string cache that lives as long as the
     renderer.
 
     `render` renders a value through one table keyed on its exact scalar
     type; anything else must be a plain list, or a plain dict with str keys,
-    and values of any other type raise TypeError.  Nothing the renderer
-    holds points back at it, so reference counting frees it, and every
-    string it cached, as soon as its caller drops it.
+    and values of any other type raise TypeError.  `quoted` is the string
+    cache, the `quoted` a line function takes.  Nothing the renderer holds
+    points back at it, so reference counting frees it, and every string it
+    cached, as soon as its caller drops it.
     """
 
     __slots__ = ("quoted", "get")
@@ -285,42 +382,26 @@ class _Renderer:
 
 # each schema row as (kind, *detail fields), mapped to itself: a line's text
 # is built from the schema's own strings, never from an entry's
-_SHAPES = {shape: shape for shape in ((kind, *fields) for (kind, _layer), fields in LOG_FIELDS.items())}
+_SHAPES = {shape: shape for shape in ((row.kind, *row) for row in LOG_FIELDS.values())}
 
-# exact value type -> its conversion in a line's `%` template and how the
-# line function passes the value: an int or a float is formatted in place, a
-# str is quoted once per call through the renderer's cache, None is the
-# literal null, and a bool, list or dict goes through `_Renderer.render`
-_CONVERSIONS: dict[type, tuple[str, str | None]] = {
-    int: ("%d", "{}"),
-    float: ("%.6f", "{}"),
-    str: ("%s", "q[{}]"),
-    type(None): ("null", None),
-    bool: ("%s", "c({})"),
-    list: ("%s", "c({})"),
-    dict: ("%s", "c({})"),
-}
-
-# (kind, *detail fields, *exact types of seq, t_us and each field) -> the
-# line function `(values, quoted, render) -> line`, compiled the first time
-# that signature is seen.  A key of n fields has 2n + 3 items, so no two
-# shapes share one.  Only signatures whose types are all in `_CONVERSIONS`
-# are stored, so the table is bounded by the rows and those types.
-_LineFunction = Callable[[tuple, _Quoted, Callable[[object], str]], str]
-_LINES: dict[tuple, _LineFunction] = {}
+# (kind, *detail fields, *exact types of seq, t_us and each field) -> its
+# line function, compiled the first time that signature is seen.  A key of n
+# fields has 2n + 3 items, so no two shapes share one.  Only signatures whose
+# types are all exact types in `_CONVERSIONS` are stored, so the table is
+# bounded by the rows and those types.
+_LINES: dict[tuple, Callable[..., str]] = {}
 
 
-def _render_fields(values: tuple, quoted: _Quoted, render: Callable[[object], str]) -> str:
+def _render_fields(quoted: _Quoted, render: Callable[[object], str], *values: object) -> str:
     """The line function of a refused signature: rendering field by field
     raises the first unrenderable field's TypeError."""
     return "".join(map(render, values))
 
 
-def _line_function(key: tuple) -> _LineFunction:
+def _line_function(key: tuple) -> Callable[..., str]:
     """Check a signature's shape against `LOG_FIELDS`, then compile and
-    store its line function, whose source holds only the schema's names,
-    the fixed conversions and value indices.  A signature with a type
-    outside `_CONVERSIONS` gets `_render_fields` and is not stored."""
+    store its line function.  A signature with a type outside
+    `_CONVERSIONS` gets `_render_fields` and is not stored."""
     width = (len(key) - 3) // 2  # detail fields
     shape = _SHAPES.get(key[: width + 1])
     if shape is None:
@@ -329,27 +410,16 @@ def _line_function(key: tuple) -> _LineFunction:
     if not all(t in _CONVERSIONS for t in types):
         return _render_fields
     kind, *fields = shape
-    codes, args = [], []
-    for index, value_type in enumerate(types):
-        code, arg = _CONVERSIONS[value_type]
-        codes.append(code)
-        if arg is not None:
-            args.append(arg.format(f"v[{index}]") + ", ")
-    seq, t_us, *field_codes = codes
-    template = (
-        f'{{"seq": {seq}, "t_us": {t_us}, "kind": "{kind}", "detail": {{'
-        + ", ".join(f'"{name}": {code}' for name, code in zip(fields, field_codes))
-        + "}}\n"
-    )
-    line = _LINES[key] = eval(f"lambda v, q, c: {template!r} % ({''.join(args)})", {"__builtins__": {}})
+    line = _LINES[key] = _compile_line(kind, fields, types)
     return line
 
 
 def serialize_log(entries: Iterable[LogEntry]) -> str:
-    """Render entries as JSON lines: per entry, one signature key, one table
-    lookup and one `%`.  Raises what a field-by-field render raises: the
-    off-schema TypeError first, then the first failing field's error."""
-    renderer = _Renderer()
+    """Render entries as JSON lines, checked: per entry, one signature key,
+    one table lookup and one `%`.  Raises what a field-by-field render
+    raises: the off-schema TypeError first, then the first failing field's
+    error."""
+    renderer = Renderer()
     quoted, render = renderer.quoted, renderer.render
     lines = []
     for entry in entries:
@@ -358,7 +428,7 @@ def serialize_log(entries: Iterable[LogEntry]) -> str:
         key = (entry.kind, *detail, *map(type, values))
         line = _LINES.get(key) or _line_function(key)
         try:
-            lines.append(line(values, quoted, render))
+            lines.append(line(quoted, render, *values))
         except (TypeError, ValueError, RecursionError) as exc:  # what rendering a value can raise
             error = exc
             break
@@ -405,7 +475,7 @@ def parse_log(text: str) -> list[LogEntry]:
 
 
 def serialize_stats(stats: dict) -> str:
-    return _Renderer().render(stats) + "\n"
+    return Renderer().render(stats) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +512,8 @@ class StatsAccumulator:
         next(stats_pass)
         self.count: Callable[[Iterable[LogEntry] | None], dict | None] = stats_pass.send
 
-    def add(self, entry: LogEntry) -> None:
-        self.count((entry,))
+    def add(self, row: LogRow, seq: int, t_us: int, values: tuple) -> None:
+        self.count((row.entry(seq, t_us, values),))
 
     def result(self) -> dict:
         return self.count(None)
@@ -537,7 +607,7 @@ class _Engine:
         program: BoundProgram,
         trace: Sequence[TraceEvent],
         horizon_us: int | None,
-        sink: Callable[[LogEntry], object],
+        sink: LogSink,
     ):
         self.config = config
         self.program = program
@@ -649,15 +719,15 @@ class _Engine:
 
     # -- logging ----------------------------------------------------------
 
-    def _log(self, kind: str, detail: dict) -> None:
+    def _log(self, row: LogRow, *values: object) -> None:
         # the clock only moves forward, so entries come in t_us order
-        self._sink(LogEntry(next(self._seqs), self.clock_us, kind, detail))
+        self._sink(row, next(self._seqs), self.clock_us, values)
 
-    def _publish(self, topic: Topic, payload: object, **fields: object) -> None:
-        """Log the `message` entry, then publish: the entry precedes anything
-        the synchronous fan-out logs."""
+    def _publish(self, row: LogRow, topic: Topic, payload: object, *fields: object) -> None:
+        """Log the `message` entry of the topic's layer's row, then publish:
+        the entry precedes anything the synchronous fan-out logs."""
         bus = self.bus
-        self._log("message", {"topic": topic.name, "layer": topic.label, "bus_seq": bus.next_seq, **fields})
+        self._log(row, topic.name, topic.label, bus.next_seq, *fields)
         bus.publish(topic, payload)
 
     # -- event heap -------------------------------------------------------
@@ -718,15 +788,15 @@ class _Engine:
         self.clock_us = max(self.clock_us, self._next_window)
         updates = sched.adapt_priorities(self.tasks, self.counters, self.config.scheduler, self.clock_us)
         self.queue.rekey()  # the only place queued tasks change priority
-        for detail in updates:
-            self._log("priority_update", detail)
+        for update in updates:
+            self._log(_PRIORITY_UPDATE, *update)
         self._next_window += self._window_us
 
     def _handle_trace(self, event: TraceEvent) -> None:
         if isinstance(event, Override):
             self._halt(source="override", command=event.command)
             return
-        self._log("sensor_event", {"sensor": event.sensor, "value": event.value})
+        self._log(_SENSOR_EVENT, event.sensor, event.value)
         for check in self._checks.get(event.sensor, ()):
             if evaluate_safety(event.value, check):
                 self._halt(source=check.name, sensor=event.sensor, reading=event.value, threshold=check.threshold)
@@ -738,7 +808,7 @@ class _Engine:
         # after a halt the main loop handles no completion, so this task still runs
         assert entry is self.running
         self.running = None
-        self._log("task_finish", {"task": entry.task.id, "enqueue_seq": entry.enqueue_seq})
+        self._log(_TASK_FINISH, entry.task.id, entry.enqueue_seq)
         self._FINISH[entry.task.category](self, entry)
 
     def _finish_sensor_input(self, entry: sched.QueueEntry) -> None:
@@ -747,14 +817,14 @@ class _Engine:
         if not gate_significant(prev, reading.value, self._gate_delta[reading.sensor]):
             return  # null branch: nothing reaches the processing layer
         self.gate_prev[reading.sensor] = reading.value
-        self._publish(topic, reading, value=reading.value, sensor=reading.sensor, reading_t_us=reading.t_us)
+        self._publish(_SENSOR_MESSAGE, topic, reading, reading.value, reading.sensor, reading.t_us)
 
     def _finish_algorithmic(self, entry: sched.QueueEntry) -> None:
         plugin, step, topic, reading, source_seq = entry.payload  # type: ignore[misc]
         value = run_algorithm(plugin, step, reading)
         if value is None:
             return
-        self._publish(topic, value, value=value, source_seq=source_seq)
+        self._publish(_PROCESSED_MESSAGE, topic, value, value, source_seq)
 
     def _on_processed(self, signals: list[str], rules: list[tuple[int, Rule, frozenset[str]]], message: Message) -> None:
         """A processing topic's behavior-layer handler: `_wire` binds in its signals and rules."""
@@ -773,29 +843,11 @@ class _Engine:
             return
         candidates.sort(reverse=True)
         winner_priority, neg_index, winner, winner_branch = candidates[0]
-        self._log(
-            "behavior_fired",
-            {
-                "behavior": winner,
-                "priority": winner_priority,
-                "rule": -neg_index,
-                "branch": winner_branch,
-                "trigger_seq": message.seq,
-            },
-        )
+        self._log(_FIRED, winner, winner_priority, -neg_index, winner_branch, message.seq)
         sched.record_trigger(self.counters[winner], self.clock_us)
         self.queue.push(self._behavior_tasks[winner], self.clock_us, winner)
         for priority, neg_index, behavior, branch in candidates[1:]:
-            self._log(
-                "behavior_suppressed",
-                {
-                    "behavior": behavior,
-                    "priority": priority,
-                    "rule": -neg_index,
-                    "branch": branch,
-                    "winner": winner,
-                },
-            )
+            self._log(_SUPPRESSED, behavior, priority, -neg_index, branch, winner)
 
     def _finish_behavioral(self, entry: sched.QueueEntry) -> None:
         behavior: str = entry.payload  # type: ignore[assignment]
@@ -805,30 +857,15 @@ class _Engine:
     def _handle_deferred_enqueue(self, item: tuple[dict, str]) -> None:
         command, behavior = item
         topic, task = self._controls[command["actuator"]]
-        self._publish(topic, command, command=command, behavior=behavior)
+        self._publish(_COMMAND_MESSAGE, topic, command, command, behavior)
         self.queue.push(task, self.clock_us, item)
 
     def _finish_control(self, entry: sched.QueueEntry) -> None:
         command, behavior = entry.payload  # type: ignore[misc]
         if command["action"] == "play":
-            self._log(
-                "play_cmd",
-                {
-                    "actuator": command["actuator"],
-                    "resource": command["resource"],
-                    "behavior": behavior,
-                },
-            )
+            self._log(_PLAY_CMD, command["actuator"], command["resource"], behavior)
         else:
-            self._log(
-                "actuator_cmd",
-                {
-                    "actuator": command["actuator"],
-                    "action": command["action"],
-                    "value": command["value"],
-                    "behavior": behavior,
-                },
-            )
+            self._log(_ACTUATOR_CMD, command["actuator"], command["action"], command["value"], behavior)
 
     # plain functions, not bound methods, so the table holds no engine
     _FINISH = {
@@ -850,35 +887,17 @@ class _Engine:
         aborted, self.running = self.running, None
         purged = self.queue.purge()
         neutral = {a.name: a.clamp(0.0) for a in self.config.actuators}
-        self._log(
-            "safety_halt",
-            {
-                "source": source,
-                "sensor": sensor,
-                "reading": reading,
-                "threshold": threshold,
-                "command": command,
-                "neutral": neutral,
-                "aborted": aborted.task.id if aborted else None,
-                "purged": [e.task.id for e in purged],
-            },
-        )
+        aborted_id = aborted.task.id if aborted else None
+        self._log(_SAFETY_HALT, source, sensor, reading, threshold, command, neutral, aborted_id, [e.task.id for e in purged])
         if aborted is not None:
-            self._log(
-                "task_abort",
-                {
-                    "task": aborted.task.id,
-                    "enqueue_seq": aborted.enqueue_seq,
-                    "reason": "safety_halt",
-                },
-            )
+            self._log(_TASK_ABORT, aborted.task.id, aborted.enqueue_seq, "safety_halt")
         self.halted = True
 
     def _log_dropped(self, event: TraceEvent) -> None:
         if isinstance(event, Override):
-            self._log("trace_dropped", {"sensor": None, "value": None, "command": event.command})
+            self._log(_TRACE_DROPPED, None, None, event.command)
         else:
-            self._log("trace_dropped", {"sensor": event.sensor, "value": event.value, "command": None})
+            self._log(_TRACE_DROPPED, event.sensor, event.value, None)
 
     def _dispatch(self) -> None:
         if self.halted or self.running is not None or len(self.queue) == 0:
@@ -890,15 +909,7 @@ class _Engine:
         # so nothing may outrank the pick
         runner_up = self.queue.peek()
         assert runner_up is None or runner_up.task.current_priority <= task.current_priority
-        self._log(
-            "task_start",
-            {
-                "task": task.id,
-                "enqueue_seq": entry.enqueue_seq,
-                "enqueue_t_us": entry.enqueue_t_us,
-                "priority": task.current_priority,
-            },
-        )
+        self._log(_TASK_START, task.id, entry.enqueue_seq, entry.enqueue_t_us, task.current_priority)
         self.running = entry
         self._push(self.clock_us + task.cost_us, _RANK_TASK_DONE, entry)
 
@@ -908,13 +919,19 @@ def run(
     program: BoundProgram,
     trace: Sequence[TraceEvent],
     horizon_us: int | None = None,
-    sink: Callable[[LogEntry], object] | None = None,
+    sink: LogSink | None = None,
 ) -> ExecutionLog:
     """Simulate a trace; `horizon_us` truncates the trace and extends window
     boundary ticks through otherwise idle time (used by --until).  Each entry
-    goes to `sink` as it is logged; without one, the returned log's `entries`
-    holds them all, and with one it is empty.  Raises RunLimitError past
-    MAX_WINDOW_ENTRIES priority updates."""
+    goes to `sink(row, seq, t_us, values)` as it is logged, as its schema
+    row and its detail values in the row's order; without a sink, the
+    returned log's `entries` holds them all, and with one it is empty.
+    Raises RunLimitError past MAX_WINDOW_ENTRIES priority updates."""
     entries: list[LogEntry] = []
-    routes = _Engine(config, program, trace, horizon_us, entries.append if sink is None else sink).run()
+    if sink is None:
+
+        def sink(row: LogRow, seq: int, t_us: int, values: tuple) -> None:
+            entries.append(row.entry(seq, t_us, values))
+
+    routes = _Engine(config, program, trace, horizon_us, sink).run()
     return ExecutionLog(entries, routes)

@@ -144,7 +144,7 @@ def adapt_priorities(
     counters: Mapping[str, FrequencyCounter],
     params: SchedulerParams,
     t_us: int,
-) -> list[dict]:
+) -> list[tuple[str, float, float, int, str | None, float]]:
     """Apply the windowed adjustment at the tumbling-window boundary `t_us`.
 
     Every non-safety task is recomputed from its base: the linked behavior
@@ -153,8 +153,9 @@ def adapt_priorities(
     A task none of whose behaviors fired keeps its base, with F 0 and no
     behavior.  Counters reset for the next window.  Returns one
     `priority_update` log detail per non-safety task, in task insertion order,
-    its keys in `engine.LOG_FIELDS` order.  Raises NonFiniteOutputError
-    when alpha * F / W overflows, since the log could not hold it as JSON.
+    as its values in `engine.LOG_FIELDS` order: `(task, old, new, f_max,
+    behavior, delta)`.  Raises NonFiniteOutputError when alpha * F / W
+    overflows, since the log could not hold it as JSON.
 
     Only the behaviors that fired this window are looked at: a task costs at
     most one lookup per fired behavior, however many behaviors it links.
@@ -162,7 +163,7 @@ def adapt_priorities(
     w_seconds = params.window_us / 1e6
     fired = {name: counter.count for name, counter in counters.items() if counter.count > 0}
     fired_names = frozenset(fired)
-    updates: list[dict] = []
+    updates: list[tuple[str, float, float, int, str | None, float]] = []
     for task in tasks.values():
         if task.category is TaskCategory.SAFETY:
             continue
@@ -181,7 +182,7 @@ def adapt_priorities(
             )
         new = min(task.base_priority + delta, params.p_max)
         old = task.current_priority
-        updates.append({"task": task.id, "old": old, "new": new, "f_max": best_f, "behavior": best_behavior, "delta": delta})
+        updates.append((task.id, old, new, best_f, best_behavior, delta))
         task.current_priority = new
     for counter in counters.values():
         counter.count = 0

@@ -415,12 +415,13 @@ def test_run_error_after_output_began_leaves_the_output_path_as_it_was(tmp_files
         tmp_files["config"].write_text(config_text)
     tmp_files["trace"].write_text(trace_text)
     rendered: list[int] = []
+    flush = cli._LogWriter.flush
 
-    def serialize_log(entries):  # the writer looks it up here, so a traced run can wrap it
-        rendered.append(len(entries))
-        return engine.serialize_log(entries)
+    def counted_flush(writer):  # each batch's lines, as the writer writes them
+        rendered.append(len(writer.batch))
+        flush(writer)
 
-    monkeypatch.setattr(cli, "serialize_log", serialize_log)
+    monkeypatch.setattr(cli._LogWriter, "flush", counted_flush)
     monkeypatch.setattr(cli, "LOG_BATCH_ENTRIES", 64)
     out_dir = tmp_path / "out"
     out_dir.mkdir()
@@ -447,19 +448,35 @@ def test_run_output_error_is_an_io_error(tmp_files, tmp_path, capsys, monkeypatc
     output = tmp_path / "missing" / "log.jsonl" if where == "missing_dir" else tmp_path / "log.jsonl"
     reason = os.strerror(errno.ENOENT if where == "missing_dir" else errno.ENOSPC)
     batches = []
+    flush = cli._LogWriter.flush
 
-    def serialize_log(entries):  # the second batch finds the disk full
-        batches.append(len(entries))
+    def flush_until_full(writer):  # the second batch finds the disk full
+        batches.append(len(writer.batch))
         if len(batches) == 2:
             raise OSError(errno.ENOSPC, reason)
-        return engine.serialize_log(entries)
+        flush(writer)
 
-    monkeypatch.setattr(cli, "serialize_log", serialize_log)
+    monkeypatch.setattr(cli._LogWriter, "flush", flush_until_full)
     tmp_files["trace"].write_text(_touch_trace(1000))  # more than one batch
     argv = ["run", "-c", str(tmp_files["config"]), "-b", str(tmp_files["behavior"]), "-t", str(tmp_files["trace"])]
     assert main([*argv, "-o", str(output)]) == 2
     assert capsys.readouterr() == ("", f"error: cannot write {output}: {reason}\n")
     assert sorted(tmp_path.iterdir()) == sorted(tmp_files.values())  # no temporary file left
+
+
+def test_run_output_builds_no_log_entry(tmp_files, tmp_path, fixtures_dir, monkeypatch):
+    # the writer renders each entry from its row and values, so `run -o` builds
+    # no LogEntry (nor its detail dict); `--stats` counts entries, and shows the patch bites
+    def no_entry(*args):
+        raise AssertionError("a LogEntry was built")
+
+    monkeypatch.setattr(engine, "LogEntry", no_entry)
+    argv = ["run", "-c", str(tmp_files["config"]), "-b", str(tmp_files["behavior"]), "-t", str(tmp_files["trace"])]
+    log = tmp_path / "log.jsonl"
+    assert main([*argv, "-o", str(log)]) == 0
+    assert log.read_bytes() == (fixtures_dir / "golden_touch_log.jsonl").read_bytes()
+    with pytest.raises(AssertionError, match="^a LogEntry was built$"):
+        main([*argv, "-o", os.devnull, "--stats"])
 
 
 def test_run_output_replaces_the_file_its_path_names(tmp_files, tmp_path, fixtures_dir):

@@ -177,7 +177,7 @@ def test_a_run_hands_each_entry_to_its_sink(touch_config_text, behavior_text, to
     trace = eng.load_trace(touch_trace_text, config)
     kept = eng.run(config, program, trace)
     handed: list[eng.LogEntry] = []
-    streamed = eng.run(config, program, trace, sink=handed.append)
+    streamed = eng.run(config, program, trace, sink=lambda row, seq, t_us, values: handed.append(row.entry(seq, t_us, values)))
     assert (streamed.entries, handed, streamed.routes) == ([], kept.entries, kept.routes)
     stats = eng.StatsAccumulator()
     eng.run(config, program, trace, sink=stats.add)
@@ -1121,6 +1121,37 @@ def test_unsupported_value_type_raises():
             eng.serialize_stats(eng.compute_stats([]) | {"messages_per_layer": {"sensor": value}})
 
 
+# values of exactly each type a schema row declares, with the awkward ones
+# drawn often: strs with quotes, backslashes, control characters, non-ASCII
+# and lone surrogates, floats at the ends of their range, and huge ints
+_declared_text = st.text(st.sampled_from('"\\%{}s \x00\x1f\n\t\x7fé€😀\ud800\udfffa'), max_size=6) | st.text(max_size=6)
+_declared_float = st.floats() | st.sampled_from([-0.0, 1e300, -1e300, 5e-324])
+_declared_int = st.integers() | st.sampled_from([2**63, -(2**63) - 1, 10**300, -(10**300)])
+_DECLARED = {
+    int: _declared_int,
+    float: _declared_float,
+    str: _declared_text,
+    str | None: st.none() | _declared_text,
+    float | None: st.none() | _declared_float,
+    list: st.lists(_declared_text, max_size=3),
+    dict: st.dictionaries(_declared_text, _declared_float | _declared_text, max_size=3),
+}
+
+
+@pytest.mark.parametrize("shape", list(eng.LOG_FIELDS), ids=[f"{kind}.{layer}" if layer else kind for kind, layer in eng.LOG_FIELDS])
+@settings(max_examples=100)
+@given(data=st.data())
+def test_row_emitters_match_serialize_log(shape, data):
+    # the writer's per-row lines are the checked serializer's, byte for byte,
+    # for any values of the declared types
+    row = eng.LOG_FIELDS[shape]
+    seq, t_us = data.draw(_declared_int), data.draw(_declared_int)
+    values = tuple(data.draw(_DECLARED[declared]) for declared in row.types)
+    renderer = eng.Renderer()
+    line = row.emit(renderer.quoted, renderer.render, seq, t_us, *values)
+    assert line == eng.serialize_log([eng.LogEntry(seq, t_us, row.kind, dict(zip(row, values)))])
+
+
 def test_dispatch_dominance_reconstructed_from_log(touch_config_text):
     # Closely spaced readings back the queue up so dispatches actually compete.
     trace_text = "\n".join(
@@ -1147,24 +1178,50 @@ def test_trace_rejects_non_finite_values(touch_config_text):
         eng.load_trace('{"t_us": 1, "sensor": "touch", "value": Infinity}', config)
 
 
-def _readme_detail_fields() -> dict[tuple[str, str | None], tuple[str, ...]]:
+def _readme_detail_table() -> dict[tuple[str, str | None], tuple[tuple[str, str], ...]]:
     """README's per-kind detail-field table: (kind, message layer or None) ->
-    field names in their documented order."""
+    (field name, its documented type) in their documented order."""
     text = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
     table = text.split("| kind | detail fields |\n", 1)[1].split("\n\n", 1)[0]
-    fields: dict[tuple[str, str | None], tuple[str, ...]] = {}
+    fields: dict[tuple[str, str | None], tuple[tuple[str, str], ...]] = {}
     for row in table.splitlines()[1:]:
         kind_cell, fields_cell = row.strip("|").split("|")
         kind, layer = re.fullmatch(r" `(\w+)`(?: \(layer `(\w+)`\))? ", kind_cell).groups()
         while "(" in fields_cell:  # drop each parenthesised remark, innermost first
             fields_cell = re.sub(r"\([^()]*\)", "", fields_cell)
-        fields[(kind, layer)] = tuple(re.match(r" *`(\w+)`", part).group(1) for part in fields_cell.split(","))
+        fields[(kind, layer)] = tuple(re.fullmatch(r" *`(\w+)` (.*?) *", part).groups() for part in fields_cell.split(","))
     return fields
+
+
+def _readme_detail_fields() -> dict[tuple[str, str | None], tuple[str, ...]]:
+    """README's per-kind detail-field table: (kind, message layer or None) ->
+    field names in their documented order."""
+    return {shape: tuple(name for name, _type in cells) for shape, cells in _readme_detail_table().items()}
 
 
 def test_readme_detail_fields_table_is_log_fields():
     # same rows, fields and order, with no run needed
     assert list(_readme_detail_fields().items()) == list(eng.LOG_FIELDS.items())
+
+
+# README's type words -> the type a row declares; a quoted literal such as `"sensor"` is a string
+_README_TYPES = {
+    "string": str,
+    "number": float,
+    "integer": int,
+    "string or null": str | None,
+    "number or null": float | None,
+    "object": dict,
+    "array of strings": list,
+}
+
+
+def test_readme_detail_types_are_the_declared_types():
+    documented = {
+        shape: tuple(str if text.startswith('`"') else _README_TYPES[text] for _name, text in cells)
+        for shape, cells in _readme_detail_table().items()
+    }
+    assert documented == {shape: row.types for shape, row in eng.LOG_FIELDS.items()}
 
 
 def test_emitted_entry_shapes_are_log_fields_rows(touch_config_text, behavior_text, touch_trace_text):

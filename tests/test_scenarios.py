@@ -9,13 +9,18 @@ every name by a prefix renames the log.  Appending readings to a run that
 halts adds only `trace_dropped` entries.  The canonical form of a program
 (`robosync parse`) replays to the same log as the program.  And every run
 keeps the reading chain: each processed value names the sensor message it
-came from, and the trace it ran is left as it was."""
+came from, and the trace it ran is left as it was.  Every trio replays to
+its golden bytes under several hash seeds, and `run -o` writes exactly what
+`serialize_log` renders of the run's entries."""
 
 from __future__ import annotations
 
 import copy
+import importlib.util
 import json
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,10 +28,11 @@ from hypothesis import given, settings, strategies as st
 from robosync.cli import build_parser, main
 from robosync.config import parse_config, processing_stages
 from robosync.dsl import _TOKEN_RE, bind_program, format_program, parse_program
-from robosync.engine import LogEntry, load_trace, run, serialize_log
+from robosync.engine import LogEntry, compute_stats, load_trace, run, serialize_log, serialize_stats
 
 from conftest import FIXTURES
 from test_acceptance import SAFETY_CONFIG, SAFETY_PROGRAM, _random_halt_trace
+from test_cli import _cli_env
 
 SCENARIOS = sorted(path for path in (FIXTURES / "scenarios").iterdir() if path.is_dir())
 
@@ -58,8 +64,19 @@ TRIOS = {
 }
 
 
-# the golden stats line of the touch trio and of each scenario
+# the golden log and stats line of the touch trio and of each scenario
+GOLDEN_LOGS = {"touch": FIXTURES / "golden_touch_log.jsonl", **{path.name: path / "log.jsonl" for path in SCENARIOS}}
 GOLDEN_STATS = {"touch": FIXTURES / "golden_touch_stats.json", **{path.name: path / "stats.json" for path in SCENARIOS}}
+
+
+def _extra(args_path) -> list[str]:
+    """A trio's extra `run` arguments."""
+    return json.loads(args_path.read_text(encoding="utf-8")) if args_path and args_path.exists() else []
+
+
+def _until(extra: list[str]) -> int | None:
+    """The --until of these extra `run` arguments."""
+    return build_parser().parse_args(["run", "-c", "", "-b", "", "-t", "", *extra]).until
 
 
 @pytest.mark.parametrize("trio", sorted(GOLDEN_STATS))
@@ -67,13 +84,74 @@ def test_run_stats_equal_the_stats_of_its_written_log(trio, tmp_path, capsys):
     """`run --stats` counts each entry as it is logged, and `stats` reads the
     written log back: both print the golden stats line."""
     config_path, program_path, trace_path, args_path = TRIOS[trio]
-    extra = json.loads(args_path.read_text(encoding="utf-8")) if args_path and args_path.exists() else []
+    extra = _extra(args_path)
     log = tmp_path / "log.jsonl"
     assert main(["run", "-c", str(config_path), "-b", str(program_path), "-t", str(trace_path), "-o", str(log), "--stats", *extra]) == 0
     run_stats = capsys.readouterr().err
     assert main(["stats", str(log)]) == 0
     golden = GOLDEN_STATS[trio].read_text(encoding="utf-8")
     assert (run_stats, capsys.readouterr().out) == (golden, golden)
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1", "7", "12345"])
+def test_every_trio_replays_to_its_golden_bytes_under_any_hash_seed(hash_seed, tmp_path):
+    """No log or stats byte depends on set or dict order of str hashes: each
+    trio replays in a fresh interpreter under several hash seeds (one seed
+    let an order-dependent rename through)."""
+    for trio, (config_path, program_path, trace_path, args_path) in sorted(TRIOS.items()):
+        log = tmp_path / f"{trio}.jsonl"
+        argv = ["run", "-c", str(config_path), "-b", str(program_path), "-t", str(trace_path), "-o", str(log), "--stats"]
+        done = subprocess.run(
+            [sys.executable, "-m", "robosync.cli", *argv, *_extra(args_path)],
+            capture_output=True,
+            env={**_cli_env(), "PYTHONHASHSEED": hash_seed},
+            timeout=60,
+        )
+        assert done.returncode == 0, (trio, done.stderr)
+        assert log.read_bytes() == GOLDEN_LOGS[trio].read_bytes(), trio
+        assert done.stderr == GOLDEN_STATS[trio].read_bytes(), trio
+
+
+def _bench_workloads():
+    """bench/workloads.py, the benchmark's input generator, imported from its file."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", FIXTURES.parent / "bench" / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up there
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH_WORKLOADS = _bench_workloads()
+
+
+# the touch trio with a STOP while the first reading's task runs: no trio halts by override
+_STOP_TRACE = '{"t_us": 1000, "sensor": "touch", "value": 2}\n{"t_us": 1050, "override": "STOP"}\n{"t_us": 2000, "sensor": "touch", "value": 5}\n'
+
+
+@pytest.mark.parametrize("inputs", [*sorted(TRIOS), "touch_stop", *(f"bench_{name}" for name in BENCH_WORKLOADS.WORKLOADS)])
+def test_the_writer_writes_what_serialize_log_renders(inputs, tmp_path, capsys):
+    """`run -o FILE` renders each entry through its row's emitter: the file
+    is `serialize_log` of the run's entries, and `--stats` their stats, on
+    every trio, on a halt by override, and on a 300-reading seed-1 trio of
+    each bench workload."""
+    if inputs in TRIOS:
+        config_path, program_path, trace_path, args_path = TRIOS[inputs]
+        extra = _extra(args_path)
+    elif inputs == "touch_stop":
+        config_path, program_path, _trace, _args = TRIOS["touch"]
+        trace_path = tmp_path / "trace.jsonl"
+        trace_path.write_text(_STOP_TRACE, encoding="utf-8")
+        extra = []
+    else:
+        BENCH_WORKLOADS.generate(inputs.removeprefix("bench_"), 1, readings=300).write(tmp_path)
+        config_path, program_path, trace_path = tmp_path / "config.json", tmp_path / "behavior.rsb", tmp_path / "trace.jsonl"
+        extra = []
+    log = tmp_path / "log.jsonl"
+    assert main(["run", "-c", str(config_path), "-b", str(program_path), "-t", str(trace_path), "-o", str(log), "--stats", *extra]) == 0
+    run_stats = capsys.readouterr().err
+    config, program = _bind(config_path.read_text(encoding="utf-8"), program_path.read_text(encoding="utf-8"))
+    entries = _replay(config, program, trace_path.read_text(encoding="utf-8"), _until(extra))
+    assert log.read_bytes() == serialize_log(entries).encode("utf-8")
+    assert run_stats == serialize_stats(compute_stats(entries))
 
 
 def _replay(config, program, trace_text: str, until: int | None) -> list[LogEntry]:
@@ -83,8 +161,7 @@ def _replay(config, program, trace_text: str, until: int | None) -> list[LogEntr
 def _texts(trio: str) -> tuple[str, str, str, int | None]:
     """A trio's config, program and trace texts, and its --until."""
     config_path, program_path, trace_path, args_path = TRIOS[trio]
-    extra = json.loads(args_path.read_text(encoding="utf-8")) if args_path and args_path.exists() else []
-    until = build_parser().parse_args(["run", "-c", "", "-b", "", "-t", "", *extra]).until
+    until = _until(_extra(args_path))
     texts = (path.read_text(encoding="utf-8") for path in (config_path, program_path, trace_path))
     return (*texts, until)
 

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from robosync import sched, sensorproc as sp
 from robosync.config import SchedulerParams
+from robosync.engine import LOG_FIELDS
 
 
 def _task(task_id, category, base, behaviors=(), cost=100):
@@ -80,13 +81,19 @@ def test_record_trigger_counts():
     assert counter.count == 6
 
 
+def _adapt(*args):
+    """`adapt_priorities`'s updates, each as its `priority_update` log detail."""
+    fields = LOG_FIELDS[("priority_update", None)]
+    return [dict(zip(fields, update)) for update in sched.adapt_priorities(*args)]
+
+
 def _params(alpha=0.05, window_us=1_000_000):
     return SchedulerParams(alpha=alpha, window_us=window_us, p_max=1.0, default_task_cost_us=100)
 
 
 def test_adapt_zero_frequency_keeps_base():
     tasks = {"t": _task("t", sched.TaskCategory.BEHAVIORAL, 0.5, {"b"})}
-    updates = sched.adapt_priorities(tasks, {"b": sched.FrequencyCounter("b")}, _params(), 1_000_000)
+    updates = _adapt(tasks, {"b": sched.FrequencyCounter("b")}, _params(), 1_000_000)
     assert tasks["t"].current_priority == 0.5
     assert updates[0]["new"] == 0.5
     assert updates[0]["f_max"] == 0
@@ -116,7 +123,7 @@ def test_adapt_uses_max_frequency_behavior():
     sched.record_trigger(ca, 0)
     for t in range(3):
         sched.record_trigger(cb, t)
-    updates = sched.adapt_priorities(tasks, {"a": ca, "b": cb}, _params(alpha=0.1), 1_000_000)
+    updates = _adapt(tasks, {"a": ca, "b": cb}, _params(alpha=0.1), 1_000_000)
     assert updates[0]["behavior"] == "b"
     assert tasks["t"].current_priority == pytest.approx(0.2 + 0.1 * 3)
 
@@ -148,7 +155,7 @@ def test_adapt_never_touches_safety():
     counter = sched.FrequencyCounter("b")
     for t in range(100):
         sched.record_trigger(counter, t)
-    updates = sched.adapt_priorities(tasks, {"b": counter}, _params(alpha=1.0), 1_000_000)
+    updates = _adapt(tasks, {"b": counter}, _params(alpha=1.0), 1_000_000)
     assert tasks["guard"].current_priority == 1.0
     assert all(u["task"] != "guard" for u in updates)
     assert tasks["t"].current_priority == 1.0  # capped
@@ -182,7 +189,7 @@ def test_adapt_keeps_the_largest_finite_adjustment():
     tasks = {"t": _task("t", sched.TaskCategory.BEHAVIORAL, 0.5, {"b"})}
     counter = sched.FrequencyCounter("b")
     sched.record_trigger(counter, 0)
-    (update,) = sched.adapt_priorities(tasks, {"b": counter}, _params(alpha=1.7e308), 1_000_000)
+    (update,) = _adapt(tasks, {"b": counter}, _params(alpha=1.7e308), 1_000_000)
     assert update["delta"] == 1.7e308
     assert update["new"] == 1.0
 
@@ -257,7 +264,7 @@ def test_adapt_matches_sorted_scan_oracle(specs, counted, windows):
             for t_us in range(count if name in counters else 0):
                 sched.record_trigger(counters[name], t_us)
                 sched.record_trigger(oracle_counters[name], t_us)
-        assert sched.adapt_priorities(tasks, counters, params, 1_000_000) == _linear_adapt(oracle_tasks, oracle_counters, params)
+        assert _adapt(tasks, counters, params, 1_000_000) == _linear_adapt(oracle_tasks, oracle_counters, params)
         assert counters == oracle_counters
         assert tasks == oracle_tasks
 
