@@ -19,7 +19,7 @@ import os
 import re
 import shutil
 import sys
-from typing import Iterator, TextIO
+from typing import Iterator, Sequence, TextIO
 
 from . import engine as engine_mod
 from .bus import BusError
@@ -36,6 +36,7 @@ from .engine import (
     RunLimitError,
     StatsAccumulator,
     TraceError,
+    block_lines,
     compute_stats,
     iter_log,
     load_trace,
@@ -120,8 +121,9 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 class _LogWriter:
     """A run's sink: `add` renders each entry as it is logged, through its
-    row's `emit`, and every LOG_BATCH_ENTRIES lines are written at once, so
-    the log in memory at once is one batch of text.  `flush` writes the
+    row's `emit`, and `block` each entry of a block from its tail; once
+    LOG_BATCH_ENTRIES lines or more wait, they are written at once, so the
+    log in memory at once is about one batch of text.  `flush` writes the
     last batch."""
 
     __slots__ = ("out", "batch", "quoted", "render")
@@ -138,9 +140,33 @@ class _LogWriter:
         if len(batch) >= LOG_BATCH_ENTRIES:
             self.flush()
 
+    def block(self, row: LogRow, first_seq: int, t_us: int, items: Sequence[tuple[tuple, str]]) -> None:
+        batch = self.batch
+        batch += block_lines(first_seq, t_us, items)
+        if len(batch) >= LOG_BATCH_ENTRIES:
+            self.flush()
+
     def flush(self) -> None:
         self.out.write("".join(self.batch))
         self.batch.clear()
+
+
+class _Tee:
+    """A run's sink that hands each entry, and each block, to every one of
+    its sinks in turn."""
+
+    __slots__ = ("sinks",)
+
+    def __init__(self, *sinks: engine_mod.LogSink) -> None:
+        self.sinks = sinks
+
+    def add(self, *entry) -> None:
+        for sink in self.sinks:
+            sink.add(*entry)
+
+    def block(self, *block) -> None:
+        for sink in self.sinks:
+            sink.block(*block)
 
 
 @contextlib.contextmanager
@@ -198,7 +224,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         with _output(args.output) as out:
             writer = _LogWriter(out)
-            sink = writer.add if stats is None else lambda *logged: (writer.add(*logged), stats.add(*logged))
+            sink = writer if stats is None else _Tee(writer, stats)
             engine_mod.run(config, program, trace, horizon_us=args.until, sink=sink)
             writer.flush()
     except BusError as exc:

@@ -387,6 +387,7 @@ def _parse_scheduler(obj: Any, path: str) -> SchedulerParams:
     assert alpha is not None
     if alpha < 0:
         raise SchemaError(f"{path}.alpha", "must be >= 0")
+    alpha = alpha or 0.0  # a negative zero reads as 0, so no update logs a delta of -0.000000
     window_us = _get_int(obj, "window_us", path, default=DEFAULT_WINDOW_US, minimum=1)
     assert window_us is not None
     p_max = _get_number(obj, "p_max", path, default=1.0)

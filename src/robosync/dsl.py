@@ -1,5 +1,5 @@
 """Behavior definition language: lexer, recursive-descent parser, canonical
-formatter, condition evaluator, and the binder that resolves a parsed program
+formatter, condition compiler, and the binder that resolves a parsed program
 against a system configuration.
 
 Tokens, tried in this order at each position of a line (`_TOKEN_RE`): blanks
@@ -37,9 +37,10 @@ number its canonical form writes.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .config import SystemConfig, fill_priorities, processing_stages
 
@@ -529,29 +530,47 @@ def format_program(program: BehaviorProgram) -> str:
 # evaluation
 
 _OPS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+    "!=": operator.ne,
 }
+
+
+def compile_condition(cond: Condition) -> Callable[[Mapping[str, float]], bool]:
+    """The condition as one closure over the latest signal values: each
+    comparison looks its signal up once, AND and OR short-circuit left to
+    right, and a signal with no value raises MissingSignalError.  The
+    closures nest as the tree does, and none refers to itself."""
+    match cond:
+        case Comparison(signal=signal, op=op, value=value):
+            compare = _OPS[op]
+
+            def comparison(snapshot: Mapping[str, float]) -> bool:
+                try:
+                    current = snapshot[signal]
+                except KeyError:
+                    raise MissingSignalError(signal) from None
+                return compare(current, value)
+
+            return comparison
+        case And(left=left, right=right):
+            first, second = compile_condition(left), compile_condition(right)
+            return lambda snapshot: first(snapshot) and second(snapshot)
+        case Or(left=left, right=right):
+            first, second = compile_condition(left), compile_condition(right)
+            return lambda snapshot: first(snapshot) or second(snapshot)
+        case Not(inner=inner):
+            negated = compile_condition(inner)
+            return lambda snapshot: not negated(snapshot)
+    raise TypeError(f"not a condition: {cond!r}")
 
 
 def eval_condition(cond: Condition, snapshot: Mapping[str, float]) -> bool:
     """Evaluate a condition against the latest signal values."""
-    match cond:
-        case Comparison(signal=signal, op=op, value=value):
-            if signal not in snapshot:
-                raise MissingSignalError(signal)
-            return _OPS[op](snapshot[signal], value)
-        case And(left=left, right=right):
-            return eval_condition(left, snapshot) and eval_condition(right, snapshot)
-        case Or(left=left, right=right):
-            return eval_condition(left, snapshot) or eval_condition(right, snapshot)
-        case Not(inner=inner):
-            return not eval_condition(inner, snapshot)
-    raise TypeError(f"not a condition: {cond!r}")
+    return compile_condition(cond)(snapshot)
 
 
 def condition_signals(cond: Condition) -> list[tuple[str, SourceSpan | None]]:

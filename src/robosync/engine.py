@@ -22,12 +22,16 @@ import itertools
 import json
 import statistics
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Generator, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
 from . import sched
 from .bus import DeliveryRecord, Layer, Message, MessageBus, Topic, evaluate_safety
 from .config import SafetyCheckSpec, SystemConfig, command_topic, processing_stages
-from .dsl import BoundProgram, Rule, condition_signals, eval_condition
+# eval_condition stays a name of this module though nothing here calls it
+# (each route compiles its conditions): the benchmark's tracer,
+# bench/tracing.py, looks up each function it wraps in this module's
+# namespace, and a missing one fails it
+from .dsl import BoundProgram, Rule, compile_condition, condition_signals, eval_condition
 from .sensorproc import Reading, Step, finite_float, gate_significant, make_plugin, run_algorithm
 
 # a value's type, exact or as a schema row declares it -> its conversion in a
@@ -48,12 +52,18 @@ _CONVERSIONS: dict[object, tuple[str, str | None]] = {
 }
 
 
-def _compile_line(kind: str, fields: Sequence[str], types: Sequence[object]) -> Callable[..., str]:
+# the text every line ends with: its detail's brace, then its own
+_LINE_END = "}}\n"
+
+
+def _compile_line(kind: str, fields: Sequence[str], types: Sequence[object], head: bool = True) -> Callable[..., str]:
     """The line function `(quoted, render, seq, t_us, *values) -> line` of an
     entry of `kind` with these detail fields, for values of these types (seq's,
     t_us's, then each field's): one `%` template with the conversions inlined,
     whose source holds only the schema's names, the fixed conversions and
-    parameter names, never an entry's text."""
+    parameter names, never an entry's text.  Without `head`, the types are
+    the fields' alone, and the function is the tail `(quoted, render,
+    *values)`: the line after its t_us."""
     params = [f"v{index}" for index in range(len(types))]
     codes, args = [], []
     for param, value_type in zip(params, types):
@@ -61,11 +71,14 @@ def _compile_line(kind: str, fields: Sequence[str], types: Sequence[object]) -> 
         codes.append(code)
         if arg is not None:
             args.append(arg.format(param) + ", ")
-    seq, t_us, *field_codes = codes
+    start = ""
+    if head:
+        seq, t_us, *codes = codes
+        start = f'{{"seq": {seq}, "t_us": {t_us}'
     template = (
-        f'{{"seq": {seq}, "t_us": {t_us}, "kind": "{kind}", "detail": {{'
-        + ", ".join(f'"{name}": {code}' for name, code in zip(fields, field_codes))
-        + "}}\n"
+        f'{start}, "kind": "{kind}", "detail": {{'
+        + ", ".join(f'"{name}": {code}' for name, code in zip(fields, codes))
+        + _LINE_END
     )
     return eval(f"lambda q, c, {', '.join(params)}: {template!r} % ({''.join(args)})", {"__builtins__": {}})
 
@@ -73,24 +86,39 @@ def _compile_line(kind: str, fields: Sequence[str], types: Sequence[object]) -> 
 class LogRow(tuple):
     """A row of the log schema: the tuple of its detail field names, in the
     order they are written, with its entries' `kind`, each field's declared
-    type in `types`, and `emit`, the row's line function compiled at import:
-    `emit(quoted, render, seq, t_us, *values) -> line`.  `emit` checks
-    nothing; the engine passes values of the declared types, and tests hold
-    its lines to `serialize_log`'s."""
+    type in `types`, and two functions compiled at import: `emit(quoted,
+    render, seq, t_us, *values) -> line`, the row's line function, and
+    `tail(quoted, render, *values)`, the same line after its t_us.  Neither
+    checks anything; the engine passes values of the declared types, and
+    tests hold their lines to `serialize_log`'s."""
 
     kind: str
     types: tuple[object, ...]
     emit: Callable[..., str]
+    tail: Callable[..., str]
 
     def __new__(cls, kind: str, fields: Mapping[str, object]) -> LogRow:
         row = super().__new__(cls, fields)
         row.kind, row.types = kind, tuple(fields.values())
         row.emit = _compile_line(kind, row, (int, int, *row.types))
+        row.tail = _compile_line(kind, row, row.types, head=False)
         return row
 
     def entry(self, seq: int, t_us: int, values: tuple) -> LogEntry:
         """The entry whose line `emit` writes."""
         return LogEntry(seq, t_us, self.kind, dict(zip(self, values)))
+
+    def entries(self, first_seq: int, t_us: int, items: Iterable[tuple[tuple, str]]) -> list[LogEntry]:
+        """The entries of a block of this row: one per `(values, tail)` item,
+        from seq `first_seq` on, all at `t_us`."""
+        kind = self.kind
+        return [LogEntry(seq, t_us, kind, dict(zip(self, values))) for seq, (values, _tail) in enumerate(items, first_seq)]
+
+
+def block_lines(first_seq: int, t_us: int, items: Iterable[tuple[tuple, str]]) -> list[str]:
+    """The lines of a block, as the row's `emit` writes its entries: item i's
+    line is seq `first_seq + i` and `t_us`, then the item's tail."""
+    return [f'{{"seq": {seq}, "t_us": {t_us}{tail}' for seq, (_values, tail) in enumerate(items, first_seq)]
 
 
 # The log schema: each entry shape, (kind, producing layer for a `message`,
@@ -189,8 +217,17 @@ class Override:
 # one trace line: a sensor sample or an override
 TraceEvent = Reading | Override
 
-# what a run hands each entry to as it is logged: `sink(row, seq, t_us, values)`
-LogSink = Callable[[LogRow, int, int, tuple], object]
+
+class LogSink(Protocol):
+    """What a run hands its entries to as they are logged, as schema rows
+    and detail values in each row's field order.  `add` takes one entry.
+    `block` takes a block: consecutive entries of one row at one instant,
+    from seq `first_seq` on, one per `(values, tail)` item, where `tail` is
+    the entry's line after its t_us, as `row.tail` renders it."""
+
+    def add(self, row: LogRow, seq: int, t_us: int, values: tuple) -> object: ...
+
+    def block(self, row: LogRow, first_seq: int, t_us: int, items: Sequence[tuple[tuple, str]]) -> object: ...
 
 
 # not frozen: one is built per log entry written or read back, and a frozen
@@ -501,7 +538,7 @@ def compute_stats(entries: Iterable[LogEntry]) -> dict:
 
 
 class StatsAccumulator:
-    """`compute_stats` fed as the log is made: `add` is a run's sink, and
+    """`compute_stats` fed as the log is made: it is a run's sink, and
     `result()` ends the log.  `count(entries)` counts an iterable of entries.
     A MalformedLogError from either ends the accumulator."""
 
@@ -514,6 +551,9 @@ class StatsAccumulator:
 
     def add(self, row: LogRow, seq: int, t_us: int, values: tuple) -> None:
         self.count((row.entry(seq, t_us, values),))
+
+    def block(self, row: LogRow, first_seq: int, t_us: int, items: Sequence[tuple[tuple, str]]) -> None:
+        self.count(row.entries(first_seq, t_us, items))
 
     def result(self) -> dict:
         return self.count(None)
@@ -600,6 +640,66 @@ def _stats_pass() -> Generator[dict | None, Iterable[LogEntry] | None, None]:
 # the engine
 
 
+@dataclass(frozen=True, slots=True)
+class _Branch:
+    """One branch of a rule, THEN or the ELSE it has: the outcome that takes
+    it, and `values`, its `(behavior, priority, rule, branch)`, the fields
+    its `behavior_fired` and `behavior_suppressed` entries share.  `head` is
+    its suppressed line's tail up to `"winner": `, and `close` ends the tail
+    of a suppressed line that this branch wins."""
+
+    outcome: bool
+    values: tuple[str, float, int, str]
+    head: str
+    close: str
+
+
+class _CompiledRule(NamedTuple):
+    """A rule compiled at setup, once for every route it sits on."""
+
+    condition: Callable[[Mapping[str, float]], bool]
+    signals: frozenset[str]
+    branches: tuple[_Branch, ...]
+
+
+def _compile_rule(index: int, rule: Rule, priorities: Mapping[str, float], renderer: Renderer) -> _CompiledRule:
+    """Rule `index` of the program: its condition as one closure, the
+    signals it needs, and its branches, their text rendered by `renderer`."""
+    quoted, render = renderer.quoted, renderer.render
+    unnamed = quoted[""] + _LINE_END  # the end of a suppressed line's tail whose winner is ""
+    branches = []
+    for outcome, branch, target in ((True, "then", rule.then_behavior), (False, "else", rule.else_behavior)):
+        if target is not None:
+            values = (target, priorities[target], index, branch)
+            head = _SUPPRESSED.tail(quoted, render, *values, "").removesuffix(unnamed)
+            branches.append(_Branch(outcome, values, head, quoted[target] + _LINE_END))
+    signals = frozenset(signal for signal, _span in condition_signals(rule.condition))
+    return _CompiledRule(compile_condition(rule.condition), signals, tuple(branches))
+
+
+class _Route:
+    """A processing topic's compiled rules, in rule order, and their branches
+    as (rule position, branch) pairs, sorted by behavior priority, highest
+    first, then by rule index, as a firing ranks them.  So the first pair
+    that fires wins, and the pairs that fire after it are the suppressed
+    ones, in order."""
+
+    __slots__ = ("rules", "pairs")
+
+    def __init__(self, rules: Sequence[_CompiledRule]) -> None:
+        self.rules = [(rule.condition, rule.signals) for rule in rules]
+        pairs = [(position, branch) for position, rule in enumerate(rules) for branch in rule.branches]
+        # a rule takes one branch per message, so the order of its two pairs never shows
+        pairs.sort(key=lambda pair: (-pair[1].values[1], pair[1].values[2]))
+        self.pairs = tuple(pairs)
+
+    def fired(self, values: Mapping[str, float]) -> list[_Branch]:
+        """The branches that fire on these signal values, winner first: each
+        rule whose every signal has a value is evaluated once."""
+        outcomes = [condition(values) if values.keys() >= signals else None for condition, signals in self.rules]
+        return [branch for position, branch in self.pairs if outcomes[position] is branch.outcome]
+
+
 class _Engine:
     def __init__(
         self,
@@ -618,7 +718,8 @@ class _Engine:
 
         self.bus = MessageBus()
         self.queue = sched.ReadyQueue()
-        self._sink = sink  # takes each entry as it is logged; the engine keeps none
+        # the sink takes each entry as it is logged; the engine keeps none
+        self._add, self._add_block = sink.add, sink.block
         self._seqs = itertools.count()
         self.clock_us = 0
         self.halted = False
@@ -646,16 +747,17 @@ class _Engine:
         windows log their priority updates in.  Each site that queues work
         keeps its tasks: the run looks up no task by id."""
         config, program, bus = self.config, self.program, self.bus
-        # each processing topic's bound signals, and its rules: each rule once
-        # under every distinct topic its signals read
+        renderer = Renderer()  # renders the text set up here: suppressed heads, idle updates
+        # each processing topic's bound signals, and its rules: each rule
+        # compiled once, under every distinct topic its signals read
         signals_by_topic: dict[str, list[str]] = {}
         for signal, name in program.signal_topics.items():
             signals_by_topic.setdefault(name, []).append(signal)
-        rules_by_topic: dict[str, list[tuple[int, Rule, frozenset[str]]]] = {}
+        rules_by_topic: dict[str, list[_CompiledRule]] = {}
         for index, rule in enumerate(program.program.rules):
-            signals = frozenset(s for s, _ in condition_signals(rule.condition))
-            for name in dict.fromkeys(program.signal_topics[s] for s in signals):
-                rules_by_topic.setdefault(name, []).append((index, rule, signals))
+            compiled = _compile_rule(index, rule, program.priorities, renderer)
+            for name in dict.fromkeys(program.signal_topics[s] for s in compiled.signals):
+                rules_by_topic.setdefault(name, []).append(compiled)
 
         self.tasks: dict[str, sched.TaskDescriptor] = {}
         self._checks: dict[str, list[SafetyCheckSpec]] = {}  # sensor -> its checks, in config order
@@ -671,11 +773,10 @@ class _Engine:
             topic = bus.create_topic(stage.output, Layer.PROCESSING)
             step = make_plugin(stage.plugin, stage.params_dict())
             rules = rules_by_topic.get(stage.output, [])
-            branches = (target for _, rule, _ in rules for target in (rule.then_behavior, rule.else_behavior))
-            targets = frozenset(branches) - {None}
+            targets = frozenset(branch.values[0] for rule in rules for branch in rule.branches)
             task = self._add_task(sched.TaskCategory.ALGORITHMIC, stage.name, targets)
             topic_signals = signals_by_topic.get(stage.output, [])
-            bus.subscribe(topic, Layer.BEHAVIOR, functools.partial(self._on_processed, topic_signals, rules))
+            bus.subscribe(topic, Layer.BEHAVIOR, functools.partial(self._on_processed, topic_signals, _Route(rules)))
             handler = functools.partial(self._on_reading, task, stage.plugin, step, topic)
             for sensor_name in stage.inputs:  # a sensor topic's subscribers keep the stage order
                 sensor_topic, sensor_task = self._sensors[sensor_name]
@@ -706,6 +807,10 @@ class _Engine:
         for task_id, task in self.tasks.items():
             task.base_priority = task.current_priority = base[task_id]
 
+        # each window's `priority_update`s, as a block: an idle task's item is rendered here, once
+        quoted, render, tail = renderer.quoted, renderer.render, _PRIORITY_UPDATE.tail
+        self._idle = sched.IdleUpdates(self.tasks, config.scheduler, lambda values: (values, tail(quoted, render, *values)))
+
     def _add_task(self, category: sched.TaskCategory, name: str, behaviors: Iterable[str] = ()) -> sched.TaskDescriptor:
         """A new task `<category label>.<name>` at the end of `tasks`; `_wire`
         sets its base priority once every task exists."""
@@ -721,7 +826,14 @@ class _Engine:
 
     def _log(self, row: LogRow, *values: object) -> None:
         # the clock only moves forward, so entries come in t_us order
-        self._sink(row, next(self._seqs), self.clock_us, values)
+        self._add(row, next(self._seqs), self.clock_us, values)
+
+    def _log_block(self, row: LogRow, items: Sequence[tuple[tuple, str]]) -> None:
+        """Log one entry of `row` per `(values, tail)` item, all now, in one
+        call of the sink's `block`."""
+        first_seq = next(self._seqs)
+        self._seqs = itertools.count(first_seq + len(items))
+        self._add_block(row, first_seq, self.clock_us, items)
 
     def _publish(self, row: LogRow, topic: Topic, payload: object, *fields: object) -> None:
         """Log the `message` entry of the topic's layer's row, then publish:
@@ -786,10 +898,9 @@ class _Engine:
 
     def _handle_window(self) -> None:
         self.clock_us = max(self.clock_us, self._next_window)
-        updates = sched.adapt_priorities(self.tasks, self.counters, self.config.scheduler, self.clock_us)
+        updates = sched.adapt_priorities(self.tasks, self.counters, self.config.scheduler, self.clock_us, self._idle)
         self.queue.rekey()  # the only place queued tasks change priority
-        for update in updates:
-            self._log(_PRIORITY_UPDATE, *update)
+        self._log_block(_PRIORITY_UPDATE, updates)
         self._next_window += self._window_us
 
     def _handle_trace(self, event: TraceEvent) -> None:
@@ -826,28 +937,22 @@ class _Engine:
             return
         self._publish(_PROCESSED_MESSAGE, topic, value, value, source_seq)
 
-    def _on_processed(self, signals: list[str], rules: list[tuple[int, Rule, frozenset[str]]], message: Message) -> None:
-        """A processing topic's behavior-layer handler: `_wire` binds in its signals and rules."""
-        values, priorities = self.values, self.program.priorities
+    def _on_processed(self, signals: list[str], route: _Route, message: Message) -> None:
+        """A processing topic's behavior-layer handler: `_wire` binds in its signals and route."""
+        values = self.values
         for signal in signals:
             values[signal] = message.payload
-        candidates: list[tuple[float, int, str, str]] = []
-        for index, rule, rule_signals in rules:
-            if values.keys() >= rule_signals:  # every signal of the rule has a value
-                outcome = eval_condition(rule.condition, values)
-                branch = "then" if outcome else "else"
-                target = rule.then_behavior if outcome else rule.else_behavior
-                if target is not None:
-                    candidates.append((priorities[target], -index, target, branch))
-        if not candidates:
+        fired = route.fired(values)
+        if not fired:
             return
-        candidates.sort(reverse=True)
-        winner_priority, neg_index, winner, winner_branch = candidates[0]
-        self._log(_FIRED, winner, winner_priority, -neg_index, winner_branch, message.seq)
-        sched.record_trigger(self.counters[winner], self.clock_us)
-        self.queue.push(self._behavior_tasks[winner], self.clock_us, winner)
-        for priority, neg_index, behavior, branch in candidates[1:]:
-            self._log(_SUPPRESSED, behavior, priority, -neg_index, branch, winner)
+        winner, *suppressed = fired
+        self._log(_FIRED, *winner.values, message.seq)
+        behavior = winner.values[0]
+        sched.record_trigger(self.counters[behavior], self.clock_us)
+        self.queue.push(self._behavior_tasks[behavior], self.clock_us, behavior)
+        if suppressed:
+            close = winner.close
+            self._log_block(_SUPPRESSED, [(pair.values + (behavior,), pair.head + close) for pair in suppressed])
 
     def _finish_behavioral(self, entry: sched.QueueEntry) -> None:
         behavior: str = entry.payload  # type: ignore[assignment]
@@ -923,15 +1028,26 @@ def run(
 ) -> ExecutionLog:
     """Simulate a trace; `horizon_us` truncates the trace and extends window
     boundary ticks through otherwise idle time (used by --until).  Each entry
-    goes to `sink(row, seq, t_us, values)` as it is logged, as its schema
-    row and its detail values in the row's order; without a sink, the
-    returned log's `entries` holds them all, and with one it is empty.
-    Raises RunLimitError past MAX_WINDOW_ENTRIES priority updates."""
-    entries: list[LogEntry] = []
-    if sink is None:
+    goes to the sink as it is logged (see `LogSink`): a firing's suppressed
+    entries and a window's priority updates as one block each, every other
+    entry alone.  Without a sink, the returned log's `entries` holds them
+    all, and with one it is empty.  Raises RunLimitError past
+    MAX_WINDOW_ENTRIES priority updates."""
+    kept = _EntryList()
+    routes = _Engine(config, program, trace, horizon_us, kept if sink is None else sink).run()
+    return ExecutionLog(kept.entries, routes)
 
-        def sink(row: LogRow, seq: int, t_us: int, values: tuple) -> None:
-            entries.append(row.entry(seq, t_us, values))
 
-    routes = _Engine(config, program, trace, horizon_us, sink).run()
-    return ExecutionLog(entries, routes)
+class _EntryList:
+    """`run`'s default sink: it builds a `LogEntry` per entry into `entries`."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self) -> None:
+        self.entries: list[LogEntry] = []
+
+    def add(self, row: LogRow, seq: int, t_us: int, values: tuple) -> None:
+        self.entries.append(row.entry(seq, t_us, values))
+
+    def block(self, row: LogRow, first_seq: int, t_us: int, items: Sequence[tuple[tuple, str]]) -> None:
+        self.entries += row.entries(first_seq, t_us, items)

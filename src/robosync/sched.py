@@ -8,7 +8,7 @@ import enum
 import heapq
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, Mapping
+from typing import AbstractSet, Callable, Mapping
 
 from .config import SchedulerParams
 from .sensorproc import NonFiniteOutputError
@@ -139,12 +139,48 @@ def record_trigger(counter: FrequencyCounter, t_us: int) -> FrequencyCounter:
     return counter
 
 
+class IdleUpdates:
+    """A run's idle `priority_update`s, built once, after base priorities
+    are set, for `adapt_priorities`.
+
+    A window leaves a task idle when no behavior it links fired and its
+    priority is already its idle priority, min(base + alpha * 0 / W, p_max):
+    its update is then the same every window, `(task, idle, idle, 0, None,
+    alpha * 0 / W)`.  `items` holds each non-safety task's idle update, in
+    task order, as `item(values)` makes it (by default, the values), so a
+    caller can keep the update's rendering with it; `item` makes every other
+    update too.  `linked` maps each behavior to the positions of the tasks
+    linking it, and `away` holds the positions not at their idle priority:
+    all of them until the first window, since nothing is known of a priority
+    set before it."""
+
+    __slots__ = ("tasks", "priorities", "items", "item", "linked", "away")
+
+    def __init__(
+        self,
+        tasks: Mapping[str, TaskDescriptor],
+        params: SchedulerParams,
+        item: Callable[[tuple], object] = tuple,
+    ) -> None:
+        self.tasks = [task for task in tasks.values() if task.category is not TaskCategory.SAFETY]
+        delta = params.alpha * 0 / (params.window_us / 1e6)
+        self.priorities = [min(task.base_priority + delta, params.p_max) for task in self.tasks]
+        self.item = item
+        self.items = [item((task.id, idle, idle, 0, None, delta)) for task, idle in zip(self.tasks, self.priorities)]
+        self.linked: dict[str, list[int]] = {}
+        for position, task in enumerate(self.tasks):
+            for behavior in task.behaviors:
+                self.linked.setdefault(behavior, []).append(position)
+        self.away = set(range(len(self.tasks)))
+
+
 def adapt_priorities(
     tasks: Mapping[str, TaskDescriptor],
     counters: Mapping[str, FrequencyCounter],
     params: SchedulerParams,
     t_us: int,
-) -> list[tuple[str, float, float, int, str | None, float]]:
+    idle: IdleUpdates | None = None,
+) -> list:
     """Apply the windowed adjustment at the tumbling-window boundary `t_us`.
 
     Every non-safety task is recomputed from its base: the linked behavior
@@ -157,16 +193,22 @@ def adapt_priorities(
     behavior, delta)`.  Raises NonFiniteOutputError when alpha * F / W
     overflows, since the log could not hold it as JSON.
 
-    Only the behaviors that fired this window are looked at: a task costs at
-    most one lookup per fired behavior, however many behaviors it links.
+    `idle`, built from these tasks and params and kept across a run's
+    windows, lets a window skip its idle tasks: each one's update is its item
+    in `idle.items`, as it is, and every other update is `idle.item(values)`.
+    Only the tasks linking a behavior that fired, or not yet back at their
+    idle priority, are looked at, and each of those costs at most one lookup
+    per fired behavior, however many behaviors it links.
     """
+    if idle is None:
+        idle = IdleUpdates(tasks, params)
     w_seconds = params.window_us / 1e6
     fired = {name: counter.count for name, counter in counters.items() if counter.count > 0}
     fired_names = frozenset(fired)
-    updates: list[tuple[str, float, float, int, str | None, float]] = []
-    for task in tasks.values():
-        if task.category is TaskCategory.SAFETY:
-            continue
+    updates = idle.items.copy()
+    away = idle.away
+    for position in sorted(away.union(*(idle.linked.get(name, ()) for name in fired))):
+        task = idle.tasks[position]
         # a set intersection walks the smaller of its two sets
         linked = task.behaviors & fired_names
         if linked:
@@ -181,9 +223,12 @@ def adapt_priorities(
                 f"with F {best_f} in the window ending at t_us {t_us}"
             )
         new = min(task.base_priority + delta, params.p_max)
-        old = task.current_priority
-        updates.append((task.id, old, new, best_f, best_behavior, delta))
+        updates[position] = idle.item((task.id, task.current_priority, new, best_f, best_behavior, delta))
         task.current_priority = new
+        if new == idle.priorities[position]:
+            away.discard(position)
+        else:
+            away.add(position)
     for counter in counters.values():
         counter.count = 0
     return updates

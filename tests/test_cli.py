@@ -592,6 +592,22 @@ def test_run_priority_overflow_is_a_run_error(tmp_files, tmp_path, capsys):
     assert not log.exists()
 
 
+def test_a_negative_zero_alpha_reads_as_zero(tmp_files, tmp_path, capsys):
+    # -0.0 < 0 is false, so validation accepts it; every delta is then alpha * F / W
+    config = tmp_path / "config.json"
+    doc = json.loads(tmp_files["config"].read_text())
+    doc["scheduler"] = {"alpha": -0.0}
+    config.write_text(json.dumps(doc))
+    assert main(["validate", "-c", str(config)]) == 0
+    assert capsys.readouterr().out == "OK\n"
+    log = tmp_path / "log.jsonl"
+    argv = ["run", "-c", str(config), "-b", str(tmp_files["behavior"]), "-t", str(tmp_files["trace"]), "-o", str(log)]
+    assert main([*argv, "--until", "30000000"]) == 0
+    updates = [entry.detail for entry in parse_log(log.read_text()) if entry.kind == "priority_update"]
+    assert len(updates) == 30 * 6 and any(update["f_max"] for update in updates)
+    assert '"delta": 0.000000' in log.read_text() and "-0.000000" not in log.read_text()
+
+
 def test_run_bad_trace_exits_one(tmp_files, tmp_path, capsys):
     bad_trace = tmp_path / "bad.jsonl"
     bad_trace.write_text('{"t_us": 1, "sensor": "ghost", "value": 0}\n')

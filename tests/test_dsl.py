@@ -424,6 +424,52 @@ def test_eval_matches_brute_force_on_random_trees():
         assert dsl.eval_condition(cond, snapshot) == _brute_force_eval(cond, snapshot)
 
 
+_SIGNALS = ("a", "b", "c")
+_comparisons = st.builds(
+    dsl.Comparison,
+    signal=st.sampled_from(_SIGNALS),
+    op=st.sampled_from(("<", "<=", ">", ">=", "==", "!=")),
+    value=st.integers(-2, 2).map(float),
+)
+_trees = st.recursive(
+    _comparisons,
+    lambda inner: st.builds(dsl.And, inner, inner) | st.builds(dsl.Or, inner, inner) | st.builds(dsl.Not, inner),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _deepest(draw):
+    """A condition MAX_NESTING_DEPTH levels deep, as deep as the parser
+    allows: a left-deep chain of AND/OR links, or a tower of NOTs."""
+    leaves = draw(st.lists(_comparisons, min_size=dsl.MAX_NESTING_DEPTH + 1, max_size=dsl.MAX_NESTING_DEPTH + 1))
+    if draw(st.booleans()):
+        cond = dsl.Not(leaves[0])
+        for _ in range(dsl.MAX_NESTING_DEPTH - 1):
+            cond = dsl.Not(cond)
+        return cond
+    cond = leaves[0]
+    for leaf in leaves[1:]:
+        cond = draw(st.sampled_from((dsl.And, dsl.Or)))(cond, leaf)
+    return cond
+
+
+@settings(max_examples=200)
+@given(cond=_trees | _deepest(), snapshot=st.dictionaries(st.sampled_from(_SIGNALS), st.integers(-2, 2).map(float)))
+def test_compiled_conditions_match_brute_force(cond, snapshot):
+    # a compiled condition is the plain recursive evaluation, and a signal with
+    # no value raises MissingSignalError for the first one evaluation reaches
+    compiled = dsl.compile_condition(cond)
+    try:
+        expected = _brute_force_eval(cond, snapshot)
+    except KeyError as missing:
+        with pytest.raises(dsl.MissingSignalError) as exc:
+            compiled(snapshot)
+        assert exc.value.signal == missing.args[0]
+    else:
+        assert compiled(snapshot) is expected
+
+
 # ---------------------------------------------------------------------------
 # binding
 

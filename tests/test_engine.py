@@ -2,15 +2,16 @@ from __future__ import annotations
 
 import enum
 import gc
+import io
 import json
 import re
 import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from robosync import dsl, engine as eng
+from robosync import cli, dsl, engine as eng
 from robosync.bus import BusError, Layer, MessageBus
 from robosync.config import ActuatorSpec, SensorSpec, SystemConfig, parse_config
 from robosync.dsl import bind_program, parse_program
@@ -171,17 +172,71 @@ def test_determinism_byte_identical(touch_config_text, behavior_text, touch_trac
     assert first == second
 
 
-def test_a_run_hands_each_entry_to_its_sink(touch_config_text, behavior_text, touch_trace_text):
-    # with a sink the run keeps no entry; its stats can be counted as it goes
-    config, program = _setup(touch_config_text, behavior_text)
-    trace = eng.load_trace(touch_trace_text, config)
-    kept = eng.run(config, program, trace)
-    handed: list[eng.LogEntry] = []
-    streamed = eng.run(config, program, trace, sink=lambda row, seq, t_us, values: handed.append(row.entry(seq, t_us, values)))
-    assert (streamed.entries, handed, streamed.routes) == ([], kept.entries, kept.routes)
-    stats = eng.StatsAccumulator()
-    eng.run(config, program, trace, sink=stats.add)
-    assert stats.result() == eng.compute_stats(kept.entries)
+class _Recorder:
+    """A sink that keeps each entry it is handed, and the row kind of each block."""
+
+    def __init__(self):
+        self.entries: list[eng.LogEntry] = []
+        self.blocks: set[str] = set()
+
+    def add(self, row, seq, t_us, values):
+        self.entries.append(row.entry(seq, t_us, values))
+
+    def block(self, row, first_seq, t_us, items):
+        self.entries += row.entries(first_seq, t_us, items)
+        self.blocks.add(row.kind)
+
+
+class _CountingWriter(cli._LogWriter):
+    """The writer, keeping the size of each batch it writes."""
+
+    def __init__(self, out):
+        super().__init__(out)
+        self.flushed: list[int] = []
+
+    def flush(self):
+        self.flushed.append(len(self.batch))
+        super().flush()
+
+
+def _sink_inputs(tmp_path):
+    """(name, config text, program text, trace text, --until) of the touch
+    trio, the halt_windows and until_idle trios, and a 300-reading seed-1
+    trio of the fanout and steady bench workloads."""
+    from test_scenarios import BENCH_WORKLOADS, TRIOS, _extra, _until
+
+    for name in ("touch", "halt_windows", "until_idle"):
+        config_path, program_path, trace_path, args_path = TRIOS[name]
+        texts = [path.read_text(encoding="utf-8") for path in (config_path, program_path, trace_path)]
+        yield (name, *texts, _until(_extra(args_path)))
+    for name in ("fanout", "steady"):
+        BENCH_WORKLOADS.generate(name, 1, readings=300).write(tmp_path)
+        texts = [(tmp_path / file).read_text(encoding="utf-8") for file in ("config.json", "behavior.rsb", "trace.jsonl")]
+        yield (name, *texts, None)
+
+
+def test_a_run_hands_each_entry_to_its_sink(tmp_path, monkeypatch):
+    # with a sink the run keeps no entry: the list sink, and the writer and
+    # the stats of `run --stats`, agree with the entries a run keeps, with a
+    # batch so small that blocks straddle its flushes
+    monkeypatch.setattr(cli, "LOG_BATCH_ENTRIES", 5)
+    for name, config_text, program_text, trace_text, until in _sink_inputs(tmp_path):
+        config, program = _setup(config_text, program_text)
+        trace = eng.load_trace(trace_text, config)
+        kept = eng.run(config, program, trace, horizon_us=until)
+        handed = _Recorder()
+        streamed = eng.run(config, program, trace, horizon_us=until, sink=handed)
+        assert (streamed.entries, handed.entries, streamed.routes) == ([], kept.entries, kept.routes), name
+        blocked = {"touch": set(), "until_idle": {"priority_update"}}.get(name, {"priority_update", "behavior_suppressed"})
+        assert handed.blocks == blocked, name
+        out = io.StringIO()
+        writer, stats = _CountingWriter(out), eng.StatsAccumulator()
+        eng.run(config, program, trace, horizon_us=until, sink=cli._Tee(writer, stats))
+        writer.flush()
+        assert out.getvalue() == eng.serialize_log(kept.entries), name
+        assert stats.result() == eng.compute_stats(kept.entries), name
+        # a block that went past the batch size was written whole, at its end
+        assert not blocked or max(writer.flushed) > cli.LOG_BATCH_ENTRIES, name
 
 
 def test_finished_run_leaves_no_cyclic_garbage(touch_config_text, behavior_text, touch_trace_text):
@@ -597,6 +652,66 @@ def test_rule_matching_matches_snapshot_oracle(rules, readings):
         assert following == expected
         matched += len(expected)
     assert matched == sum(e.kind in rule_kinds for e in entries)
+
+
+def _sorted_candidates(rules, priorities, values):
+    """The branches that fire on these values, ranked as the engine once
+    ranked them: `(priority, -index, behavior, branch)` sorted in reverse."""
+    candidates = []
+    for index, rule, signals in rules:
+        if values.keys() >= signals:
+            outcome = dsl.eval_condition(rule.condition, values)
+            target = rule.then_behavior if outcome else rule.else_behavior
+            if target is not None:
+                candidates.append((priorities[target], -index, target, "then" if outcome else "else"))
+    candidates.sort(reverse=True)
+    return [(behavior, priority, -neg_index, branch) for priority, neg_index, behavior, branch in candidates]
+
+
+# few behaviors on few priorities, so rules share targets and ties on priority are common
+_ROUTE_BEHAVIORS = ("a", "b", "c", "d")
+_route_rules = st.lists(
+    st.builds(
+        dsl.Rule,
+        condition=_alias_conditions,
+        then_behavior=st.sampled_from(_ROUTE_BEHAVIORS),
+        else_behavior=st.none() | st.sampled_from(_ROUTE_BEHAVIORS),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=300)
+@given(
+    rules=_route_rules,
+    priorities=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=4, max_size=4),
+    snapshots=st.lists(st.dictionaries(st.sampled_from(("touch", "lvl", "force")), st.integers(0, 4).map(float)), min_size=1, max_size=4),
+)
+@example(
+    rules=[
+        dsl.Rule(dsl.Comparison("touch", "<", 2.0), "a", "a"),  # THEN and ELSE name one behavior
+        dsl.Rule(dsl.Comparison("touch", ">=", 2.0), "b"),  # no ELSE
+        dsl.Rule(dsl.Comparison("lvl", "<", 2.0), "a", "b"),  # targets shared with the rules above
+    ],
+    priorities=[0.5, 0.5, 0.5, 0.5],
+    snapshots=[{"touch": 1.0}, {"touch": 3.0, "lvl": 1.0}],
+)
+def test_a_route_ranks_its_pairs_as_the_sorted_candidates(rules, priorities, snapshots):
+    # a route's presorted pairs fire in the order the per-message sort gave:
+    # the same winner, then the same suppressed entries, rule and branch too,
+    # and each suppressed line's tail is the row's own
+    priorities = dict(zip(_ROUTE_BEHAVIORS, priorities))
+    indexed = [(index, rule, frozenset(s for s, _ in dsl.condition_signals(rule.condition))) for index, rule in enumerate(rules)]
+    renderer = eng.Renderer()
+    route = eng._Route([eng._compile_rule(index, rule, priorities, renderer) for index, rule in enumerate(rules)])
+    for values in snapshots:
+        fired = route.fired(values)
+        assert [branch.values for branch in fired] == _sorted_candidates(indexed, priorities, values)
+        if fired:
+            winner, *suppressed = fired
+            for branch in suppressed:
+                expected = eng._SUPPRESSED.tail(renderer.quoted, renderer.render, *branch.values, winner.values[0])
+                assert branch.head + winner.close == expected
 
 
 # ---------------------------------------------------------------------------
@@ -1150,6 +1265,9 @@ def test_row_emitters_match_serialize_log(shape, data):
     renderer = eng.Renderer()
     line = row.emit(renderer.quoted, renderer.render, seq, t_us, *values)
     assert line == eng.serialize_log([eng.LogEntry(seq, t_us, row.kind, dict(zip(row, values)))])
+    # and a block's line is its seq and t_us, then the row's tail
+    tail = row.tail(renderer.quoted, renderer.render, *values)
+    assert eng.block_lines(seq, t_us, [(values, tail)]) == [line]
 
 
 def test_dispatch_dominance_reconstructed_from_log(touch_config_text):

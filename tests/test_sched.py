@@ -258,15 +258,21 @@ def test_adapt_matches_sorted_scan_oracle(specs, counted, windows):
 
     tasks, counters = build()
     oracle_tasks, oracle_counters = build()
+    # and a run's windows, which skip the tasks they leave idle
+    idle_tasks, idle_counters = build()
     params = _params(alpha=0.1)  # 0.75 + 3 * 0.1 reaches p_max
+    idle = sched.IdleUpdates(idle_tasks, params)
     for triggers in windows:
         for name, count in triggers.items():
             for t_us in range(count if name in counters else 0):
                 sched.record_trigger(counters[name], t_us)
                 sched.record_trigger(oracle_counters[name], t_us)
-        assert _adapt(tasks, counters, params, 1_000_000) == _linear_adapt(oracle_tasks, oracle_counters, params)
-        assert counters == oracle_counters
-        assert tasks == oracle_tasks
+                sched.record_trigger(idle_counters[name], t_us)
+        expected = _linear_adapt(oracle_tasks, oracle_counters, params)
+        assert _adapt(tasks, counters, params, 1_000_000) == expected
+        assert _adapt(idle_tasks, idle_counters, params, 1_000_000, idle) == expected
+        assert counters == oracle_counters == idle_counters
+        assert tasks == oracle_tasks == idle_tasks
 
 
 # ---------------------------------------------------------------------------
