@@ -34,17 +34,15 @@ from .config import SafetyCheckSpec, SystemConfig, command_topic, processing_sta
 from .dsl import BoundProgram, Rule, compile_condition, condition_signals, eval_condition
 from .sensorproc import Reading, Step, finite_float, gate_significant, make_plugin, run_algorithm
 
-# a value's type, exact or as a schema row declares it -> its conversion in a
-# line's `%` template and the expression that passes value `{0}` to it: an int
-# or a float is formatted in place, a str is quoted once per call through the
-# renderer's cache, None is the literal null, a bool, list or dict goes through
-# `Renderer.render`, and a field declared nullable has a `null` branch
-_CONVERSIONS: dict[object, tuple[str, str | None]] = {
+# a type a schema row declares (seq's and t_us's are int) -> its conversion
+# in a line's `%` template and the expression that passes value `{0}` to it:
+# an int or a float is formatted in place, a str is quoted once per call
+# through the renderer's cache, a list or dict goes through `Renderer.render`,
+# and a field declared nullable has a `null` branch
+_CONVERSIONS: dict[object, tuple[str, str]] = {
     int: ("%d", "{0}"),
     float: ("%.6f", "{0}"),
     str: ("%s", "q[{0}]"),
-    type(None): ("null", None),
-    bool: ("%s", "c({0})"),
     list: ("%s", "c({0})"),
     dict: ("%s", "c({0})"),
     str | None: ("%s", "'null' if {0} is None else q[{0}]"),
@@ -69,8 +67,7 @@ def _compile_line(kind: str, fields: Sequence[str], types: Sequence[object], hea
     for param, value_type in zip(params, types):
         code, arg = _CONVERSIONS[value_type]
         codes.append(code)
-        if arg is not None:
-            args.append(arg.format(param) + ", ")
+        args.append(arg.format(param) + ", ")
     start = ""
     if head:
         seq, t_us, *codes = codes
@@ -417,65 +414,22 @@ class Renderer:
         return "{" + ", ".join([f"{self.quoted[k]}: {self.render(v)}" for k, v in value.items()]) + "}"
 
 
-# each schema row as (kind, *detail fields), mapped to itself: a line's text
-# is built from the schema's own strings, never from an entry's
-_SHAPES = {shape: shape for shape in ((row.kind, *row) for row in LOG_FIELDS.values())}
-
-# (kind, *detail fields, *exact types of seq, t_us and each field) -> its
-# line function, compiled the first time that signature is seen.  A key of n
-# fields has 2n + 3 items, so no two shapes share one.  Only signatures whose
-# types are all exact types in `_CONVERSIONS` are stored, so the table is
-# bounded by the rows and those types.
-_LINES: dict[tuple, Callable[..., str]] = {}
-
-
-def _render_fields(quoted: _Quoted, render: Callable[[object], str], *values: object) -> str:
-    """The line function of a refused signature: rendering field by field
-    raises the first unrenderable field's TypeError."""
-    return "".join(map(render, values))
-
-
-def _line_function(key: tuple) -> Callable[..., str]:
-    """Check a signature's shape against `LOG_FIELDS`, then compile and
-    store its line function.  A signature with a type outside
-    `_CONVERSIONS` gets `_render_fields` and is not stored."""
-    width = (len(key) - 3) // 2  # detail fields
-    shape = _SHAPES.get(key[: width + 1])
-    if shape is None:
-        raise TypeError(f"off-schema log entry: kind {key[0]!r} with detail fields {list(key[1 : width + 1])}")
-    types = key[width + 1 :]
-    if not all(t in _CONVERSIONS for t in types):
-        return _render_fields
-    kind, *fields = shape
-    line = _LINES[key] = _compile_line(kind, fields, types)
-    return line
+# each schema row as (kind, *detail fields)
+_SHAPES = frozenset((row.kind, *row) for row in LOG_FIELDS.values())
 
 
 def serialize_log(entries: Iterable[LogEntry]) -> str:
-    """Render entries as JSON lines, checked: per entry, one signature key,
-    one table lookup and one `%`.  Raises what a field-by-field render
-    raises: the off-schema TypeError first, then the first failing field's
-    error."""
-    renderer = Renderer()
-    quoted, render = renderer.quoted, renderer.render
+    """Render entries as JSON lines, checked: an entry whose (kind, *detail
+    fields) is not a `LOG_FIELDS` row raises the off-schema TypeError, and
+    otherwise the first value the renderer cannot render raises its error."""
+    render = Renderer().render
     lines = []
     for entry in entries:
-        detail = entry.detail
-        values = (entry.seq, entry.t_us, *detail.values())
-        key = (entry.kind, *detail, *map(type, values))
-        line = _LINES.get(key) or _line_function(key)
-        try:
-            lines.append(line(quoted, render, *values))
-        except (TypeError, ValueError, RecursionError) as exc:  # what rendering a value can raise
-            error = exc
-            break
-    else:
-        return "".join(lines)
-    # a compiled line may meet an error out of field order (its `%d` runs
-    # after every `render`), so the fields are rendered again one by one
-    for value in values:
-        render(value)
-    raise error
+        kind, detail = entry.kind, entry.detail
+        if (kind, *detail) not in _SHAPES:
+            raise TypeError(f"off-schema log entry: kind {kind!r} with detail fields {list(detail)}")
+        lines.append(render({"seq": entry.seq, "t_us": entry.t_us, "kind": kind, "detail": detail}) + "\n")
+    return "".join(lines)
 
 
 def _reject_constant(name: str) -> float:
@@ -609,8 +563,10 @@ def _stats_pass() -> Generator[dict | None, Iterable[LogEntry] | None, None]:
                     halted = True
                     if halt_t_us is None:
                         halt_t_us = entry.t_us
-            except (KeyError, TypeError) as exc:
+            except KeyError as exc:
                 raise MalformedLogError(f"{kind} entry at seq {entry.seq} is missing fields: {exc}") from None
+            except TypeError as exc:
+                raise MalformedLogError(f"{kind} entry at seq {entry.seq} has a field of the wrong type: {exc}") from None
 
     if open_tasks:
         task, enqueue_seq = next(iter(open_tasks))

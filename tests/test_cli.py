@@ -693,6 +693,32 @@ def test_stats_never_prints_non_finite_numbers(tmp_path, capsys, t_us, enqueue_t
     assert captured.err.startswith("malformed log: line 1: ")
 
 
+@pytest.mark.parametrize(
+    "line, kind, seq, type_name",
+    [
+        ('{"seq": 2, "t_us": 0, "kind": "message", "detail": {"topic": "touch", "layer": ["sensor"]}}', "message", 2, "list"),
+        (
+            '{"seq": 1, "t_us": 5, "kind": "task_start", "detail": {"task": {"t": 0}, "enqueue_seq": 0, "enqueue_t_us": 0, "priority": 0.5}}',
+            "task_start",
+            1,
+            "dict",
+        ),
+        ('{"seq": 0, "t_us": 0, "kind": "task_finish", "detail": {"task": "t", "enqueue_seq": [0]}}', "task_finish", 0, "list"),
+    ],
+    ids=["list_layer", "dict_task", "list_enqueue_seq"],
+)
+def test_stats_name_a_field_of_the_wrong_type(tmp_path, capsys, line, kind, seq, type_name):
+    # a field that is there but cannot be counted is not a missing field
+    reason = f"{kind} entry at seq {seq} has a field of the wrong type: unhashable type: '{type_name}'"
+    with pytest.raises(engine.MalformedLogError) as exc:
+        engine.compute_stats(parse_log(line + "\n"))
+    assert str(exc.value) == reason
+    log = tmp_path / "log.jsonl"
+    log.write_text(line + "\n")
+    assert main(["stats", str(log)]) == 1
+    assert capsys.readouterr() == ("", f"malformed log: {reason}\n")
+
+
 def test_halted_run_exits_zero(tmp_files, tmp_path, capsys):
     # A safety halt is a correct outcome, not a failure.
     trace = tmp_path / "halt.jsonl"

@@ -10,8 +10,9 @@ halts adds only `trace_dropped` entries.  The canonical form of a program
 (`robosync parse`) replays to the same log as the program.  And every run
 keeps the reading chain: each processed value names the sensor message it
 came from, and the trace it ran is left as it was.  Every trio replays to
-its golden bytes under several hash seeds, and `run -o` writes exactly what
-`serialize_log` renders of the run's entries."""
+its golden bytes under several hash seeds, `run -o` writes exactly what
+`serialize_log` renders of the run's entries, and `serialize_log` renders a
+log read back with `parse_log` to the same bytes."""
 
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from hypothesis import given, settings, strategies as st
 from robosync.cli import build_parser, main
 from robosync.config import parse_config, processing_stages
 from robosync.dsl import _TOKEN_RE, bind_program, format_program, parse_program
-from robosync.engine import LogEntry, compute_stats, load_trace, run, serialize_log, serialize_stats
+from robosync.engine import LogEntry, compute_stats, load_trace, parse_log, run, serialize_log, serialize_stats
 
 from conftest import FIXTURES
 from test_acceptance import SAFETY_CONFIG, SAFETY_PROGRAM, _random_halt_trace
@@ -152,6 +153,24 @@ def test_the_writer_writes_what_serialize_log_renders(inputs, tmp_path, capsys):
     entries = _replay(config, program, trace_path.read_text(encoding="utf-8"), _until(extra))
     assert log.read_bytes() == serialize_log(entries).encode("utf-8")
     assert run_stats == serialize_stats(compute_stats(entries))
+
+
+@pytest.mark.parametrize("log", ["golden_touch", *(path.name for path in SCENARIOS), *(f"bench_{name}" for name in BENCH_WORKLOADS.WORKLOADS)])
+def test_serialize_log_renders_a_read_log_back_to_its_bytes(log, tmp_path):
+    """`serialize_log(parse_log(text)) == text` for the golden touch log,
+    every golden scenario log, and what `run -o` writes for a 300-reading
+    seed-1 trio of each bench workload."""
+    if log == "golden_touch":
+        path = FIXTURES / "golden_touch_log.jsonl"
+    elif log.startswith("bench_"):
+        BENCH_WORKLOADS.generate(log.removeprefix("bench_"), 1, readings=300).write(tmp_path)
+        path = tmp_path / "log.jsonl"
+        trio = ("-c", tmp_path / "config.json", "-b", tmp_path / "behavior.rsb", "-t", tmp_path / "trace.jsonl")
+        assert main(["run", *map(str, trio), "-o", str(path)]) == 0
+    else:
+        path = FIXTURES / "scenarios" / log / "log.jsonl"
+    text = path.read_text(encoding="utf-8")
+    assert serialize_log(parse_log(text)) == text
 
 
 def _replay(config, program, trace_text: str, until: int | None) -> list[LogEntry]:
