@@ -47,9 +47,6 @@ from .engine import (
 from .sensorproc import NonFiniteOutputError
 
 
-# `robosync run` renders its log this many entries at a time
-LOG_BATCH_ENTRIES = 8192
-
 # a byte that is not UTF-8, as `errors="surrogateescape"` decodes it
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
@@ -120,35 +117,22 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 
 class _LogWriter:
-    """A run's sink: `add` renders each entry as it is logged, through its
-    row's `emit`, and `block` each entry of a block from its tail; once
-    LOG_BATCH_ENTRIES lines or more wait, they are written at once, so the
-    log in memory at once is about one batch of text.  `flush` writes the
-    last batch."""
+    """A run's sink: `add` writes each entry as it is logged, rendered
+    through its row's `emit`, and `block` the lines of a block at once, each
+    entry from its tail.  The output's own buffer batches the bytes."""
 
-    __slots__ = ("out", "batch", "quoted", "render")
+    __slots__ = ("out", "quoted", "render")
 
     def __init__(self, out: TextIO) -> None:
         self.out = out
-        self.batch: list[str] = []
         renderer = Renderer()
         self.quoted, self.render = renderer.quoted, renderer.render
 
     def add(self, row: LogRow, seq: int, t_us: int, values: tuple) -> None:
-        batch = self.batch
-        batch.append(row.emit(self.quoted, self.render, seq, t_us, *values))
-        if len(batch) >= LOG_BATCH_ENTRIES:
-            self.flush()
+        self.out.write(row.emit(self.quoted, self.render, seq, t_us, *values))
 
     def block(self, row: LogRow, first_seq: int, t_us: int, items: Sequence[tuple[tuple, str]]) -> None:
-        batch = self.batch
-        batch += block_lines(first_seq, t_us, items)
-        if len(batch) >= LOG_BATCH_ENTRIES:
-            self.flush()
-
-    def flush(self) -> None:
-        self.out.write("".join(self.batch))
-        self.batch.clear()
+        self.out.write("".join(block_lines(first_seq, t_us, items)))
 
 
 class _Tee:
@@ -226,7 +210,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             writer = _LogWriter(out)
             sink = writer if stats is None else _Tee(writer, stats)
             engine_mod.run(config, program, trace, horizon_us=args.until, sink=sink)
-            writer.flush()
     except BusError as exc:
         print(f"setup error: {exc}", file=sys.stderr)
         return ExitStatus.FAILURE

@@ -309,8 +309,6 @@ def _parse_behavior(obj: Any, path: str) -> BehaviorSpec:
     name = _get_name(obj, path)
     priority = _get_number(obj, "priority", path)
     safety = _get_bool(obj, "safety", path)
-    if priority is not None and not safety and not (0.0 < priority < 1.0):
-        raise SchemaError(f"{path}.priority", "must be strictly between 0 and 1")
     action = _get_str(obj, "action", path) or None
     return BehaviorSpec(name=name, priority=priority, action=action, safety=safety)
 
@@ -500,8 +498,10 @@ def parse_config(text: str) -> SystemConfig:
     Raises ConfigSyntaxError for malformed JSON, SchemaError (with a field
     path) for shape violations and plugin params the factory refuses or, in a
     `plugin` entry, does not read; UnknownPluginError for unregistered
-    plugins, and CrossReferenceError when references dangle.  A returned
-    config always passes validate_config with an empty report.
+    plugins, and CrossReferenceError, listing validate_config's report, when
+    references dangle or a behavior priority is out of range or repeated (so
+    a priority issue comes after any schema error).  A returned config always
+    passes validate_config with an empty report.
     """
     try:
         raw = json.loads(text)
@@ -529,13 +529,6 @@ def parse_config(text: str) -> SystemConfig:
 
     behaviors = [_parse_behavior(o, f"behaviors[{i}]") for i, o in enumerate(section("behaviors"))]
     _check_unique((b.name for b in behaviors), "behaviors")
-    seen_priorities: set[float] = set()
-    for i, b in enumerate(behaviors):
-        if b.safety or b.priority is None:
-            continue
-        if b.priority in seen_priorities:
-            raise SchemaError(f"behaviors[{i}].priority", "duplicate")
-        seen_priorities.add(b.priority)
     behaviors = default_priorities(behaviors)
 
     sensor_names = [s.name for s in sensors]

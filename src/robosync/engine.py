@@ -517,6 +517,8 @@ def _stats_pass() -> Generator[dict | None, Iterable[LogEntry] | None, None]:
     """The one stats pass: each `send` of entries counts them, and sending
     None ends the log and yields its stats document."""
     layer_counts = {layer.label: 0 for layer in Layer}
+    # the layers with a `message` row in the schema: the control layer has none
+    message_layers = frozenset(layer for kind, layer in LOG_FIELDS if kind == "message")
     dispatches = 0
     aborts = 0
     latencies: list[int] = []
@@ -532,7 +534,7 @@ def _stats_pass() -> Generator[dict | None, Iterable[LogEntry] | None, None]:
             try:
                 if kind == "message":
                     layer = entry.detail.get("layer")
-                    if layer not in layer_counts:
+                    if layer not in message_layers:
                         raise MalformedLogError(f"message with unknown layer {layer!r} at seq {entry.seq}")
                     layer_counts[layer] += 1
                 elif kind == "task_start":

@@ -355,22 +355,21 @@ def _run_to_a_closed_pipe(tmp_files, tmp_path, readings: int, env: dict[str, str
 
 
 def test_run_to_a_closed_pipe_is_an_io_error(tmp_files, tmp_path):
-    # 1,000 readings log 18,000 entries, three batches of more than a pipe's
-    # 64 KiB each, so some write comes after the reader has gone, buffered
-    # stdout or not
+    # 1,000 readings log 18,000 entries, about 2.8 MB: many times what a
+    # pipe's 64 KiB and stdout's buffer hold, so some write comes after the
+    # reader has gone, buffered stdout or not
     _run_to_a_closed_pipe(tmp_files, tmp_path, 1000, _cli_env())
 
 
 def test_unbuffered_run_to_a_closed_pipe_is_an_io_error(tmp_files, tmp_path):
-    # under PYTHONUNBUFFERED stdout sits on a raw file: the one write of this
-    # one-batch, 545,512-byte log is cut short when the reader goes, and a
-    # dropped short write would exit 0 with nothing said
+    # under PYTHONUNBUFFERED stdout sits on a raw file, whose short write to
+    # a pipe whose reader has gone is dropped: without the buffered writer
+    # `main` puts on it, this 545,512-byte log, many times what the pipe
+    # holds, would exit 0 with nothing said
     _run_to_a_closed_pipe(tmp_files, tmp_path, 200, {**_cli_env(), "PYTHONUNBUFFERED": "1"})
 
 
-@pytest.mark.parametrize("batch", [1, 2, 7])
-def test_run_output_does_not_depend_on_the_batch_size(tmp_files, tmp_path, fixtures_dir, capsys, monkeypatch, batch):
-    monkeypatch.setattr(cli, "LOG_BATCH_ENTRIES", batch)
+def test_run_output_is_the_golden_log_through_each_target(tmp_files, tmp_path, fixtures_dir, capsys):
     golden_log = (fixtures_dir / "golden_touch_log.jsonl").read_bytes()
     golden_stats = (fixtures_dir / "golden_touch_stats.json").read_text(encoding="utf-8")
     argv = ["run", "-c", str(tmp_files["config"]), "-b", str(tmp_files["behavior"]), "-t", str(tmp_files["trace"])]
@@ -407,6 +406,27 @@ _FAILING_RUNS = {
 }
 
 
+def _watch_the_writer(monkeypatch, fail_after: int | None = None) -> list[str]:
+    """Each text the run's writer writes to its output, in order; once
+    `fail_after` lines are written, the next write finds the disk full."""
+    written: list[str] = []
+    init = cli._LogWriter.__init__
+
+    class Watched:
+        def __init__(self, out):
+            self.out, self.lines = out, 0
+
+        def write(self, text):
+            if fail_after is not None and self.lines >= fail_after:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            self.lines += text.count("\n")
+            written.append(text)
+            return self.out.write(text)
+
+    monkeypatch.setattr(cli._LogWriter, "__init__", lambda writer, out: init(writer, Watched(out)))
+    return written
+
+
 @pytest.mark.parametrize("target", ["absent", "older_file", "stdout"])
 @pytest.mark.parametrize("failure", sorted(_FAILING_RUNS))
 def test_run_error_after_output_began_leaves_the_output_path_as_it_was(tmp_files, tmp_path, capsys, monkeypatch, failure, target):
@@ -414,15 +434,7 @@ def test_run_error_after_output_began_leaves_the_output_path_as_it_was(tmp_files
     if config_text is not None:
         tmp_files["config"].write_text(config_text)
     tmp_files["trace"].write_text(trace_text)
-    rendered: list[int] = []
-    flush = cli._LogWriter.flush
-
-    def counted_flush(writer):  # each batch's lines, as the writer writes them
-        rendered.append(len(writer.batch))
-        flush(writer)
-
-    monkeypatch.setattr(cli._LogWriter, "flush", counted_flush)
-    monkeypatch.setattr(cli, "LOG_BATCH_ENTRIES", 64)
+    written = _watch_the_writer(monkeypatch)
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     log = out_dir / "log.jsonl"
@@ -430,12 +442,13 @@ def test_run_error_after_output_began_leaves_the_output_path_as_it_was(tmp_files
         log.write_text("an older log\n")
     argv = ["run", "-c", str(tmp_files["config"]), "-b", str(tmp_files["behavior"]), "-t", str(tmp_files["trace"])]
     assert main([*argv, "-o", "-" if target == "stdout" else str(log)]) == 1
-    assert sum(rendered) > 1000  # the output had begun
+    logged = "".join(written)
+    assert logged.count("\n") > 1000  # the output had begun
     captured = capsys.readouterr()
     assert captured.err == error
     if target == "stdout":
-        # stdout cannot take back what it was given: a partial log, cut at a batch
-        assert len(captured.out.splitlines()) == sum(rendered) and captured.out.endswith("\n")
+        # stdout cannot take back what it was given: each line logged before the error
+        assert captured.out == logged and captured.out.endswith("\n")
     else:
         assert captured.out == ""
     assert [path.name for path in out_dir.iterdir()] == ([] if target != "older_file" else ["log.jsonl"])
@@ -447,17 +460,8 @@ def test_run_error_after_output_began_leaves_the_output_path_as_it_was(tmp_files
 def test_run_output_error_is_an_io_error(tmp_files, tmp_path, capsys, monkeypatch, where):
     output = tmp_path / "missing" / "log.jsonl" if where == "missing_dir" else tmp_path / "log.jsonl"
     reason = os.strerror(errno.ENOENT if where == "missing_dir" else errno.ENOSPC)
-    batches = []
-    flush = cli._LogWriter.flush
-
-    def flush_until_full(writer):  # the second batch finds the disk full
-        batches.append(len(writer.batch))
-        if len(batches) == 2:
-            raise OSError(errno.ENOSPC, reason)
-        flush(writer)
-
-    monkeypatch.setattr(cli._LogWriter, "flush", flush_until_full)
-    tmp_files["trace"].write_text(_touch_trace(1000))  # more than one batch
+    _watch_the_writer(monkeypatch, fail_after=1000)
+    tmp_files["trace"].write_text(_touch_trace(1000))  # 18,000 lines
     argv = ["run", "-c", str(tmp_files["config"]), "-b", str(tmp_files["behavior"]), "-t", str(tmp_files["trace"])]
     assert main([*argv, "-o", str(output)]) == 2
     assert capsys.readouterr() == ("", f"error: cannot write {output}: {reason}\n")
@@ -494,7 +498,7 @@ def test_run_output_replaces_the_file_its_path_names(tmp_files, tmp_path, fixtur
 
 
 def test_run_memory_does_not_grow_with_the_log(tmp_files, tmp_path):
-    # the log streams to its file batch by batch: four times the readings may
+    # the log streams to its file line by line: four times the readings may
     # not take even half again the memory (holding every entry took 2.9x)
     argv = ["run", "-c", str(tmp_files["config"]), "-b", str(tmp_files["behavior"]), "-t", str(tmp_files["trace"])]
     assert main([*argv, "-o", str(tmp_path / "warm.jsonl")]) == 0  # the parser and line functions, made once
@@ -715,6 +719,20 @@ def test_stats_name_a_field_of_the_wrong_type(tmp_path, capsys, line, kind, seq,
     assert str(exc.value) == reason
     log = tmp_path / "log.jsonl"
     log.write_text(line + "\n")
+    assert main(["stats", str(log)]) == 1
+    assert capsys.readouterr() == ("", f"malformed log: {reason}\n")
+
+
+def test_stats_refuse_a_message_of_a_layer_without_a_schema_row(tmp_path, capsys):
+    # the control layer logs no message: its counter stays 0, and a message
+    # that names it has no schema row, like a layer that does not exist
+    line = '{"seq": 0, "t_us": 0, "kind": "message", "detail": {"topic": "x", "layer": "control", "bus_seq": 0}}\n'
+    reason = "message with unknown layer 'control' at seq 0"
+    with pytest.raises(engine.MalformedLogError) as exc:
+        engine.compute_stats(parse_log(line))
+    assert str(exc.value) == reason
+    log = tmp_path / "log.jsonl"
+    log.write_text(line)
     assert main(["stats", str(log)]) == 1
     assert capsys.readouterr() == ("", f"malformed log: {reason}\n")
 

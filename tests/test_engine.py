@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import enum
 import gc
-import io
 import json
 import re
 import sys
@@ -187,16 +186,29 @@ class _Recorder:
         self.blocks.add(row.kind)
 
 
-class _CountingWriter(cli._LogWriter):
-    """The writer, keeping the size of each batch it writes."""
+class _Output(list):
+    """An output that keeps each text written to it."""
 
-    def __init__(self, out):
-        super().__init__(out)
-        self.flushed: list[int] = []
+    def write(self, text):
+        self.append(text)
 
-    def flush(self):
-        self.flushed.append(len(self.batch))
-        super().flush()
+
+class _WrittenSoFar:
+    """A sink behind the writer and a recorder in a tee: each entry or block
+    made one write to the writer's output, of the lines of the entries
+    recorded since, so the output holds exactly the lines logged so far."""
+
+    def __init__(self, output: _Output, recorder: _Recorder):
+        self.output, self.recorder, self.writes, self.logged = output, recorder, 0, 0
+
+    def add(self, *entry):
+        entries = self.recorder.entries
+        self.writes += 1
+        assert len(self.output) == self.writes
+        assert self.output[-1] == eng.serialize_log(entries[self.logged :])
+        self.logged = len(entries)
+
+    block = add
 
 
 def _sink_inputs(tmp_path):
@@ -215,11 +227,10 @@ def _sink_inputs(tmp_path):
         yield (name, *texts, None)
 
 
-def test_a_run_hands_each_entry_to_its_sink(tmp_path, monkeypatch):
+def test_a_run_hands_each_entry_to_its_sink(tmp_path):
     # with a sink the run keeps no entry: the list sink, and the writer and
-    # the stats of `run --stats`, agree with the entries a run keeps, with a
-    # batch so small that blocks straddle its flushes
-    monkeypatch.setattr(cli, "LOG_BATCH_ENTRIES", 5)
+    # the stats of `run --stats`, agree with the entries a run keeps; the
+    # writer writes each entry, and each block, as it is handed it
     for name, config_text, program_text, trace_text, until in _sink_inputs(tmp_path):
         config, program = _setup(config_text, program_text)
         trace = eng.load_trace(trace_text, config)
@@ -229,14 +240,12 @@ def test_a_run_hands_each_entry_to_its_sink(tmp_path, monkeypatch):
         assert (streamed.entries, handed.entries, streamed.routes) == ([], kept.entries, kept.routes), name
         blocked = {"touch": set(), "until_idle": {"priority_update"}}.get(name, {"priority_update", "behavior_suppressed"})
         assert handed.blocks == blocked, name
-        out = io.StringIO()
-        writer, stats = _CountingWriter(out), eng.StatsAccumulator()
-        eng.run(config, program, trace, horizon_us=until, sink=cli._Tee(writer, stats))
-        writer.flush()
-        assert out.getvalue() == eng.serialize_log(kept.entries), name
+        output, stats, recorder = _Output(), eng.StatsAccumulator(), _Recorder()
+        writer = cli._LogWriter(output)
+        sink = cli._Tee(writer, stats, recorder, _WrittenSoFar(output, recorder))
+        eng.run(config, program, trace, horizon_us=until, sink=sink)
+        assert "".join(output) == eng.serialize_log(kept.entries), name
         assert stats.result() == eng.compute_stats(kept.entries), name
-        # a block that went past the batch size was written whole, at its end
-        assert not blocked or max(writer.flushed) > cli.LOG_BATCH_ENTRIES, name
 
 
 def test_finished_run_leaves_no_cyclic_garbage(touch_config_text, behavior_text, touch_trace_text):
