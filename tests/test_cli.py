@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import errno
 import gc
+import io
 import json
 import os
 import subprocess
@@ -369,15 +370,37 @@ def test_unbuffered_run_to_a_closed_pipe_is_an_io_error(tmp_files, tmp_path):
     _run_to_a_closed_pipe(tmp_files, tmp_path, 200, {**_cli_env(), "PYTHONUNBUFFERED": "1"})
 
 
-def test_run_output_is_the_golden_log_through_each_target(tmp_files, tmp_path, fixtures_dir, capsys):
+class _RawSink(io.RawIOBase):
+    """A raw stdout that keeps every byte written to it."""
+
+    def __init__(self) -> None:
+        self.data = bytearray()
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, b) -> int:
+        self.data += b
+        return len(b)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 7])
+def test_run_output_does_not_depend_on_the_batch_size(tmp_files, tmp_path, fixtures_dir, capsys, monkeypatch, batch):
+    # the writer hands each line to its output, whose text and byte buffers
+    # batch them: with `-o -` both buffers here hold `batch` at a time
     golden_log = (fixtures_dir / "golden_touch_log.jsonl").read_bytes()
     golden_stats = (fixtures_dir / "golden_touch_stats.json").read_text(encoding="utf-8")
     argv = ["run", "-c", str(tmp_files["config"]), "-b", str(tmp_files["behavior"]), "-t", str(tmp_files["trace"])]
     log = tmp_path / "log.jsonl"
     assert main([*argv, "-o", str(log)]) == 0
     assert log.read_bytes() == golden_log
-    assert main([*argv, "-o", "-"]) == 0
-    assert capsys.readouterr().out.encode("utf-8") == golden_log
+    raw = _RawSink()
+    stdout = io.TextIOWrapper(io.BufferedWriter(raw, buffer_size=batch), encoding="utf-8")
+    stdout._CHUNK_SIZE = batch
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", stdout)
+        assert main([*argv, "-o", "-"]) == 0
+    assert bytes(raw.data) == golden_log
     assert main([*argv, "-o", os.devnull, "--stats"]) == 0
     assert capsys.readouterr().err == golden_stats
 
