@@ -31,15 +31,6 @@ class Layer(enum.IntEnum):
         return self.name.lower()
 
 
-# not frozen: one is built per publish, and a frozen dataclass takes about 3x
-# as long to build
-@dataclass(slots=True)
-class Message:
-    topic: Topic
-    seq: int
-    payload: object
-
-
 @dataclass(frozen=True, slots=True)
 class DeliveryRecord:
     """Audit row: one message handed to one subscriber, or one layer reached
@@ -74,7 +65,7 @@ class LayeringError(BusError):
 @dataclass(slots=True)
 class Subscription:
     subscriber_layer: Layer
-    handler: Callable[[Message], None]
+    handler: Callable[[int, object], None]
 
 
 @dataclass(slots=True, eq=False)
@@ -91,7 +82,7 @@ class Topic:
         self.label = self.producer_layer.label
 
 
-def _ignore(message: Message) -> None:
+def _ignore(seq: int, payload: object) -> None:
     pass
 
 
@@ -123,7 +114,7 @@ class MessageBus:
         self,
         topic: Topic,
         subscriber_layer: Layer,
-        handler: Callable[[Message], None] = _ignore,
+        handler: Callable[[int, object], None] = _ignore,
     ) -> Subscription:
         """Attach a subscriber; only the immediately downstream layer may listen."""
         if int(subscriber_layer) != int(topic.producer_layer) + 1:
@@ -132,13 +123,14 @@ class MessageBus:
         topic.subscriptions.append(sub)
         return sub
 
-    def publish(self, topic: Topic, payload: object) -> Message:
-        """Publish one message; fan-out happens inline in subscription order."""
-        message = Message(topic, self._next_seq, payload)
-        self._next_seq += 1
+    def publish(self, topic: Topic, payload: object) -> int:
+        """Publish one message and return its seq; fan-out happens inline, in
+        subscription order, as `handler(seq, payload)`."""
+        seq = self._next_seq
+        self._next_seq = seq + 1
         for sub in topic.subscriptions:
-            sub.handler(message)
-        return message
+            sub.handler(seq, payload)
+        return seq
 
     def close(self) -> None:
         """Detach every subscription: handlers that point back at their owner

@@ -24,6 +24,7 @@ ACTUATOR_KINDS = ("pwm", "gpio", "audio", "virtual")
 DEFAULT_DELTA = 0.0
 DEFAULT_PERIOD_US = 10_000
 DEFAULT_ALPHA = 0.05
+P_MAX = 1.0  # the cap on an adapted priority; the `p_max` key takes no other value
 DEFAULT_WINDOW_US = 1_000_000
 DEFAULT_TASK_COST_US = 100
 
@@ -64,15 +65,15 @@ class UnknownPluginError(SchemaError):
 
 
 class CrossReferenceError(SchemaError):
-    """Aggregate of every dangling reference found while validating."""
+    """Aggregate of every dangling reference found while validating: located
+    at the first of `issues`, and listing them all."""
 
-    def __init__(self, report: "ValidationReport"):
-        first = report.issues[0]
-        super().__init__(first.path, first.reason)
-        self.report = report
+    def __init__(self, issues: list[SchemaError]):
+        super().__init__(issues[0].path, issues[0].reason)
+        self.issues = issues
 
     def lines(self) -> list[str]:
-        return report_lines(self.report)
+        return [str(issue) for issue in self.issues]
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,7 +131,6 @@ class SafetyCheckSpec:
 class SchedulerParams:
     alpha: float = DEFAULT_ALPHA
     window_us: int = DEFAULT_WINDOW_US
-    p_max: float = 1.0
     default_task_cost_us: int = DEFAULT_TASK_COST_US
 
 
@@ -142,25 +142,6 @@ class SystemConfig:
     algorithms: tuple[AlgorithmSpec, ...] = ()
     safety_checks: tuple[SafetyCheckSpec, ...] = ()
     scheduler: SchedulerParams = SchedulerParams()
-
-
-@dataclass(frozen=True, slots=True)
-class ValidationIssue:
-    path: str
-    reason: str
-
-
-@dataclass(frozen=True, slots=True)
-class ValidationReport:
-    issues: tuple[ValidationIssue, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-
-def report_lines(report: ValidationReport) -> list[str]:
-    return [f"{i.path}: {i.reason}" for i in report.issues]
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +369,12 @@ def _parse_scheduler(obj: Any, path: str) -> SchedulerParams:
     alpha = alpha or 0.0  # a negative zero reads as 0, so no update logs a delta of -0.000000
     window_us = _get_int(obj, "window_us", path, default=DEFAULT_WINDOW_US, minimum=1)
     assert window_us is not None
-    p_max = _get_number(obj, "p_max", path, default=1.0)
-    if p_max != 1.0:
-        raise SchemaError(f"{path}.p_max", "is fixed at 1.0")
+    key = "p_max"  # accepted as P_MAX only, so SchedulerParams holds no field for it
+    if _get_number(obj, key, path, default=P_MAX) != P_MAX:
+        raise SchemaError(f"{path}.{key}", f"is fixed at {P_MAX}")
     cost = _get_int(obj, "default_task_cost_us", path, default=DEFAULT_TASK_COST_US, minimum=1)
     assert cost is not None
-    return SchedulerParams(alpha=alpha, window_us=window_us, p_max=1.0, default_task_cost_us=cost)
+    return SchedulerParams(alpha=alpha, window_us=window_us, default_task_cost_us=cost)
 
 
 def _check_unique(names: Iterable[str], section: str, field: str = "name") -> None:
@@ -498,10 +479,10 @@ def parse_config(text: str) -> SystemConfig:
     Raises ConfigSyntaxError for malformed JSON, SchemaError (with a field
     path) for shape violations and plugin params the factory refuses or, in a
     `plugin` entry, does not read; UnknownPluginError for unregistered
-    plugins, and CrossReferenceError, listing validate_config's report, when
+    plugins, and CrossReferenceError, listing validate_config's issues, when
     references dangle or a behavior priority is out of range or repeated (so
     a priority issue comes after any schema error).  A returned config always
-    passes validate_config with an empty report.
+    passes validate_config with no issue.
     """
     try:
         raw = json.loads(text)
@@ -549,33 +530,34 @@ def parse_config(text: str) -> SystemConfig:
         safety_checks=tuple(safety_checks),
         scheduler=scheduler,
     )
-    report = validate_config(config)
-    if not report.ok:
-        raise CrossReferenceError(report)
+    issues = validate_config(config)
+    if issues:
+        raise CrossReferenceError(issues)
     return config
 
 
-def validate_config(config: SystemConfig) -> ValidationReport:
-    """Report every dangling cross-reference and global inconsistency."""
-    issues: list[ValidationIssue] = []
+def validate_config(config: SystemConfig) -> list[SchemaError]:
+    """Every dangling cross-reference and global inconsistency, located; empty
+    for a valid config."""
+    issues: list[SchemaError] = []
     sensor_names = {s.name for s in config.sensors}
     actuator_names = {a.name for a in config.actuators}
 
     for i, b in enumerate(config.behaviors):
         if b.action is not None and b.action not in actuator_names:
-            issues.append(ValidationIssue(f"behaviors[{i}].action", f"unresolved actuator {b.action!r}"))
+            issues.append(SchemaError(f"behaviors[{i}].action", f"unresolved actuator {b.action!r}"))
     for i, alg in enumerate(config.algorithms):
         for j, inp in enumerate(alg.inputs):
             if inp not in sensor_names:
-                issues.append(ValidationIssue(f"algorithms[{i}].inputs[{j}]", f"unresolved sensor {inp!r}"))
+                issues.append(SchemaError(f"algorithms[{i}].inputs[{j}]", f"unresolved sensor {inp!r}"))
         if not alg.inputs:
-            issues.append(ValidationIssue(f"algorithms[{i}].inputs", "must not be empty"))
+            issues.append(SchemaError(f"algorithms[{i}].inputs", "must not be empty"))
     for i, check in enumerate(config.safety_checks):
         if check.sensor not in sensor_names:
-            issues.append(ValidationIssue(f"safety_checks[{i}].sensor", f"unresolved sensor {check.sensor!r}"))
+            issues.append(SchemaError(f"safety_checks[{i}].sensor", f"unresolved sensor {check.sensor!r}"))
 
     if (config.algorithms or config.safety_checks) and not config.sensors:
-        issues.append(ValidationIssue("sensors", "at least one sensor required by algorithms or safety checks"))
+        issues.append(SchemaError("sensors", "at least one sensor required by algorithms or safety checks"))
 
     # every topic has one producer: a later claim on a topic is the collision
     sensor_paths = {s.name: f"sensors[{i}].name" for i, s in enumerate(config.sensors)}
@@ -590,7 +572,7 @@ def validate_config(config: SystemConfig) -> ValidationReport:
     producers: dict[str, str] = {}  # topic -> the path of its first claim
     for topic, what, path in claims:
         if topic in producers:
-            issues.append(ValidationIssue(path, f"{what} {topic!r} is already produced by {producers[topic]}"))
+            issues.append(SchemaError(path, f"{what} {topic!r} is already produced by {producers[topic]}"))
         else:
             producers[topic] = path
 
@@ -603,7 +585,7 @@ def validate_config(config: SystemConfig) -> ValidationReport:
     for i, alg in enumerate(config.algorithms):
         path = f"algorithms[{i}].name"
         if alg.name in owners:
-            issues.append(ValidationIssue(path, f"stage name {alg.name!r} is already taken by {owners[alg.name]}"))
+            issues.append(SchemaError(path, f"stage name {alg.name!r} is already taken by {owners[alg.name]}"))
         else:
             owners[alg.name] = path
 
@@ -611,16 +593,16 @@ def validate_config(config: SystemConfig) -> ValidationReport:
     for i, b in enumerate(config.behaviors):
         if b.safety:
             if b.priority != 1.0:
-                issues.append(ValidationIssue(f"behaviors[{i}].priority", "safety behaviors pin to 1.0"))
+                issues.append(SchemaError(f"behaviors[{i}].priority", "safety behaviors pin to 1.0"))
             continue
         if b.priority is None or not (0.0 < b.priority < 1.0):
-            issues.append(ValidationIssue(f"behaviors[{i}].priority", "must be strictly between 0 and 1"))
+            issues.append(SchemaError(f"behaviors[{i}].priority", "must be strictly between 0 and 1"))
         elif b.priority in seen:
-            issues.append(ValidationIssue(f"behaviors[{i}].priority", "duplicate"))
+            issues.append(SchemaError(f"behaviors[{i}].priority", "duplicate"))
         else:
             seen.add(b.priority)
 
-    return ValidationReport(tuple(issues))
+    return issues
 
 
 def serialize_config(config: SystemConfig) -> str:
@@ -669,7 +651,7 @@ def serialize_config(config: SystemConfig) -> str:
     doc["scheduler"] = {
         "alpha": sched.alpha,
         "window_us": sched.window_us,
-        "p_max": sched.p_max,
+        "p_max": P_MAX,
         "default_task_cost_us": sched.default_task_cost_us,
     }
     return json.dumps(doc, indent=2) + "\n"

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Generator, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
 from . import sched
-from .bus import DeliveryRecord, Layer, Message, MessageBus, Topic, evaluate_safety
+from .bus import DeliveryRecord, Layer, MessageBus, Topic, evaluate_safety
 from .config import SafetyCheckSpec, SystemConfig, command_topic, processing_stages
 # eval_condition stays a name of this module though nothing here calls it
 # (each route compiles its conditions): the benchmark's tracer,
@@ -414,19 +414,22 @@ class Renderer:
         return "{" + ", ".join([f"{self.quoted[k]}: {self.render(v)}" for k, v in value.items()]) + "}"
 
 
-# each schema row as (kind, *detail fields)
-_SHAPES = frozenset((row.kind, *row) for row in LOG_FIELDS.values())
+# each schema row as (kind, *detail fields) -> the `layer` its entries hold:
+# a `message` row's layer, else None, as no other row has a `layer` field
+_SHAPES = {(kind, *row): layer for (kind, layer), row in LOG_FIELDS.items()}
+_OFF_SCHEMA = object()
 
 
 def serialize_log(entries: Iterable[LogEntry]) -> str:
     """Render entries as JSON lines, checked: an entry whose (kind, *detail
-    fields) is not a `LOG_FIELDS` row raises the off-schema TypeError, and
-    otherwise the first value the renderer cannot render raises its error."""
+    fields) is not a `LOG_FIELDS` row, or a `message` whose `layer` is not its
+    row's, raises the off-schema TypeError, and otherwise the first value the
+    renderer cannot render raises its error."""
     render = Renderer().render
     lines = []
     for entry in entries:
         kind, detail = entry.kind, entry.detail
-        if (kind, *detail) not in _SHAPES:
+        if _SHAPES.get((kind, *detail), _OFF_SCHEMA) != detail.get("layer"):
             raise TypeError(f"off-schema log entry: kind {kind!r} with detail fields {list(detail)}")
         lines.append(render({"seq": entry.seq, "t_us": entry.t_us, "kind": kind, "detail": detail}) + "\n")
     return "".join(lines)
@@ -517,8 +520,8 @@ def _stats_pass() -> Generator[dict | None, Iterable[LogEntry] | None, None]:
     """The one stats pass: each `send` of entries counts them, and sending
     None ends the log and yields its stats document."""
     layer_counts = {layer.label: 0 for layer in Layer}
-    # the layers with a `message` row in the schema: the control layer has none
-    message_layers = frozenset(layer for kind, layer in LOG_FIELDS if kind == "message")
+    # layer -> its `message` row in the schema: the control layer has none
+    message_rows = {layer: row for (kind, layer), row in LOG_FIELDS.items() if kind == "message"}
     dispatches = 0
     aborts = 0
     latencies: list[int] = []
@@ -534,8 +537,14 @@ def _stats_pass() -> Generator[dict | None, Iterable[LogEntry] | None, None]:
             try:
                 if kind == "message":
                     layer = entry.detail.get("layer")
-                    if layer not in message_layers:
+                    row = message_rows.get(layer)
+                    if row is None:
                         raise MalformedLogError(f"message with unknown layer {layer!r} at seq {entry.seq}")
+                    if tuple(entry.detail) != row:
+                        raise MalformedLogError(
+                            f"message of layer {layer!r} with off-schema detail fields {list(entry.detail)} "
+                            f"at seq {entry.seq}"
+                        )
                     layer_counts[layer] += 1
                 elif kind == "task_start":
                     dispatches += 1
@@ -741,11 +750,10 @@ class _Engine:
                 sensor_task.behaviors |= targets
                 bus.subscribe(sensor_topic, Layer.PROCESSING, handler)
 
-        self.counters: dict[str, sched.FrequencyCounter] = {}
+        self.counts: dict[str, int] = {}  # behavior -> its triggers this window
         self._behavior_tasks: dict[str, sched.TaskDescriptor] = {}
         controlled: dict[str, set[str]] = {}  # actuator -> the behaviors commanding it
         for name, plan in program.plans.items():
-            self.counters[name] = sched.FrequencyCounter(name)
             self._behavior_tasks[name] = self._add_task(sched.TaskCategory.BEHAVIORAL, name, {name})
             for _offset_us, command in plan:
                 controlled.setdefault(command["actuator"], set()).add(name)
@@ -776,9 +784,11 @@ class _Engine:
         task = self.tasks[task_id] = sched.TaskDescriptor(task_id, category, frozenset(behaviors), 0.0, 0.0, cost)
         return task
 
-    def _on_reading(self, task: sched.TaskDescriptor, plugin: str, step: Step, output: Topic, message: Message) -> None:
+    def _on_reading(
+        self, task: sched.TaskDescriptor, plugin: str, step: Step, output: Topic, seq: int, reading: Reading
+    ) -> None:
         """A sensor topic's processing-layer handler: `_wire` binds in one stage's task, plugin and output."""
-        self.queue.push(task, self.clock_us, (plugin, step, output, message.payload, message.seq))
+        self.queue.push(task, self.clock_us, (plugin, step, output, reading, seq))
 
     # -- logging ----------------------------------------------------------
 
@@ -856,7 +866,7 @@ class _Engine:
 
     def _handle_window(self) -> None:
         self.clock_us = max(self.clock_us, self._next_window)
-        updates = sched.adapt_priorities(self.tasks, self.counters, self.config.scheduler, self.clock_us, self._idle)
+        updates = sched.adapt_priorities(self.tasks, self.counts, self.config.scheduler, self.clock_us, self._idle)
         self.queue.rekey()  # the only place queued tasks change priority
         self._log_block(_PRIORITY_UPDATE, updates)
         self._next_window += self._window_us
@@ -895,18 +905,18 @@ class _Engine:
             return
         self._publish(_PROCESSED_MESSAGE, topic, value, value, source_seq)
 
-    def _on_processed(self, signals: list[str], route: _Route, message: Message) -> None:
+    def _on_processed(self, signals: list[str], route: _Route, seq: int, value: float) -> None:
         """A processing topic's behavior-layer handler: `_wire` binds in its signals and route."""
         values = self.values
         for signal in signals:
-            values[signal] = message.payload
+            values[signal] = value
         fired = route.fired(values)
         if not fired:
             return
         winner, *suppressed = fired
-        self._log(_FIRED, *winner.values, message.seq)
+        self._log(_FIRED, *winner.values, seq)
         behavior = winner.values[0]
-        sched.record_trigger(self.counters[behavior], self.clock_us)
+        sched.record_trigger(self.counts, behavior)
         self.queue.push(self._behavior_tasks[behavior], self.clock_us, behavior)
         if suppressed:
             close = winner.close

@@ -1,5 +1,5 @@
 """Task model and scheduling policy: category taxonomy, max-inheritance base
-priorities with safety pinning, windowed frequency counters driving adaptive
+priorities with safety pinning, windowed trigger counts driving adaptive
 adjustment, and dispatch selection over a ready queue."""
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import AbstractSet, Callable, Mapping
 
-from .config import SchedulerParams
+from .config import P_MAX, SchedulerParams
 from .sensorproc import NonFiniteOutputError
 
 # Base priority for tasks no behavior uses; keeps dispatch total without
@@ -48,14 +48,6 @@ class TaskDescriptor:
     base_priority: float
     current_priority: float
     cost_us: int
-
-
-@dataclass(slots=True)
-class FrequencyCounter:
-    """Trigger count of one behavior within the current tumbling window."""
-
-    behavior: str
-    count: int = 0
 
 
 # not frozen: one is built per push, and a frozen dataclass takes about 3x as
@@ -133,10 +125,9 @@ def assign_base_priorities(
     return out
 
 
-def record_trigger(counter: FrequencyCounter, t_us: int) -> FrequencyCounter:
-    """Count one triggering of the counter's behavior at `t_us`."""
-    counter.count += 1
-    return counter
+def record_trigger(counts: dict[str, int], behavior: str) -> None:
+    """Count one triggering of `behavior` in the current tumbling window."""
+    counts[behavior] = counts.get(behavior, 0) + 1
 
 
 class IdleUpdates:
@@ -144,7 +135,7 @@ class IdleUpdates:
     are set, for `adapt_priorities`.
 
     A window leaves a task idle when no behavior it links fired and its
-    priority is already its idle priority, min(base + alpha * 0 / W, p_max):
+    priority is already its idle priority, min(base + alpha * 0 / W, P_MAX):
     its update is then the same every window, `(task, idle, idle, 0, None,
     alpha * 0 / W)`.  `items` holds each non-safety task's idle update, in
     task order, as `item(values)` makes it (by default, the values), so a
@@ -164,7 +155,7 @@ class IdleUpdates:
     ) -> None:
         self.tasks = [task for task in tasks.values() if task.category is not TaskCategory.SAFETY]
         delta = params.alpha * 0 / (params.window_us / 1e6)
-        self.priorities = [min(task.base_priority + delta, params.p_max) for task in self.tasks]
+        self.priorities = [min(task.base_priority + delta, P_MAX) for task in self.tasks]
         self.item = item
         self.items = [item((task.id, idle, idle, 0, None, delta)) for task, idle in zip(self.tasks, self.priorities)]
         self.linked: dict[str, list[int]] = {}
@@ -176,7 +167,7 @@ class IdleUpdates:
 
 def adapt_priorities(
     tasks: Mapping[str, TaskDescriptor],
-    counters: Mapping[str, FrequencyCounter],
+    counts: dict[str, int],
     params: SchedulerParams,
     t_us: int,
     idle: IdleUpdates | None = None,
@@ -185,9 +176,10 @@ def adapt_priorities(
 
     Every non-safety task is recomputed from its base: the linked behavior
     with the highest trigger count F contributes alpha * F / W (W in seconds),
-    capped at p_max; of behaviors tied on F, the name that sorts first wins.
+    capped at P_MAX; of behaviors tied on F, the name that sorts first wins.
     A task none of whose behaviors fired keeps its base, with F 0 and no
-    behavior.  Counters reset for the next window.  Returns one
+    behavior.  `counts` (behavior -> triggers this window, as `record_trigger`
+    keeps it) is then cleared for the next window.  Returns one
     `priority_update` log detail per non-safety task, in task insertion order,
     as its values in `engine.LOG_FIELDS` order: `(task, old, new, f_max,
     behavior, delta)`.  Raises NonFiniteOutputError when alpha * F / W
@@ -203,17 +195,16 @@ def adapt_priorities(
     if idle is None:
         idle = IdleUpdates(tasks, params)
     w_seconds = params.window_us / 1e6
-    fired = {name: counter.count for name, counter in counters.items() if counter.count > 0}
-    fired_names = frozenset(fired)
+    fired_names = frozenset(counts)
     updates = idle.items.copy()
     away = idle.away
-    for position in sorted(away.union(*(idle.linked.get(name, ()) for name in fired))):
+    for position in sorted(away.union(*(idle.linked.get(name, ()) for name in counts))):
         task = idle.tasks[position]
         # a set intersection walks the smaller of its two sets
         linked = task.behaviors & fired_names
         if linked:
-            best_behavior: str | None = min(linked, key=lambda name: (-fired[name], name))
-            best_f = fired[best_behavior]
+            best_behavior: str | None = min(linked, key=lambda name: (-counts[name], name))
+            best_f = counts[best_behavior]
         else:
             best_behavior, best_f = None, 0
         delta = params.alpha * best_f / w_seconds
@@ -222,15 +213,14 @@ def adapt_priorities(
                 f"priority adjustment alpha * F / W is {delta} for behavior {best_behavior!r} "
                 f"with F {best_f} in the window ending at t_us {t_us}"
             )
-        new = min(task.base_priority + delta, params.p_max)
+        new = min(task.base_priority + delta, P_MAX)
         updates[position] = idle.item((task.id, task.current_priority, new, best_f, best_behavior, delta))
         task.current_priority = new
         if new == idle.priorities[position]:
             away.discard(position)
         else:
             away.add(position)
-    for counter in counters.values():
-        counter.count = 0
+    counts.clear()
     return updates
 
 

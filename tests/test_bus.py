@@ -68,12 +68,12 @@ def test_topic_carries_its_layer_label():
 
 def test_close_detaches_every_subscription():
     bus, touch, touch_proc, _ = _bus_with_topics()
-    got: list[mbus.Message] = []
-    bus.subscribe(touch, mbus.Layer.PROCESSING, got.append)
-    bus.subscribe(touch_proc, mbus.Layer.BEHAVIOR, got.append)
+    got: list[tuple[int, object]] = []
+    bus.subscribe(touch, mbus.Layer.PROCESSING, lambda seq, payload: got.append((seq, payload)))
+    bus.subscribe(touch_proc, mbus.Layer.BEHAVIOR, lambda seq, payload: got.append((seq, payload)))
     bus.close()
     assert touch.subscriptions == touch_proc.subscriptions == []
-    assert bus.publish(touch, 1.0).seq == 0
+    assert bus.publish(touch, 1.0) == 0
     assert got == []
 
 
@@ -83,26 +83,24 @@ def test_close_detaches_every_subscription():
 
 def test_publish_without_subscribers_still_sequences():
     bus, touch, _, _ = _bus_with_topics()
-    message = bus.publish(touch, 1.0)
-    assert message.seq == 0
-    assert message.topic is touch
+    assert bus.publish(touch, 1.0) == 0
 
 
 def test_fanout_delivers_identical_message():
     bus, touch, _, _ = _bus_with_topics()
-    got_a: list[mbus.Message] = []
-    got_b: list[mbus.Message] = []
-    bus.subscribe(touch, mbus.Layer.PROCESSING, got_a.append)
-    bus.subscribe(touch, mbus.Layer.PROCESSING, got_b.append)
-    message = bus.publish(touch, 4.2)
-    assert got_a == [message]
-    assert got_b == [message]
-    assert got_a[0].seq == got_b[0].seq == 0
+    got_a: list[tuple[int, object]] = []
+    got_b: list[tuple[int, object]] = []
+    bus.subscribe(touch, mbus.Layer.PROCESSING, lambda seq, payload: got_a.append((seq, payload)))
+    bus.subscribe(touch, mbus.Layer.PROCESSING, lambda seq, payload: got_b.append((seq, payload)))
+    seq = bus.publish(touch, 4.2)
+    assert got_a == [(seq, 4.2)]
+    assert got_b == [(seq, 4.2)]
+    assert got_a[0][0] == got_b[0][0] == 0
 
 
 def test_global_seq_strictly_increasing_and_gap_free():
     bus, touch, _, _ = _bus_with_topics()
-    seqs = [bus.publish(touch, float(i)).seq for i in range(20)]
+    seqs = [bus.publish(touch, float(i)) for i in range(20)]
     assert seqs == list(range(20))
 
 
@@ -110,29 +108,28 @@ def test_interleaved_publishes_preserve_global_order():
     # Reference implementation: one flat list of (seq, topic, payload).
     bus = mbus.MessageBus()
     topics = {name: bus.create_topic(name, mbus.Layer.SENSOR) for name in ("a", "b")}
-    received: dict[str, list[mbus.Message]] = {"a": [], "b": []}
+    received: dict[str, list[tuple[int, object]]] = {"a": [], "b": []}
     for name, topic in topics.items():
-        bus.subscribe(topic, mbus.Layer.PROCESSING, received[name].append)
+        bus.subscribe(topic, mbus.Layer.PROCESSING, lambda seq, payload, got=received[name]: got.append((seq, payload)))
 
     reference: list[tuple[int, str, float]] = []
     rng = random.Random(11)
     for i in range(200):
         topic = rng.choice(("a", "b"))
-        message = bus.publish(topics[topic], float(i))
-        reference.append((message.seq, topic, float(i)))
+        seq = bus.publish(topics[topic], float(i))
+        reference.append((seq, topic, float(i)))
 
     for name, messages in received.items():
         expected = [(s, p) for s, t, p in reference if t == name]
-        got = [(m.seq, m.payload) for m in messages]
-        assert got == expected
-        assert got == sorted(got)  # subsequence of global order
+        assert messages == expected
+        assert messages == sorted(messages)  # subsequence of global order
 
 
 def test_handler_invoked_in_subscription_order():
     bus, touch, _, _ = _bus_with_topics()
     calls: list[str] = []
-    bus.subscribe(touch, mbus.Layer.PROCESSING, lambda m: calls.append("first"))
-    bus.subscribe(touch, mbus.Layer.PROCESSING, lambda m: calls.append("second"))
+    bus.subscribe(touch, mbus.Layer.PROCESSING, lambda seq, payload: calls.append("first"))
+    bus.subscribe(touch, mbus.Layer.PROCESSING, lambda seq, payload: calls.append("second"))
     bus.publish(touch, 0.0)
     assert calls == ["first", "second"]
 

@@ -232,20 +232,21 @@ def test_run_until_zero_drops_everything(tmp_files, capsys):
     assert "sensor_event" not in out
 
 
-def test_run_negative_until_is_usage_error(tmp_files, capsys):
+@pytest.mark.parametrize("until", ["-5", "abc", "1.5", ""], ids=["negative", "not_a_number", "fraction", "empty"])
+def test_run_negative_until_is_usage_error(tmp_files, capsys, until):
     argv = [
         "run",
         "-c", str(tmp_files["config"]),
         "-b", str(tmp_files["behavior"]),
         "-t", str(tmp_files["trace"]),
-        "--until", "-5",
+        "--until", until,
     ]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--until: expected a non-negative integer, got '-5'" in captured.err
+    assert f"--until: expected a non-negative integer, got {until!r}" in captured.err
 
 
 def test_run_huge_wait_is_a_parse_error(tmp_files, tmp_path, capsys):
@@ -746,11 +747,25 @@ def test_stats_name_a_field_of_the_wrong_type(tmp_path, capsys, line, kind, seq,
     assert capsys.readouterr() == ("", f"malformed log: {reason}\n")
 
 
-def test_stats_refuse_a_message_of_a_layer_without_a_schema_row(tmp_path, capsys):
+_SENSOR_FIELDS = ["topic", "layer", "bus_seq", "value", "sensor", "reading_t_us"]
+
+
+@pytest.mark.parametrize(
+    "detail, reason",
+    [
+        ('{"topic": "x", "layer": "control", "bus_seq": 0}', "message with unknown layer 'control' at seq 0"),
+        (
+            '{"topic": "x", "layer": "behavior", "bus_seq": 0, "value": 1.0, "sensor": "x", "reading_t_us": 0}',
+            f"message of layer 'behavior' with off-schema detail fields {_SENSOR_FIELDS} at seq 0",
+        ),
+    ],
+    ids=["control_layer", "sensor_fields_behavior_layer"],
+)
+def test_stats_refuse_a_message_of_a_layer_without_a_schema_row(tmp_path, capsys, detail, reason):
     # the control layer logs no message: its counter stays 0, and a message
-    # that names it has no schema row, like a layer that does not exist
-    line = '{"seq": 0, "t_us": 0, "kind": "message", "detail": {"topic": "x", "layer": "control", "bus_seq": 0}}\n'
-    reason = "message with unknown layer 'control' at seq 0"
+    # that names it has no schema row, like a layer that does not exist; a
+    # message of a layer with a row must hold that row's fields
+    line = f'{{"seq": 0, "t_us": 0, "kind": "message", "detail": {detail}}}\n'
     with pytest.raises(engine.MalformedLogError) as exc:
         engine.compute_stats(parse_log(line))
     assert str(exc.value) == reason

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from robosync import config as cfg, engine as eng
+from robosync.cli import main
 from robosync.dsl import bind_program, parse_program
 from robosync.sensorproc import PLUGIN_REGISTRY
 
@@ -36,7 +37,6 @@ def test_minimal_config_defaults(minimal_config_text):
     assert config.sensors[0].period_us == 10_000
     assert config.scheduler.alpha == 0.05
     assert config.scheduler.window_us == 1_000_000
-    assert config.scheduler.p_max == 1.0
     assert config.scheduler.default_task_cost_us == 100
     # single behavior with no declared priority: 1 - 1/2
     assert config.behaviors[0].priority == 0.5
@@ -163,6 +163,103 @@ def test_safety_check_requires_sensor_pool():
         cfg.parse_config(text)
 
 
+_SENSOR = {"name": "s", "type": "virtual"}
+_ALGORITHM = {"name": "f", "plugin": "passthrough"}
+
+
+@pytest.mark.parametrize(
+    "doc, lines",
+    [
+        ({"sensors": [{"type": "virtual"}]}, ["sensors[0].name: required"]),
+        ({"sensors": [{"name": "s"}]}, ["sensors[0].type: required"]),
+        ({"safety_checks": [{"name": "c", "threshold": 1.0}]}, ["safety_checks[0].sensor: required"]),
+        ({"sensors": [_SENSOR], "safety_checks": [{"name": "c", "sensor": "s"}]}, ["safety_checks[0].threshold: required"]),
+        ({"sensors": [{"name": 5, "type": "virtual"}]}, ["sensors[0].name: must be a string"]),
+        ({"sensors": [{"name": "9s", "type": "virtual"}]}, ["sensors[0].name: invalid identifier '9s'"]),
+        ({"behaviors": [{"name": "b", "safety": "yes"}]}, ["behaviors[0].safety: must be a boolean"]),
+        ({"sensors": [1]}, ["sensors[0]: must be an object"]),
+        ({"actuators": ["a"]}, ["actuators[0]: must be an object"]),
+        ({"behaviors": [None]}, ["behaviors[0]: must be an object"]),
+        ({"algorithms": [[]]}, ["algorithms[0]: must be an object"]),
+        ({"safety_checks": [True]}, ["safety_checks[0]: must be an object"]),
+        ({"scheduler": []}, ["scheduler: must be an object"]),
+        (
+            {"sensors": [_SENSOR], "algorithms": [{**_ALGORITHM, "params": [1]}]},
+            ["algorithms[0].params: must be an object"],
+        ),
+        ({"sensors": [_SENSOR], "algorithms": [{"name": "f"}]}, ["algorithms[0].plugin: either 'plugin' or 'path' is required"]),
+        (
+            {"sensors": [_SENSOR], "algorithms": [{**_ALGORITHM, "inputs": []}]},
+            ["algorithms[0].inputs: must be a non-empty array of sensor names"],
+        ),
+        (
+            {"sensors": [_SENSOR], "algorithms": [{**_ALGORITHM, "inputs": "s"}]},
+            ["algorithms[0].inputs: must be a non-empty array of sensor names"],
+        ),
+        ({"sensors": [_SENSOR], "algorithms": [{**_ALGORITHM, "inputs": [1]}]}, ["algorithms[0].inputs[0]: must be a string"]),
+        ({"sensors": {}}, ["sensors: must be an array"]),
+        ({"scheduler": {"alpha": -0.5}}, ["scheduler.alpha: must be >= 0"]),
+        ({"behaviors": [{"name": "a", "priority": 1.5}]}, ["behaviors[0].priority: must be strictly between 0 and 1"]),
+        (
+            {
+                "behaviors": [
+                    {"name": "a", "priority": 1.5},
+                    {"name": "b", "priority": 0.5},
+                    {"name": "c", "priority": 0.5},
+                ]
+            },
+            ["behaviors[0].priority: must be strictly between 0 and 1", "behaviors[2].priority: duplicate"],
+        ),
+        (
+            {"algorithms": [_ALGORITHM]},
+            [
+                "algorithms[0].inputs: must not be empty",
+                "sensors: at least one sensor required by algorithms or safety checks",
+            ],
+        ),
+    ],
+    ids=[
+        "name_required",
+        "type_required",
+        "check_sensor_required",
+        "check_threshold_required",
+        "name_not_a_string",
+        "name_not_an_identifier",
+        "safety_not_a_boolean",
+        "sensor_not_an_object",
+        "actuator_not_an_object",
+        "behavior_not_an_object",
+        "algorithm_not_an_object",
+        "check_not_an_object",
+        "scheduler_not_an_object",
+        "params_not_an_object",
+        "no_plugin_or_path",
+        "inputs_empty",
+        "inputs_not_an_array",
+        "input_not_a_string",
+        "section_not_an_array",
+        "alpha_negative",
+        "priority_out_of_range",
+        "priority_out_of_range_and_duplicate",
+        "no_inputs_and_no_sensors",
+    ],
+)
+def test_each_refusal_is_located_by_parse_and_validate(tmp_path, capsys, doc, lines):
+    with pytest.raises(cfg.SchemaError) as exc:
+        cfg.parse_config(json.dumps(doc))
+    assert exc.value.lines() == lines
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["validate", "-c", str(config)]) == 1
+    assert capsys.readouterr() == ("".join(line + "\n" for line in lines), "")
+
+
+def test_a_safety_behavior_off_its_pin_is_refused_by_validate_config():
+    # parsing pins a safety behavior to 1.0, so only a config built by hand can hold another priority
+    config = cfg.SystemConfig(behaviors=(cfg.BehaviorSpec("stop", priority=0.5, safety=True),))
+    assert [str(issue) for issue in cfg.validate_config(config)] == ["behaviors[0].priority: safety behaviors pin to 1.0"]
+
+
 # ---------------------------------------------------------------------------
 # default_priorities
 
@@ -222,15 +319,14 @@ def test_fill_priorities_property(declared):
 
 
 def test_validate_minimal_config_clean(minimal_config_text):
-    report = cfg.validate_config(cfg.parse_config(minimal_config_text))
-    assert report.ok
+    assert cfg.validate_config(cfg.parse_config(minimal_config_text)) == []
 
 
 def test_validate_reports_dangling_action():
     config = cfg.SystemConfig(behaviors=(cfg.BehaviorSpec("b", priority=0.5, action="motor_9"),))
-    report = cfg.validate_config(config)
-    assert [i.path for i in report.issues] == ["behaviors[0].action"]
-    assert "unresolved actuator" in report.issues[0].reason
+    issues = cfg.validate_config(config)
+    assert [i.path for i in issues] == ["behaviors[0].action"]
+    assert "unresolved actuator" in issues[0].reason
 
 
 def test_validate_reports_dangling_safety_sensor():
@@ -238,8 +334,8 @@ def test_validate_reports_dangling_safety_sensor():
         sensors=(cfg.SensorSpec("touch", "virtual"),),
         safety_checks=(cfg.SafetyCheckSpec("c", "force", 10.0),),
     )
-    report = cfg.validate_config(config)
-    assert [i.path for i in report.issues] == ["safety_checks[0].sensor"]
+    issues = cfg.validate_config(config)
+    assert [i.path for i in issues] == ["safety_checks[0].sensor"]
 
 
 def test_validate_reports_algorithm_named_like_a_passthrough_stage():
@@ -248,14 +344,14 @@ def test_validate_reports_algorithm_named_like_a_passthrough_stage():
         sensors=(cfg.SensorSpec("a", "virtual"), cfg.SensorSpec("b", "virtual")),
         algorithms=(cfg.AlgorithmSpec("b_proc", "passthrough", ("a",), "x"),),
     )
-    assert cfg.report_lines(cfg.validate_config(config)) == [
+    assert [str(issue) for issue in cfg.validate_config(config)] == [
         "algorithms[0].name: stage name 'b_proc' is already taken by the passthrough stage of sensors[1].name"
     ]
     # once an algorithm reads b, b has no passthrough stage and the name is free
     reads_b = cfg.SystemConfig(
         sensors=config.sensors, algorithms=(cfg.AlgorithmSpec("b_proc", "passthrough", ("b",), "x"),)
     )
-    assert cfg.validate_config(reads_b).ok
+    assert cfg.validate_config(reads_b) == []
 
 
 def test_validate_reports_repeated_algorithm_names():
@@ -264,8 +360,8 @@ def test_validate_reports_repeated_algorithm_names():
         cfg.AlgorithmSpec("f", "passthrough", ("a",), "x"),
         cfg.AlgorithmSpec("f", "passthrough", ("a",), "y"),
     )
-    report = cfg.validate_config(cfg.SystemConfig(sensors=sensors, algorithms=algorithms))
-    assert cfg.report_lines(report) == ["algorithms[1].name: stage name 'f' is already taken by algorithms[0].name"]
+    issues = cfg.validate_config(cfg.SystemConfig(sensors=sensors, algorithms=algorithms))
+    assert [str(issue) for issue in issues] == ["algorithms[1].name: stage name 'f' is already taken by algorithms[0].name"]
 
 
 FULL_CONFIG = json.dumps(
@@ -310,7 +406,7 @@ def test_parse_serialize_roundtrip(text_name, minimal_config_text):
 def test_accepted_configs_never_dangle():
     for text in (FULL_CONFIG,):
         config = cfg.parse_config(text)
-        assert cfg.validate_config(config).ok
+        assert cfg.validate_config(config) == []
 
 
 # Names from a tiny alphabet, so sensor names, algorithm names and outputs

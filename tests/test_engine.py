@@ -303,9 +303,9 @@ def test_each_message_entry_is_one_publish_with_its_bus_seq(
     publish = MessageBus.publish
 
     def counting(self, *args, **kwargs):
-        message = publish(self, *args, **kwargs)
-        seqs.append(message.seq)
-        return message
+        seq = publish(self, *args, **kwargs)
+        seqs.append(seq)
+        return seq
 
     monkeypatch.setattr(MessageBus, "publish", counting)
     halt_trace = '{"t_us": 1000, "sensor": "force", "value": 3.0}\n{"t_us": 5000, "sensor": "force", "value": 12.0}'
@@ -1084,12 +1084,13 @@ _values = st.recursive(
 @st.composite
 def _logs(draw):
     """Entries of a few schema rows, each filled with fresh values of any
-    type the renderer takes, so templates are reused across value types."""
+    type the renderer takes, so templates are reused across value types; a
+    `message` holds its row's layer, as `serialize_log` refuses any other."""
     rows = draw(st.lists(st.sampled_from(sorted(eng.LOG_FIELDS.items())), min_size=1, max_size=3))
     entries = []
     for _ in range(draw(st.integers(1, 8))):
-        (kind, _layer), fields = draw(st.sampled_from(rows))
-        detail = {name: draw(_values) for name in fields}
+        (kind, layer), fields = draw(st.sampled_from(rows))
+        detail = {name: layer if name == "layer" else draw(_values) for name in fields}
         entries.append(eng.LogEntry(draw(st.integers() | _scalars), draw(st.integers()), kind, detail))
     return entries
 
@@ -1201,6 +1202,7 @@ def test_line_functions_do_not_depend_on_first_seen_order(first):
 
 
 _TASK_FINISH = {"task": "t", "enqueue_seq": 0}
+_SENSOR_MESSAGE = {"topic": "touch", "layer": "sensor", "bus_seq": 0, "value": 1.0, "sensor": "touch", "reading_t_us": 0}
 
 
 @pytest.mark.parametrize(
@@ -1212,8 +1214,22 @@ _TASK_FINISH = {"task": "t", "enqueue_seq": 0}
         ("task_done", _TASK_FINISH),
         ("message", {"topic": "touch", "layer": "sensor", "bus_seq": 0, "value": 1.0}),
         ("message", {}),
+        # a message with one row's fields and another layer
+        ("message", {**_SENSOR_MESSAGE, "layer": "control"}),
+        ("message", {**_SENSOR_MESSAGE, "layer": "behavior"}),
+        ("message", {**_SENSOR_MESSAGE, "layer": "processing"}),
     ],
-    ids=["missing_field", "extra_field", "reordered_fields", "unknown_kind", "short_message", "empty_detail"],
+    ids=[
+        "missing_field",
+        "extra_field",
+        "reordered_fields",
+        "unknown_kind",
+        "short_message",
+        "empty_detail",
+        "sensor_fields_control_layer",
+        "sensor_fields_behavior_layer",
+        "sensor_fields_processing_layer",
+    ],
 )
 def test_off_schema_entries_are_refused(kind, detail):
     entries = [eng.LogEntry(0, 5, "task_finish", dict(_TASK_FINISH)), eng.LogEntry(1, 5, kind, detail)]
@@ -1265,9 +1281,10 @@ def test_row_emitters_match_serialize_log(shape, data):
     # templates compiled per row, are the checked serializer's, which shares
     # no template with them and renders each entry whole through
     # `Renderer.render`, byte for byte, for any values of the declared types
+    # (and a `message`'s own layer, as `serialize_log` refuses any other)
     row = eng.LOG_FIELDS[shape]
     seq, t_us = data.draw(_declared_int), data.draw(_declared_int)
-    values = tuple(data.draw(_DECLARED[declared]) for declared in row.types)
+    values = tuple(shape[1] if name == "layer" else data.draw(_DECLARED[declared]) for name, declared in zip(row, row.types))
     renderer = eng.Renderer()
     line = row.emit(renderer.quoted, renderer.render, seq, t_us, *values)
     assert line == eng.serialize_log([eng.LogEntry(seq, t_us, row.kind, dict(zip(row, values)))])

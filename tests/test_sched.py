@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from robosync import sched, sensorproc as sp
-from robosync.config import SchedulerParams
+from robosync.config import P_MAX, SchedulerParams
 from robosync.engine import LOG_FIELDS
 
 
@@ -69,16 +69,16 @@ def test_assignment_matches_brute_force_on_random_graphs():
 
 
 # ---------------------------------------------------------------------------
-# frequency counters and adaptation
+# trigger counts and adaptation
 
 
 def test_record_trigger_counts():
-    counter = sched.FrequencyCounter("b")
-    sched.record_trigger(counter, 10)
-    assert counter.count == 1
-    for t in range(5):
-        sched.record_trigger(counter, 20 + t)
-    assert counter.count == 6
+    counts: dict[str, int] = {}
+    sched.record_trigger(counts, "b")
+    assert counts == {"b": 1}
+    for _ in range(5):
+        sched.record_trigger(counts, "b")
+    assert counts == {"b": 6}
 
 
 def _adapt(*args):
@@ -88,12 +88,12 @@ def _adapt(*args):
 
 
 def _params(alpha=0.05, window_us=1_000_000):
-    return SchedulerParams(alpha=alpha, window_us=window_us, p_max=1.0, default_task_cost_us=100)
+    return SchedulerParams(alpha=alpha, window_us=window_us, default_task_cost_us=100)
 
 
 def test_adapt_zero_frequency_keeps_base():
     tasks = {"t": _task("t", sched.TaskCategory.BEHAVIORAL, 0.5, {"b"})}
-    updates = _adapt(tasks, {"b": sched.FrequencyCounter("b")}, _params(), 1_000_000)
+    updates = _adapt(tasks, {}, _params(), 1_000_000)
     assert tasks["t"].current_priority == 0.5
     assert updates[0]["new"] == 0.5
     assert updates[0]["f_max"] == 0
@@ -101,49 +101,49 @@ def test_adapt_zero_frequency_keeps_base():
 
 def test_adapt_formula_direct():
     tasks = {"t": _task("t", sched.TaskCategory.BEHAVIORAL, 0.5, {"b"})}
-    counter = sched.FrequencyCounter("b")
-    for t in range(4):
-        sched.record_trigger(counter, t)
-    sched.adapt_priorities(tasks, {"b": counter}, _params(alpha=0.05), 1_000_000)
+    counts: dict[str, int] = {}
+    for _ in range(4):
+        sched.record_trigger(counts, "b")
+    sched.adapt_priorities(tasks, counts, _params(alpha=0.05), 1_000_000)
     assert tasks["t"].current_priority == pytest.approx(0.5 + 0.05 * 4 / 1.0)
 
 
 def test_adapt_caps_at_p_max():
     tasks = {"t": _task("t", sched.TaskCategory.BEHAVIORAL, 0.9, {"b"})}
-    counter = sched.FrequencyCounter("b")
-    for t in range(10):
-        sched.record_trigger(counter, t)
-    sched.adapt_priorities(tasks, {"b": counter}, _params(alpha=0.05), 1_000_000)
+    counts: dict[str, int] = {}
+    for _ in range(10):
+        sched.record_trigger(counts, "b")
+    sched.adapt_priorities(tasks, counts, _params(alpha=0.05), 1_000_000)
     assert tasks["t"].current_priority == 1.0  # min(0.9 + 0.5, 1.0)
 
 
 def test_adapt_uses_max_frequency_behavior():
     tasks = {"t": _task("t", sched.TaskCategory.ALGORITHMIC, 0.2, {"a", "b"})}
-    ca, cb = sched.FrequencyCounter("a"), sched.FrequencyCounter("b")
-    sched.record_trigger(ca, 0)
-    for t in range(3):
-        sched.record_trigger(cb, t)
-    updates = _adapt(tasks, {"a": ca, "b": cb}, _params(alpha=0.1), 1_000_000)
+    counts: dict[str, int] = {}
+    sched.record_trigger(counts, "a")
+    for _ in range(3):
+        sched.record_trigger(counts, "b")
+    updates = _adapt(tasks, counts, _params(alpha=0.1), 1_000_000)
     assert updates[0]["behavior"] == "b"
     assert tasks["t"].current_priority == pytest.approx(0.2 + 0.1 * 3)
 
 
 def test_adapt_resets_counters():
     tasks = {"t": _task("t", sched.TaskCategory.BEHAVIORAL, 0.5, {"b"})}
-    counter = sched.FrequencyCounter("b")
-    sched.record_trigger(counter, 5)
-    sched.adapt_priorities(tasks, {"b": counter}, _params(), 1_000_000)
-    assert counter.count == 0
-    sched.adapt_priorities(tasks, {"b": counter}, _params(), 1_000_000)
+    counts: dict[str, int] = {}
+    sched.record_trigger(counts, "b")
+    sched.adapt_priorities(tasks, counts, _params(), 1_000_000)
+    assert counts == {}
+    sched.adapt_priorities(tasks, counts, _params(), 1_000_000)
     assert tasks["t"].current_priority == 0.5  # decays back once triggering stops
 
 
 def test_adapt_recomputes_from_base_not_accumulating():
     tasks = {"t": _task("t", sched.TaskCategory.BEHAVIORAL, 0.5, {"b"})}
-    counter = sched.FrequencyCounter("b")
-    for boundary in range(5):
-        sched.record_trigger(counter, boundary)
-        sched.adapt_priorities(tasks, {"b": counter}, _params(alpha=0.05), 1_000_000)
+    counts: dict[str, int] = {}
+    for _ in range(5):
+        sched.record_trigger(counts, "b")
+        sched.adapt_priorities(tasks, counts, _params(alpha=0.05), 1_000_000)
         assert tasks["t"].current_priority == pytest.approx(0.55)
 
 
@@ -152,10 +152,10 @@ def test_adapt_never_touches_safety():
         "guard": _task("guard", sched.TaskCategory.SAFETY, 1.0),
         "t": _task("t", sched.TaskCategory.BEHAVIORAL, 0.5, {"b"}),
     }
-    counter = sched.FrequencyCounter("b")
-    for t in range(100):
-        sched.record_trigger(counter, t)
-    updates = _adapt(tasks, {"b": counter}, _params(alpha=1.0), 1_000_000)
+    counts: dict[str, int] = {}
+    for _ in range(100):
+        sched.record_trigger(counts, "b")
+    updates = _adapt(tasks, counts, _params(alpha=1.0), 1_000_000)
     assert tasks["guard"].current_priority == 1.0
     assert all(u["task"] != "guard" for u in updates)
     assert tasks["t"].current_priority == 1.0  # capped
@@ -163,10 +163,10 @@ def test_adapt_never_touches_safety():
 
 def test_window_in_seconds():
     tasks = {"t": _task("t", sched.TaskCategory.BEHAVIORAL, 0.1, {"b"})}
-    counter = sched.FrequencyCounter("b")
-    for t in range(4):
-        sched.record_trigger(counter, t)
-    sched.adapt_priorities(tasks, {"b": counter}, _params(alpha=0.05, window_us=500_000), 1_000_000)
+    counts: dict[str, int] = {}
+    for _ in range(4):
+        sched.record_trigger(counts, "b")
+    sched.adapt_priorities(tasks, counts, _params(alpha=0.05, window_us=500_000), 1_000_000)
     assert tasks["t"].current_priority == pytest.approx(0.1 + 0.05 * 4 / 0.5)
 
 
@@ -177,19 +177,19 @@ def test_adapt_refuses_an_adjustment_that_overflows(alpha, window_us, triggers):
         "idle": _task("idle", sched.TaskCategory.CONTROL, 0.5),
         "t": _task("t", sched.TaskCategory.BEHAVIORAL, 0.5, {"b"}),
     }
-    counter = sched.FrequencyCounter("b")
-    for t in range(triggers):
-        sched.record_trigger(counter, t)
+    counts: dict[str, int] = {}
+    for _ in range(triggers):
+        sched.record_trigger(counts, "b")
     message = rf"^priority adjustment alpha \* F / W is inf for behavior 'b' with F {triggers} in the window ending at t_us 7000$"
     with pytest.raises(sp.NonFiniteOutputError, match=message):
-        sched.adapt_priorities(tasks, {"b": counter}, _params(alpha=alpha, window_us=window_us), 7000)
+        sched.adapt_priorities(tasks, counts, _params(alpha=alpha, window_us=window_us), 7000)
 
 
 def test_adapt_keeps_the_largest_finite_adjustment():
     tasks = {"t": _task("t", sched.TaskCategory.BEHAVIORAL, 0.5, {"b"})}
-    counter = sched.FrequencyCounter("b")
-    sched.record_trigger(counter, 0)
-    (update,) = _adapt(tasks, {"b": counter}, _params(alpha=1.7e308), 1_000_000)
+    counts: dict[str, int] = {}
+    sched.record_trigger(counts, "b")
+    (update,) = _adapt(tasks, counts, _params(alpha=1.7e308), 1_000_000)
     assert update["delta"] == 1.7e308
     assert update["new"] == 1.0
 
@@ -198,7 +198,7 @@ def test_adapt_keeps_the_largest_finite_adjustment():
 # window adaptation against the sorted-scan oracle
 
 
-def _linear_adapt(tasks, counters, params):
+def _linear_adapt(tasks, counts, params):
     """The scan `adapt_priorities` replaced: every task's linked behaviors in
     name order, where only a strictly higher count takes over the lead."""
     w_seconds = params.window_us / 1e6
@@ -209,23 +209,21 @@ def _linear_adapt(tasks, counters, params):
         best_behavior = None
         best_f = 0
         for behavior in sorted(task.behaviors):
-            counter = counters.get(behavior)
-            f = counter.count if counter is not None else 0
+            f = counts.get(behavior, 0)
             if f > best_f:
                 best_f = f
                 best_behavior = behavior
         delta = params.alpha * best_f / w_seconds
-        new = min(task.base_priority + delta, params.p_max)
+        new = min(task.base_priority + delta, P_MAX)
         updates.append(
             {"task": task.id, "old": task.current_priority, "new": new, "f_max": best_f, "behavior": best_behavior, "delta": delta}
         )
         task.current_priority = new
-    for counter in counters.values():
-        counter.count = 0
+    counts.clear()
     return updates
 
 
-# "x" never has a counter; counts of 0-3 make ties on the highest count common
+# "x" is never counted; counts of 0-3 make ties on the highest count common
 _LINKABLE = ("a", "b", "c", "d", "x")
 
 
@@ -247,31 +245,31 @@ _LINKABLE = ("a", "b", "c", "d", "x")
     specs=[(sched.TaskCategory.ALGORITHMIC, 0.25, frozenset({"a", "b"}))],
     counted=["b", "a"],
     windows=[{"a": 2, "b": 2}],
-)  # a tie on F goes to the name that sorts first, whatever the counters' order
+)  # a tie on F goes to the name that sorts first, whatever the counts' order
 def test_adapt_matches_sorted_scan_oracle(specs, counted, windows):
     def build():
-        tasks = {
+        return {
             f"t{i}": _task(f"t{i}", category, 1.0 if category is sched.TaskCategory.SAFETY else base, behaviors)
             for i, (category, base, behaviors) in enumerate(specs)
         }
-        return tasks, {name: sched.FrequencyCounter(name) for name in counted}
 
-    tasks, counters = build()
-    oracle_tasks, oracle_counters = build()
+    tasks, counts = build(), {}
+    oracle_tasks, oracle_counts = build(), {}
     # and a run's windows, which skip the tasks they leave idle
-    idle_tasks, idle_counters = build()
-    params = _params(alpha=0.1)  # 0.75 + 3 * 0.1 reaches p_max
+    idle_tasks, idle_counts = build(), {}
+    params = _params(alpha=0.1)  # 0.75 + 3 * 0.1 reaches P_MAX
     idle = sched.IdleUpdates(idle_tasks, params)
     for triggers in windows:
-        for name, count in triggers.items():
-            for t_us in range(count if name in counters else 0):
-                sched.record_trigger(counters[name], t_us)
-                sched.record_trigger(oracle_counters[name], t_us)
-                sched.record_trigger(idle_counters[name], t_us)
-        expected = _linear_adapt(oracle_tasks, oracle_counters, params)
-        assert _adapt(tasks, counters, params, 1_000_000) == expected
-        assert _adapt(idle_tasks, idle_counters, params, 1_000_000, idle) == expected
-        assert counters == oracle_counters == idle_counters
+        # in `counted` order, so the counts' order varies apart from their names'
+        for name in counted:
+            for _ in range(triggers.get(name, 0)):
+                sched.record_trigger(counts, name)
+                sched.record_trigger(oracle_counts, name)
+                sched.record_trigger(idle_counts, name)
+        expected = _linear_adapt(oracle_tasks, oracle_counts, params)
+        assert _adapt(tasks, counts, params, 1_000_000) == expected
+        assert _adapt(idle_tasks, idle_counts, params, 1_000_000, idle) == expected
+        assert counts == oracle_counts == idle_counts
         assert tasks == oracle_tasks == idle_tasks
 
 
@@ -399,7 +397,7 @@ def _linear_select(entries):
 
 # Few priority values (alpha 0.25 over a 1 s window moves a task along the
 # grid 0.25, 0.5, 0.75, 1.0) so that category and FIFO ties are common.
-_ORACLE_PARAMS = SchedulerParams(alpha=0.25, window_us=1_000_000, p_max=1.0, default_task_cost_us=100)
+_ORACLE_PARAMS = SchedulerParams(alpha=0.25, window_us=1_000_000, default_task_cost_us=100)
 
 _task_specs = st.lists(
     st.tuples(
@@ -438,7 +436,7 @@ def test_heap_dispatch_matches_linear_oracle(specs, operations, purge_at):
         if category is sched.TaskCategory.SAFETY:
             base = 1.0
         tasks[f"t{i}"] = _task(f"t{i}", category, base, behaviors)
-    counters = {b: sched.FrequencyCounter(b) for b in ("a", "b")}
+    counts: dict[str, int] = {}
     queue = sched.ReadyQueue()
     oracle = []
     picked, expected = [], []
@@ -453,9 +451,9 @@ def test_heap_dispatch_matches_linear_oracle(specs, operations, purge_at):
             expected.append(_linear_select(oracle))
         else:
             for behavior, triggers in zip(("a", "b"), op[1:]):
-                for t in range(triggers):
-                    sched.record_trigger(counters[behavior], t)
-            sched.adapt_priorities(tasks, counters, _ORACLE_PARAMS, 1_000_000)
+                for _ in range(triggers):
+                    sched.record_trigger(counts, behavior)
+            sched.adapt_priorities(tasks, counts, _ORACLE_PARAMS, 1_000_000)
             queue.rekey()  # what the engine does after every window
         assert len(queue) == len(oracle)
     assert picked == expected
