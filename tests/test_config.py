@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -10,6 +11,9 @@ from robosync import config as cfg, engine as eng
 from robosync.cli import main
 from robosync.dsl import bind_program, parse_program
 from robosync.sensorproc import PLUGIN_REGISTRY
+
+from conftest import FIXTURES
+from test_scenarios import BENCH_WORKLOADS
 
 
 def test_minimal_config_parses(minimal_config_text):
@@ -401,6 +405,45 @@ def test_parse_serialize_roundtrip(text_name, minimal_config_text):
     first = cfg.parse_config(text)
     second = cfg.parse_config(cfg.serialize_config(first))
     assert first == second
+
+
+def _readme_config_example() -> str:
+    """The JSON example under README's "Configuration file" heading."""
+    text = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+    return text.split("## Configuration file\n", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+
+
+def _config_texts() -> dict[str, str]:
+    """Every committed config, FULL_CONFIG, README's example and the bench's two configs."""
+    paths = [FIXTURES / "minimal_config.json", FIXTURES / "touch_config.json"]
+    paths += sorted(FIXTURES.glob("scenarios/*/config.json"))
+    texts = {str(path.relative_to(FIXTURES)): path.read_text(encoding="utf-8") for path in paths}
+    texts["FULL_CONFIG"] = FULL_CONFIG
+    texts["README"] = _readme_config_example()
+    texts["bench"] = BENCH_WORKLOADS.make_config(False)
+    texts["bench_halts"] = BENCH_WORKLOADS.make_config(True)
+    return texts
+
+
+# sha256 of serialize_config(parse_config(text)) for each of _config_texts()
+_SERIALIZED_SHA256 = {
+    "minimal_config.json": "4590208c45dc4f43e227a23e63cad012b8ce5306e30d4e6648c763307a86222a",
+    "touch_config.json": "222f773592a61e674fba8177bf2f487552cf15326251998abc4d82abb10688b1",
+    "scenarios/halt_windows/config.json": "0dba72848ce1fffff7e51d73641a9f375ba5904a11380635f86130475885cabf",
+    "scenarios/plugins/config.json": "adc1b2f2dc1bd320f68c90eedd5af9444bfb776fbdf57f5f2bab8fd9b9931cb9",
+    "scenarios/until_idle/config.json": "c89f1ac7c0aa705f69ce9a42c9e7cbc84c3696d3acbf572a2e01e884080e3d0d",
+    "scenarios/wait_lexemes/config.json": "7c46a60aae53e6c293d2a2c187ae357a1a0fff0857f267132b25341dc8f8186e",
+    "FULL_CONFIG": "fcd1e58c78dc76d40812a90a21f95ad83c3e8bfe98d459bbf42885a8848dda0e",
+    "README": "9de7b50858ee61014bcd04dd32714223d1b6d89505dc3e854ccc979d77238597",
+    "bench": "0d9be760df1845c894d425cd8fd3b0813defc909aee3747de9a60dc683b30d4e",
+    "bench_halts": "98e4dab418b43ab133594995f6beff4f434a752a2df5f3a36db8ad895b02a4ba",
+}
+
+
+@pytest.mark.parametrize("name, text", _config_texts().items())
+def test_serialized_config_bytes_are_pinned(name, text):
+    serialized = cfg.serialize_config(cfg.parse_config(text))
+    assert hashlib.sha256(serialized.encode("utf-8")).hexdigest() == _SERIALIZED_SHA256[name]
 
 
 def test_accepted_configs_never_dangle():
