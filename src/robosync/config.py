@@ -13,20 +13,16 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, replace
-from typing import Any, Iterable, Sequence
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import partial
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .sensorproc import PLUGIN_REGISTRY, PluginParamError, finite_float
 
 SENSOR_KINDS = ("i2c", "spi", "gpio", "analog", "virtual")
 ACTUATOR_KINDS = ("pwm", "gpio", "audio", "virtual")
 
-DEFAULT_DELTA = 0.0
-DEFAULT_PERIOD_US = 10_000
-DEFAULT_ALPHA = 0.05
 P_MAX = 1.0  # the cap on an adapted priority; the `p_max` key takes no other value
-DEFAULT_WINDOW_US = 1_000_000
-DEFAULT_TASK_COST_US = 100
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _HEX_RE = re.compile(r"0[xX][0-9A-Fa-f]+")
@@ -76,24 +72,107 @@ class CrossReferenceError(SchemaError):
         return [str(issue) for issue in self.issues]
 
 
+# ---------------------------------------------------------------------------
+# field getters: each checks a present value, located at `where`, and converts it
+
+_Getter = Callable[[Any, str], Any]
+
+
+def _get_str(value: Any, where: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(where, "must be a string")
+    return value
+
+
+def _get_str_or_none(value: Any, where: str) -> str | None:
+    return _get_str(value, where) or None  # an empty string names nothing
+
+
+def _get_name(value: Any, where: str) -> str:
+    name = _get_str(value, where)
+    if not _NAME_RE.fullmatch(name):
+        raise SchemaError(where, f"invalid identifier {name!r}")
+    return name
+
+
+def _get_kind(value: Any, where: str, kinds: Sequence[str]) -> str:
+    kind = _get_str(value, where).lower()
+    if kind not in kinds:
+        raise SchemaError(where, f"unknown kind {value!r} (expected one of {', '.join(kinds)})")
+    return kind
+
+
+def _get_number(value: Any, where: str, minimum: int | None = None) -> float:
+    number = finite_float(value)
+    if number is None:
+        raise SchemaError(where, "must be a finite number")
+    if minimum is not None and number < minimum:
+        raise SchemaError(where, f"must be >= {minimum}")
+    return number
+
+
+def _get_int(value: Any, where: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(where, "must be an integer")
+    if value < minimum:
+        raise SchemaError(where, f"must be >= {minimum}")
+    return value
+
+
+def _get_bool(value: Any, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise SchemaError(where, "must be a boolean")
+    return value
+
+
+def _get_pin(value: Any, where: str) -> int:
+    # Pins may appear as integers or decimal strings ("5" in the wild).
+    if isinstance(value, str) and value.isdigit():
+        try:
+            return int(value)
+        except ValueError:  # a digit int() does not take, or too many of them
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+        return value
+    raise SchemaError(where, "must be a non-negative integer")
+
+
+def _get_address(value: Any, where: str) -> int:
+    if not isinstance(value, str) or not _HEX_RE.fullmatch(value):
+        raise SchemaError(where, "must be a 0x-prefixed hex string")
+    return int(value, 16)
+
+
+def _field(get: _Getter | None, default: Any = MISSING, *, key: str = "", render: Callable | None = None) -> Any:
+    """A spec field with its row of the config schema: the getter of its
+    value (None when the section's check sets the field), its default (none:
+    the key is required), its JSON key (the field's name unless given) and
+    how serialize_config renders it; serialize_config leaves a None out."""
+    return field(default=default, metadata={"get": get, "key": key, "render": render})
+
+
+# ---------------------------------------------------------------------------
+# the spec of each section entry: its fields in serialized order
+
+
 @dataclass(frozen=True, slots=True)
 class SensorSpec:
-    name: str
-    kind: str
-    address: int | None = None
-    pin: int | None = None
-    delta: float = DEFAULT_DELTA
-    period_us: int = DEFAULT_PERIOD_US
-    units: str = ""
+    name: str = _field(_get_name)
+    kind: str = _field(partial(_get_kind, kinds=SENSOR_KINDS), key="type")
+    address: int | None = _field(_get_address, None, render="0x{:x}".format)
+    pin: int | None = _field(_get_pin, None)
+    delta: float = _field(partial(_get_number, minimum=0), 0.0)
+    period_us: int = _field(partial(_get_int, minimum=1), 10_000)
+    units: str = _field(_get_str, "")
 
 
 @dataclass(frozen=True, slots=True)
 class ActuatorSpec:
-    name: str
-    kind: str
-    pin: int | None = None
-    min_value: float = 0.0
-    max_value: float = 1.0
+    name: str = _field(_get_name)
+    kind: str = _field(partial(_get_kind, kinds=ACTUATOR_KINDS), key="type")
+    pin: int | None = _field(_get_pin, None)
+    min_value: float = _field(_get_number, 0.0)
+    max_value: float = _field(_get_number, 1.0)
 
     def clamp(self, value: float) -> float:
         """`value` limited to the actuator's bounds."""
@@ -102,19 +181,19 @@ class ActuatorSpec:
 
 @dataclass(frozen=True, slots=True)
 class BehaviorSpec:
-    name: str
-    priority: float | None = None
-    action: str | None = None
-    safety: bool = False
+    name: str = _field(_get_name)
+    priority: float | None = _field(_get_number, None)
+    action: str | None = _field(_get_str_or_none, None)
+    safety: bool = _field(_get_bool, False)
 
 
 @dataclass(frozen=True, slots=True)
 class AlgorithmSpec:
-    name: str
-    plugin: str
-    inputs: tuple[str, ...]
-    output: str
-    params: tuple[tuple[str, Any], ...] = ()
+    name: str = _field(_get_name)
+    plugin: str = _field(None)
+    inputs: tuple[str, ...] = _field(None)
+    output: str = _field(None)
+    params: tuple[tuple[str, Any], ...] = _field(None, (), render=dict)
 
     def params_dict(self) -> dict[str, Any]:
         return dict(self.params)
@@ -122,129 +201,30 @@ class AlgorithmSpec:
 
 @dataclass(frozen=True, slots=True)
 class SafetyCheckSpec:
-    name: str
-    sensor: str
-    threshold: float
+    name: str = _field(_get_name)
+    sensor: str = _field(_get_str)
+    threshold: float = _field(_get_number)
 
 
 @dataclass(frozen=True, slots=True)
 class SchedulerParams:
-    alpha: float = DEFAULT_ALPHA
-    window_us: int = DEFAULT_WINDOW_US
-    default_task_cost_us: int = DEFAULT_TASK_COST_US
-
-
-@dataclass(frozen=True, slots=True)
-class SystemConfig:
-    sensors: tuple[SensorSpec, ...] = ()
-    actuators: tuple[ActuatorSpec, ...] = ()
-    behaviors: tuple[BehaviorSpec, ...] = ()
-    algorithms: tuple[AlgorithmSpec, ...] = ()
-    safety_checks: tuple[SafetyCheckSpec, ...] = ()
-    scheduler: SchedulerParams = SchedulerParams()
+    alpha: float = _field(partial(_get_number, minimum=0), 0.05)
+    window_us: int = _field(partial(_get_int, minimum=1), 1_000_000)
+    default_task_cost_us: int = _field(partial(_get_int, minimum=1), 100)
 
 
 # ---------------------------------------------------------------------------
-# low-level field helpers
+# the rules that span a section's fields: check(obj, path, values) runs after
+# the getters and may set fields, render(spec, entry) returns the serialized entry
 
 
-def _check_keys(obj: dict, allowed: Iterable[str], path: str) -> None:
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise SchemaError(f"{path}.{unknown[0]}", "unknown key")
+def _optional(obj: dict, path: str, key: str, get: _Getter) -> Any:
+    """A key a section's check reads: its value through `get`, or None when absent."""
+    return get(obj[key], f"{path}.{key}") if key in obj else None
 
 
-def _get_str(obj: dict, key: str, path: str, *, required: bool = False, default: str = "") -> str:
-    if key not in obj:
-        if required:
-            raise SchemaError(f"{path}.{key}", "required")
-        return default
-    value = obj[key]
-    if not isinstance(value, str):
-        raise SchemaError(f"{path}.{key}", "must be a string")
-    return value
-
-
-def _get_name(obj: dict, path: str) -> str:
-    name = _get_str(obj, "name", path, required=True)
-    if not _NAME_RE.fullmatch(name):
-        raise SchemaError(f"{path}.name", f"invalid identifier {name!r}")
-    return name
-
-
-def _get_number(obj: dict, key: str, path: str, *, default: float | None = None) -> float | None:
-    if key not in obj:
-        return default
-    value = finite_float(obj[key])
-    if value is None:
-        raise SchemaError(f"{path}.{key}", "must be a finite number")
-    return value
-
-
-def _get_int(obj: dict, key: str, path: str, *, default: int | None = None, minimum: int = 0) -> int | None:
-    if key not in obj:
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{path}.{key}", "must be an integer")
-    if value < minimum:
-        raise SchemaError(f"{path}.{key}", f"must be >= {minimum}")
-    return value
-
-
-def _get_bool(obj: dict, key: str, path: str, *, default: bool = False) -> bool:
-    if key not in obj:
-        return default
-    value = obj[key]
-    if not isinstance(value, bool):
-        raise SchemaError(f"{path}.{key}", "must be a boolean")
-    return value
-
-
-def _get_pin(obj: dict, path: str) -> int | None:
-    # Pins may appear as integers or decimal strings ("5" in the wild).
-    if "pin" not in obj:
-        return None
-    value = obj["pin"]
-    if isinstance(value, str) and value.isdigit():
-        try:
-            return int(value)
-        except ValueError:  # a digit int() does not take, or too many of them
-            pass
-    elif isinstance(value, int) and not isinstance(value, bool) and value >= 0:
-        return value
-    raise SchemaError(f"{path}.pin", "must be a non-negative integer")
-
-
-def _get_address(obj: dict, path: str) -> int | None:
-    if "address" not in obj:
-        return None
-    value = obj["address"]
-    if not isinstance(value, str) or not _HEX_RE.fullmatch(value):
-        raise SchemaError(f"{path}.address", "must be a 0x-prefixed hex string")
-    return int(value, 16)
-
-
-def _get_kind(obj: dict, path: str, kinds: Sequence[str]) -> str:
-    raw = _get_str(obj, "type", path, required=True)
-    kind = raw.lower()
-    if kind not in kinds:
-        raise SchemaError(f"{path}.type", f"unknown kind {raw!r} (expected one of {', '.join(kinds)})")
-    return kind
-
-
-# ---------------------------------------------------------------------------
-# section parsers
-
-
-def _parse_sensor(obj: Any, path: str) -> SensorSpec:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "must be an object")
-    _check_keys(obj, ("name", "type", "address", "pin", "delta", "period_us", "units"), path)
-    name = _get_name(obj, path)
-    kind = _get_kind(obj, path, SENSOR_KINDS)
-    address = _get_address(obj, path)
-    pin = _get_pin(obj, path)
+def _check_sensor(obj: dict, path: str, values: dict[str, Any]) -> None:
+    kind, address, pin = values["kind"], values["address"], values["pin"]
     if kind in ("i2c", "spi"):
         if address is None:
             raise SchemaError(f"{path}.address", f"required for {kind} sensors")
@@ -255,52 +235,24 @@ def _parse_sensor(obj: Any, path: str) -> SensorSpec:
             raise SchemaError(f"{path}.pin", f"required for {kind} sensors")
         if address is not None:
             raise SchemaError(f"{path}.address", f"not allowed for {kind} sensors")
-    else:  # virtual
-        if address is not None or pin is not None:
-            raise SchemaError(path, "virtual sensors take neither address nor pin")
-    delta = _get_number(obj, "delta", path, default=DEFAULT_DELTA)
-    assert delta is not None
-    if delta < 0:
-        raise SchemaError(f"{path}.delta", "must be >= 0")
-    period_us = _get_int(obj, "period_us", path, default=DEFAULT_PERIOD_US, minimum=1)
-    assert period_us is not None
-    units = _get_str(obj, "units", path)
-    return SensorSpec(name=name, kind=kind, address=address, pin=pin, delta=delta, period_us=period_us, units=units)
+    elif address is not None or pin is not None:  # virtual
+        raise SchemaError(path, "virtual sensors take neither address nor pin")
 
 
-def _parse_actuator(obj: Any, path: str) -> ActuatorSpec:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "must be an object")
-    _check_keys(obj, ("name", "type", "pin", "min_value", "max_value"), path)
-    name = _get_name(obj, path)
-    kind = _get_kind(obj, path, ACTUATOR_KINDS)
-    pin = _get_pin(obj, path)
-    min_value = _get_number(obj, "min_value", path, default=0.0)
-    max_value = _get_number(obj, "max_value", path, default=1.0)
-    assert min_value is not None and max_value is not None
-    if min_value > max_value:
+def _check_actuator(obj: dict, path: str, values: dict[str, Any]) -> None:
+    if values["min_value"] > values["max_value"]:
         raise SchemaError(f"{path}.min_value", "must be <= max_value")
-    return ActuatorSpec(name=name, kind=kind, pin=pin, min_value=min_value, max_value=max_value)
 
 
-def _parse_behavior(obj: Any, path: str) -> BehaviorSpec:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "must be an object")
-    _check_keys(obj, ("name", "priority", "action", "safety"), path)
-    name = _get_name(obj, path)
-    priority = _get_number(obj, "priority", path)
-    safety = _get_bool(obj, "safety", path)
-    action = _get_str(obj, "action", path) or None
-    return BehaviorSpec(name=name, priority=priority, action=action, safety=safety)
+def _render_behavior(behavior: BehaviorSpec, entry: dict[str, Any]) -> dict[str, Any]:
+    if behavior.safety:  # parsing pins it to 1.0
+        del entry["priority"]
+    return entry
 
 
-def _parse_algorithm(obj: Any, path: str, sensor_names: Sequence[str]) -> AlgorithmSpec:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "must be an object")
-    _check_keys(obj, ("name", "plugin", "path", "inputs", "output", "params"), path)
-    name = _get_name(obj, path)
-    plugin = _get_str(obj, "plugin", path) or None
-    module_path = _get_str(obj, "path", path) or None
+def _check_algorithm(obj: dict, path: str, values: dict[str, Any]) -> None:
+    plugin = _optional(obj, path, "plugin", _get_str_or_none)
+    module_path = _optional(obj, path, "path", _get_str_or_none)
     legacy = plugin is None  # a `path` module may read params of its own
     if plugin is not None:
         if plugin not in PLUGIN_REGISTRY:
@@ -313,29 +265,21 @@ def _parse_algorithm(obj: Any, path: str, sensor_names: Sequence[str]) -> Algori
     else:
         raise SchemaError(f"{path}.plugin", "either 'plugin' or 'path' is required")
 
-    if "inputs" in obj:
-        raw_inputs = obj["inputs"]
-        if not isinstance(raw_inputs, list) or not raw_inputs:
-            raise SchemaError(f"{path}.inputs", "must be a non-empty array of sensor names")
-        inputs = []
-        for j, item in enumerate(raw_inputs):
-            if not isinstance(item, str):
-                raise SchemaError(f"{path}.inputs[{j}]", "must be a string")
-            inputs.append(item)
-    else:
-        inputs = list(sensor_names)
+    inputs = obj.get("inputs", [])  # none given: parse_config reads every sensor
+    if "inputs" in obj and (not isinstance(inputs, list) or not inputs):
+        raise SchemaError(f"{path}.inputs", "must be a non-empty array of sensor names")
+    for j, item in enumerate(inputs):
+        if not isinstance(item, str):
+            raise SchemaError(f"{path}.inputs[{j}]", "must be a string")
 
-    output = _get_str(obj, "output", path) or name
+    output = _optional(obj, path, "output", _get_str_or_none) or values["name"]
 
-    params: list[tuple[str, Any]] = []
-    if "params" in obj:
-        raw_params = obj["params"]
-        if not isinstance(raw_params, dict):
-            raise SchemaError(f"{path}.params", "must be an object")
-        for key, value in raw_params.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-                raise SchemaError(f"{path}.params.{key}", "must be a number or string")
-            params.append((key, value))
+    params = obj.get("params", {})
+    if not isinstance(params, dict):
+        raise SchemaError(f"{path}.params", "must be an object")
+    for key, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise SchemaError(f"{path}.params.{key}", "must be a number or string")
     unread = dict(params)
     try:
         PLUGIN_REGISTRY[plugin](unread)
@@ -343,46 +287,105 @@ def _parse_algorithm(obj: Any, path: str, sensor_names: Sequence[str]) -> Algori
         raise SchemaError(f"{path}.params.{exc.key}", exc.reason) from None
     if unread and not legacy:
         raise SchemaError(f"{path}.params.{sorted(unread)[0]}", "unknown key")
-    return AlgorithmSpec(name=name, plugin=plugin, inputs=tuple(inputs), output=output, params=tuple(params))
+    values.update(plugin=plugin, inputs=tuple(inputs), output=output, params=tuple(params.items()))
 
 
-def _parse_safety_check(obj: Any, path: str) -> SafetyCheckSpec:
+def _render_algorithm(algorithm: AlgorithmSpec, entry: dict[str, Any]) -> dict[str, Any]:
+    unread = algorithm.params_dict()
+    PLUGIN_REGISTRY[algorithm.plugin](unread)
+    if not unread:
+        return entry
+    # a `plugin` entry refuses params its plugin does not read; a legacy `path`
+    # entry, whose basename is the plugin's name, keeps them
+    return {"path" if key == "plugin" else key: value for key, value in entry.items()}
+
+
+def _check_scheduler(obj: dict, path: str, values: dict[str, Any]) -> None:
+    # a negative zero reads as 0, so no update logs a delta of -0.000000
+    values["alpha"] = values["alpha"] or 0.0
+    # accepted as P_MAX only, so SchedulerParams holds no field for it
+    if _optional(obj, path, "p_max", _get_number) not in (None, P_MAX):
+        raise SchemaError(f"{path}.p_max", f"is fixed at {P_MAX}")
+
+
+def _render_scheduler(params: SchedulerParams, entry: dict[str, Any]) -> dict[str, Any]:
+    cost = entry.pop("default_task_cost_us")  # p_max is written before it
+    return {**entry, "p_max": P_MAX, "default_task_cost_us": cost}
+
+
+class _Section(NamedTuple):
+    """A config section: the rows of its spec's fields, as (field, key,
+    getter, default, renderer), every key an entry may hold, and its hooks."""
+
+    spec: type
+    rows: tuple[tuple[str, str, _Getter | None, Any, Callable | None], ...]
+    keys: frozenset[str]
+    check: Callable[[dict, str, dict[str, Any]], None] | None = None
+    render: Callable[[Any, dict[str, Any]], dict[str, Any]] | None = None
+    omit_empty: bool = False  # serialize_config leaves the section out while it is empty
+
+
+def _section(spec: type, default: Any = (), keys: tuple[str, ...] = (), **hooks: Any) -> Any:
+    """A SystemConfig field: an array of `spec` entries, or one entry when
+    its default is one, with `spec`'s rows read once from its fields and the
+    `keys` that only the section's check reads."""
+    rows = tuple(
+        (f.name, f.metadata["key"] or f.name, f.metadata["get"], f.default, f.metadata["render"]) for f in fields(spec)
+    )
+    section = _Section(spec, rows, frozenset(row[1] for row in rows).union(keys), **hooks)
+    return field(default=default, metadata={"section": section})
+
+
+@dataclass(frozen=True, slots=True)
+class SystemConfig:
+    sensors: tuple[SensorSpec, ...] = _section(SensorSpec, check=_check_sensor)
+    actuators: tuple[ActuatorSpec, ...] = _section(ActuatorSpec, check=_check_actuator)
+    behaviors: tuple[BehaviorSpec, ...] = _section(BehaviorSpec, render=_render_behavior)
+    algorithms: tuple[AlgorithmSpec, ...] = _section(
+        AlgorithmSpec, keys=("path",), check=_check_algorithm, render=_render_algorithm
+    )
+    safety_checks: tuple[SafetyCheckSpec, ...] = _section(SafetyCheckSpec, omit_empty=True)
+    scheduler: SchedulerParams = _section(
+        SchedulerParams, SchedulerParams(), keys=("p_max",), check=_check_scheduler, render=_render_scheduler
+    )
+
+
+# the document's top-level keys in order, each with its default and section
+_SECTIONS = tuple((f.name, f.default, f.metadata["section"]) for f in fields(SystemConfig))
+
+
+# ---------------------------------------------------------------------------
+# one section entry, read and rendered through its rows
+
+
+def _parse_section(section: _Section, obj: Any, path: str) -> Any:
     if not isinstance(obj, dict):
         raise SchemaError(path, "must be an object")
-    _check_keys(obj, ("name", "sensor", "threshold"), path)
-    name = _get_name(obj, path)
-    sensor = _get_str(obj, "sensor", path, required=True)
-    threshold = _get_number(obj, "threshold", path)
-    if threshold is None:
-        raise SchemaError(f"{path}.threshold", "required")
-    return SafetyCheckSpec(name=name, sensor=sensor, threshold=threshold)
+    unknown = sorted(set(obj) - section.keys)
+    if unknown:
+        raise SchemaError(f"{path}.{unknown[0]}", "unknown key")
+    values: dict[str, Any] = {}
+    for name, key, get, default, _render in section.rows:
+        if get is None:
+            continue
+        if key in obj:
+            values[name] = get(obj[key], f"{path}.{key}")
+        elif default is MISSING:
+            raise SchemaError(f"{path}.{key}", "required")
+        else:
+            values[name] = default
+    if section.check is not None:
+        section.check(obj, path, values)
+    return section.spec(**values)
 
 
-def _parse_scheduler(obj: Any, path: str) -> SchedulerParams:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "must be an object")
-    _check_keys(obj, ("alpha", "window_us", "p_max", "default_task_cost_us"), path)
-    alpha = _get_number(obj, "alpha", path, default=DEFAULT_ALPHA)
-    assert alpha is not None
-    if alpha < 0:
-        raise SchemaError(f"{path}.alpha", "must be >= 0")
-    alpha = alpha or 0.0  # a negative zero reads as 0, so no update logs a delta of -0.000000
-    window_us = _get_int(obj, "window_us", path, default=DEFAULT_WINDOW_US, minimum=1)
-    assert window_us is not None
-    key = "p_max"  # accepted as P_MAX only, so SchedulerParams holds no field for it
-    if _get_number(obj, key, path, default=P_MAX) != P_MAX:
-        raise SchemaError(f"{path}.{key}", f"is fixed at {P_MAX}")
-    cost = _get_int(obj, "default_task_cost_us", path, default=DEFAULT_TASK_COST_US, minimum=1)
-    assert cost is not None
-    return SchedulerParams(alpha=alpha, window_us=window_us, default_task_cost_us=cost)
-
-
-def _check_unique(names: Iterable[str], section: str, field: str = "name") -> None:
-    seen: set[str] = set()
-    for i, n in enumerate(names):
-        if n in seen:
-            raise SchemaError(f"{section}[{i}].{field}", "duplicate")
-        seen.add(n)
+def _render_section(section: _Section, spec: Any) -> dict[str, Any]:
+    entry: dict[str, Any] = {}
+    for name, key, _get, _default, render in section.rows:
+        value = getattr(spec, name)
+        if value is not None:
+            entry[key] = value if render is None else render(value)
+    return entry if section.render is None else section.render(spec, entry)
 
 
 # ---------------------------------------------------------------------------
@@ -492,44 +495,28 @@ def parse_config(text: str) -> SystemConfig:
         raise _unlocated_syntax_error(text, exc) from None
     if not isinstance(raw, dict):
         raise SchemaError("$", "top-level value must be an object")
-    allowed = ("sensors", "actuators", "behaviors", "algorithms", "safety_checks", "scheduler")
-    unknown = sorted(set(raw) - set(allowed))
+    unknown = sorted(set(raw) - {key for key, _default, _section in _SECTIONS})
     if unknown:
         raise SchemaError(unknown[0], "unknown top-level key")
 
-    def section(key: str) -> list:
-        value = raw.get(key, [])
-        if not isinstance(value, list):
+    sections: dict[str, Any] = {}
+    for key, default, section in _SECTIONS:
+        if not isinstance(default, tuple):
+            sections[key] = _parse_section(section, raw.get(key, {}), key)
+            continue
+        entries = raw.get(key, [])
+        if not isinstance(entries, list):
             raise SchemaError(key, "must be an array")
-        return value
-
-    sensors = [_parse_sensor(o, f"sensors[{i}]") for i, o in enumerate(section("sensors"))]
-    _check_unique((s.name for s in sensors), "sensors")
-    actuators = [_parse_actuator(o, f"actuators[{i}]") for i, o in enumerate(section("actuators"))]
-    _check_unique((a.name for a in actuators), "actuators")
-
-    behaviors = [_parse_behavior(o, f"behaviors[{i}]") for i, o in enumerate(section("behaviors"))]
-    _check_unique((b.name for b in behaviors), "behaviors")
-    behaviors = default_priorities(behaviors)
-
-    sensor_names = [s.name for s in sensors]
-    algorithms = [
-        _parse_algorithm(o, f"algorithms[{i}]", sensor_names) for i, o in enumerate(section("algorithms"))
-    ]
-    _check_unique((a.name for a in algorithms), "algorithms")
-    safety_checks = [_parse_safety_check(o, f"safety_checks[{i}]") for i, o in enumerate(section("safety_checks"))]
-    _check_unique((c.name for c in safety_checks), "safety_checks")
-
-    scheduler = _parse_scheduler(raw.get("scheduler", {}), "scheduler")
-
-    config = SystemConfig(
-        sensors=tuple(sensors),
-        actuators=tuple(actuators),
-        behaviors=tuple(behaviors),
-        algorithms=tuple(algorithms),
-        safety_checks=tuple(safety_checks),
-        scheduler=scheduler,
-    )
+        sections[key] = tuple(_parse_section(section, obj, f"{key}[{i}]") for i, obj in enumerate(entries))
+        seen: set[str] = set()
+        for i, entry in enumerate(sections[key]):
+            if entry.name in seen:
+                raise SchemaError(f"{key}[{i}].name", "duplicate")
+            seen.add(entry.name)
+    sections["behaviors"] = tuple(default_priorities(sections["behaviors"]))
+    sensor_names = tuple(s.name for s in sections["sensors"])
+    sections["algorithms"] = tuple(a if a.inputs else replace(a, inputs=sensor_names) for a in sections["algorithms"])
+    config = SystemConfig(**sections)
     issues = validate_config(config)
     if issues:
         raise CrossReferenceError(issues)
@@ -607,51 +594,11 @@ def validate_config(config: SystemConfig) -> list[SchemaError]:
 
 def serialize_config(config: SystemConfig) -> str:
     """Render a config back to JSON text such that re-parsing reproduces it."""
-    doc: dict[str, Any] = {"sensors": [], "actuators": [], "behaviors": [], "algorithms": []}
-    for s in config.sensors:
-        entry: dict[str, Any] = {"name": s.name, "type": s.kind}
-        if s.address is not None:
-            entry["address"] = f"0x{s.address:x}"
-        if s.pin is not None:
-            entry["pin"] = s.pin
-        entry["delta"] = s.delta
-        entry["period_us"] = s.period_us
-        entry["units"] = s.units
-        doc["sensors"].append(entry)
-    for a in config.actuators:
-        entry = {"name": a.name, "type": a.kind}
-        if a.pin is not None:
-            entry["pin"] = a.pin
-        entry["min_value"] = a.min_value
-        entry["max_value"] = a.max_value
-        doc["actuators"].append(entry)
-    for b in config.behaviors:
-        entry = {"name": b.name}
-        if not b.safety:
-            entry["priority"] = b.priority
-        if b.action is not None:
-            entry["action"] = b.action
-        entry["safety"] = b.safety
-        doc["behaviors"].append(entry)
-    for alg in config.algorithms:
-        doc["algorithms"].append(
-            {
-                "name": alg.name,
-                "plugin": alg.plugin,
-                "inputs": list(alg.inputs),
-                "output": alg.output,
-                "params": alg.params_dict(),
-            }
-        )
-    if config.safety_checks:
-        doc["safety_checks"] = [
-            {"name": c.name, "sensor": c.sensor, "threshold": c.threshold} for c in config.safety_checks
-        ]
-    sched = config.scheduler
-    doc["scheduler"] = {
-        "alpha": sched.alpha,
-        "window_us": sched.window_us,
-        "p_max": P_MAX,
-        "default_task_cost_us": sched.default_task_cost_us,
-    }
+    doc: dict[str, Any] = {}
+    for key, default, section in _SECTIONS:
+        value = getattr(config, key)
+        if not isinstance(default, tuple):
+            doc[key] = _render_section(section, value)
+        elif value or not section.omit_empty:
+            doc[key] = [_render_section(section, entry) for entry in value]
     return json.dumps(doc, indent=2) + "\n"

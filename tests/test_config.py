@@ -3,6 +3,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
+from dataclasses import MISSING
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -221,6 +223,17 @@ _ALGORITHM = {"name": "f", "plugin": "passthrough"}
                 "sensors: at least one sensor required by algorithms or safety checks",
             ],
         ),
+        # two faults in one entry: the fields' getters run in table order, then
+        # the rules that span fields
+        ({"sensors": [{"name": "s", "type": "i2c", "delta": "x"}]}, ["sensors[0].delta: must be a finite number"]),
+        ({"sensors": [{"name": "s", "type": "spi", "delta": -1}]}, ["sensors[0].delta: must be >= 0"]),
+        ({"sensors": [{"name": "s", "type": "gpio", "period_us": 0}]}, ["sensors[0].period_us: must be >= 1"]),
+        ({"sensors": [{"name": "s", "type": "virtual", "pin": 1, "units": 5}]}, ["sensors[0].units: must be a string"]),
+        ({"behaviors": [{"name": "b", "action": 5, "safety": "yes"}]}, ["behaviors[0].action: must be a string"]),
+        (
+            {"scheduler": {"p_max": 0.5, "default_task_cost_us": 0}},
+            ["scheduler.default_task_cost_us: must be >= 1"],
+        ),
     ],
     ids=[
         "name_required",
@@ -246,6 +259,12 @@ _ALGORITHM = {"name": "f", "plugin": "passthrough"}
         "priority_out_of_range",
         "priority_out_of_range_and_duplicate",
         "no_inputs_and_no_sensors",
+        "bad_delta_before_address_rule",
+        "negative_delta_before_address_rule",
+        "bad_period_before_pin_rule",
+        "bad_units_before_virtual_rule",
+        "bad_action_before_bad_safety",
+        "bad_cost_before_p_max",
     ],
 )
 def test_each_refusal_is_located_by_parse_and_validate(tmp_path, capsys, doc, lines):
@@ -444,6 +463,164 @@ _SERIALIZED_SHA256 = {
 def test_serialized_config_bytes_are_pinned(name, text):
     serialized = cfg.serialize_config(cfg.parse_config(text))
     assert hashlib.sha256(serialized.encode("utf-8")).hexdigest() == _SERIALIZED_SHA256[name]
+
+
+def _readme_config_tables() -> dict[str, list[tuple[str, str]]]:
+    """README's config reference: section -> (key, default cell) per row, in order."""
+    text = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+    text = text.split("## Configuration file\n", 1)[1].split("\n## ", 1)[0]
+    heading = r"#### `(\w+)(?:\[i\])?`\n\n\| key \| type \| default \| rule \|\n\|[-|]+\|\n((?:\|.*\n)+)"
+    tables = {}
+    for section, body in re.findall(heading, text):
+        cells = (row.strip("|").split("|") for row in body.splitlines())
+        tables[section] = [(key.strip(" `"), default.strip()) for key, _type, default, _rule in cells]
+    return tables
+
+
+def _default_cell(default, render) -> str:
+    """A default as README's table writes it."""
+    if default is MISSING:
+        return "required"
+    return "none" if default is None else f"`{json.dumps(default if render is None else render(default))}`"
+
+
+def test_readme_config_tables_are_the_field_tables():
+    tables = _readme_config_tables()
+    assert list(tables) == [key for key, _default, _section in cfg._SECTIONS]
+    for key, _default, section in cfg._SECTIONS:
+        documented = dict(tables[key])
+        assert set(documented) == section.keys, key
+        # the rows' keys in their order, each other key being one only the section's check reads
+        row_keys = [row_key for _name, row_key, _get, _default, _render in section.rows]
+        assert [k for k, _cell in tables[key] if k in row_keys] == row_keys
+        for _name, row_key, get, default, render in section.rows:
+            if get is not None or default is not MISSING:  # the check sets the others
+                assert documented[row_key] == _default_cell(default, render), (key, row_key)
+
+
+def test_readme_config_example_parses_and_roundtrips():
+    config = cfg.parse_config(_readme_config_example())
+    assert cfg.parse_config(cfg.serialize_config(config)) == config
+
+
+@pytest.mark.parametrize(
+    "algorithm",
+    [
+        {"name": "f", "path": "lib/x.so", "params": {"foo": 1}},
+        {"name": "f", "path": "lib/moving_average.so", "params": {"k": 2, "foo": 1}},
+    ],
+)
+def test_a_legacy_path_with_params_its_plugin_does_not_read_roundtrips(algorithm):
+    config = cfg.parse_config(json.dumps({"sensors": [{"name": "s", "type": "virtual"}], "algorithms": [algorithm]}))
+    text = cfg.serialize_config(config)
+    assert cfg.parse_config(text) == config
+    # written as a `path` entry whose basename is the plugin's name
+    assert json.loads(text)["algorithms"][0]["path"] == config.algorithms[0].plugin
+
+
+def _cased(word: str) -> st.SearchStrategy[str]:
+    return st.sampled_from((word, word.upper(), word.title()))
+
+
+_KINDS = {kinds: st.sampled_from(kinds).flatmap(_cased) for kinds in (cfg.SENSOR_KINDS, cfg.ACTUATOR_KINDS)}
+_PINS = st.integers(0, 40).flatmap(lambda pin: st.sampled_from((pin, str(pin))))
+_NUMBERS = st.sampled_from((0, -0.0, 0.0, 0.5, 2)) | st.floats(min_value=0, max_value=1e6)
+# each plugin's params, drawn valid; a missing key takes the plugin's default
+_OWN_PARAMS = {
+    "passthrough": st.just({}),
+    "touch_level": st.fixed_dictionaries({"thresholds": st.sampled_from(("1,2,4", 2.5, -0.0))}),
+    "jerk_level": st.just({}),
+    "moving_average": st.fixed_dictionaries({}, optional={"k": st.sampled_from((1, 4, 3.0))}),
+    "threshold_classifier": st.fixed_dictionaries({"threshold": _NUMBERS}),
+}
+# params no plugin reads, which only a legacy `path` entry keeps
+_EXTRA_PARAMS = st.dictionaries(st.sampled_from(("foo", "gain", "K")), st.sampled_from((1, -0.0, 2.5, "x")), max_size=2)
+
+
+@st.composite
+def _valid_configs(draw):
+    """A valid config document that draws every optional key present or absent."""
+
+    def optional(entry, key, strategy):
+        if draw(st.booleans()):
+            entry[key] = draw(strategy)
+        return entry
+
+    sensor_names = [f"s{i}" for i in range(draw(st.integers(0, 3)))]
+    sensors = []
+    for name in sensor_names:
+        sensor = {"name": name, "type": draw(_KINDS[cfg.SENSOR_KINDS])}
+        kind = sensor["type"].lower()
+        if kind in ("i2c", "spi"):
+            address = draw(st.integers(0, 0xFFFF))
+            sensor["address"] = draw(st.sampled_from((f"0x{address:x}", f"0X{address:X}")))
+        elif kind in ("gpio", "analog"):
+            sensor["pin"] = draw(_PINS)
+        optional(sensor, "delta", _NUMBERS)
+        optional(sensor, "period_us", st.integers(1, 10**6))
+        sensors.append(optional(sensor, "units", st.text(max_size=3)))
+    actuator_names = [f"a{i}" for i in range(draw(st.integers(0, 2)))]
+    actuators = []
+    for name in actuator_names:
+        actuator = optional({"name": name, "type": draw(_KINDS[cfg.ACTUATOR_KINDS])}, "pin", _PINS)
+        optional(actuator, "min_value", st.sampled_from((-1.0, -0.0, 0.0, 0.25)))
+        actuators.append(optional(actuator, "max_value", st.sampled_from((0.5, 1.0, 2.0))))
+    open_unit = st.floats(0, 1, exclude_min=True, exclude_max=True)
+    priorities = iter(draw(st.lists(open_unit, min_size=3, max_size=3, unique=True)))
+    behaviors = []
+    for i in range(draw(st.integers(0, 3))):
+        behavior = {"name": f"b{i}"}
+        if draw(st.booleans()):  # a safety behavior may declare a priority, which parsing pins to 1.0
+            behavior["safety"] = True
+            optional(behavior, "priority", st.sampled_from((0.3, 5, -0.0)))
+        else:
+            optional(behavior, "safety", st.just(False))
+            if draw(st.booleans()):
+                behavior["priority"] = next(priorities)
+        behaviors.append(optional(behavior, "action", st.sampled_from(["", *actuator_names])))
+    algorithms = []
+    for i in range(draw(st.integers(0, 3)) if sensor_names else 0):
+        plugin = draw(st.sampled_from(sorted(PLUGIN_REGISTRY)))
+        params = draw(_OWN_PARAMS[plugin])
+        if draw(st.booleans()):
+            algorithm = {"name": f"f{i}", "plugin": plugin}
+        else:  # a legacy path, whose basename may name no plugin, keeps extra params
+            stem = draw(st.sampled_from((plugin, plugin.upper(), "custom")))
+            algorithm = {"name": f"f{i}", "path": f"lib/{stem}.so"}
+            params = {**draw(_EXTRA_PARAMS), **(params if stem != "custom" else {})}
+        optional(algorithm, "inputs", st.lists(st.sampled_from(sensor_names), min_size=1, unique=True))
+        optional(algorithm, "output", st.sampled_from(("", f"o{i}")))
+        if params or draw(st.booleans()):
+            algorithm["params"] = params
+        algorithms.append(algorithm)
+    safety_checks = [
+        {"name": f"c{i}", "sensor": draw(st.sampled_from(sensor_names)), "threshold": draw(_NUMBERS)}
+        for i in range(draw(st.integers(0, 2)) if sensor_names else 0)
+    ]
+    sections = {
+        "sensors": sensors,
+        "actuators": actuators,
+        "behaviors": behaviors,
+        "algorithms": algorithms,
+        "safety_checks": safety_checks,
+    }
+    doc = {key: entries for key, entries in sections.items() if entries or draw(st.booleans())}
+    if draw(st.booleans()):
+        scheduler = optional({}, "alpha", st.sampled_from((0.0, -0.0, 0.05, 2)) | st.floats(0, 10))
+        optional(scheduler, "window_us", st.integers(1, 10**7))
+        optional(scheduler, "p_max", st.sampled_from((1.0, 1)))
+        doc["scheduler"] = optional(scheduler, "default_task_cost_us", st.integers(1, 1000))
+    return doc
+
+
+@settings(max_examples=300)
+@given(doc=_valid_configs())
+def test_serialize_config_roundtrips_and_is_a_fixed_point(doc):
+    config = cfg.parse_config(json.dumps(doc))
+    text = cfg.serialize_config(config)
+    again = cfg.parse_config(text)
+    assert again == config
+    assert cfg.serialize_config(again) == text
 
 
 def test_accepted_configs_never_dangle():
