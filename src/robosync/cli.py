@@ -25,10 +25,11 @@ from . import engine as engine_mod
 from .bus import BusError
 from .config import ConfigError, parse_config
 from .dsl import BindErrors, ParseError, bind_program, format_program, parse_program
-# parse_log and serialize_log stay names of this module though nothing here
-# calls them (the writer renders through each row's `emit`): the benchmark's
-# tracer, bench/tracing.py, looks up each function it wraps (these two and
-# compute_stats) in this module's namespace, and a missing one fails it
+# parse_log, serialize_log and compute_stats stay names of this module though
+# nothing here calls them (the writer renders through each row's `emit`, and
+# `stats` counts through `StatsAccumulator.read`): the benchmark's tracer,
+# bench/tracing.py, looks up each function it wraps in this module's
+# namespace, and a missing one fails it
 from .engine import (
     LogRow,
     MalformedLogError,
@@ -38,7 +39,6 @@ from .engine import (
     TraceError,
     block_lines,
     compute_stats,
-    iter_log,
     load_trace,
     parse_log,
     serialize_log,
@@ -228,15 +228,17 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     chunks = _read_chunks(args.log)
+    stats = StatsAccumulator()
     try:
-        stats = compute_stats(iter_log(chunks))
+        stats.read(chunks)
+        document = stats.result()
     except MalformedLogError as exc:
         # a byte that is not UTF-8 later in the file outranks a malformed line
         for _chunk in chunks:
             pass
         print(f"malformed log: {exc}", file=sys.stderr)
         return ExitStatus.FAILURE
-    sys.stdout.write(serialize_stats(stats))
+    sys.stdout.write(serialize_stats(document))
     return ExitStatus.OK
 
 

@@ -271,6 +271,8 @@ def _check_algorithm(obj: dict, path: str, values: dict[str, Any]) -> None:
     for j, item in enumerate(inputs):
         if not isinstance(item, str):
             raise SchemaError(f"{path}.inputs[{j}]", "must be a string")
+        if item in inputs[:j]:  # the stage would run twice per reading
+            raise SchemaError(f"{path}.inputs[{j}]", "duplicate")
 
     output = _optional(obj, path, "output", _get_str_or_none) or values["name"]
 

@@ -20,9 +20,10 @@ import functools
 import heapq
 import itertools
 import json
+import re
 import statistics
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
 from . import sched
 from .bus import DeliveryRecord, Layer, MessageBus, Topic, evaluate_safety
@@ -34,19 +35,71 @@ from .config import SafetyCheckSpec, SystemConfig, command_topic, processing_sta
 from .dsl import BoundProgram, Rule, compile_condition, condition_signals, eval_condition
 from .sensorproc import Reading, Step, finite_float, gate_significant, make_plugin, run_algorithm
 
-# a type a schema row declares (seq's and t_us's are int) -> its conversion
-# in a line's `%` template and the expression that passes value `{0}` to it:
-# an int or a float is formatted in place, a str is quoted once per call
-# through the renderer's cache, a list or dict goes through `Renderer.render`,
-# and a field declared nullable has a `null` branch
-_CONVERSIONS: dict[object, tuple[str, str]] = {
-    int: ("%d", "{0}"),
-    float: ("%.6f", "{0}"),
-    str: ("%s", "q[{0}]"),
-    list: ("%s", "c({0})"),
-    dict: ("%s", "c({0})"),
-    str | None: ("%s", "'null' if {0} is None else q[{0}]"),
-    float | None: ("%s", "'null' if {0} is None else '%.6f' % {0}"),
+
+def _reject_constant(name: str) -> float:
+    raise ValueError(f"non-finite number {name}")
+
+
+# a log holds no NaN or Infinity, and stats computed from one would not be JSON
+_LOG_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+class _Form(NamedTuple):
+    """How the log writes and reads a value of one declared type.  `code` is
+    its conversion in a line's `%` template and `arg` the expression that
+    passes value `{0}` to it: an int or a float is formatted in place, a str
+    is quoted once per call through the renderer's cache, a list or dict goes
+    through `Renderer.render`, and a nullable type has a `null` branch.
+    `pattern` matches the canonical text so written, with one group holding
+    the value's text (none for `null`), and `read` turns that text into the
+    value the JSON decoder gives.  `allowed` is the decoded types a line read
+    the slow way may hold there (a JSON integer is a number too), and `noun`
+    names them."""
+
+    code: str
+    arg: str
+    pattern: str
+    read: Callable[[str | None], object]
+    allowed: frozenset[type]
+    noun: str
+
+
+# canonical text: at most 18 digits, so `int` never meets its digit limit;
+# `%.6f`; and printable ASCII but `"` and `\`, so a string's text is its
+# value and holds no character `str.splitlines` breaks at
+_INT = r"-?(?:0|[1-9][0-9]{0,17})"
+_FLOAT = r"-?(?:0|[1-9][0-9]*)\.[0-9]{6}"
+_TEXT = r"[ !#-\[\]-~]*"
+_STR = f'"{_TEXT}"'
+# a list or dict of such scalars, as `Renderer.render` writes it
+_SCALAR = rf"(?:{_STR}|{_FLOAT}|{_INT}|true|false|null)"
+_LIST = rf"\[(?:{_SCALAR}(?:, {_SCALAR})*)?\]"
+_DICT = rf"\{{(?:{_STR}: {_SCALAR}(?:, {_STR}: {_SCALAR})*)?\}}"
+
+
+def _same(text: str | None) -> str | None:
+    return text
+
+
+def _float_or_none(text: str | None) -> float | None:
+    return None if text is None else float(text)
+
+
+_NONE = type(None)
+_FORMS: dict[object, _Form] = {
+    int: _Form("%d", "{0}", f"({_INT})", int, frozenset({int}), "an integer"),
+    float: _Form("%.6f", "{0}", f"({_FLOAT})", float, frozenset({float, int}), "a number"),
+    str: _Form("%s", "q[{0}]", f'"({_TEXT})"', _same, frozenset({str}), "a string"),
+    list: _Form("%s", "c({0})", f"({_LIST})", _LOG_DECODER.decode, frozenset({list}), "an array"),
+    dict: _Form("%s", "c({0})", f"({_DICT})", _LOG_DECODER.decode, frozenset({dict}), "an object"),
+    str | None: _Form(
+        "%s", "'null' if {0} is None else q[{0}]", f'(?:null|"({_TEXT})")', _same, frozenset({str, _NONE}),
+        "a string or null",
+    ),
+    float | None: _Form(
+        "%s", "'null' if {0} is None else '%.6f' % {0}", f"(?:null|({_FLOAT}))", _float_or_none,
+        frozenset({float, int, _NONE}), "a number or null",
+    ),
 }
 
 
@@ -65,9 +118,9 @@ def _compile_line(kind: str, fields: Sequence[str], types: Sequence[object], hea
     params = [f"v{index}" for index in range(len(types))]
     codes, args = [], []
     for param, value_type in zip(params, types):
-        code, arg = _CONVERSIONS[value_type]
-        codes.append(code)
-        args.append(arg.format(param) + ", ")
+        form = _FORMS[value_type]
+        codes.append(form.code)
+        args.append(form.arg.format(param) + ", ")
     start = ""
     if head:
         seq, t_us, *codes = codes
@@ -82,23 +135,36 @@ def _compile_line(kind: str, fields: Sequence[str], types: Sequence[object], hea
 
 class LogRow(tuple):
     """A row of the log schema: the tuple of its detail field names, in the
-    order they are written, with its entries' `kind`, each field's declared
-    type in `types`, and two functions compiled at import: `emit(quoted,
-    render, seq, t_us, *values) -> line`, the row's line function, and
-    `tail(quoted, render, *values)`, the same line after its t_us.  Neither
-    checks anything; the engine passes values of the declared types, and
-    tests hold their lines to `serialize_log`'s."""
+    order they are written, with its entries' `kind`, the `layer` a `message`
+    row's entries hold (else None), each field's declared type in `types` and
+    its `_Form` in `forms`, and three things compiled at import: `emit(quoted,
+    render, seq, t_us, *values) -> line`, the row's line function,
+    `tail(quoted, render, *values)`, the same line after its t_us, and
+    `pattern`, the regex of its canonical line (the one `emit` writes) from
+    the kind's name to the detail's brace, one group per field.  Neither
+    function checks anything; the engine passes values of the declared
+    types, and tests hold their lines to `serialize_log`'s.  `group` is the
+    empty group that ends the row's branch in `_CANONICAL`, which joins the
+    patterns: the row's fields are the groups before it."""
 
     kind: str
+    layer: str | None
     types: tuple[object, ...]
+    forms: tuple[_Form, ...]
     emit: Callable[..., str]
     tail: Callable[..., str]
+    pattern: str
+    group: int
 
-    def __new__(cls, kind: str, fields: Mapping[str, object]) -> LogRow:
+    def __new__(cls, kind: str, fields: Mapping[str, object], layer: str | None = None) -> LogRow:
         row = super().__new__(cls, fields)
-        row.kind, row.types = kind, tuple(fields.values())
+        row.kind, row.layer, row.types = kind, layer, tuple(fields.values())
+        row.forms = tuple(_FORMS[value_type] for value_type in row.types)
         row.emit = _compile_line(kind, row, (int, int, *row.types))
         row.tail = _compile_line(kind, row, row.types, head=False)
+        # a `message` row's `layer` is its own layer's name
+        patterns = [f'"({layer})"' if name == "layer" else form.pattern for name, form in zip(row, row.forms)]
+        row.pattern = f'{kind}", "detail": \\{{' + ", ".join(f'"{name}": {p}' for name, p in zip(row, patterns)) + r"\}"
         return row
 
     def entry(self, seq: int, t_us: int, values: tuple) -> LogEntry:
@@ -110,6 +176,11 @@ class LogRow(tuple):
         from seq `first_seq` on, all at `t_us`."""
         kind = self.kind
         return [LogEntry(seq, t_us, kind, dict(zip(self, values))) for seq, (values, _tail) in enumerate(items, first_seq)]
+
+    def read(self, match: re.Match) -> tuple:
+        """The values of a canonical line of this row that `_CANONICAL` matched."""
+        texts = match.groups()[self.group - 1 - len(self) : self.group - 1]
+        return tuple(form.read(text) for form, text in zip(self.forms, texts))
 
 
 def block_lines(first_seq: int, t_us: int, items: Iterable[tuple[tuple, str]]) -> list[str]:
@@ -123,10 +194,16 @@ def block_lines(first_seq: int, t_us: int, items: Iterable[tuple[tuple, str]]) -
 # field order; `serialize_log` refuses any other shape.
 _SENSOR_EVENT = LogRow("sensor_event", {"sensor": str, "value": float})
 _SENSOR_MESSAGE = LogRow(
-    "message", {"topic": str, "layer": str, "bus_seq": int, "value": float, "sensor": str, "reading_t_us": int}
+    "message",
+    {"topic": str, "layer": str, "bus_seq": int, "value": float, "sensor": str, "reading_t_us": int},
+    layer="sensor",
 )
-_PROCESSED_MESSAGE = LogRow("message", {"topic": str, "layer": str, "bus_seq": int, "value": float, "source_seq": int})
-_COMMAND_MESSAGE = LogRow("message", {"topic": str, "layer": str, "bus_seq": int, "command": dict, "behavior": str})
+_PROCESSED_MESSAGE = LogRow(
+    "message", {"topic": str, "layer": str, "bus_seq": int, "value": float, "source_seq": int}, layer="processing"
+)
+_COMMAND_MESSAGE = LogRow(
+    "message", {"topic": str, "layer": str, "bus_seq": int, "command": dict, "behavior": str}, layer="behavior"
+)
 _TASK_START = LogRow("task_start", {"task": str, "enqueue_seq": int, "enqueue_t_us": int, "priority": float})
 _TASK_FINISH = LogRow("task_finish", {"task": str, "enqueue_seq": int})
 _TASK_ABORT = LogRow("task_abort", {"task": str, "enqueue_seq": int, "reason": str})
@@ -152,22 +229,48 @@ _SAFETY_HALT = LogRow(
 )
 _TRACE_DROPPED = LogRow("trace_dropped", {"sensor": str | None, "value": float | None, "command": str | None})
 LOG_FIELDS: dict[tuple[str, str | None], LogRow] = {
-    ("sensor_event", None): _SENSOR_EVENT,
-    ("message", "sensor"): _SENSOR_MESSAGE,
-    ("message", "processing"): _PROCESSED_MESSAGE,
-    ("message", "behavior"): _COMMAND_MESSAGE,
-    ("task_start", None): _TASK_START,
-    ("task_finish", None): _TASK_FINISH,
-    ("task_abort", None): _TASK_ABORT,
-    ("behavior_fired", None): _FIRED,
-    ("behavior_suppressed", None): _SUPPRESSED,
-    ("actuator_cmd", None): _ACTUATOR_CMD,
-    ("play_cmd", None): _PLAY_CMD,
-    ("priority_update", None): _PRIORITY_UPDATE,
-    ("safety_halt", None): _SAFETY_HALT,
-    ("trace_dropped", None): _TRACE_DROPPED,
+    (row.kind, row.layer): row
+    for row in (
+        _SENSOR_EVENT,
+        _SENSOR_MESSAGE,
+        _PROCESSED_MESSAGE,
+        _COMMAND_MESSAGE,
+        _TASK_START,
+        _TASK_FINISH,
+        _TASK_ABORT,
+        _FIRED,
+        _SUPPRESSED,
+        _ACTUATOR_CMD,
+        _PLAY_CMD,
+        _PRIORITY_UPDATE,
+        _SAFETY_HALT,
+        _TRACE_DROPPED,
+    )
 }
 LOG_KINDS = frozenset(kind for kind, _layer in LOG_FIELDS)
+
+# One line of a log: a canonical line of some row, whose fields' groups end
+# in an empty group named after its shape, or else (the last group) any other
+# line, up to and with its `\n`.  Its matches in a text of whole lines tile
+# it, so each canonical match starts a line: a `\n` ends the one before it.
+# Each row's branch starts with its kind's name, which a branch that does not
+# match fails on at once; the kinds the bench logs hold most are tried first.
+_FIRST_TRIED = ("task_start", "task_finish", "priority_update", "behavior_suppressed", "message")
+_CANONICAL = re.compile(
+    rf'\{{"seq": ({_INT}), "t_us": ({_INT}), "kind": "(?:'
+    + "|".join(
+        f"{row.pattern}(?P<{row.kind}_{row.layer}>)"
+        for row in sorted(LOG_FIELDS.values(), key=lambda row: (*_FIRST_TRIED, row.kind).index(row.kind))
+    )
+    + r")\}\r?(?:\n|\Z)|([^\n]*\n|[^\n]+)"
+)
+_OTHER = _CANONICAL.groups
+# group -> the row whose canonical line it ends, None for the others
+_ROWS: list[LogRow | None] = [None] * (_OTHER + 1)
+for _row in LOG_FIELDS.values():
+    _row.group = _CANONICAL.groupindex[f"{_row.kind}_{_row.layer}"]
+    _ROWS[_row.group] = _row
+del _row
 
 # Intra-timestamp processing order: window boundaries close before any work
 # at the boundary instant, completions before deferred enqueues, and trace
@@ -265,23 +368,33 @@ class ExecutionLog:
 CHUNK_CHARS = 1 << 20
 
 
-def _split_lines(text: str | Iterable[str], chunk: int = CHUNK_CHARS) -> Iterator[str]:
-    r"""The lines of `text`, or of the text its pieces join to, exactly as
-    `str.splitlines` breaks them; a str is cut into `chunk`-character pieces.
-    Each piece is split up to its last `\n`, with what came before it: a `\n`
-    always ends a line and never begins a two-character break (`\r\n`), so
-    the lines and their break characters are those of the whole text."""
+def _blocks(text: str | Iterable[str], chunk: int = CHUNK_CHARS) -> Iterator[tuple[str, int]]:
+    r"""`text`, or the text its pieces join to, as `(block, end)` pairs whose
+    `block[:end]` are its whole lines, in order; a str is cut into
+    `chunk`-character pieces.  Each block is a piece, with what was left of
+    the pieces before it, and ends after its last `\n` but for the last
+    block: a `\n` always ends a line and never begins a two-character break
+    (`\r\n`), so the lines and their break characters are those of the
+    whole text.  A piece is copied only to join what was left before it."""
     pieces = (text[start : start + chunk] for start in range(0, len(text), chunk)) if isinstance(text, str) else text
     parts: list[str] = []
     for piece in pieces:
+        parts.append(piece)
         cut = piece.rfind("\n") + 1
         if cut:
-            parts.append(piece[:cut])
-            yield from "".join(parts).splitlines()
-            parts = [piece[cut:]]
-        else:
-            parts.append(piece)
-    yield from "".join(parts).splitlines()
+            block = "".join(parts)
+            end = len(block) - len(piece) + cut
+            yield block, end
+            parts = [block[end:]] if end < len(block) else []
+    block = "".join(parts)
+    yield block, len(block)
+
+
+def _split_lines(text: str | Iterable[str], chunk: int = CHUNK_CHARS) -> Iterator[str]:
+    """The lines of `text`, or of the text its pieces join to, exactly as
+    `str.splitlines` breaks them."""
+    for block, end in _blocks(text, chunk):
+        yield from block[:end].splitlines()
 
 
 def _json_lines(
@@ -289,16 +402,17 @@ def _json_lines(
     scan: Callable[[str, int], tuple[object, int]],
     decode: Callable[[str], object],
     error: Callable[[int, str], Exception],
+    first_line: int = 1,
 ) -> Iterator[tuple[int, object]]:
     """`(line number, value)` per non-blank line of `text`, whole or in
-    pieces; a line that is not one JSON value raises `error(line number,
-    reason)`.
+    pieces, the first line numbered `first_line`; a line that is not one JSON
+    value raises `error(line number, reason)`.
 
     `decode` scans from 0 too unless the line starts with whitespace (or, for
     `json.loads`, a BOM), so a value that spans the whole line is exactly what
     it returns and an error raised at 0 is the one it raises; a short or
     failed scan (padding, extra data) goes to `decode` for its verdict."""
-    for line_no, line in enumerate(_split_lines(text), start=1):
+    for line_no, line in enumerate(_split_lines(text), start=first_line):
         if not line.strip():
             continue
         try:
@@ -435,31 +549,98 @@ def serialize_log(entries: Iterable[LogEntry]) -> str:
     return "".join(lines)
 
 
-def _reject_constant(name: str) -> float:
-    raise ValueError(f"non-finite number {name}")
-
-
-# a log holds no NaN or Infinity, and stats computed from one would not be JSON
-_LOG_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 _LOG_ENTRY_KEYS = frozenset({"seq", "t_us", "kind", "detail"})
+
+
+def _checked(seq: object, t_us: object, kind: object, detail: object) -> tuple[LogRow, int, int, tuple]:
+    """An entry as `(row, seq, t_us, values)`, once its shape is a schema
+    row's and each detail value one of the types its field allows; raises
+    MalformedLogError otherwise."""
+    if type(seq) is not int or type(t_us) is not int:
+        raise MalformedLogError("seq and t_us must be integers")
+    if type(kind) is not str or kind not in LOG_KINDS:
+        raise MalformedLogError(f"unknown kind {kind!r}")
+    if not isinstance(detail, dict):
+        raise MalformedLogError("detail must be an object")
+    if kind == "message":
+        layer = detail.get("layer")
+        row = LOG_FIELDS.get((kind, layer)) if type(layer) is str else None
+        if row is None:
+            raise MalformedLogError(f"message with unknown layer {layer!r} at seq {seq}")
+        shape = f"message of layer {layer!r}"
+    else:
+        row, shape = LOG_FIELDS[kind, None], kind
+    if tuple(detail) != row:
+        raise MalformedLogError(f"{shape} with off-schema detail fields {list(detail)} at seq {seq}")
+    values = tuple(detail.values())
+    for name, value, form in zip(row, values, row.forms):
+        if type(value) not in form.allowed:
+            raise MalformedLogError(f"{shape} at seq {seq}: {name} must be {form.noun}")
+    return row, seq, t_us, values
+
+
+class _LogScan:
+    r"""A serialized log, whole or as an iterable of its text in pieces, read
+    once.  Iterating it gives, per block of whole lines, the iterator of
+    `_CANONICAL` matches that tiles the block: each canonical line is one
+    match, read by its row's regex alone, and each other line, up to its
+    `\n`, is one `_OTHER` match, which `other` reads the slow way."""
+
+    __slots__ = ("text", "line", "block", "at")
+
+    def __init__(self, text: str | Iterable[str]) -> None:
+        self.text = text
+        self.line = 0  # the lines before `at` in the current block and before that block
+
+    def __iter__(self) -> Iterator[Iterator[re.Match]]:
+        for block, end in _blocks(self.text):
+            self.block, self.at = block, 0
+            yield _CANONICAL.finditer(block, 0, end)
+            self.line += block.count("\n", self.at, end)
+
+    def other(self, match: re.Match) -> list[tuple[LogRow, int, int, tuple]]:
+        """The entries of an `_OTHER` match, read the slow way, its lines
+        numbered as `str.splitlines` breaks the whole text."""
+        start, end = match.span()
+        line = self.line + self.block.count("\n", self.at, start)
+        text = match.group()
+        self.line, self.at = line + len(text.splitlines()), end
+        return _decoded(text, line + 1)
+
+
+def _decoded(text: str, first_line: int = 1) -> list[tuple[LogRow, int, int, tuple]]:
+    """`(row, seq, t_us, values)` per entry of a log's `text`, its first
+    line numbered `first_line`, read the slow way: each line through the JSON
+    decoder and `_checked`.  Raises MalformedLogError naming the first bad
+    line."""
+    rows = []
+    lines = _json_lines(
+        text, _LOG_DECODER.scan_once, _LOG_DECODER.decode, lambda n, reason: MalformedLogError(reason, n), first_line
+    )
+    for line_no, obj in lines:
+        if not isinstance(obj, dict) or obj.keys() != _LOG_ENTRY_KEYS:
+            raise MalformedLogError("expected keys {seq, t_us, kind, detail}", line_no)
+        try:
+            rows.append(_checked(obj["seq"], obj["t_us"], obj["kind"], obj["detail"]))
+        except MalformedLogError as exc:
+            raise MalformedLogError(exc.reason, line_no) from None
+    return rows
 
 
 def iter_log(text: str | Iterable[str]) -> Iterator[LogEntry]:
     """Read back a serialized log, whole or as an iterable of its text in
     pieces, one entry at a time; raises MalformedLogError naming the line
-    when it reaches a bad one."""
-    lines = _json_lines(text, _LOG_DECODER.scan_once, _LOG_DECODER.decode, lambda n, reason: MalformedLogError(reason, n))
-    for line_no, obj in lines:
-        if not isinstance(obj, dict) or obj.keys() != _LOG_ENTRY_KEYS:
-            raise MalformedLogError("expected keys {seq, t_us, kind, detail}", line_no)
-        seq, t_us, kind, detail = obj["seq"], obj["t_us"], obj["kind"], obj["detail"]
-        if type(seq) is not int or type(t_us) is not int:
-            raise MalformedLogError("seq and t_us must be integers", line_no)
-        if type(kind) is not str or kind not in LOG_KINDS:
-            raise MalformedLogError(f"unknown kind {kind!r}", line_no)
-        if not isinstance(detail, dict):
-            raise MalformedLogError("detail must be an object", line_no)
-        yield LogEntry(seq, t_us, kind, detail)
+    when it reaches a bad one.  A canonical line is read by its row's regex,
+    and any other through the JSON decoder and the row's checks."""
+    scan = _LogScan(text)
+    for matches in scan:
+        for match in matches:
+            row = _ROWS[match.lastindex]
+            if row is None:
+                for row, seq, t_us, values in scan.other(match):
+                    yield row.entry(seq, t_us, values)
+            else:
+                yield row.entry(int(match[1]), int(match[2]), row.read(match))
 
 
 def parse_log(text: str) -> list[LogEntry]:
@@ -478,129 +659,145 @@ def serialize_stats(stats: dict) -> str:
 
 def compute_stats(entries: Iterable[LogEntry]) -> dict:
     """Aggregate a log in one pass over `entries` into the stats document,
-    keys in the order `serialize_stats` writes them; raises MalformedLogError
-    on unmatched start/finish, or the first malformed line's own error when
-    `entries` reads a log."""
+    keys in the order `serialize_stats` writes them.  Raises the
+    MalformedLogError of the first entry off the schema (or, when `entries`
+    reads a log, of its first malformed line), else of the first unmatched
+    start or finish."""
     stats = StatsAccumulator()
-    entries = iter(entries)
-    try:
-        stats.count(entries)
-    except MalformedLogError:
-        # a malformed line later in the log outranks this entry's error:
-        # the log reader raises it while the rest is drained
-        for _entry in entries:
-            pass
-        raise
+    error = None
+    for entry in entries:
+        row, seq, t_us, values = _checked(entry.seq, entry.t_us, entry.kind, entry.detail)
+        if error is None:
+            try:
+                stats.add(row, seq, t_us, values)
+            except MalformedLogError as exc:
+                error = exc  # the entries left are still checked: an entry off the schema outranks it
+    if error is not None:
+        raise error
     return stats.result()
 
 
 class StatsAccumulator:
-    """`compute_stats` fed as the log is made: it is a run's sink, and
-    `result()` ends the log.  `count(entries)` counts an iterable of entries.
-    A MalformedLogError from either ends the accumulator."""
+    """The stats pass, keyed on schema rows: it counts each row's entries,
+    pairs each task's start with its finish or abort, and takes each start's
+    latency and the first halt's t_us.  It is a run's sink (`add`, `block`);
+    `read(text)` counts a serialized log; and `result()` ends the log and
+    returns its stats document.  A MalformedLogError from any of them ends
+    the accumulator."""
 
-    __slots__ = ("count",)
+    __slots__ = ("counts", "open_tasks", "latencies", "halt_t_us")
 
     def __init__(self) -> None:
-        stats_pass = _stats_pass()
-        next(stats_pass)
-        self.count: Callable[[Iterable[LogEntry] | None], dict | None] = stats_pass.send
+        self.counts = [0] * (_OTHER + 1)  # a row's `group` -> its entries so far
+        self.open_tasks: dict[tuple[str, int], None] = {}  # (task, enqueue_seq) started and not yet ended, in start order
+        self.latencies: list[int] = []
+        self.halt_t_us: int | None = None
 
     def add(self, row: LogRow, seq: int, t_us: int, values: tuple) -> None:
-        self.count((row.entry(seq, t_us, values),))
+        self.counts[row.group] += 1
+        if row is _TASK_START:
+            self._start((values[0], values[1]), t_us - values[2], seq)
+        elif row is _TASK_FINISH or row is _TASK_ABORT:
+            self._end(row.kind, (values[0], values[1]), seq)
+        elif row is _SAFETY_HALT and self.halt_t_us is None:
+            self.halt_t_us = t_us
 
     def block(self, row: LogRow, first_seq: int, t_us: int, items: Sequence[tuple[tuple, str]]) -> None:
-        self.count(row.entries(first_seq, t_us, items))
+        if row in (_TASK_START, _TASK_FINISH, _TASK_ABORT, _SAFETY_HALT):
+            for seq, (values, _tail) in enumerate(items, first_seq):
+                self.add(row, seq, t_us, values)
+        else:
+            self.counts[row.group] += len(items)
+
+    # each task row's first fields are `task` and `enqueue_seq`, and a start's
+    # third is `enqueue_t_us`; `read` passes a canonical line's seq as its
+    # text, which the errors print alike
+
+    def _start(self, key: tuple[str, int], latency: int, seq: int | str) -> None:
+        if key in self.open_tasks:
+            raise MalformedLogError(f"task {key[0]!r} started twice at seq {seq}")
+        if latency < 0:
+            raise MalformedLogError(f"negative latency at seq {seq}")
+        self.open_tasks[key] = None
+        self.latencies.append(latency)
+
+    def _end(self, kind: str, key: tuple[str, int], seq: int | str) -> None:
+        try:
+            del self.open_tasks[key]
+        except KeyError:
+            raise MalformedLogError(f"{kind} without matching start at seq {seq}") from None
+
+    def read(self, text: str | Iterable[str]) -> None:
+        """Count a serialized log, whole or as an iterable of its text in
+        pieces.  A canonical line's row is its match's last group, and only
+        the fields the pass reads are converted; any other line is read the
+        slow way and counted through `add`.  Raises the MalformedLogError of
+        the first malformed line, else of the first unmatched start or
+        finish."""
+        counts, start, end = self.counts, self._start, self._end
+        started = _TASK_START.group
+        task = started - len(_TASK_START)  # the group of a start's `task`
+        # an end's group -> its kind and the group of its `task`
+        ends = {row.group: (row.kind, row.group - len(row)) for row in (_TASK_FINISH, _TASK_ABORT)}
+        halt = _SAFETY_HALT.group
+        reads = frozenset({started, *ends, halt, _OTHER})
+        scan = _LogScan(text)
+        blocks = iter(scan)
+        try:
+            for matches in blocks:
+                for match in matches:
+                    group = match.lastindex
+                    counts[group] += 1
+                    if group not in reads:
+                        continue
+                    if group == started:
+                        seq, t_us, name, enqueue_seq, enqueue_t_us = match.group(1, 2, task, task + 1, task + 2)
+                        start((name, int(enqueue_seq)), int(t_us) - int(enqueue_t_us), seq)
+                    elif group in ends:
+                        kind, at = ends[group]
+                        seq, name, enqueue_seq = match.group(1, at, at + 1)
+                        end(kind, (name, int(enqueue_seq)), seq)
+                    elif group == halt:
+                        if self.halt_t_us is None:
+                            self.halt_t_us = int(match[2])
+                    else:
+                        for entry in scan.other(match):
+                            self.add(*entry)
+        except MalformedLogError as error:
+            if error.line is None:  # a stats error: the first malformed line after it outranks it
+                for matches in itertools.chain([matches], blocks):
+                    for match in matches:
+                        if match.lastindex == _OTHER:
+                            scan.other(match)
+            raise
 
     def result(self) -> dict:
-        return self.count(None)
-
-
-def _stats_pass() -> Generator[dict | None, Iterable[LogEntry] | None, None]:
-    """The one stats pass: each `send` of entries counts them, and sending
-    None ends the log and yields its stats document."""
-    layer_counts = {layer.label: 0 for layer in Layer}
-    # layer -> its `message` row in the schema: the control layer has none
-    message_rows = {layer: row for (kind, layer), row in LOG_FIELDS.items() if kind == "message"}
-    dispatches = 0
-    aborts = 0
-    latencies: list[int] = []
-    fired = 0
-    suppressed = 0
-    halted = False
-    halt_t_us: int | None = None
-    open_tasks: dict[tuple[str, int], int] = {}
-
-    while (entries := (yield None)) is not None:
-        for entry in entries:
-            kind = entry.kind
-            try:
-                if kind == "message":
-                    layer = entry.detail.get("layer")
-                    row = message_rows.get(layer)
-                    if row is None:
-                        raise MalformedLogError(f"message with unknown layer {layer!r} at seq {entry.seq}")
-                    if tuple(entry.detail) != row:
-                        raise MalformedLogError(
-                            f"message of layer {layer!r} with off-schema detail fields {list(entry.detail)} "
-                            f"at seq {entry.seq}"
-                        )
-                    layer_counts[layer] += 1
-                elif kind == "task_start":
-                    dispatches += 1
-                    key = (entry.detail["task"], entry.detail["enqueue_seq"])
-                    if key in open_tasks:
-                        raise MalformedLogError(f"task {key[0]!r} started twice at seq {entry.seq}")
-                    open_tasks[key] = entry.seq
-                    enqueue_t_us = entry.detail["enqueue_t_us"]
-                    if type(enqueue_t_us) is not int:
-                        raise MalformedLogError(f"enqueue_t_us must be an integer at seq {entry.seq}")
-                    latency = entry.t_us - enqueue_t_us
-                    if latency < 0:
-                        raise MalformedLogError(f"negative latency at seq {entry.seq}")
-                    latencies.append(latency)
-                elif kind in ("task_finish", "task_abort"):
-                    key = (entry.detail["task"], entry.detail["enqueue_seq"])
-                    if key not in open_tasks:
-                        raise MalformedLogError(f"{kind} without matching start at seq {entry.seq}")
-                    del open_tasks[key]
-                    if kind == "task_abort":
-                        aborts += 1
-                elif kind == "behavior_fired":
-                    fired += 1
-                elif kind == "behavior_suppressed":
-                    suppressed += 1
-                elif kind == "safety_halt":
-                    halted = True
-                    if halt_t_us is None:
-                        halt_t_us = entry.t_us
-            except KeyError as exc:
-                raise MalformedLogError(f"{kind} entry at seq {entry.seq} is missing fields: {exc}") from None
-            except TypeError as exc:
-                raise MalformedLogError(f"{kind} entry at seq {entry.seq} has a field of the wrong type: {exc}") from None
-
-    if open_tasks:
-        task, enqueue_seq = next(iter(open_tasks))
-        raise MalformedLogError(f"task {task!r} (enqueue_seq {enqueue_seq}) never finished")
-
-    try:
-        latency_mean_us = float(statistics.fmean(latencies)) if latencies else 0.0
-    except OverflowError:
-        raise MalformedLogError("latencies too large to average") from None
-    yield {
-        "messages_per_layer": layer_counts,
-        "dispatches": dispatches,
-        "aborts": aborts,
-        "latency_us": {
-            "min": min(latencies) if latencies else 0,
-            "mean": latency_mean_us,
-            "max": max(latencies) if latencies else 0,
-        },
-        "behaviors_fired": fired,
-        "behaviors_suppressed": suppressed,
-        "halted": halted,
-        "halt_t_us": halt_t_us,
-    }
+        if self.open_tasks:
+            task, enqueue_seq = next(iter(self.open_tasks))
+            raise MalformedLogError(f"task {task!r} (enqueue_seq {enqueue_seq}) never finished")
+        counts, latencies = self.counts, self.latencies
+        try:
+            latency_mean_us = float(statistics.fmean(latencies)) if latencies else 0.0
+        except OverflowError:
+            raise MalformedLogError("latencies too large to average") from None
+        return {
+            # the control layer logs no message: it has no row
+            "messages_per_layer": {
+                layer.label: counts[row.group] if (row := LOG_FIELDS.get(("message", layer.label))) else 0
+                for layer in Layer
+            },
+            "dispatches": counts[_TASK_START.group],
+            "aborts": counts[_TASK_ABORT.group],
+            "latency_us": {
+                "min": min(latencies) if latencies else 0,
+                "mean": latency_mean_us,
+                "max": max(latencies) if latencies else 0,
+            },
+            "behaviors_fired": counts[_FIRED.group],
+            "behaviors_suppressed": counts[_SUPPRESSED.group],
+            "halted": counts[_SAFETY_HALT.group] > 0,
+            "halt_t_us": self.halt_t_us,
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,11 @@ from robosync import cli, engine
 from robosync.cli import main
 from robosync.engine import parse_log
 
+from conftest import FIXTURES
+
+GOLDEN_LOG = (FIXTURES / "golden_touch_log.jsonl").read_text(encoding="utf-8")
+GOLDEN_STATS = (FIXTURES / "golden_touch_stats.json").read_text(encoding="utf-8")
+
 
 @pytest.fixture()
 def tmp_files(tmp_path, minimal_config_text, touch_config_text, behavior_text, touch_trace_text):
@@ -85,6 +90,11 @@ _VIRTUAL = {"type": "virtual"}
             },
             "algorithms[0].name: stage name 'b_proc' is already taken by the passthrough stage of sensors[1].name",
         ),
+        (
+            # the stage would subscribe to sensor a's topic twice, and run twice per reading
+            {"sensors": [{"name": "a", **_VIRTUAL}], "algorithms": [{"name": "f", "plugin": "passthrough", "inputs": ["a", "a"]}]},
+            "algorithms[0].inputs[1]: duplicate",
+        ),
     ],
     ids=[
         "output_is_sensor",
@@ -93,6 +103,7 @@ _VIRTUAL = {"type": "virtual"}
         "sensor_is_passthrough",
         "outputs_repeat",
         "name_is_passthrough_stage",
+        "inputs_repeat",
     ],
 )
 def test_topic_collision_is_located_by_validate_and_run(tmp_path, capsys, doc, line):
@@ -492,9 +503,10 @@ def test_run_output_error_is_an_io_error(tmp_files, tmp_path, capsys, monkeypatc
     assert sorted(tmp_path.iterdir()) == sorted(tmp_files.values())  # no temporary file left
 
 
-def test_run_output_builds_no_log_entry(tmp_files, tmp_path, fixtures_dir, monkeypatch):
+def test_run_output_builds_no_log_entry(tmp_files, tmp_path, fixtures_dir, monkeypatch, capsys):
     # the writer renders each entry from its row and values, so `run -o` builds
-    # no LogEntry (nor its detail dict); `--stats` counts entries, and shows the patch bites
+    # no LogEntry (nor its detail dict); nor does `--stats`, which counts rows
+    # and values, or `robosync stats`; `parse_log` does, and shows the patch bites
     def no_entry(*args):
         raise AssertionError("a LogEntry was built")
 
@@ -503,8 +515,13 @@ def test_run_output_builds_no_log_entry(tmp_files, tmp_path, fixtures_dir, monke
     log = tmp_path / "log.jsonl"
     assert main([*argv, "-o", str(log)]) == 0
     assert log.read_bytes() == (fixtures_dir / "golden_touch_log.jsonl").read_bytes()
+    golden_stats = (fixtures_dir / "golden_touch_stats.json").read_text()
+    assert main([*argv, "-o", os.devnull, "--stats"]) == 0
+    assert capsys.readouterr() == ("", golden_stats)
+    assert main(["stats", str(log)]) == 0
+    assert capsys.readouterr() == (golden_stats, "")
     with pytest.raises(AssertionError, match="^a LogEntry was built$"):
-        main([*argv, "-o", os.devnull, "--stats"])
+        engine.parse_log(log.read_text())
 
 
 def test_run_output_replaces_the_file_its_path_names(tmp_files, tmp_path, fixtures_dir):
@@ -722,22 +739,26 @@ def test_stats_never_prints_non_finite_numbers(tmp_path, capsys, t_us, enqueue_t
 
 
 @pytest.mark.parametrize(
-    "line, kind, seq, type_name",
+    "line, reason",
     [
-        ('{"seq": 2, "t_us": 0, "kind": "message", "detail": {"topic": "touch", "layer": ["sensor"]}}', "message", 2, "list"),
+        (
+            '{"seq": 2, "t_us": 0, "kind": "message", "detail": {"topic": "touch", "layer": ["sensor"]}}',
+            "line 1: message with unknown layer ['sensor'] at seq 2",
+        ),
         (
             '{"seq": 1, "t_us": 5, "kind": "task_start", "detail": {"task": {"t": 0}, "enqueue_seq": 0, "enqueue_t_us": 0, "priority": 0.5}}',
-            "task_start",
-            1,
-            "dict",
+            "line 1: task_start at seq 1: task must be a string",
         ),
-        ('{"seq": 0, "t_us": 0, "kind": "task_finish", "detail": {"task": "t", "enqueue_seq": [0]}}', "task_finish", 0, "list"),
+        (
+            '{"seq": 0, "t_us": 0, "kind": "task_finish", "detail": {"task": "t", "enqueue_seq": [0]}}',
+            "line 1: task_finish at seq 0: enqueue_seq must be an integer",
+        ),
     ],
     ids=["list_layer", "dict_task", "list_enqueue_seq"],
 )
-def test_stats_name_a_field_of_the_wrong_type(tmp_path, capsys, line, kind, seq, type_name):
-    # a field that is there but cannot be counted is not a missing field
-    reason = f"{kind} entry at seq {seq} has a field of the wrong type: unhashable type: '{type_name}'"
+def test_stats_name_a_field_of_the_wrong_type(tmp_path, capsys, line, reason):
+    # a field that is there but of a type its row does not declare is not a
+    # missing field: the reader refuses its line
     with pytest.raises(engine.MalformedLogError) as exc:
         engine.compute_stats(parse_log(line + "\n"))
     assert str(exc.value) == reason
@@ -753,10 +774,10 @@ _SENSOR_FIELDS = ["topic", "layer", "bus_seq", "value", "sensor", "reading_t_us"
 @pytest.mark.parametrize(
     "detail, reason",
     [
-        ('{"topic": "x", "layer": "control", "bus_seq": 0}', "message with unknown layer 'control' at seq 0"),
+        ('{"topic": "x", "layer": "control", "bus_seq": 0}', "line 1: message with unknown layer 'control' at seq 0"),
         (
             '{"topic": "x", "layer": "behavior", "bus_seq": 0, "value": 1.0, "sensor": "x", "reading_t_us": 0}',
-            f"message of layer 'behavior' with off-schema detail fields {_SENSOR_FIELDS} at seq 0",
+            f"line 1: message of layer 'behavior' with off-schema detail fields {_SENSOR_FIELDS} at seq 0",
         ),
     ],
     ids=["control_layer", "sensor_fields_behavior_layer"],
@@ -773,6 +794,71 @@ def test_stats_refuse_a_message_of_a_layer_without_a_schema_row(tmp_path, capsys
     log.write_text(line)
     assert main(["stats", str(log)]) == 1
     assert capsys.readouterr() == ("", f"malformed log: {reason}\n")
+
+
+@pytest.mark.parametrize(
+    "kind, detail, reason",
+    [
+        ("sensor_event", '{"bogus": 1}', "sensor_event with off-schema detail fields ['bogus'] at seq 0"),
+        (
+            "task_start",
+            '{"task": "t", "enqueue_seq": 0, "enqueue_t_us": 0, "priority": "high"}',
+            "task_start at seq 0: priority must be a number",
+        ),
+        # JSON has one number type, so an integer is a number; a bool is neither
+        (
+            "task_start",
+            '{"task": "t", "enqueue_seq": 0, "enqueue_t_us": 0, "priority": true}',
+            "task_start at seq 0: priority must be a number",
+        ),
+        (
+            "task_start",
+            '{"task": "t", "enqueue_seq": false, "enqueue_t_us": 0, "priority": 1}',
+            "task_start at seq 0: enqueue_seq must be an integer",
+        ),
+        # a detail holds its row's fields in their order, and no other
+        (
+            "task_start",
+            '{"enqueue_seq": 0, "task": "t", "enqueue_t_us": 0, "priority": 0.5}',
+            "task_start with off-schema detail fields ['enqueue_seq', 'task', 'enqueue_t_us', 'priority'] at seq 0",
+        ),
+        (
+            "task_start",
+            '{"task": "t", "enqueue_seq": 0, "enqueue_t_us": 0, "priority": 0.5, "note": "x"}',
+            "task_start with off-schema detail fields ['task', 'enqueue_seq', 'enqueue_t_us', 'priority', 'note'] at seq 0",
+        ),
+        (
+            "message",
+            '{"topic": "s", "layer": "sensor", "bus_seq": "zero", "value": 1.0, "sensor": "s", "reading_t_us": 0}',
+            "message of layer 'sensor' at seq 0: bus_seq must be an integer",
+        ),
+    ],
+    ids=["unknown_field", "string_priority", "bool_priority", "bool_enqueue_seq", "reordered_fields", "extra_field", "string_bus_seq"],
+)
+def test_stats_refuse_a_detail_off_its_schema_row(tmp_path, capsys, kind, detail, reason):
+    # each detail value must be of a type its row declares, under its row's
+    # fields in their order: the reader refuses any other line at its number
+    log = tmp_path / "log.jsonl"
+    line = f'{{"seq": 0, "t_us": 0, "kind": "{kind}", "detail": {detail}}}\n'
+    log.write_text(GOLDEN_LOG + line)
+    number = len(GOLDEN_LOG.splitlines()) + 1
+    assert main(["stats", str(log)]) == 1
+    assert capsys.readouterr() == ("", f"malformed log: line {number}: {reason}\n")
+    with pytest.raises(engine.MalformedLogError) as exc:
+        parse_log(line)
+    assert (exc.value.line, exc.value.reason) == (1, reason)
+
+
+def test_stats_take_an_integer_where_a_float_is_declared(tmp_path, capsys):
+    # a JSON integer is a number: a reading's value written as 2 reads as the canonical 2.000000 does
+    lines = GOLDEN_LOG.splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if '"value": 2.000000}' in line)
+    lines[at] = lines[at].replace('"value": 2.000000}', '"value": 2}')
+    log = tmp_path / "log.jsonl"
+    log.write_text("".join(lines))
+    assert main(["stats", str(log)]) == 0
+    assert capsys.readouterr() == (GOLDEN_STATS, "")
+    assert parse_log("".join(lines)) == parse_log(GOLDEN_LOG)
 
 
 def test_halted_run_exits_zero(tmp_files, tmp_path, capsys):

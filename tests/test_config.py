@@ -203,6 +203,10 @@ _ALGORITHM = {"name": "f", "plugin": "passthrough"}
             ["algorithms[0].inputs: must be a non-empty array of sensor names"],
         ),
         ({"sensors": [_SENSOR], "algorithms": [{**_ALGORITHM, "inputs": [1]}]}, ["algorithms[0].inputs[0]: must be a string"]),
+        (
+            {"sensors": [_SENSOR], "algorithms": [{**_ALGORITHM, "inputs": ["s", "s"]}]},
+            ["algorithms[0].inputs[1]: duplicate"],
+        ),
         ({"sensors": {}}, ["sensors: must be an array"]),
         ({"scheduler": {"alpha": -0.5}}, ["scheduler.alpha: must be >= 0"]),
         ({"behaviors": [{"name": "a", "priority": 1.5}]}, ["behaviors[0].priority: must be strictly between 0 and 1"]),
@@ -254,6 +258,7 @@ _ALGORITHM = {"name": "f", "plugin": "passthrough"}
         "inputs_empty",
         "inputs_not_an_array",
         "input_not_a_string",
+        "input_repeats",
         "section_not_an_array",
         "alpha_negative",
         "priority_out_of_range",

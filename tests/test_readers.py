@@ -6,12 +6,13 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from robosync import engine as eng
+from robosync import cli, engine as eng
 from robosync.cli import main
 from robosync.config import ConfigError, parse_config
 from robosync.sensorproc import Reading, finite_float
@@ -108,6 +109,10 @@ def test_stats_reads_line_breaks_split_across_chunks(tmp_path, monkeypatch, chun
     path.write_bytes(text.encode("utf-8"))
     monkeypatch.setattr(eng, "CHUNK_CHARS", chunk)
     assert _stats_cli(path) == (0, GOLDEN_STATS, "")
+    # every line is canonical once read, and the fast path reads each one whole
+    stats = eng.StatsAccumulator()
+    stats.read(cli._read_chunks(str(path)))
+    assert stats.counts[eng._OTHER] == 0
 
 
 @pytest.mark.parametrize("malformed", [None, 2], ids=["clean", "malformed_line_before"])
@@ -210,6 +215,181 @@ def test_parse_log_is_eager():
 def test_compute_stats_accepts_a_one_shot_iterator():
     expected = eng.serialize_stats(eng.compute_stats(eng.parse_log(GOLDEN_LOG)))
     assert eng.serialize_stats(eng.compute_stats(eng.iter_log(GOLDEN_LOG))) == expected == GOLDEN_STATS
+
+
+# ---------------------------------------------------------------------------
+# the canonical fast path == the slow path through the JSON decoder
+
+
+def _fast(line: str):
+    """How the fast path reads one line: `(row, seq, t_us, values)`, or None
+    when it leaves the line to the slow path."""
+    match = eng._CANONICAL.match(line + "\n")
+    row = eng._ROWS[match.lastindex]
+    return None if row is None else (row, int(match[1]), int(match[2]), row.read(match))
+
+
+def _slow(line: str):
+    """How the slow path reads one line: `(row, seq, t_us, values)`, or the
+    reason it refuses the line."""
+    try:
+        [entry] = eng._decoded(line)
+    except eng.MalformedLogError as exc:
+        return exc.reason
+    return entry
+
+
+# values of each declared type: mostly ones the canonical form holds as its
+# value's own text (printable ASCII but `"` and `\`, integers of up to 18
+# digits, finite floats), and now and then one it cannot
+_PRINTABLE = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=6)
+_AWKWARD_TEXT = st.text(st.sampled_from('"\\ a\x00\x1f\x7f\x85\u2028é😀\ud800'), max_size=4)
+_TEXT = _PRINTABLE | _AWKWARD_TEXT
+_FLOAT = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 1e300, 5e-324, 1e-7, 0.5, float("inf"), float("nan")])
+_INT = st.integers(-(10**18), 10**18) | st.sampled_from([10**17, 10**18 - 1, 10**18, -(10**18), 10**19, -(10**4000)])
+_VALUES = {
+    int: _INT,
+    float: _FLOAT,
+    str: _TEXT,
+    str | None: st.none() | _TEXT,
+    float | None: st.none() | _FLOAT,
+    list: st.lists(_TEXT, max_size=3),
+    dict: st.dictionaries(_TEXT, _FLOAT | _TEXT | _INT | st.booleans() | st.none(), max_size=3),
+}
+_CANONICAL_TEXT = re.compile(r'[ !#-\[\]-~]*')
+
+
+def _has_canonical_text(value) -> bool:
+    """Whether the writer writes `value` as the fast path reads it back."""
+    if isinstance(value, str):
+        return _CANONICAL_TEXT.fullmatch(value) is not None
+    if isinstance(value, float):
+        return value == value and abs(value) != float("inf")
+    if isinstance(value, int):
+        return abs(value) < 10**18
+    if isinstance(value, list):
+        return all(map(_has_canonical_text, value))
+    if isinstance(value, dict):
+        return all(map(_has_canonical_text, [*value, *value.values()]))
+    return True
+
+
+def _escaped(text: str) -> str:
+    r"""`text` as a JSON string that writes every character as `\uXXXX`."""
+    return '"' + "".join(f"\\u{ord(c):04x}" if ord(c) < 0x10000 else json.dumps(c)[1:-1] for c in text) + '"'
+
+
+def _written(value, space, escape: bool) -> str:
+    r"""`value` as JSON, with `space()` drawing the whitespace around each
+    separator and strings written whole as `\uXXXX` escapes with `escape`."""
+    if isinstance(value, str):
+        return _escaped(value) if escape else json.dumps(value)
+    if isinstance(value, list):
+        return "[" + f"{space()},{space()}".join(_written(v, space, escape) for v in value) + "]"
+    if isinstance(value, dict):
+        items = (f"{_written(k, space, escape)}{space()}:{space()}{_written(v, space, escape)}" for k, v in value.items())
+        return "{" + space() + f"{space()},{space()}".join(items) + space() + "}"
+    return json.dumps(value)
+
+
+@pytest.mark.parametrize("shape", list(eng.LOG_FIELDS), ids=[f"{kind}.{layer}" if layer else kind for kind, layer in eng.LOG_FIELDS])
+@settings(max_examples=100)
+@given(data=st.data())
+def test_fast_path_reads_a_line_as_the_slow_path_does(shape, data):
+    # a line of drawn values of the row's declared types, written three ways:
+    # by the row's emitter, with drawn whitespace and key order, and with
+    # every string as `\uXXXX` escapes (and the emitter's line with one
+    # character put in); where the fast path reads a line, it reads the slow
+    # path's row and values, and a line the slow path refuses it leaves to it
+    row = eng.LOG_FIELDS[shape]
+    seq, t_us = data.draw(_INT), data.draw(_INT)
+    values = tuple(shape[1] if name == "layer" else data.draw(_VALUES[declared]) for name, declared in zip(row, row.types))
+    renderer = eng.Renderer()
+    emitted = row.emit(renderer.quoted, renderer.render, seq, t_us, *values).removesuffix("\n")
+    detail = dict(zip(row, values))
+    outer = {"seq": seq, "t_us": t_us, "kind": row.kind, "detail": detail}
+    if data.draw(st.booleans()):
+        outer = dict(data.draw(st.permutations(list(outer.items()))))
+    if data.draw(st.booleans()):
+        outer["detail"] = dict(data.draw(st.permutations(list(detail.items()))))
+    spaces = st.sampled_from(["", " ", "  ", "\t", " \t"])
+    spaced = _written(outer, lambda: data.draw(spaces), escape=False)
+    escaped = _written({"seq": seq, "t_us": t_us, "kind": row.kind, "detail": detail}, lambda: " ", escape=True)
+    # and the emitter's line with one character put in where a value starts
+    # or ends, such as a leading zero, in each such place
+    places = [m.start() for m in re.finditer(r"(?<=: )|(?<=\[)|(?=[,}\]])", emitted)]
+    perturbed = [emitted[:at] + char + emitted[at:] for at in places for char in '0-.e "\\']
+    for line in (emitted, spaced, escaped, *perturbed):
+        fast, slow = _fast(line), _slow(line)
+        if fast is not None:
+            assert fast[0] is slow[0] and fast[1:] == slow[1:], line
+            assert [type(v) for v in fast[3]] == [type(v) for v in slow[3]], line
+    # the emitter's line of values the canonical form holds is the fast path's
+    if all(map(_has_canonical_text, (seq, t_us, *values))):
+        assert _fast(emitted) is not None, emitted
+    assert _fast(escaped) is None  # every string, the keys too, is escaped
+
+
+@pytest.mark.parametrize("number", ["nan", "NaN", "inf", "-Infinity", "1e5", "01", "-0", "1.0", "1.0000000", "1" * 19])
+def test_fast_path_reads_a_number_in_a_command_only_as_written(number):
+    # a command's numbers are the renderer's: `%d` or `%.6f`; the rest, JSON
+    # or not, are the slow path's
+    line = (
+        '{"seq": 0, "t_us": 0, "kind": "message", "detail": {"topic": "m_cmd", "layer": "behavior", "bus_seq": 0, '
+        f'"command": {{"action": "set", "value": {number}}}, "behavior": "b"}}}}'
+    )
+    fast, slow = _fast(line), _slow(line)
+    assert fast is None or (fast[0] is slow[0] and fast[1:] == slow[1:])
+    assert (fast is None) == (number != "-0")  # 19 digits are one more than an int takes
+
+
+def test_a_canonical_line_after_other_text_on_its_line_is_not_read():
+    # a canonical line that starts mid-line is that line's text, not an entry
+    first, second = GOLDEN_LOG.splitlines()[:2]
+    for line in ("[" + first + "]", "x" + first, " [" + first):
+        with pytest.raises(eng.MalformedLogError) as exc:
+            eng.parse_log(second + "\n" + line + "\n")
+        assert exc.value.line == 2
+        assert exc.value.reason == _slow(line), line
+
+
+@pytest.mark.parametrize("break_char", ["\x85", "\u2028", "\x0b", "\r"], ids=["nel", "line_separator", "vt", "cr"])
+def test_a_line_break_inside_a_line_numbers_lines_as_splitlines_does(tmp_path, break_char):
+    # two canonical lines joined by a break only `str.splitlines` breaks at are
+    # two lines, so the malformed line after them is the fourth
+    first, second, third = GOLDEN_LOG.splitlines()[:3]
+    text = first + "\n" + second + break_char + third + "\ngarbage\n"
+    assert len(text.splitlines()) == 4
+    with pytest.raises(eng.MalformedLogError) as exc:
+        eng.parse_log(text)
+    assert exc.value.line == 4
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    if break_char != "\r":  # a file's lone \r reads as \n
+        assert _stats_cli(path) == (1, "", "malformed log: line 4: invalid JSON: Expecting value\n")
+    # and a string that holds the break splits its line in two
+    broken = first.replace('"touch"', f'"to{break_char}uch"', 1)
+    with pytest.raises(eng.MalformedLogError) as exc:
+        eng.parse_log(second + "\n" + broken + "\n")
+    assert exc.value.line == 2 and exc.value.reason.startswith("invalid JSON: Unterminated string")
+
+
+@pytest.mark.parametrize(
+    "malformed, reason",
+    [
+        ('{"seq": 5, "t_us": 0, "kind": "sensor_event", "detail": {"bogus": 1}}', "sensor_event with off-schema detail fields ['bogus'] at seq 5"),
+        ('{"seq": 5, "t_us": 0, "kind": "task_finish", "detail": {"task": "t", "enqueue_seq": 1.5}}', "task_finish at seq 5: enqueue_seq must be an integer"),
+    ],
+    ids=["off_schema", "wrong_type"],
+)
+def test_a_malformed_line_after_a_stats_error_outranks_it(tmp_path, malformed, reason):
+    # the orphan finish is canonical, so the fast path meets the stats error;
+    # the rest of the log is still read, and its first malformed line wins
+    path = tmp_path / "log.jsonl"
+    path.write_text(_ORPHAN_FINISH + "\n" + GOLDEN_LOG + malformed + "\n" + "garbage\n")
+    line = len(GOLDEN_LOG.splitlines()) + 2
+    assert _stats_cli(path) == (1, "", f"malformed log: line {line}: {reason}\n")
+    assert _stats_cli(path) == _stats_eager(path)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,17 @@ from hypothesis import given, settings, strategies as st
 from robosync.cli import build_parser, main
 from robosync.config import parse_config, processing_stages
 from robosync.dsl import _TOKEN_RE, bind_program, format_program, parse_program
-from robosync.engine import LogEntry, compute_stats, load_trace, parse_log, run, serialize_log, serialize_stats
+from robosync.engine import (
+    _OTHER,
+    LogEntry,
+    StatsAccumulator,
+    compute_stats,
+    load_trace,
+    parse_log,
+    run,
+    serialize_log,
+    serialize_stats,
+)
 
 from conftest import FIXTURES
 from test_acceptance import SAFETY_CONFIG, SAFETY_PROGRAM, _random_halt_trace
@@ -171,6 +181,33 @@ def test_serialize_log_renders_a_read_log_back_to_its_bytes(log, tmp_path):
         path = FIXTURES / "scenarios" / log / "log.jsonl"
     text = path.read_text(encoding="utf-8")
     assert serialize_log(parse_log(text)) == text
+
+
+@pytest.mark.parametrize("log", ["golden_touch", *(path.name for path in SCENARIOS), *(f"bench_{name}" for name in BENCH_WORKLOADS.WORKLOADS)])
+def test_a_log_reads_alike_through_the_fast_path_and_the_slow_one(log, tmp_path):
+    """The stats pass reads every line of the golden touch log, of every
+    golden scenario log and of a 300-reading seed-1 trio of each bench
+    workload through the canonical fast path; rewritten with compact
+    separators, every line takes the slow path instead, to the same stats
+    and entries."""
+    if log == "golden_touch":
+        path = FIXTURES / "golden_touch_log.jsonl"
+    elif log.startswith("bench_"):
+        BENCH_WORKLOADS.generate(log.removeprefix("bench_"), 1, readings=300).write(tmp_path)
+        path = tmp_path / "log.jsonl"
+        trio = ("-c", tmp_path / "config.json", "-b", tmp_path / "behavior.rsb", "-t", tmp_path / "trace.jsonl")
+        assert main(["run", *map(str, trio), "-o", str(path)]) == 0
+    else:
+        path = FIXTURES / "scenarios" / log / "log.jsonl"
+    text = path.read_text(encoding="utf-8")
+    compact = "".join(json.dumps(json.loads(line), separators=(",", ":")) + "\n" for line in text.splitlines())
+    fast, slow = StatsAccumulator(), StatsAccumulator()
+    fast.read(text)
+    slow.read(compact)
+    lines = len(text.splitlines())
+    assert (fast.counts[_OTHER], slow.counts[_OTHER]) == (0, lines)
+    assert fast.result() == slow.result() == compute_stats(parse_log(text))
+    assert parse_log(compact) == parse_log(text)
 
 
 def _replay(config, program, trace_text: str, until: int | None) -> list[LogEntry]:
