@@ -62,21 +62,16 @@ class LayeringError(BusError):
         self.topic = topic
 
 
-@dataclass(slots=True)
-class Subscription:
-    subscriber_layer: Layer
-    handler: Callable[[int, object], None]
-
-
 @dataclass(slots=True, eq=False)
 class Topic:
     """A route: the topic's name, its producer's layer and that layer's log
-    label, and its subscriptions in the order they were made."""
+    label, and its subscriptions, as `(subscriber layer, handler)` pairs in
+    the order they were made."""
 
     name: str
     producer_layer: Layer
     label: str = field(init=False)
-    subscriptions: list[Subscription] = field(init=False, default_factory=list)
+    subscriptions: list[tuple[Layer, Callable[[int, object], None]]] = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
         self.label = self.producer_layer.label
@@ -115,21 +110,19 @@ class MessageBus:
         topic: Topic,
         subscriber_layer: Layer,
         handler: Callable[[int, object], None] = _ignore,
-    ) -> Subscription:
+    ) -> None:
         """Attach a subscriber; only the immediately downstream layer may listen."""
         if int(subscriber_layer) != int(topic.producer_layer) + 1:
             raise LayeringError(topic.producer_layer, subscriber_layer, topic.name)
-        sub = Subscription(subscriber_layer, handler)
-        topic.subscriptions.append(sub)
-        return sub
+        topic.subscriptions.append((subscriber_layer, handler))
 
     def publish(self, topic: Topic, payload: object) -> int:
         """Publish one message and return its seq; fan-out happens inline, in
         subscription order, as `handler(seq, payload)`."""
         seq = self._next_seq
         self._next_seq = seq + 1
-        for sub in topic.subscriptions:
-            sub.handler(seq, payload)
+        for _layer, handler in topic.subscriptions:
+            handler(seq, payload)
         return seq
 
     def close(self) -> None:
@@ -141,7 +134,7 @@ class MessageBus:
     def routes(self) -> dict[str, tuple[Layer, tuple[Layer, ...]]]:
         """topic -> (producer layer, each subscriber's layer in subscription order)."""
         return {
-            name: (topic.producer_layer, tuple(sub.subscriber_layer for sub in topic.subscriptions))
+            name: (topic.producer_layer, tuple(layer for layer, _handler in topic.subscriptions))
             for name, topic in self._topics.items()
         }
 

@@ -271,8 +271,6 @@ def _check_algorithm(obj: dict, path: str, values: dict[str, Any]) -> None:
     for j, item in enumerate(inputs):
         if not isinstance(item, str):
             raise SchemaError(f"{path}.inputs[{j}]", "must be a string")
-        if item in inputs[:j]:  # the stage would run twice per reading
-            raise SchemaError(f"{path}.inputs[{j}]", "duplicate")
 
     output = _optional(obj, path, "output", _get_str_or_none) or values["name"]
 
@@ -537,7 +535,9 @@ def validate_config(config: SystemConfig) -> list[SchemaError]:
             issues.append(SchemaError(f"behaviors[{i}].action", f"unresolved actuator {b.action!r}"))
     for i, alg in enumerate(config.algorithms):
         for j, inp in enumerate(alg.inputs):
-            if inp not in sensor_names:
+            if inp in alg.inputs[:j]:  # the stage would run twice per reading
+                issues.append(SchemaError(f"algorithms[{i}].inputs[{j}]", "duplicate"))
+            elif inp not in sensor_names:
                 issues.append(SchemaError(f"algorithms[{i}].inputs[{j}]", f"unresolved sensor {inp!r}"))
         if not alg.inputs:
             issues.append(SchemaError(f"algorithms[{i}].inputs", "must not be empty"))

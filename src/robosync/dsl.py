@@ -287,6 +287,18 @@ class _Parser:
             return self.advance()
         raise self.error({kind})
 
+    def line(self, *kinds: str) -> list[_Token]:
+        """The tokens of these kinds, in order, then the NEWLINE that ends their line."""
+        tokens = [self.expect(kind) for kind in kinds]
+        self.expect("NEWLINE")
+        return tokens
+
+    def word(self, *texts: str) -> _Token:
+        """An IDENT that spells one of `texts`, as a keyword would."""
+        if self.at("IDENT") and self.tok.text in texts:
+            return self.advance()
+        raise self.error(set(texts))
+
     # -- grammar productions
 
     def program(self) -> BehaviorProgram:
@@ -310,29 +322,20 @@ class _Parser:
     def rule(self) -> Rule:
         start = self.expect("WHEN")
         condition, _height = self.condition()
-        self.expect("NEWLINE")
-        self.expect("DO")
-        then_tok = self.expect("IDENT")
-        self.expect("NEWLINE")
-        else_name = None
-        else_span = None
+        self.line()
+        _do, then_tok = self.line("DO", "IDENT")
+        else_tok = None
         if self.at("ELSE"):
-            self.advance()
-            self.expect("NEWLINE")
-            self.expect("DO")
-            else_tok = self.expect("IDENT")
-            else_name = else_tok.text
-            else_span = else_tok.span
-            self.expect("NEWLINE")
-        self.expect("END")
-        self.expect("NEWLINE")
+            self.line("ELSE")
+            _do, else_tok = self.line("DO", "IDENT")
+        self.line("END")
         return Rule(
             condition=condition,
             then_behavior=then_tok.text,
-            else_behavior=else_name,
+            else_behavior=else_tok.text if else_tok else None,
             span=start.span,
             then_span=then_tok.span,
-            else_span=else_span,
+            else_span=else_tok.span if else_tok else None,
         )
 
     def condition(self) -> tuple[Condition, int]:
@@ -390,14 +393,11 @@ class _Parser:
         return Comparison(signal.text, op.text, number.value, level, span=signal.span)  # type: ignore[arg-type]
 
     def definition(self) -> Definition:
-        start = self.expect("DEFINE")
-        name = self.expect("IDENT")
-        self.expect("NEWLINE")
+        start, name = self.line("DEFINE", "IDENT")
         body: list[Statement] = []
         while not self.at("END"):
             body.append(self.statement())
-        self.expect("END")
-        self.expect("NEWLINE")
+        self.line("END")
         return Definition(name.text, tuple(body), span=start.span)
 
     def statement(self) -> Statement:
@@ -418,18 +418,11 @@ class _Parser:
             return Move(actuator.text, speed, span=actuator.span)
         if self.at("PLAY"):
             self.advance()
-            kind_tok = self.tok
-            if not (self.at("IDENT") and kind_tok.text == "sound"):
-                raise self.error({"sound"})
-            self.advance()
-            resource = self.expect("STRING")
-            self.expect("NEWLINE")
+            self.word("sound")
+            (resource,) = self.line("STRING")
             return Play(resource.value, span=resource.span)  # type: ignore[arg-type]
         if self.at("SET"):
-            self.advance()
-            actuator = self.expect("IDENT")
-            number = self.expect("NUMBER")
-            self.expect("NEWLINE")
+            _set, actuator, number = self.line("SET", "IDENT", "NUMBER")
             return Set(actuator.text, number.value, span=actuator.span)  # type: ignore[arg-type]
         if self.at("WAIT"):
             self.advance()
@@ -437,16 +430,12 @@ class _Parser:
             amount: float = number.value  # type: ignore[assignment]
             if amount != int(amount) or amount < 1:
                 raise ParseError("WAIT duration must be a positive integer", number.span)
-            unit_tok = self.tok
-            if not (self.at("IDENT") and unit_tok.text in ("ms", "us")):
-                raise self.error({"ms", "us"})
-            self.advance()
-            duration = amount * (1000 if unit_tok.text == "ms" else 1)
+            unit = self.word("ms", "us")
+            duration = amount * (1000 if unit.text == "ms" else 1)
             if duration > MAX_WAIT_US:
                 raise ParseError(f"WAIT duration must be at most {MAX_WAIT_US} us", number.span)
-            duration_us = int(duration)
-            self.expect("NEWLINE")
-            return Wait(duration_us, span=number.span)
+            self.line()
+            return Wait(int(duration), span=number.span)
         raise self.error({"MOVE", "PLAY", "SET", "WAIT", "END"})
 
 

@@ -33,7 +33,7 @@ from .config import SafetyCheckSpec, SystemConfig, command_topic, processing_sta
 # bench/tracing.py, looks up each function it wraps in this module's
 # namespace, and a missing one fails it
 from .dsl import BoundProgram, Rule, compile_condition, condition_signals, eval_condition
-from .sensorproc import Reading, Step, finite_float, gate_significant, make_plugin, run_algorithm
+from .sensorproc import PLUGIN_REGISTRY, Reading, Step, finite_float, gate_significant, run_algorithm
 
 
 def _reject_constant(name: str) -> float:
@@ -171,12 +171,6 @@ class LogRow(tuple):
         """The entry whose line `emit` writes."""
         return LogEntry(seq, t_us, self.kind, dict(zip(self, values)))
 
-    def entries(self, first_seq: int, t_us: int, items: Iterable[tuple[tuple, str]]) -> list[LogEntry]:
-        """The entries of a block of this row: one per `(values, tail)` item,
-        from seq `first_seq` on, all at `t_us`."""
-        kind = self.kind
-        return [LogEntry(seq, t_us, kind, dict(zip(self, values))) for seq, (values, _tail) in enumerate(items, first_seq)]
-
     def read(self, match: re.Match) -> tuple:
         """The values of a canonical line of this row that `_CANONICAL` matched."""
         texts = match.groups()[self.group - 1 - len(self) : self.group - 1]
@@ -308,10 +302,9 @@ class MalformedLogError(Exception):
 
 @dataclass(frozen=True, slots=True)
 class Override:
-    """An operator command in the trace; `STOP` is the only one."""
+    """An operator's `STOP` in the trace, the only override there is."""
 
     t_us: int
-    command: str
 
 
 # one trace line: a sensor sample or an override
@@ -468,7 +461,7 @@ def load_trace(text: str, config: SystemConfig) -> list[TraceEvent]:
                 raise TraceError(line_no, "override must be a string")
             if command != STOP_COMMAND:
                 raise TraceError(line_no, f"unsupported override {command!r}")
-            events.append(Override(t_us, command))
+            events.append(Override(t_us))
         else:
             raise TraceError(
                 line_no, "expected keys {t_us, sensor, value} or {t_us, override}"
@@ -627,26 +620,21 @@ def _decoded(text: str, first_line: int = 1) -> list[tuple[LogRow, int, int, tup
     return rows
 
 
-def iter_log(text: str | Iterable[str]) -> Iterator[LogEntry]:
+def parse_log(text: str | Iterable[str]) -> list[LogEntry]:
     """Read back a serialized log, whole or as an iterable of its text in
-    pieces, one entry at a time; raises MalformedLogError naming the line
-    when it reaches a bad one.  A canonical line is read by its row's regex,
-    and any other through the JSON decoder and the row's checks."""
+    pieces; raises MalformedLogError naming the first bad line.  A canonical
+    line is read by its row's regex, and any other through the JSON decoder
+    and the row's checks."""
+    entries = []
     scan = _LogScan(text)
     for matches in scan:
         for match in matches:
             row = _ROWS[match.lastindex]
             if row is None:
-                for row, seq, t_us, values in scan.other(match):
-                    yield row.entry(seq, t_us, values)
+                entries += [row.entry(seq, t_us, values) for row, seq, t_us, values in scan.other(match)]
             else:
-                yield row.entry(int(match[1]), int(match[2]), row.read(match))
-
-
-def parse_log(text: str) -> list[LogEntry]:
-    """Read back a whole serialized log; raises MalformedLogError naming the
-    first bad line."""
-    return list(iter_log(text))
+                entries.append(row.entry(int(match[1]), int(match[2]), row.read(match)))
+    return entries
 
 
 def serialize_stats(stats: dict) -> str:
@@ -818,17 +806,13 @@ class _Branch:
     close: str
 
 
-class _CompiledRule(NamedTuple):
-    """A rule compiled at setup, once for every route it sits on."""
-
-    condition: Callable[[Mapping[str, float]], bool]
-    signals: frozenset[str]
-    branches: tuple[_Branch, ...]
-
-
-def _compile_rule(index: int, rule: Rule, priorities: Mapping[str, float], renderer: Renderer) -> _CompiledRule:
-    """Rule `index` of the program: its condition as one closure, the
-    signals it needs, and its branches, their text rendered by `renderer`."""
+def _compile_rule(
+    index: int, rule: Rule, priorities: Mapping[str, float], renderer: Renderer
+) -> tuple[Callable[[Mapping[str, float]], bool], frozenset[str], tuple[_Branch, ...]]:
+    """Rule `index` of the program, compiled at setup, once for every route
+    it sits on: `(condition, signals, branches)`, its condition as one
+    closure, the signals it needs, and its branches, their text rendered by
+    `renderer`."""
     quoted, render = renderer.quoted, renderer.render
     unnamed = quoted[""] + _LINE_END  # the end of a suppressed line's tail whose winner is ""
     branches = []
@@ -838,21 +822,22 @@ def _compile_rule(index: int, rule: Rule, priorities: Mapping[str, float], rende
             head = _SUPPRESSED.tail(quoted, render, *values, "").removesuffix(unnamed)
             branches.append(_Branch(outcome, values, head, quoted[target] + _LINE_END))
     signals = frozenset(signal for signal, _span in condition_signals(rule.condition))
-    return _CompiledRule(compile_condition(rule.condition), signals, tuple(branches))
+    return compile_condition(rule.condition), signals, tuple(branches)
 
 
 class _Route:
-    """A processing topic's compiled rules, in rule order, and their branches
-    as (rule position, branch) pairs, sorted by behavior priority, highest
-    first, then by rule index, as a firing ranks them.  So the first pair
+    """A processing topic's compiled rules, in rule order, as `_compile_rule`
+    returns them, and their branches as (rule position, branch) pairs, sorted
+    by behavior priority, highest first, then by rule index, as a firing
+    ranks them.  So the first pair
     that fires wins, and the pairs that fire after it are the suppressed
     ones, in order."""
 
     __slots__ = ("rules", "pairs")
 
-    def __init__(self, rules: Sequence[_CompiledRule]) -> None:
-        self.rules = [(rule.condition, rule.signals) for rule in rules]
-        pairs = [(position, branch) for position, rule in enumerate(rules) for branch in rule.branches]
+    def __init__(self, rules: list[tuple]) -> None:
+        self.rules = rules
+        pairs = [(position, branch) for position, (*_, branches) in enumerate(rules) for branch in branches]
         # a rule takes one branch per message, so the order of its two pairs never shows
         pairs.sort(key=lambda pair: (-pair[1].values[1], pair[1].values[2]))
         self.pairs = tuple(pairs)
@@ -860,7 +845,7 @@ class _Route:
     def fired(self, values: Mapping[str, float]) -> list[_Branch]:
         """The branches that fire on these signal values, winner first: each
         rule whose every signal has a value is evaluated once."""
-        outcomes = [condition(values) if values.keys() >= signals else None for condition, signals in self.rules]
+        outcomes = [condition(values) if values.keys() >= signals else None for condition, signals, _ in self.rules]
         return [branch for position, branch in self.pairs if outcomes[position] is branch.outcome]
 
 
@@ -894,6 +879,7 @@ class _Engine:
         self._heap: list[tuple[int, int, int, object]] = []
         self._heap_tie = 0
         self._window_us = config.scheduler.window_us
+        self._cost_us = config.scheduler.default_task_cost_us  # every task's run time
         self._next_window = self._window_us
         self._gate_delta = {sensor.name: sensor.delta for sensor in config.sensors}
         try:
@@ -917,10 +903,10 @@ class _Engine:
         signals_by_topic: dict[str, list[str]] = {}
         for signal, name in program.signal_topics.items():
             signals_by_topic.setdefault(name, []).append(signal)
-        rules_by_topic: dict[str, list[_CompiledRule]] = {}
+        rules_by_topic: dict[str, list[tuple]] = {}
         for index, rule in enumerate(program.program.rules):
             compiled = _compile_rule(index, rule, program.priorities, renderer)
-            for name in dict.fromkeys(program.signal_topics[s] for s in compiled.signals):
+            for name in dict.fromkeys(program.signal_topics[s] for s in compiled[1]):
                 rules_by_topic.setdefault(name, []).append(compiled)
 
         self.tasks: dict[str, sched.TaskDescriptor] = {}
@@ -935,9 +921,9 @@ class _Engine:
 
         for stage in processing_stages(config):
             topic = bus.create_topic(stage.output, Layer.PROCESSING)
-            step = make_plugin(stage.plugin, stage.params_dict())
+            step = PLUGIN_REGISTRY[stage.plugin](stage.params_dict())
             rules = rules_by_topic.get(stage.output, [])
-            targets = frozenset(branch.values[0] for rule in rules for branch in rule.branches)
+            targets = frozenset(branch.values[0] for *_, branches in rules for branch in branches)
             task = self._add_task(sched.TaskCategory.ALGORITHMIC, stage.name, targets)
             topic_signals = signals_by_topic.get(stage.output, [])
             bus.subscribe(topic, Layer.BEHAVIOR, functools.partial(self._on_processed, topic_signals, _Route(rules)))
@@ -977,8 +963,8 @@ class _Engine:
     def _add_task(self, category: sched.TaskCategory, name: str, behaviors: Iterable[str] = ()) -> sched.TaskDescriptor:
         """A new task `<category label>.<name>` at the end of `tasks`; `_wire`
         sets its base priority once every task exists."""
-        task_id, cost = f"{category.label}.{name}", self.config.scheduler.default_task_cost_us
-        task = self.tasks[task_id] = sched.TaskDescriptor(task_id, category, frozenset(behaviors), 0.0, 0.0, cost)
+        task_id = f"{category.label}.{name}"
+        task = self.tasks[task_id] = sched.TaskDescriptor(task_id, category, frozenset(behaviors), 0.0, 0.0)
         return task
 
     def _on_reading(
@@ -1070,7 +1056,7 @@ class _Engine:
 
     def _handle_trace(self, event: TraceEvent) -> None:
         if isinstance(event, Override):
-            self._halt(source="override", command=event.command)
+            self._halt(source="override", command=STOP_COMMAND)
             return
         self._log(_SENSOR_EVENT, event.sensor, event.value)
         for check in self._checks.get(event.sensor, ()):
@@ -1165,7 +1151,7 @@ class _Engine:
 
     def _log_dropped(self, event: TraceEvent) -> None:
         if isinstance(event, Override):
-            self._log(_TRACE_DROPPED, None, None, event.command)
+            self._log(_TRACE_DROPPED, None, None, STOP_COMMAND)
         else:
             self._log(_TRACE_DROPPED, event.sensor, event.value, None)
 
@@ -1181,7 +1167,7 @@ class _Engine:
         assert runner_up is None or runner_up.task.current_priority <= task.current_priority
         self._log(_TASK_START, task.id, entry.enqueue_seq, entry.enqueue_t_us, task.current_priority)
         self.running = entry
-        self._push(self.clock_us + task.cost_us, _RANK_TASK_DONE, entry)
+        self._push(self.clock_us + self._cost_us, _RANK_TASK_DONE, entry)
 
 
 def run(
@@ -1215,4 +1201,4 @@ class _EntryList:
         self.entries.append(row.entry(seq, t_us, values))
 
     def block(self, row: LogRow, first_seq: int, t_us: int, items: Sequence[tuple[tuple, str]]) -> None:
-        self.entries += row.entries(first_seq, t_us, items)
+        self.entries += [row.entry(seq, t_us, values) for seq, (values, _tail) in enumerate(items, first_seq)]

@@ -47,7 +47,6 @@ class TaskDescriptor:
     behaviors: frozenset[str]
     base_priority: float
     current_priority: float
-    cost_us: int
 
 
 # not frozen: one is built per push, and a frozen dataclass takes about 3x as

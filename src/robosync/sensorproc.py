@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 
 # not frozen: one is built per trace line, and a frozen dataclass takes about
@@ -27,10 +27,6 @@ class Reading:
     sensor: str
     t_us: int
     value: float
-
-
-class UnknownPluginError(ValueError):
-    """Raised when making a plugin with an unregistered name."""
 
 
 class PluginParamError(ValueError):
@@ -187,7 +183,8 @@ def _threshold_classifier(params: dict[str, object]) -> Step:
 
 # name -> factory: `factory(params)` takes the keys it reads out of `params`,
 # checks them, raising PluginParamError, and returns a new step with an empty
-# window; the keys left in `params` are the ones it does not know
+# window, whose outputs (None included) follow from its inputs alone; the keys
+# left in `params` are the ones it does not know
 PLUGIN_REGISTRY: dict[str, Callable[[dict[str, object]], Step]] = {
     "passthrough": _passthrough,
     "touch_level": _touch_level,
@@ -195,16 +192,6 @@ PLUGIN_REGISTRY: dict[str, Callable[[dict[str, object]], Step]] = {
     "moving_average": _moving_average,
     "threshold_classifier": _threshold_classifier,
 }
-
-
-def make_plugin(name: str, params: Mapping[str, object] | None = None) -> Step:
-    """A new step of the named plugin, which ignores keys it does not read; an
-    unknown name or a bad parameter fails here, never at run time.  Identical
-    input sequences give a step identical outputs, None (no output) included."""
-    factory = PLUGIN_REGISTRY.get(name)
-    if factory is None:
-        raise UnknownPluginError(f"unknown plugin {name!r}")
-    return factory(dict(params or {}))
 
 
 def run_algorithm(plugin: str, step: Step, reading: Reading) -> float | None:

@@ -104,10 +104,10 @@ def test_criterion_4_adaptive_priority_arithmetic():
                         )
                         tasks = {
                             "t": sched.TaskDescriptor(
-                                "t", sched.TaskCategory.BEHAVIORAL, frozenset({"b"}), base, base, 100
+                                "t", sched.TaskCategory.BEHAVIORAL, frozenset({"b"}), base, base
                             ),
                             "guard": sched.TaskDescriptor(
-                                "guard", sched.TaskCategory.SAFETY, frozenset(), 1.0, 1.0, 100
+                                "guard", sched.TaskCategory.SAFETY, frozenset(), 1.0, 1.0
                             ),
                         }
                         counts: dict[str, int] = {}

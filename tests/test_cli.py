@@ -861,6 +861,39 @@ def test_stats_take_an_integer_where_a_float_is_declared(tmp_path, capsys):
     assert parse_log("".join(lines)) == parse_log(GOLDEN_LOG)
 
 
+def _start(seq: int, enqueue_t_us: int) -> str:
+    return (
+        f'{{"seq": {seq}, "t_us": 0, "kind": "task_start", "detail": '
+        f'{{"task": "a", "enqueue_seq": 0, "enqueue_t_us": {enqueue_t_us}, "priority": 0.500000}}}}'
+    )
+
+
+@pytest.mark.parametrize("compact", [False, True], ids=["canonical", "compact"])
+@pytest.mark.parametrize(
+    "lines, reason",
+    [([_start(0, 0), _start(1, 0)], "task 'a' started twice at seq 1"), ([_start(0, 5)], "negative latency at seq 0")],
+    ids=["started_twice", "negative_latency"],
+)
+def test_stats_refuse_a_start_they_cannot_count(tmp_path, capsys, lines, reason, compact):
+    # a second start of one enqueued task, and a start before its enqueue, are
+    # refused by the stats pass whether the reader takes a canonical line's
+    # fast path or, with compact separators, the slow one
+    if compact:
+        lines = [json.dumps(json.loads(line), separators=(",", ":")) for line in lines]
+    text = "".join(line + "\n" for line in lines)
+    stats = engine.StatsAccumulator()
+    with pytest.raises(engine.MalformedLogError):
+        stats.read(text)
+    assert stats.counts[engine._OTHER] == (len(lines) if compact else 0)
+    log = tmp_path / "log.jsonl"
+    log.write_text(text)
+    assert main(["stats", str(log)]) == 1
+    assert capsys.readouterr() == ("", f"malformed log: {reason}\n")
+    with pytest.raises(engine.MalformedLogError) as exc:
+        engine.compute_stats(parse_log(text))
+    assert str(exc.value) == reason
+
+
 def test_halted_run_exits_zero(tmp_files, tmp_path, capsys):
     # A safety halt is a correct outcome, not a failure.
     trace = tmp_path / "halt.jsonl"

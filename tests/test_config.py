@@ -238,6 +238,32 @@ _ALGORITHM = {"name": "f", "plugin": "passthrough"}
             {"scheduler": {"p_max": 0.5, "default_task_cost_us": 0}},
             ["scheduler.default_task_cost_us: must be >= 1"],
         ),
+        # a repeated input is validate_config's issue: a schema error outranks
+        # it, and it takes its place among validate_config's other issues
+        (
+            {"sensors": [_SENSOR], "algorithms": [{**_ALGORITHM, "inputs": ["s", "s"]}, {"name": "g", "plugin": "warp"}]},
+            ["algorithms[1].plugin: unknown plugin 'warp'"],
+        ),
+        (
+            {
+                "sensors": [_SENSOR],
+                "algorithms": [{**_ALGORITHM, "inputs": ["s", "s"]}],
+                "behaviors": [{"name": "b", "action": "nope"}],
+            },
+            ["behaviors[0].action: unresolved actuator 'nope'", "algorithms[0].inputs[1]: duplicate"],
+        ),
+        (
+            {"sensors": [_SENSOR], "algorithms": [{**_ALGORITHM, "inputs": ["x", "x"]}]},
+            ["algorithms[0].inputs[0]: unresolved sensor 'x'", "algorithms[0].inputs[1]: duplicate"],
+        ),
+        (
+            {
+                "sensors": [_SENSOR],
+                "algorithms": [{**_ALGORITHM, "inputs": ["s", "s"]}],
+                "behaviors": [{"name": "b", "priority": 1.5}],
+            },
+            ["algorithms[0].inputs[1]: duplicate", "behaviors[0].priority: must be strictly between 0 and 1"],
+        ),
     ],
     ids=[
         "name_required",
@@ -270,6 +296,10 @@ _ALGORITHM = {"name": "f", "plugin": "passthrough"}
         "bad_units_before_virtual_rule",
         "bad_action_before_bad_safety",
         "bad_cost_before_p_max",
+        "bad_plugin_before_input_repeats",
+        "unresolved_action_before_input_repeats",
+        "unresolved_input_repeats",
+        "input_repeats_and_priority_out_of_range",
     ],
 )
 def test_each_refusal_is_located_by_parse_and_validate(tmp_path, capsys, doc, lines):
@@ -286,6 +316,15 @@ def test_a_safety_behavior_off_its_pin_is_refused_by_validate_config():
     # parsing pins a safety behavior to 1.0, so only a config built by hand can hold another priority
     config = cfg.SystemConfig(behaviors=(cfg.BehaviorSpec("stop", priority=0.5, safety=True),))
     assert [str(issue) for issue in cfg.validate_config(config)] == ["behaviors[0].priority: safety behaviors pin to 1.0"]
+
+
+def test_a_repeated_input_is_refused_by_validate_config():
+    # the stage would run twice per reading, and fire its rules twice
+    config = cfg.SystemConfig(
+        sensors=(cfg.SensorSpec("s", "virtual"),),
+        algorithms=(cfg.AlgorithmSpec("f", "passthrough", ("s", "s"), "o"),),
+    )
+    assert [str(issue) for issue in cfg.validate_config(config)] == ["algorithms[0].inputs[1]: duplicate"]
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,18 @@ def test_wait_requires_positive_integer():
 
 
 @pytest.mark.parametrize(
+    "unit, message",
+    [(" s", "2:12: expected ms, us, found identifier 's'"), ("", "2:11: expected ms, us, found NEWLINE")],
+    ids=["seconds", "no_unit"],
+)
+def test_wait_requires_a_unit_of_ms_or_us(unit, message):
+    with pytest.raises(dsl.ParseError) as exc:
+        dsl.parse_program(f"DEFINE x\n    WAIT 5{unit}\nEND\n")
+    assert str(exc.value) == message
+    assert exc.value.expected == {"ms", "us"}
+
+
+@pytest.mark.parametrize(
     "amount", [f"{dsl.MAX_WAIT_US // 1000} ms", f"{dsl.MAX_WAIT_US} us"], ids=["ms", "us"]
 )
 def test_wait_bound_parses_and_roundtrips(amount):

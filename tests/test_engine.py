@@ -182,7 +182,7 @@ class _Recorder:
         self.entries.append(row.entry(seq, t_us, values))
 
     def block(self, row, first_seq, t_us, items):
-        self.entries += row.entries(first_seq, t_us, items)
+        self.entries += [row.entry(seq, t_us, values) for seq, (values, _tail) in enumerate(items, first_seq)]
         self.blocks.add(row.kind)
 
 
@@ -246,6 +246,26 @@ def test_a_run_hands_each_entry_to_its_sink(tmp_path):
         eng.run(config, program, trace, horizon_us=until, sink=sink)
         assert "".join(output) == eng.serialize_log(kept.entries), name
         assert stats.result() == eng.compute_stats(kept.entries), name
+
+
+def test_stats_count_a_block_of_task_rows_as_one_entry_at_a_time():
+    # the engine hands task rows to its sink one at a time, but a block may
+    # hold any row: task starts, ends and halts in one are counted as `add`s
+    renderer = eng.Renderer()
+    blocks = [
+        (eng._TASK_START, 0, 10, [("a", 0, 0, 0.5), ("b", 1, 4, 0.25)]),
+        (eng._TASK_FINISH, 2, 110, [("a", 0)]),
+        (eng._SAFETY_HALT, 3, 150, [("override", None, None, None, "STOP", {}, "task.b", [])]),
+        (eng._TASK_ABORT, 4, 150, [("b", 1, "safety_halt")]),
+        (eng._PRIORITY_UPDATE, 5, 150, [("a", 0.5, 0.5, 0, None, 0.0), ("b", 0.25, 0.25, 0, None, 0.0)]),
+    ]
+    by_block, by_add = eng.StatsAccumulator(), eng.StatsAccumulator()
+    for row, first_seq, t_us, values in blocks:
+        by_block.block(row, first_seq, t_us, [(v, row.tail(renderer.quoted, renderer.render, *v)) for v in values])
+        for seq, v in enumerate(values, first_seq):
+            by_add.add(row, seq, t_us, v)
+    assert by_block.result() == by_add.result()
+    assert by_add.result()["latency_us"] == {"min": 6, "mean": 8.0, "max": 10}
 
 
 def test_finished_run_leaves_no_cyclic_garbage(touch_config_text, behavior_text, touch_trace_text):

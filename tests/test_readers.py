@@ -214,7 +214,7 @@ def test_parse_log_is_eager():
 
 def test_compute_stats_accepts_a_one_shot_iterator():
     expected = eng.serialize_stats(eng.compute_stats(eng.parse_log(GOLDEN_LOG)))
-    assert eng.serialize_stats(eng.compute_stats(eng.iter_log(GOLDEN_LOG))) == expected == GOLDEN_STATS
+    assert eng.serialize_stats(eng.compute_stats(iter(eng.parse_log(GOLDEN_LOG)))) == expected == GOLDEN_STATS
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +502,8 @@ def _config_text(draw) -> str:
 @example(text="[" * 100_000 + "]" * 100_000)
 @example(text='{"seq": 0, "t_us": ' + "9" * 5000 + ', "kind": "message", "detail": {}}')
 def test_log_readers_raise_only_malformed_log_error(text):
-    for read in (lambda: eng.compute_stats(eng.parse_log(text)), lambda: eng.compute_stats(eng.iter_log(text))):
+    pieces = text.splitlines(keepends=True)
+    for read in (lambda: eng.compute_stats(eng.parse_log(text)), lambda: eng.compute_stats(eng.parse_log(pieces))):
         try:
             read()
         except eng.MalformedLogError:
@@ -522,7 +523,7 @@ def test_load_trace_raises_only_trace_error(text):
 
 
 def _load_trace_oracle(text: str, config) -> list:
-    """load_trace as it read lines before sharing a loop with iter_log: one
+    """load_trace as it read lines before sharing a loop with the log reader: one
     `json.loads` per line."""
     sensor_names = {s.name for s in config.sensors}
     events = []
@@ -558,7 +559,7 @@ def _load_trace_oracle(text: str, config) -> list:
                 raise eng.TraceError(line_no, "override must be a string")
             if command != eng.STOP_COMMAND:
                 raise eng.TraceError(line_no, f"unsupported override {command!r}")
-            events.append(eng.Override(t_us, command))
+            events.append(eng.Override(t_us))
         else:
             raise eng.TraceError(line_no, "expected keys {t_us, sensor, value} or {t_us, override}")
     events.sort(key=lambda e: e.t_us)

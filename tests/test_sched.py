@@ -10,14 +10,13 @@ from robosync.config import P_MAX, SchedulerParams
 from robosync.engine import LOG_FIELDS
 
 
-def _task(task_id, category, base, behaviors=(), cost=100):
+def _task(task_id, category, base, behaviors=()):
     return sched.TaskDescriptor(
         id=task_id,
         category=category,
         behaviors=frozenset(behaviors),
         base_priority=base,
         current_priority=base,
-        cost_us=cost,
     )
 
 

@@ -100,18 +100,13 @@ def test_jerk_short_history_is_zero():
 # plugins
 
 
-def test_unknown_plugin_fails_at_construction():
-    with pytest.raises(sp.UnknownPluginError):
-        sp.make_plugin("warp_drive", {})
-
-
 def test_passthrough_identity():
-    step = sp.make_plugin("passthrough")
+    step = sp.PLUGIN_REGISTRY["passthrough"]({})
     assert sp.run_algorithm("passthrough", step, sp.Reading("s", 10, 7.5)) == 7.5
 
 
 def test_moving_average_warmup_then_mean():
-    step = sp.make_plugin("moving_average", {"k": 2})
+    step = sp.PLUGIN_REGISTRY["moving_average"]({"k": 2})
     assert sp.run_algorithm("moving_average", step, sp.Reading("s", 0, 1.0)) is None
     assert sp.run_algorithm("moving_average", step, sp.Reading("s", 1, 3.0)) == 2.0  # (1 + 3) / 2
 
@@ -126,7 +121,7 @@ def test_moving_average_warmup_then_mean():
     ids=["average_inf", "jerk_inf", "jerk_nan"],
 )
 def test_non_finite_plugin_output_is_rejected(plugin, readings):
-    step = sp.make_plugin(plugin, {"k": 2} if plugin == "moving_average" else {})
+    step = sp.PLUGIN_REGISTRY[plugin]({"k": 2} if plugin == "moving_average" else {})
     *warmup, (t_us, value) = readings
     for t, v in warmup:
         sp.run_algorithm(plugin, step, sp.Reading("s", t, v))
@@ -138,10 +133,10 @@ def test_non_finite_plugin_output_is_rejected(plugin, readings):
 
 
 def test_largest_finite_plugin_output_passes():
-    step = sp.make_plugin("moving_average", {"k": 2})
+    step = sp.PLUGIN_REGISTRY["moving_average"]({"k": 2})
     sp.run_algorithm("moving_average", step, sp.Reading("s", 0, 1.7e308))
     assert sp.run_algorithm("moving_average", step, sp.Reading("s", 1, -1.7e308)) == 0.0
-    step = sp.make_plugin("passthrough")
+    step = sp.PLUGIN_REGISTRY["passthrough"]({})
     assert sp.run_algorithm("passthrough", step, sp.Reading("s", 0, 1.7976931348623157e308)) == 1.7976931348623157e308
 
 
@@ -149,13 +144,13 @@ def test_moving_average_is_mean_of_last_k():
     rng = random.Random(5)
     values = [rng.uniform(-1e6, 1e6) for _ in range(500)]
     for k in (1, 2, 3, 7):
-        step = sp.make_plugin("moving_average", {"k": k})
+        step = sp.PLUGIN_REGISTRY["moving_average"]({"k": k})
         outs = [sp.run_algorithm("moving_average", step, sp.Reading("s", i, v)) for i, v in enumerate(values)]
         assert outs == [None if i + 1 < k else sum(values[i + 1 - k : i + 1]) / k for i in range(len(values))]
 
 
 def test_touch_level_plugin_matches_function():
-    step = sp.make_plugin("touch_level", {"thresholds": "1,2,4"})
+    step = sp.PLUGIN_REGISTRY["touch_level"]({"thresholds": "1,2,4"})
     out = sp.run_algorithm("touch_level", step, sp.Reading("s", 0, 2.5))
     assert out == float(sp.touch_level(2.5, [1.0, 2.0, 4.0])) == 2.0
 
@@ -169,7 +164,7 @@ def test_touch_level_plugin_requires_ascending_thresholds():
         ({"thresholds": "1,x"}, "must be a finite number or a comma string of finite numbers"),
     ]:
         with pytest.raises(sp.PluginParamError) as exc:
-            sp.make_plugin("touch_level", params)
+            sp.PLUGIN_REGISTRY["touch_level"](params)
         assert (exc.value.key, exc.value.reason) == ("thresholds", reason)
 
 
@@ -179,7 +174,7 @@ def test_jerk_plugin_tracks_window():
     for _ in range(500):
         t_us += rng.choice((0, 1, 250, 1000))  # equal stamps included
         readings.append(sp.Reading("s", t_us, rng.uniform(-10, 10)))
-    step = sp.make_plugin("jerk_level")
+    step = sp.PLUGIN_REGISTRY["jerk_level"]({})
     for i, reading in enumerate(readings):
         last = readings[max(0, i - 2) : i + 1]
         at_one_instant = any(a.t_us == b.t_us for a, b in zip(last, last[1:]))
@@ -188,7 +183,7 @@ def test_jerk_plugin_tracks_window():
 
 
 def test_jerk_plugin_gives_nothing_across_zero_time():
-    step = sp.make_plugin("jerk_level")
+    step = sp.PLUGIN_REGISTRY["jerk_level"]({})
     outs = [
         sp.run_algorithm("jerk_level", step, sp.Reading("s", t_us, v))
         for t_us, v in ((1000, 1.0), (1000, 5.0), (1000, 9.0), (2000, 9.0), (3000, 9.0))
@@ -198,7 +193,7 @@ def test_jerk_plugin_gives_nothing_across_zero_time():
 
 
 def test_threshold_classifier():
-    step = sp.make_plugin("threshold_classifier", {"threshold": 5.0})
+    step = sp.PLUGIN_REGISTRY["threshold_classifier"]({"threshold": 5.0})
     assert sp.run_algorithm("threshold_classifier", step, sp.Reading("s", 0, 5.0)) == 0.0  # strict
     assert sp.run_algorithm("threshold_classifier", step, sp.Reading("s", 1, 5.1)) == 1.0
 
@@ -208,7 +203,7 @@ def test_plugin_replay_determinism():
     inputs = [sp.Reading("s", i * 10, rng.uniform(-5, 5)) for i in range(200)]
 
     def replay():
-        step = sp.make_plugin("moving_average", {"k": 4})
+        step = sp.PLUGIN_REGISTRY["moving_average"]({"k": 4})
         return [sp.run_algorithm("moving_average", step, r) for r in inputs]
 
     assert replay() == replay()
