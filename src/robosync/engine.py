@@ -267,11 +267,10 @@ for _row in LOG_FIELDS.values():
 del _row
 
 # Intra-timestamp processing order: window boundaries close before any work
-# at the boundary instant, completions before deferred enqueues, and trace
-# arrivals come last so a reading can never race the task it spawns.
+# at the boundary instant, completions before deferred enqueues; trace arrivals,
+# read beside the heap, come last so a reading can never race the task it spawns.
 _RANK_TASK_DONE = 1
 _RANK_ENQUEUE = 2
-_RANK_TRACE = 3
 
 STOP_COMMAND = "STOP"
 
@@ -335,9 +334,17 @@ class LogEntry:
 
 @dataclass(slots=True)
 class ExecutionLog:
+    """`run`'s default sink: it builds a `LogEntry` per entry into `entries`."""
+
     entries: list[LogEntry] = field(default_factory=list)
     # the run's bus table: topic -> (producer layer, subscriber layers)
     routes: Mapping[str, tuple[Layer, tuple[Layer, ...]]] = field(default_factory=dict)
+
+    def add(self, row: LogRow, seq: int, t_us: int, values: tuple) -> None:
+        self.entries.append(row.entry(seq, t_us, values))
+
+    def block(self, row: LogRow, first_seq: int, t_us: int, items: Sequence[tuple[tuple, str]]) -> None:
+        self.entries += [row.entry(seq, t_us, values) for seq, (values, _tail) in enumerate(items, first_seq)]
 
     @property
     def deliveries(self) -> tuple[DeliveryRecord, ...]:
@@ -861,9 +868,8 @@ class _Engine:
         self.config = config
         self.program = program
         self.horizon_us = horizon_us
-        if horizon_us is not None:
-            trace = [e for e in trace if e.t_us < horizon_us]
-        self.trace = list(trace)
+        # a stable sort: the events of one instant keep their trace order
+        self.trace = sorted((e for e in trace if horizon_us is None or e.t_us < horizon_us), key=lambda e: e.t_us)
 
         self.bus = MessageBus()
         self.queue = sched.ReadyQueue()
@@ -876,12 +882,12 @@ class _Engine:
         self.values: dict[str, float] = {}  # condition signal -> last processed value
         self.gate_prev: dict[str, float] = {}  # sensor -> last forwarded value
 
+        # (t_us, rank, tie, payload) of the running task's completion and of WAIT-deferred commands
         self._heap: list[tuple[int, int, int, object]] = []
-        self._heap_tie = 0
+        self._ties = itertools.count()
         self._window_us = config.scheduler.window_us
         self._cost_us = config.scheduler.default_task_cost_us  # every task's run time
         self._next_window = self._window_us
-        self._gate_delta = {sensor.name: sensor.delta for sensor in config.sensors}
         try:
             self._wire()
         except BaseException:
@@ -910,14 +916,13 @@ class _Engine:
                 rules_by_topic.setdefault(name, []).append(compiled)
 
         self.tasks: dict[str, sched.TaskDescriptor] = {}
-        self._checks: dict[str, list[SafetyCheckSpec]] = {}  # sensor -> its checks, in config order
-        for check in config.safety_checks:
-            self._checks.setdefault(check.sensor, []).append(check)
-        # sensor -> its topic and its input task, whose behaviors the stages reading it add to
-        self._sensors: dict[str, tuple[Topic, sched.TaskDescriptor]] = {}
+        # sensor -> its topic, input task, safety checks (in config order) and gate delta
+        self._sensors: dict[str, tuple[Topic, sched.TaskDescriptor, list[SafetyCheckSpec], float]] = {}
         for sensor in config.sensors:
-            topic = bus.create_topic(sensor.name, Layer.SENSOR)
-            self._sensors[sensor.name] = (topic, self._add_task(sched.TaskCategory.SENSOR_INPUT, sensor.name))
+            task = self._add_task(sched.TaskCategory.SENSOR_INPUT, sensor.name)
+            self._sensors[sensor.name] = (bus.create_topic(sensor.name, Layer.SENSOR), task, [], sensor.delta)
+        for check in config.safety_checks:
+            self._sensors[check.sensor][2].append(check)
 
         for stage in processing_stages(config):
             topic = bus.create_topic(stage.output, Layer.PROCESSING)
@@ -929,7 +934,7 @@ class _Engine:
             bus.subscribe(topic, Layer.BEHAVIOR, functools.partial(self._on_processed, topic_signals, _Route(rules)))
             handler = functools.partial(self._on_reading, task, stage.plugin, step, topic)
             for sensor_name in stage.inputs:  # a sensor topic's subscribers keep the stage order
-                sensor_topic, sensor_task = self._sensors[sensor_name]
+                sensor_topic, sensor_task, *_ = self._sensors[sensor_name]
                 sensor_task.behaviors |= targets
                 bus.subscribe(sensor_topic, Layer.PROCESSING, handler)
 
@@ -941,17 +946,15 @@ class _Engine:
             for _offset_us, command in plan:
                 controlled.setdefault(command["actuator"], set()).add(name)
 
-        # actuator -> its command topic and its control task
-        self._controls: dict[str, tuple[Topic, sched.TaskDescriptor]] = {}
+        self._commands: dict[str, Topic] = {}  # actuator -> its command topic
         for actuator in config.actuators:
-            topic = bus.create_topic(command_topic(actuator.name), Layer.BEHAVIOR)
-            bus.subscribe(topic, Layer.CONTROL)
+            topic = self._commands[actuator.name] = bus.create_topic(command_topic(actuator.name), Layer.BEHAVIOR)
             task = self._add_task(sched.TaskCategory.CONTROL, actuator.name, controlled.get(actuator.name, ()))
-            self._controls[actuator.name] = (topic, task)
+            bus.subscribe(topic, Layer.CONTROL, functools.partial(self._on_command, task))
 
         # safety checks run inline on arrival; the sensors they watch are pinned
         behaviors = {task_id: task.behaviors for task_id, task in self.tasks.items()}
-        pinned = {self._sensors[sensor_name][1].id for sensor_name in self._checks}
+        pinned = {task.id for _topic, task, checks, _delta in self._sensors.values() if checks}
         base = sched.assign_base_priorities(program.priorities, behaviors, pinned)
         for task_id, task in self.tasks.items():
             task.base_priority = task.current_priority = base[task_id]
@@ -973,6 +976,10 @@ class _Engine:
         """A sensor topic's processing-layer handler: `_wire` binds in one stage's task, plugin and output."""
         self.queue.push(task, self.clock_us, (plugin, step, output, reading, seq))
 
+    def _on_command(self, task: sched.TaskDescriptor, seq: int, item: tuple[dict, str]) -> None:
+        """A command topic's control-layer handler: `_wire` binds in its actuator's control task."""
+        self.queue.push(task, self.clock_us, item)
+
     # -- logging ----------------------------------------------------------
 
     def _log(self, row: LogRow, *values: object) -> None:
@@ -993,36 +1000,38 @@ class _Engine:
         self._log(row, topic.name, topic.label, bus.next_seq, *fields)
         bus.publish(topic, payload)
 
-    # -- event heap -------------------------------------------------------
-
-    def _push(self, t_us: int, rank: int, payload: object) -> None:
-        heapq.heappush(self._heap, (t_us, rank, self._heap_tie, payload))
-        self._heap_tie += 1
-
     # -- main loop --------------------------------------------------------
 
     def run(self) -> Mapping[str, tuple[Layer, tuple[Layer, ...]]]:
-        """Log the whole run to the sink; returns the bus table."""
-        for event in self.trace:
-            self._push(event.t_us, _RANK_TRACE, event)
-
+        """Log the whole run to the sink; returns the bus table.  The sorted
+        trace is read in place beside the heap, and a halt ends the loop."""
+        trace, heap = self.trace, self._heap
+        position = 0  # of the next trace event
         try:
-            while self._heap:
-                t_us, rank, _tie, payload = heapq.heappop(self._heap)
-                if not self.halted and self._next_window <= t_us:
+            while not self.halted:
+                # a trace event comes after every heap event of its instant
+                if position < len(trace) and (not heap or trace[position].t_us < heap[0][0]):
+                    payload = trace[position]
+                    position += 1
+                    t_us, handle = payload.t_us, self._handle_trace
+                elif heap:
+                    t_us, rank, _tie, payload = heapq.heappop(heap)
+                    handle = self._handle_task_done if rank == _RANK_TASK_DONE else self._handle_deferred_enqueue
+                else:
+                    break
+                if self._next_window <= t_us:
                     self._tick_windows(t_us)
                 self.clock_us = max(self.clock_us, t_us)
-                if self.halted:
-                    if rank == _RANK_TRACE:
-                        self._log_dropped(payload)
-                    continue
-                if rank == _RANK_TRACE:
-                    self._handle_trace(payload)
-                elif rank == _RANK_TASK_DONE:
-                    self._handle_task_done(payload)
-                else:
-                    self._handle_deferred_enqueue(payload)
+                handle(payload)
                 self._dispatch()
+
+            # after a halt nothing runs: each trace event left is logged dropped
+            for event in itertools.islice(trace, position, None):
+                self.clock_us = max(self.clock_us, event.t_us)
+                if isinstance(event, Override):
+                    self._log(_TRACE_DROPPED, None, None, STOP_COMMAND)
+                else:
+                    self._log(_TRACE_DROPPED, event.sensor, event.value, None)
 
             if not self.halted and self.horizon_us is not None:
                 self._tick_windows(self.horizon_us)
@@ -1059,12 +1068,12 @@ class _Engine:
             self._halt(source="override", command=STOP_COMMAND)
             return
         self._log(_SENSOR_EVENT, event.sensor, event.value)
-        for check in self._checks.get(event.sensor, ()):
+        topic, task, checks, delta = self._sensors[event.sensor]
+        for check in checks:
             if evaluate_safety(event.value, check):
                 self._halt(source=check.name, sensor=event.sensor, reading=event.value, threshold=check.threshold)
                 return
-        topic, task = self._sensors[event.sensor]
-        self.queue.push(task, self.clock_us, (topic, event))
+        self.queue.push(task, self.clock_us, (topic, delta, event))
 
     def _handle_task_done(self, entry: sched.QueueEntry) -> None:
         # after a halt the main loop handles no completion, so this task still runs
@@ -1074,9 +1083,9 @@ class _Engine:
         self._FINISH[entry.task.category](self, entry)
 
     def _finish_sensor_input(self, entry: sched.QueueEntry) -> None:
-        topic, reading = entry.payload  # type: ignore[misc]
+        topic, delta, reading = entry.payload  # type: ignore[misc]
         prev = self.gate_prev.get(reading.sensor)
-        if not gate_significant(prev, reading.value, self._gate_delta[reading.sensor]):
+        if not gate_significant(prev, reading.value, delta):
             return  # null branch: nothing reaches the processing layer
         self.gate_prev[reading.sensor] = reading.value
         self._publish(_SENSOR_MESSAGE, topic, reading, reading.value, reading.sensor, reading.t_us)
@@ -1108,13 +1117,10 @@ class _Engine:
     def _finish_behavioral(self, entry: sched.QueueEntry) -> None:
         behavior: str = entry.payload  # type: ignore[assignment]
         for offset_us, command in self.program.plans[behavior]:
-            self._push(self.clock_us + offset_us, _RANK_ENQUEUE, (command, behavior))
+            heapq.heappush(self._heap, (self.clock_us + offset_us, _RANK_ENQUEUE, next(self._ties), (command, behavior)))
 
     def _handle_deferred_enqueue(self, item: tuple[dict, str]) -> None:
-        command, behavior = item
-        topic, task = self._controls[command["actuator"]]
-        self._publish(_COMMAND_MESSAGE, topic, command, command, behavior)
-        self.queue.push(task, self.clock_us, item)
+        self._publish(_COMMAND_MESSAGE, self._commands[item[0]["actuator"]], item, *item)
 
     def _finish_control(self, entry: sched.QueueEntry) -> None:
         command, behavior = entry.payload  # type: ignore[misc]
@@ -1149,12 +1155,6 @@ class _Engine:
             self._log(_TASK_ABORT, aborted.task.id, aborted.enqueue_seq, "safety_halt")
         self.halted = True
 
-    def _log_dropped(self, event: TraceEvent) -> None:
-        if isinstance(event, Override):
-            self._log(_TRACE_DROPPED, None, None, STOP_COMMAND)
-        else:
-            self._log(_TRACE_DROPPED, event.sensor, event.value, None)
-
     def _dispatch(self) -> None:
         if self.halted or self.running is not None or len(self.queue) == 0:
             return
@@ -1167,7 +1167,7 @@ class _Engine:
         assert runner_up is None or runner_up.task.current_priority <= task.current_priority
         self._log(_TASK_START, task.id, entry.enqueue_seq, entry.enqueue_t_us, task.current_priority)
         self.running = entry
-        self._push(self.clock_us + self._cost_us, _RANK_TASK_DONE, entry)
+        heapq.heappush(self._heap, (self.clock_us + self._cost_us, _RANK_TASK_DONE, next(self._ties), entry))
 
 
 def run(
@@ -1184,21 +1184,6 @@ def run(
     entry alone.  Without a sink, the returned log's `entries` holds them
     all, and with one it is empty.  Raises RunLimitError past
     MAX_WINDOW_ENTRIES priority updates."""
-    kept = _EntryList()
-    routes = _Engine(config, program, trace, horizon_us, kept if sink is None else sink).run()
-    return ExecutionLog(kept.entries, routes)
-
-
-class _EntryList:
-    """`run`'s default sink: it builds a `LogEntry` per entry into `entries`."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self) -> None:
-        self.entries: list[LogEntry] = []
-
-    def add(self, row: LogRow, seq: int, t_us: int, values: tuple) -> None:
-        self.entries.append(row.entry(seq, t_us, values))
-
-    def block(self, row: LogRow, first_seq: int, t_us: int, items: Sequence[tuple[tuple, str]]) -> None:
-        self.entries += [row.entry(seq, t_us, values) for seq, (values, _tail) in enumerate(items, first_seq)]
+    log = ExecutionLog()
+    log.routes = _Engine(config, program, trace, horizon_us, log if sink is None else sink).run()
+    return log

@@ -10,11 +10,11 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from robosync import cli, dsl, engine as eng
+from robosync import bus as bus_module, cli, dsl, engine as eng
 from robosync.bus import BusError, Layer, MessageBus
 from robosync.config import ActuatorSpec, SensorSpec, SystemConfig, parse_config
 from robosync.dsl import bind_program, parse_program
-from robosync.sensorproc import NonFiniteOutputError
+from robosync.sensorproc import NonFiniteOutputError, Reading
 
 from conftest import FIXTURES
 
@@ -337,6 +337,24 @@ def test_each_message_entry_is_one_publish_with_its_bus_seq(
         assert bus_seqs
         assert seqs == bus_seqs
     assert _kinds(log)[-1] == "safety_halt"
+
+
+def test_every_subscription_passes_a_handler(touch_config_text, behavior_text, touch_trace_text, monkeypatch):
+    # each topic's subscriber does work: a command topic's queues its
+    # actuator's control task, so no publish calls a handler that does nothing
+    handlers: list[tuple[str, Layer, tuple]] = []
+    subscribe = MessageBus.subscribe
+
+    def recording(self, topic, subscriber_layer, *args, **kwargs):
+        handlers.append((topic.name, subscriber_layer, args + tuple(kwargs.values())))
+        return subscribe(self, topic, subscriber_layer, *args, **kwargs)
+
+    monkeypatch.setattr(MessageBus, "subscribe", recording)
+    log = _run_texts(touch_config_text, behavior_text, touch_trace_text)
+    assert {name for name, layer, _ in handlers if layer == Layer.CONTROL} == {"arms_cmd", "sound_cmd"}
+    for name, _layer, passed in handlers:
+        assert len(passed) == 1 and passed[0] is not bus_module._ignore, name
+    assert any(e.kind == "play_cmd" for e in log.entries)
 
 
 def test_causality_audit(touch_config_text, behavior_text, touch_trace_text):
@@ -752,6 +770,23 @@ def test_empty_trace_empty_log(touch_config_text, behavior_text):
     assert log.entries == []
 
 
+_SHUFFLED_TRACE = [
+    *(Reading("touch", t_us, value) for t_us, value in ((1000, 2.0), (1000, 5.0), (1150, 1.0), (1300, 4.0), (1300, 0.5))),
+    *(Reading("touch", t_us, float(t_us % 7)) for t_us in range(2000, 9000, 350)),
+    eng.Override(7000),
+]
+
+
+@settings(max_examples=60)
+@given(shuffled=st.permutations(_SHUFFLED_TRACE), horizon_us=st.sampled_from([None, 1300, 5000, 8000]))
+def test_a_trace_out_of_order_runs_as_its_stable_sort(touch_config_text, behavior_text, shuffled, horizon_us):
+    config, program = _setup(touch_config_text, behavior_text)
+    in_order = sorted(shuffled, key=lambda event: event.t_us)
+    log = eng.run(config, program, shuffled, horizon_us=horizon_us)
+    assert log.entries == eng.run(config, program, in_order, horizon_us=horizon_us).entries
+    assert log.entries[0].t_us == 1000
+
+
 def test_empty_trace_with_horizon_ticks_windows(touch_config_text, behavior_text):
     log = _run_texts(touch_config_text, behavior_text, "", horizon_us=2_500_000)
     assert log.entries
@@ -848,6 +883,30 @@ END
     # second is enqueued at 1300 + 1000 and executes 100 us later.
     assert cmds[0].t_us == 1400
     assert cmds[1].t_us == 2400
+
+
+def test_a_reading_comes_after_the_completion_and_the_command_of_its_instant(touch_config_text):
+    # the deferred MOVE is published at 2300, when the task started by the
+    # reading at 2200 finishes: a reading at 2300 is handled after both
+    program_text = """
+WHEN touch > 0
+DO d
+END
+
+DEFINE d
+MOVE arms 0.5
+WAIT 1 ms
+MOVE arms 0.9
+END
+"""
+    trace_text = "\n".join(
+        '{"t_us": %d, "sensor": "touch", "value": %d}' % reading for reading in ((1000, 1), (2200, 5), (2300, 9))
+    )
+    log = _run_texts(touch_config_text, program_text, trace_text)
+    at = [(e.kind, e.detail.get("task") or e.detail.get("layer")) for e in log.entries if e.t_us == 2300]
+    finish = at.index(("task_finish", "sensor_input.touch"))
+    command = at.index(("message", "behavior"))
+    assert finish < command < at.index(("sensor_event", None))
 
 
 # The actuators' bounds make clamping matter: `arms` stops at 0.5, so MOVE
