@@ -26,14 +26,14 @@ from .bus import BusError
 from .config import ConfigError, parse_config
 from .dsl import BindErrors, ParseError, bind_program, format_program, parse_program
 # parse_log, serialize_log and compute_stats stay names of this module though
-# nothing here calls them (the writer renders through each row's `emit`, and
-# `stats` counts through `StatsAccumulator.read`): the benchmark's tracer,
+# nothing here calls them (the writer renders through each entry's log site,
+# and `stats` counts through `StatsAccumulator.read`): the benchmark's tracer,
 # bench/tracing.py, looks up each function it wraps in this module's
 # namespace, and a missing one fails it
 from .engine import (
     LogRow,
+    LogSite,
     MalformedLogError,
-    Renderer,
     RunLimitError,
     StatsAccumulator,
     TraceError,
@@ -117,22 +117,20 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 
 class _LogWriter:
-    """A run's sink: `add` writes each entry as it is logged, rendered
-    through its row's `emit`, and `block` the lines of a block at once, each
+    """A run's sink: `add` writes each entry as it is logged, its site's
+    line template filled in, and `block` the lines of a block at once, each
     entry from its tail.  The output's own buffer batches the bytes."""
 
-    __slots__ = ("out", "quoted", "render")
+    __slots__ = ("write",)
 
     def __init__(self, out: TextIO) -> None:
-        self.out = out
-        renderer = Renderer()
-        self.quoted, self.render = renderer.quoted, renderer.render
+        self.write = out.write
 
-    def add(self, row: LogRow, seq: int, t_us: int, values: tuple) -> None:
-        self.out.write(row.emit(self.quoted, self.render, seq, t_us, *values))
+    def add(self, site: LogSite, seq: int, t_us: int, args: tuple) -> None:
+        self.write(site.line % (seq, t_us, *args))
 
     def block(self, row: LogRow, first_seq: int, t_us: int, items: Sequence[tuple[tuple, str]]) -> None:
-        self.out.write("".join(block_lines(first_seq, t_us, items)))
+        self.write("".join(block_lines(first_seq, t_us, items)))
 
 
 class _Tee:

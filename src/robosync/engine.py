@@ -23,6 +23,7 @@ import json
 import re
 import statistics
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
 from . import sched
@@ -45,19 +46,14 @@ _LOG_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 class _Form(NamedTuple):
-    """How the log writes and reads a value of one declared type.  `code` is
-    its conversion in a line's `%` template and `arg` the expression that
-    passes value `{0}` to it: an int or a float is formatted in place, a str
-    is quoted once per call through the renderer's cache, a list or dict goes
-    through `Renderer.render`, and a nullable type has a `null` branch.
-    `pattern` matches the canonical text so written, with one group holding
-    the value's text (none for `null`), and `read` turns that text into the
-    value the JSON decoder gives.  `allowed` is the decoded types a line read
-    the slow way may hold there (a JSON integer is a number too), and `noun`
-    names them."""
+    """How the log reads a value of one declared type.  `pattern` matches the
+    canonical text a log site writes (an int as `%d`, a float as `%.6f`,
+    anything else as `render` writes it), with one group holding the value's
+    text (none for `null`), and `read` turns that text into the value the
+    JSON decoder gives.  `allowed` is the decoded types a line read the slow
+    way may hold there (a JSON integer is a number too), and `noun` names
+    them."""
 
-    code: str
-    arg: str
     pattern: str
     read: Callable[[str | None], object]
     allowed: frozenset[type]
@@ -71,7 +67,7 @@ _INT = r"-?(?:0|[1-9][0-9]{0,17})"
 _FLOAT = r"-?(?:0|[1-9][0-9]*)\.[0-9]{6}"
 _TEXT = r"[ !#-\[\]-~]*"
 _STR = f'"{_TEXT}"'
-# a list or dict of such scalars, as `Renderer.render` writes it
+# a list or dict of such scalars, as `render` writes it
 _SCALAR = rf"(?:{_STR}|{_FLOAT}|{_INT}|true|false|null)"
 _LIST = rf"\[(?:{_SCALAR}(?:, {_SCALAR})*)?\]"
 _DICT = rf"\{{(?:{_STR}: {_SCALAR}(?:, {_STR}: {_SCALAR})*)?\}}"
@@ -87,72 +83,64 @@ def _float_or_none(text: str | None) -> float | None:
 
 _NONE = type(None)
 _FORMS: dict[object, _Form] = {
-    int: _Form("%d", "{0}", f"({_INT})", int, frozenset({int}), "an integer"),
-    float: _Form("%.6f", "{0}", f"({_FLOAT})", float, frozenset({float, int}), "a number"),
-    str: _Form("%s", "q[{0}]", f'"({_TEXT})"', _same, frozenset({str}), "a string"),
-    list: _Form("%s", "c({0})", f"({_LIST})", _LOG_DECODER.decode, frozenset({list}), "an array"),
-    dict: _Form("%s", "c({0})", f"({_DICT})", _LOG_DECODER.decode, frozenset({dict}), "an object"),
-    str | None: _Form(
-        "%s", "'null' if {0} is None else q[{0}]", f'(?:null|"({_TEXT})")', _same, frozenset({str, _NONE}),
-        "a string or null",
-    ),
-    float | None: _Form(
-        "%s", "'null' if {0} is None else '%.6f' % {0}", f"(?:null|({_FLOAT}))", _float_or_none,
-        frozenset({float, int, _NONE}), "a number or null",
-    ),
+    int: _Form(f"({_INT})", int, frozenset({int}), "an integer"),
+    float: _Form(f"({_FLOAT})", float, frozenset({float, int}), "a number"),
+    str: _Form(f'"({_TEXT})"', _same, frozenset({str}), "a string"),
+    list: _Form(f"({_LIST})", _LOG_DECODER.decode, frozenset({list}), "an array"),
+    dict: _Form(f"({_DICT})", _LOG_DECODER.decode, frozenset({dict}), "an object"),
+    str | None: _Form(f'(?:null|"({_TEXT})")', _same, frozenset({str, _NONE}), "a string or null"),
+    float | None: _Form(f"(?:null|({_FLOAT}))", _float_or_none, frozenset({float, int, _NONE}), "a number or null"),
 }
 
 
-# the text every line ends with: its detail's brace, then its own
+# every line starts with its seq and t_us, and ends with its detail's brace, then its own
+_HEAD = '{"seq": %d, "t_us": %d'
 _LINE_END = "}}\n"
+# a site's conversion for a field that varies: only a number may
+_CONVERSIONS = {int: "%d", float: "%.6f"}
+# a site's value for each field that varies
+_VARYING = object()
 
 
-def _compile_line(kind: str, fields: Sequence[str], types: Sequence[object], head: bool = True) -> Callable[..., str]:
-    """The line function `(quoted, render, seq, t_us, *values) -> line` of an
-    entry of `kind` with these detail fields, for values of these types (seq's,
-    t_us's, then each field's): one `%` template with the conversions inlined,
-    whose source holds only the schema's names, the fixed conversions and
-    parameter names, never an entry's text.  Without `head`, the types are
-    the fields' alone, and the function is the tail `(quoted, render,
-    *values)`: the line after its t_us."""
-    params = [f"v{index}" for index in range(len(types))]
-    codes, args = [], []
-    for param, value_type in zip(params, types):
-        form = _FORMS[value_type]
-        codes.append(form.code)
-        args.append(form.arg.format(param) + ", ")
-    start = ""
-    if head:
-        seq, t_us, *codes = codes
-        start = f'{{"seq": {seq}, "t_us": {t_us}'
-    template = (
-        f'{start}, "kind": "{kind}", "detail": {{'
-        + ", ".join(f'"{name}": {code}' for name, code in zip(fields, codes))
-        + _LINE_END
-    )
-    return eval(f"lambda q, c, {', '.join(params)}: {template!r} % ({''.join(args)})", {"__builtins__": {}})
+class LogSite(NamedTuple):
+    """A place the run logs entries of `row` from, with some of the row's
+    fields fixed: `line` is the whole line as one `%` template, each fixed
+    field's text in place (with every `%` doubled) and a `%d` or `%.6f` for
+    each other field, after the `%d`s of seq and t_us, so an entry's line is
+    `line % (seq, t_us, *args)`, `args` its varying values in field order.
+    `fixed` holds the row's values, `_VARYING` for each that varies."""
+
+    row: LogRow
+    line: str
+    fixed: tuple
+
+    def values(self, args: tuple) -> tuple:
+        """The row's values of the entry logged here with `args`."""
+        varying = iter(args)
+        return tuple([next(varying) if value is _VARYING else value for value in self.fixed])
+
+    def tail(self, *args: object) -> str:
+        """The line of an entry logged here with `args`, after its t_us: a
+        block item's tail."""
+        return self.line[len(_HEAD) :] % args
 
 
 class LogRow(tuple):
     """A row of the log schema: the tuple of its detail field names, in the
     order they are written, with its entries' `kind`, the `layer` a `message`
     row's entries hold (else None), each field's declared type in `types` and
-    its `_Form` in `forms`, and three things compiled at import: `emit(quoted,
-    render, seq, t_us, *values) -> line`, the row's line function,
-    `tail(quoted, render, *values)`, the same line after its t_us, and
-    `pattern`, the regex of its canonical line (the one `emit` writes) from
-    the kind's name to the detail's brace, one group per field.  Neither
-    function checks anything; the engine passes values of the declared
-    types, and tests hold their lines to `serialize_log`'s.  `group` is the
-    empty group that ends the row's branch in `_CANONICAL`, which joins the
-    patterns: the row's fields are the groups before it."""
+    its `_Form` in `forms`, and `pattern`, the regex of its canonical line
+    (the one a site writes) from the kind's name to the detail's brace, one
+    group per field.  `site(**fixed)` makes the row's log sites.  `group` is
+    the empty group that ends the row's branch in `_CANONICAL`, which joins
+    the patterns: the row's fields are the groups before it."""
 
     kind: str
     layer: str | None
     types: tuple[object, ...]
     forms: tuple[_Form, ...]
-    emit: Callable[..., str]
-    tail: Callable[..., str]
+    template: str
+    conversions: tuple[str, ...]
     pattern: str
     group: int
 
@@ -160,15 +148,34 @@ class LogRow(tuple):
         row = super().__new__(cls, fields)
         row.kind, row.layer, row.types = kind, layer, tuple(fields.values())
         row.forms = tuple(_FORMS[value_type] for value_type in row.types)
-        row.emit = _compile_line(kind, row, (int, int, *row.types))
-        row.tail = _compile_line(kind, row, row.types, head=False)
+        # a site's line, with each field's text in place of its `%s`
+        detail = ", ".join(f'"{name}": %s' for name in row)
+        row.template = _HEAD.replace("%", "%%") + f', "kind": "{kind}", "detail": {{{detail}{_LINE_END}'
+        row.conversions = tuple(_CONVERSIONS.get(value_type, "") for value_type in row.types)
         # a `message` row's `layer` is its own layer's name
         patterns = [f'"({layer})"' if name == "layer" else form.pattern for name, form in zip(row, row.forms)]
         row.pattern = f'{kind}", "detail": \\{{' + ", ".join(f'"{name}": {p}' for name, p in zip(row, patterns)) + r"\}"
         return row
 
+    def site(self, **fixed: object) -> LogSite:
+        """The site whose named fields hold these values (a `message` row's
+        `layer` is its own), each rendered into the line once, by `render`.
+        Every other field varies, and must be declared an int or a float.
+        Nothing checks a value's type: the engine passes the declared ones,
+        and tests hold the lines to `serialize_log`'s."""
+        if self.layer is not None:
+            fixed.setdefault("layer", self.layer)
+        values = tuple([fixed.pop(name, _VARYING) for name in self])
+        if fixed:
+            raise TypeError(f"{self.kind} has no field {next(iter(fixed))!r}")
+        conversions = self.conversions
+        texts = tuple([c if v is _VARYING else render(v).replace("%", "%%") for v, c in zip(values, conversions)])
+        if "" in texts:  # no value renders to ""
+            raise TypeError(f"{self.kind} field {self[texts.index('')]!r} is no number: it cannot vary")
+        return LogSite(self, self.template % texts, values)
+
     def entry(self, seq: int, t_us: int, values: tuple) -> LogEntry:
-        """The entry whose line `emit` writes."""
+        """The entry of these values, in field order."""
         return LogEntry(seq, t_us, self.kind, dict(zip(self, values)))
 
     def read(self, match: re.Match) -> tuple:
@@ -178,8 +185,8 @@ class LogRow(tuple):
 
 
 def block_lines(first_seq: int, t_us: int, items: Iterable[tuple[tuple, str]]) -> list[str]:
-    """The lines of a block, as the row's `emit` writes its entries: item i's
-    line is seq `first_seq + i` and `t_us`, then the item's tail."""
+    """The lines of a block: item i's line is seq `first_seq + i` and `t_us`,
+    then the item's tail."""
     return [f'{{"seq": {seq}, "t_us": {t_us}{tail}' for seq, (_values, tail) in enumerate(items, first_seq)]
 
 
@@ -311,13 +318,15 @@ TraceEvent = Reading | Override
 
 
 class LogSink(Protocol):
-    """What a run hands its entries to as they are logged, as schema rows
-    and detail values in each row's field order.  `add` takes one entry.
-    `block` takes a block: consecutive entries of one row at one instant,
-    from seq `first_seq` on, one per `(values, tail)` item, where `tail` is
-    the entry's line after its t_us, as `row.tail` renders it."""
+    """What a run hands its entries to as they are logged.  `add` takes one
+    entry, as the site it is logged from and its varying values, `args`:
+    its line is `site.line % (seq, t_us, *args)`, and its row's values are
+    `site.values(args)`.  `block` takes a block: consecutive entries of one
+    row at one instant, from seq `first_seq` on, one per `(values, tail)`
+    item, where `values` are the entry's values in the row's field order and
+    `tail` is its line after its t_us."""
 
-    def add(self, row: LogRow, seq: int, t_us: int, values: tuple) -> object: ...
+    def add(self, site: LogSite, seq: int, t_us: int, args: tuple) -> object: ...
 
     def block(self, row: LogRow, first_seq: int, t_us: int, items: Sequence[tuple[tuple, str]]) -> object: ...
 
@@ -340,8 +349,8 @@ class ExecutionLog:
     # the run's bus table: topic -> (producer layer, subscriber layers)
     routes: Mapping[str, tuple[Layer, tuple[Layer, ...]]] = field(default_factory=dict)
 
-    def add(self, row: LogRow, seq: int, t_us: int, values: tuple) -> None:
-        self.entries.append(row.entry(seq, t_us, values))
+    def add(self, site: LogSite, seq: int, t_us: int, args: tuple) -> None:
+        self.entries.append(site.row.entry(seq, t_us, site.values(args)))
 
     def block(self, row: LogRow, first_seq: int, t_us: int, items: Sequence[tuple[tuple, str]]) -> None:
         self.entries += [row.entry(seq, t_us, values) for seq, (values, _tail) in enumerate(items, first_seq)]
@@ -481,51 +490,32 @@ def load_trace(text: str, config: SystemConfig) -> list[TraceEvent]:
 # log serialization (external interface: stable keys, fixed 6-decimal floats)
 
 
-class _Quoted(dict):
-    """str -> its JSON literal; each distinct string is quoted once."""
+def render(value: object) -> str:
+    """The JSON text of a value, through one table keyed on its exact scalar
+    type: a float as `%.6f`, a str as `json.dumps` quotes it; anything else
+    must be a plain list, or a plain dict with str keys, and values of any
+    other type raise TypeError."""
+    return _SCALARS(type(value), _container)(value)
 
-    def __missing__(self, text: str) -> str:
-        quoted = self[text] = json.dumps(text)
-        return quoted
+
+def _container(value: object) -> str:
+    if type(value) is list:
+        return "[" + ", ".join([render(v) for v in value]) + "]"
+    if type(value) is not dict:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
+    for k in value:
+        if type(k) is not str:
+            raise TypeError(f"cannot serialize {type(k).__name__} key {k!r}")
+    return "{" + ", ".join([f"{encode_basestring_ascii(k)}: {render(v)}" for k, v in value.items()]) + "}"
 
 
-class Renderer:
-    """Value rendering with a string cache that lives as long as the
-    renderer.
-
-    `render` renders a value through one table keyed on its exact scalar
-    type; anything else must be a plain list, or a plain dict with str keys,
-    and values of any other type raise TypeError.  `quoted` is the string
-    cache, the `quoted` a line function takes.  Nothing the renderer holds
-    points back at it, so reference counting frees it, and every string it
-    cached, as soon as its caller drops it.
-    """
-
-    __slots__ = ("quoted", "get")
-
-    def __init__(self) -> None:
-        self.quoted = _Quoted()
-        # scalars only: a container's entry would call back into the renderer, a cycle
-        self.get = {
-            float: "{:.6f}".format,
-            int: int.__repr__,
-            bool: {True: "true", False: "false"}.__getitem__,
-            type(None): {None: "null"}.__getitem__,
-            str: self.quoted.__getitem__,
-        }.get
-
-    def render(self, value: object) -> str:
-        return self.get(type(value), self.container)(value)
-
-    def container(self, value: object) -> str:
-        if type(value) is list:
-            return "[" + ", ".join([self.render(v) for v in value]) + "]"
-        if type(value) is not dict:
-            raise TypeError(f"cannot serialize {type(value).__name__}")
-        for k in value:
-            if type(k) is not str:
-                raise TypeError(f"cannot serialize {type(k).__name__} key {k!r}")
-        return "{" + ", ".join([f"{self.quoted[k]}: {self.render(v)}" for k, v in value.items()]) + "}"
+_SCALARS = {
+    float: "{:.6f}".format,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+    str: encode_basestring_ascii,
+}.get
 
 
 # each schema row as (kind, *detail fields) -> the `layer` its entries hold:
@@ -539,7 +529,6 @@ def serialize_log(entries: Iterable[LogEntry]) -> str:
     fields) is not a `LOG_FIELDS` row, or a `message` whose `layer` is not its
     row's, raises the off-schema TypeError, and otherwise the first value the
     renderer cannot render raises its error."""
-    render = Renderer().render
     lines = []
     for entry in entries:
         kind, detail = entry.kind, entry.detail
@@ -645,7 +634,7 @@ def parse_log(text: str | Iterable[str]) -> list[LogEntry]:
 
 
 def serialize_stats(stats: dict) -> str:
-    return Renderer().render(stats) + "\n"
+    return render(stats) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +653,7 @@ def compute_stats(entries: Iterable[LogEntry]) -> dict:
         row, seq, t_us, values = _checked(entry.seq, entry.t_us, entry.kind, entry.detail)
         if error is None:
             try:
-                stats.add(row, seq, t_us, values)
+                stats.count(row, seq, t_us, values)
             except MalformedLogError as exc:
                 error = exc  # the entries left are still checked: an entry off the schema outranks it
     if error is not None:
@@ -672,13 +661,17 @@ def compute_stats(entries: Iterable[LogEntry]) -> dict:
     return stats.result()
 
 
+# the rows whose values the stats pass reads; it only counts the others
+_READ_ROWS = (_TASK_START, _TASK_FINISH, _TASK_ABORT, _SAFETY_HALT)
+
+
 class StatsAccumulator:
     """The stats pass, keyed on schema rows: it counts each row's entries,
     pairs each task's start with its finish or abort, and takes each start's
     latency and the first halt's t_us.  It is a run's sink (`add`, `block`);
-    `read(text)` counts a serialized log; and `result()` ends the log and
-    returns its stats document.  A MalformedLogError from any of them ends
-    the accumulator."""
+    `count(row, seq, t_us, values)` counts one entry; `read(text)` counts a
+    serialized log; and `result()` ends the log and returns its stats
+    document.  A MalformedLogError from any of them ends the accumulator."""
 
     __slots__ = ("counts", "open_tasks", "latencies", "halt_t_us")
 
@@ -688,7 +681,14 @@ class StatsAccumulator:
         self.latencies: list[int] = []
         self.halt_t_us: int | None = None
 
-    def add(self, row: LogRow, seq: int, t_us: int, values: tuple) -> None:
+    def add(self, site: LogSite, seq: int, t_us: int, args: tuple) -> None:
+        row = site.row
+        if row in _READ_ROWS:
+            self.count(row, seq, t_us, site.values(args))
+        else:
+            self.counts[row.group] += 1
+
+    def count(self, row: LogRow, seq: int, t_us: int, values: tuple) -> None:
         self.counts[row.group] += 1
         if row is _TASK_START:
             self._start((values[0], values[1]), t_us - values[2], seq)
@@ -698,9 +698,9 @@ class StatsAccumulator:
             self.halt_t_us = t_us
 
     def block(self, row: LogRow, first_seq: int, t_us: int, items: Sequence[tuple[tuple, str]]) -> None:
-        if row in (_TASK_START, _TASK_FINISH, _TASK_ABORT, _SAFETY_HALT):
+        if row in _READ_ROWS:
             for seq, (values, _tail) in enumerate(items, first_seq):
-                self.add(row, seq, t_us, values)
+                self.count(row, seq, t_us, values)
         else:
             self.counts[row.group] += len(items)
 
@@ -726,7 +726,7 @@ class StatsAccumulator:
         """Count a serialized log, whole or as an iterable of its text in
         pieces.  A canonical line's row is its match's last group, and only
         the fields the pass reads are converted; any other line is read the
-        slow way and counted through `add`.  Raises the MalformedLogError of
+        slow way and counted through `count`.  Raises the MalformedLogError of
         the first malformed line, else of the first unmatched start or
         finish."""
         counts, start, end = self.counts, self._start, self._end
@@ -757,7 +757,7 @@ class StatsAccumulator:
                             self.halt_t_us = int(match[2])
                     else:
                         for entry in scan.other(match):
-                            self.add(*entry)
+                            self.count(*entry)
         except MalformedLogError as error:
             if error.line is None:  # a stats error: the first malformed line after it outranks it
                 for matches in itertools.chain([matches], blocks):
@@ -799,35 +799,36 @@ class StatsAccumulator:
 # the engine
 
 
-@dataclass(frozen=True, slots=True)
+# eq=False: a branch is hashed by identity, as the key of its log text
+@dataclass(frozen=True, slots=True, eq=False)
 class _Branch:
     """One branch of a rule, THEN or the ELSE it has: the outcome that takes
     it, and `values`, its `(behavior, priority, rule, branch)`, the fields
-    its `behavior_fired` and `behavior_suppressed` entries share.  `head` is
-    its suppressed line's tail up to `"winner": `, and `close` ends the tail
-    of a suppressed line that this branch wins."""
+    its `behavior_fired` and `behavior_suppressed` entries share.  `close`
+    ends the tail of a suppressed line that this branch wins."""
 
     outcome: bool
     values: tuple[str, float, int, str]
-    head: str
     close: str
 
 
+def _suppressed_head(branch: _Branch) -> str:
+    """The tail of a `behavior_suppressed` line of the branch, up to its
+    `"winner": `, from a fully fixed site."""
+    site = _SUPPRESSED.site(**dict(zip(_SUPPRESSED, branch.values)), winner="")
+    return site.tail().removesuffix('""' + _LINE_END)
+
+
 def _compile_rule(
-    index: int, rule: Rule, priorities: Mapping[str, float], renderer: Renderer
+    index: int, rule: Rule, priorities: Mapping[str, float]
 ) -> tuple[Callable[[Mapping[str, float]], bool], frozenset[str], tuple[_Branch, ...]]:
     """Rule `index` of the program, compiled at setup, once for every route
     it sits on: `(condition, signals, branches)`, its condition as one
-    closure, the signals it needs, and its branches, their text rendered by
-    `renderer`."""
-    quoted, render = renderer.quoted, renderer.render
-    unnamed = quoted[""] + _LINE_END  # the end of a suppressed line's tail whose winner is ""
+    closure, the signals it needs, and its branches."""
     branches = []
     for outcome, branch, target in ((True, "then", rule.then_behavior), (False, "else", rule.else_behavior)):
         if target is not None:
-            values = (target, priorities[target], index, branch)
-            head = _SUPPRESSED.tail(quoted, render, *values, "").removesuffix(unnamed)
-            branches.append(_Branch(outcome, values, head, quoted[target] + _LINE_END))
+            branches.append(_Branch(outcome, (target, priorities[target], index, branch), render(target) + _LINE_END))
     signals = frozenset(signal for signal, _span in condition_signals(rule.condition))
     return compile_condition(rule.condition), signals, tuple(branches)
 
@@ -854,6 +855,37 @@ class _Route:
         rule whose every signal has a value is evaluated once."""
         outcomes = [condition(values) if values.keys() >= signals else None for condition, signals, _ in self.rules]
         return [branch for position, branch in self.pairs if outcomes[position] is branch.outcome]
+
+
+class _Cache(dict):
+    """key -> `build(key)`, built the first time the key is looked up: the
+    engine's log sites, so a run builds only those it logs through.  No
+    `build` holds the engine, so no cache keeps a finished one alive."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build: Callable[[object], object]) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key: object) -> object:
+        value = self[key] = self.build(key)
+        return value
+
+
+def _plan_items(plans: Mapping[str, Sequence[tuple[int, dict]]], behavior: str) -> list[tuple[int, tuple]]:
+    """A behavior's plan as a firing queues it: `(offset_us, item)` per
+    command, where the item is `(command, its behavior-layer message's
+    site, its actuator_cmd or play_cmd site)`, each site fully fixed but the
+    message's `bus_seq`."""
+    items = []
+    for offset_us, command in plans[behavior]:
+        sent = _COMMAND_MESSAGE.site(topic=command_topic(command["actuator"]), command=command, behavior=behavior)
+        # a command's keys are its row's fields but `behavior`
+        row = _PLAY_CMD if command["action"] == "play" else _ACTUATOR_CMD
+        done = row.site(**{name: command[name] for name in row[:-1]}, behavior=behavior)
+        items.append((offset_us, (command, sent, done)))
+    return items
 
 
 class _Engine:
@@ -888,6 +920,17 @@ class _Engine:
         self._window_us = config.scheduler.window_us
         self._cost_us = config.scheduler.default_task_cost_us  # every task's run time
         self._next_window = self._window_us
+        # the log sites, keyed on what they fix: a task id, a sensor, a
+        # processing topic, a rule branch, a behavior's plan
+        self._started = _Cache(lambda task: _TASK_START.site(task=task))
+        self._finished = _Cache(lambda task: _TASK_FINISH.site(task=task))
+        self._arrived = _Cache(lambda sensor: _SENSOR_EVENT.site(sensor=sensor))
+        # a sensor's topic is named after it
+        self._forwarded = _Cache(lambda sensor: _SENSOR_MESSAGE.site(topic=sensor, sensor=sensor))
+        self._processed = _Cache(lambda topic: _PROCESSED_MESSAGE.site(topic=topic))
+        self._fired = _Cache(lambda branch: _FIRED.site(**dict(zip(_FIRED, branch.values))))
+        self._suppressed = _Cache(_suppressed_head)
+        self._plans = _Cache(functools.partial(_plan_items, program.plans))
         try:
             self._wire()
         except BaseException:
@@ -903,7 +946,6 @@ class _Engine:
         windows log their priority updates in.  Each site that queues work
         keeps its tasks: the run looks up no task by id."""
         config, program, bus = self.config, self.program, self.bus
-        renderer = Renderer()  # renders the text set up here: suppressed heads, idle updates
         # each processing topic's bound signals, and its rules: each rule
         # compiled once, under every distinct topic its signals read
         signals_by_topic: dict[str, list[str]] = {}
@@ -911,7 +953,7 @@ class _Engine:
             signals_by_topic.setdefault(name, []).append(signal)
         rules_by_topic: dict[str, list[tuple]] = {}
         for index, rule in enumerate(program.program.rules):
-            compiled = _compile_rule(index, rule, program.priorities, renderer)
+            compiled = _compile_rule(index, rule, program.priorities)
             for name in dict.fromkeys(program.signal_topics[s] for s in compiled[1]):
                 rules_by_topic.setdefault(name, []).append(compiled)
 
@@ -960,8 +1002,13 @@ class _Engine:
             task.base_priority = task.current_priority = base[task_id]
 
         # each window's `priority_update`s, as a block: an idle task's item is rendered here, once
-        quoted, render, tail = renderer.quoted, renderer.render, _PRIORITY_UPDATE.tail
-        self._idle = sched.IdleUpdates(self.tasks, config.scheduler, lambda values: (values, tail(quoted, render, *values)))
+        updated = _Cache(lambda key: _PRIORITY_UPDATE.site(task=key[0], behavior=key[1]))
+
+        def item(values: tuple) -> tuple[tuple, str]:
+            task, old, new, f_max, behavior, delta = values
+            return values, updated[task, behavior].tail(old, new, f_max, delta)
+
+        self._idle = sched.IdleUpdates(self.tasks, config.scheduler, item)
 
     def _add_task(self, category: sched.TaskCategory, name: str, behaviors: Iterable[str] = ()) -> sched.TaskDescriptor:
         """A new task `<category label>.<name>` at the end of `tasks`; `_wire`
@@ -976,15 +1023,15 @@ class _Engine:
         """A sensor topic's processing-layer handler: `_wire` binds in one stage's task, plugin and output."""
         self.queue.push(task, self.clock_us, (plugin, step, output, reading, seq))
 
-    def _on_command(self, task: sched.TaskDescriptor, seq: int, item: tuple[dict, str]) -> None:
+    def _on_command(self, task: sched.TaskDescriptor, seq: int, item: tuple) -> None:
         """A command topic's control-layer handler: `_wire` binds in its actuator's control task."""
         self.queue.push(task, self.clock_us, item)
 
     # -- logging ----------------------------------------------------------
 
-    def _log(self, row: LogRow, *values: object) -> None:
+    def _log(self, site: LogSite, *args: object) -> None:
         # the clock only moves forward, so entries come in t_us order
-        self._add(row, next(self._seqs), self.clock_us, values)
+        self._add(site, next(self._seqs), self.clock_us, args)
 
     def _log_block(self, row: LogRow, items: Sequence[tuple[tuple, str]]) -> None:
         """Log one entry of `row` per `(values, tail)` item, all now, in one
@@ -993,11 +1040,11 @@ class _Engine:
         self._seqs = itertools.count(first_seq + len(items))
         self._add_block(row, first_seq, self.clock_us, items)
 
-    def _publish(self, row: LogRow, topic: Topic, payload: object, *fields: object) -> None:
-        """Log the `message` entry of the topic's layer's row, then publish:
-        the entry precedes anything the synchronous fan-out logs."""
+    def _publish(self, site: LogSite, topic: Topic, payload: object, *args: object) -> None:
+        """Log the topic's `message` entry from its site, then publish: the
+        entry precedes anything the synchronous fan-out logs."""
         bus = self.bus
-        self._log(row, topic.name, topic.label, bus.next_seq, *fields)
+        self._add(site, next(self._seqs), self.clock_us, (bus.next_seq, *args))
         bus.publish(topic, payload)
 
     # -- main loop --------------------------------------------------------
@@ -1029,9 +1076,9 @@ class _Engine:
             for event in itertools.islice(trace, position, None):
                 self.clock_us = max(self.clock_us, event.t_us)
                 if isinstance(event, Override):
-                    self._log(_TRACE_DROPPED, None, None, STOP_COMMAND)
+                    self._log(_TRACE_DROPPED.site(sensor=None, value=None, command=STOP_COMMAND))
                 else:
-                    self._log(_TRACE_DROPPED, event.sensor, event.value, None)
+                    self._log(_TRACE_DROPPED.site(sensor=event.sensor, value=event.value, command=None))
 
             if not self.halted and self.horizon_us is not None:
                 self._tick_windows(self.horizon_us)
@@ -1067,7 +1114,7 @@ class _Engine:
         if isinstance(event, Override):
             self._halt(source="override", command=STOP_COMMAND)
             return
-        self._log(_SENSOR_EVENT, event.sensor, event.value)
+        self._log(self._arrived[event.sensor], event.value)
         topic, task, checks, delta = self._sensors[event.sensor]
         for check in checks:
             if evaluate_safety(event.value, check):
@@ -1079,7 +1126,7 @@ class _Engine:
         # after a halt the main loop handles no completion, so this task still runs
         assert entry is self.running
         self.running = None
-        self._log(_TASK_FINISH, entry.task.id, entry.enqueue_seq)
+        self._log(self._finished[entry.task.id], entry.enqueue_seq)
         self._FINISH[entry.task.category](self, entry)
 
     def _finish_sensor_input(self, entry: sched.QueueEntry) -> None:
@@ -1088,14 +1135,14 @@ class _Engine:
         if not gate_significant(prev, reading.value, delta):
             return  # null branch: nothing reaches the processing layer
         self.gate_prev[reading.sensor] = reading.value
-        self._publish(_SENSOR_MESSAGE, topic, reading, reading.value, reading.sensor, reading.t_us)
+        self._publish(self._forwarded[reading.sensor], topic, reading, reading.value, reading.t_us)
 
     def _finish_algorithmic(self, entry: sched.QueueEntry) -> None:
         plugin, step, topic, reading, source_seq = entry.payload  # type: ignore[misc]
         value = run_algorithm(plugin, step, reading)
         if value is None:
             return
-        self._publish(_PROCESSED_MESSAGE, topic, value, value, source_seq)
+        self._publish(self._processed[topic.name], topic, value, value, source_seq)
 
     def _on_processed(self, signals: list[str], route: _Route, seq: int, value: float) -> None:
         """A processing topic's behavior-layer handler: `_wire` binds in its signals and route."""
@@ -1106,28 +1153,26 @@ class _Engine:
         if not fired:
             return
         winner, *suppressed = fired
-        self._log(_FIRED, *winner.values, seq)
+        self._log(self._fired[winner], seq)
         behavior = winner.values[0]
         sched.record_trigger(self.counts, behavior)
         self.queue.push(self._behavior_tasks[behavior], self.clock_us, behavior)
         if suppressed:
-            close = winner.close
-            self._log_block(_SUPPRESSED, [(pair.values + (behavior,), pair.head + close) for pair in suppressed])
+            close, heads = winner.close, self._suppressed
+            self._log_block(_SUPPRESSED, [(pair.values + (behavior,), heads[pair] + close) for pair in suppressed])
 
     def _finish_behavioral(self, entry: sched.QueueEntry) -> None:
         behavior: str = entry.payload  # type: ignore[assignment]
-        for offset_us, command in self.program.plans[behavior]:
-            heapq.heappush(self._heap, (self.clock_us + offset_us, _RANK_ENQUEUE, next(self._ties), (command, behavior)))
+        for offset_us, item in self._plans[behavior]:
+            heapq.heappush(self._heap, (self.clock_us + offset_us, _RANK_ENQUEUE, next(self._ties), item))
 
-    def _handle_deferred_enqueue(self, item: tuple[dict, str]) -> None:
-        self._publish(_COMMAND_MESSAGE, self._commands[item[0]["actuator"]], item, *item)
+    def _handle_deferred_enqueue(self, item: tuple) -> None:
+        command, sent, _done = item
+        self._publish(sent, self._commands[command["actuator"]], item)
 
     def _finish_control(self, entry: sched.QueueEntry) -> None:
-        command, behavior = entry.payload  # type: ignore[misc]
-        if command["action"] == "play":
-            self._log(_PLAY_CMD, command["actuator"], command["resource"], behavior)
-        else:
-            self._log(_ACTUATOR_CMD, command["actuator"], command["action"], command["value"], behavior)
+        _command, _sent, done = entry.payload  # type: ignore[misc]
+        self._log(done)
 
     # plain functions, not bound methods, so the table holds no engine
     _FINISH = {
@@ -1147,12 +1192,16 @@ class _Engine:
     ) -> None:
         # no safety work is ever queued: the running task aborts, the queue empties
         aborted, self.running = self.running, None
-        purged = self.queue.purge()
+        purged = [e.task.id for e in self.queue.purge()]
         neutral = {a.name: a.clamp(0.0) for a in self.config.actuators}
         aborted_id = aborted.task.id if aborted else None
-        self._log(_SAFETY_HALT, source, sensor, reading, threshold, command, neutral, aborted_id, [e.task.id for e in purged])
+        site = _SAFETY_HALT.site(
+            source=source, sensor=sensor, reading=reading, threshold=threshold, command=command,
+            neutral=neutral, aborted=aborted_id, purged=purged,
+        )
+        self._log(site)
         if aborted is not None:
-            self._log(_TASK_ABORT, aborted.task.id, aborted.enqueue_seq, "safety_halt")
+            self._log(_TASK_ABORT.site(task=aborted.task.id, enqueue_seq=aborted.enqueue_seq, reason="safety_halt"))
         self.halted = True
 
     def _dispatch(self) -> None:
@@ -1165,7 +1214,7 @@ class _Engine:
         # so nothing may outrank the pick
         runner_up = self.queue.peek()
         assert runner_up is None or runner_up.task.current_priority <= task.current_priority
-        self._log(_TASK_START, task.id, entry.enqueue_seq, entry.enqueue_t_us, task.current_priority)
+        self._log(self._started[task.id], entry.enqueue_seq, entry.enqueue_t_us, task.current_priority)
         self.running = entry
         heapq.heappush(self._heap, (self.clock_us + self._cost_us, _RANK_TASK_DONE, next(self._ties), entry))
 

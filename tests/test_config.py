@@ -492,6 +492,7 @@ def _config_texts() -> dict[str, str]:
 _SERIALIZED_SHA256 = {
     "minimal_config.json": "4590208c45dc4f43e227a23e63cad012b8ce5306e30d4e6648c763307a86222a",
     "touch_config.json": "222f773592a61e674fba8177bf2f487552cf15326251998abc4d82abb10688b1",
+    "scenarios/escaped_text/config.json": "0f711a65645a201bbaf7087b3453e6a9606c6b534d9c512a984f66657acb6aee",
     "scenarios/halt_windows/config.json": "0dba72848ce1fffff7e51d73641a9f375ba5904a11380635f86130475885cabf",
     "scenarios/plugins/config.json": "adc1b2f2dc1bd320f68c90eedd5af9444bfb776fbdf57f5f2bab8fd9b9931cb9",
     "scenarios/until_idle/config.json": "c89f1ac7c0aa705f69ce9a42c9e7cbc84c3696d3acbf572a2e01e884080e3d0d",

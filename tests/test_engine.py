@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import enum
 import gc
+import io
+import itertools
 import json
 import re
 import sys
@@ -178,8 +180,8 @@ class _Recorder:
         self.entries: list[eng.LogEntry] = []
         self.blocks: set[str] = set()
 
-    def add(self, row, seq, t_us, values):
-        self.entries.append(row.entry(seq, t_us, values))
+    def add(self, site, seq, t_us, args):
+        self.entries.append(site.row.entry(seq, t_us, site.values(args)))
 
     def block(self, row, first_seq, t_us, items):
         self.entries += [row.entry(seq, t_us, values) for seq, (values, _tail) in enumerate(items, first_seq)]
@@ -250,8 +252,8 @@ def test_a_run_hands_each_entry_to_its_sink(tmp_path):
 
 def test_stats_count_a_block_of_task_rows_as_one_entry_at_a_time():
     # the engine hands task rows to its sink one at a time, but a block may
-    # hold any row: task starts, ends and halts in one are counted as `add`s
-    renderer = eng.Renderer()
+    # hold any row: task starts, ends and halts in one are counted as `add`s,
+    # here each from a fully fixed site
     blocks = [
         (eng._TASK_START, 0, 10, [("a", 0, 0, 0.5), ("b", 1, 4, 0.25)]),
         (eng._TASK_FINISH, 2, 110, [("a", 0)]),
@@ -261,16 +263,18 @@ def test_stats_count_a_block_of_task_rows_as_one_entry_at_a_time():
     ]
     by_block, by_add = eng.StatsAccumulator(), eng.StatsAccumulator()
     for row, first_seq, t_us, values in blocks:
-        by_block.block(row, first_seq, t_us, [(v, row.tail(renderer.quoted, renderer.render, *v)) for v in values])
-        for seq, v in enumerate(values, first_seq):
-            by_add.add(row, seq, t_us, v)
+        sites = [row.site(**dict(zip(row, v))) for v in values]
+        by_block.block(row, first_seq, t_us, [(v, site.tail()) for v, site in zip(values, sites)])
+        for seq, site in enumerate(sites, first_seq):
+            by_add.add(site, seq, t_us, ())
     assert by_block.result() == by_add.result()
     assert by_add.result()["latency_us"] == {"min": 6, "mean": 8.0, "max": 10}
 
 
 def test_finished_run_leaves_no_cyclic_garbage(touch_config_text, behavior_text, touch_trace_text):
     # reference counting alone frees a finished engine, whose entries die with
-    # the log, each renderer with its caches, and an engine whose run or setup failed
+    # the log, with its log sites, also when it wrote through the log writer,
+    # and an engine whose run or setup failed
     config, program = _setup(touch_config_text, behavior_text)
     trace = eng.load_trace(touch_trace_text, config)
     gap = eng.load_trace('{"t_us": 1000, "sensor": "touch", "value": 2}\n{"t_us": 100000000000000, "sensor": "touch", "value": 2}', config)
@@ -301,14 +305,19 @@ def test_finished_run_leaves_no_cyclic_garbage(touch_config_text, behavior_text,
         eng.serialize_stats(eng.compute_stats(entries))
         del entries
         assert gc.collect() == 0
-        for run_config, run_program, run_trace, error in failing:
+        out = io.StringIO()
+        eng.run(config, program, trace, sink=cli._LogWriter(out))
+        assert out.getvalue()
+        del out
+        assert gc.collect() == 0
+        for (run_config, run_program, run_trace, error), writer in itertools.product(failing, (False, True)):
             try:
-                eng.run(run_config, run_program, run_trace)
+                eng.run(run_config, run_program, run_trace, sink=cli._LogWriter(io.StringIO()) if writer else None)
             except error:
                 pass
             else:
                 pytest.fail(f"the run raised no {error.__name__}")
-            assert gc.collect() == 0, error.__name__
+            assert gc.collect() == 0, (error.__name__, writer)
     finally:
         gc.enable()
 
@@ -749,16 +758,15 @@ def test_a_route_ranks_its_pairs_as_the_sorted_candidates(rules, priorities, sna
     # and each suppressed line's tail is the row's own
     priorities = dict(zip(_ROUTE_BEHAVIORS, priorities))
     indexed = [(index, rule, frozenset(s for s, _ in dsl.condition_signals(rule.condition))) for index, rule in enumerate(rules)]
-    renderer = eng.Renderer()
-    route = eng._Route([eng._compile_rule(index, rule, priorities, renderer) for index, rule in enumerate(rules)])
+    route = eng._Route([eng._compile_rule(index, rule, priorities) for index, rule in enumerate(rules)])
     for values in snapshots:
         fired = route.fired(values)
         assert [branch.values for branch in fired] == _sorted_candidates(indexed, priorities, values)
         if fired:
             winner, *suppressed = fired
             for branch in suppressed:
-                expected = eng._SUPPRESSED.tail(renderer.quoted, renderer.render, *branch.values, winner.values[0])
-                assert branch.head + winner.close == expected
+                site = eng._SUPPRESSED.site(**dict(zip(eng._SUPPRESSED, (*branch.values, winner.values[0]))))
+                assert eng._suppressed_head(branch) + winner.close == site.tail()
 
 
 # ---------------------------------------------------------------------------
@@ -1356,20 +1364,35 @@ _DECLARED = {
 @settings(max_examples=100)
 @given(data=st.data())
 def test_row_emitters_match_serialize_log(shape, data):
-    # an independent differential: the writer's per-row lines, from `%`
-    # templates compiled per row, are the checked serializer's, which shares
-    # no template with them and renders each entry whole through
-    # `Renderer.render`, byte for byte, for any values of the declared types
-    # (and a `message`'s own layer, as `serialize_log` refuses any other)
+    # a row's emitters are its log sites.  An independent differential: a
+    # site's line, one `%` template with its fixed fields rendered in once
+    # and a conversion for each other field, is the checked serializer's,
+    # which shares no template with it and renders each entry whole through
+    # `render`, byte for byte, for any values of the declared types and any
+    # split of the row's numbers into fixed and varying (and a `message`'s
+    # own layer, as `serialize_log` refuses any other)
     row = eng.LOG_FIELDS[shape]
     seq, t_us = data.draw(_declared_int), data.draw(_declared_int)
     values = tuple(shape[1] if name == "layer" else data.draw(_DECLARED[declared]) for name, declared in zip(row, row.types))
-    renderer = eng.Renderer()
-    line = row.emit(renderer.quoted, renderer.render, seq, t_us, *values)
-    assert line == eng.serialize_log([eng.LogEntry(seq, t_us, row.kind, dict(zip(row, values)))])
-    # and a block's line is its seq and t_us, then the row's tail
-    tail = row.tail(renderer.quoted, renderer.render, *values)
-    assert eng.block_lines(seq, t_us, [(values, tail)]) == [line]
+    detail = dict(zip(row, values))
+    varying = [name for name, declared in zip(row, row.types) if declared in (int, float) and data.draw(st.booleans())]
+    site = row.site(**{name: value for name, value in detail.items() if name not in varying})
+    args = tuple(detail[name] for name in varying)
+    line = eng.serialize_log([eng.LogEntry(seq, t_us, row.kind, detail)])
+    assert site.line % (seq, t_us, *args) == line
+    assert site.row is row and site.values(args) == values
+    # and a block's line is its seq and t_us, then a fully fixed site's tail
+    assert eng.block_lines(seq, t_us, [(values, row.site(**detail).tail())]) == [line]
+
+
+def test_a_site_varies_only_numbers_of_its_row():
+    with pytest.raises(TypeError, match="^task_start field 'task' is no number: it cannot vary$"):
+        eng._TASK_START.site()
+    with pytest.raises(TypeError, match="^task_finish has no field 'reason'$"):
+        eng._TASK_FINISH.site(task="t", reason="safety_halt")
+    # a `message` site holds its row's own layer
+    site = eng._PROCESSED_MESSAGE.site(topic="t")
+    assert site.values((1, 2.0, 3)) == ("t", "processing", 1, 2.0, 3)
 
 
 def test_dispatch_dominance_reconstructed_from_log(touch_config_text):

@@ -297,16 +297,15 @@ def _written(value, space, escape: bool) -> str:
 @given(data=st.data())
 def test_fast_path_reads_a_line_as_the_slow_path_does(shape, data):
     # a line of drawn values of the row's declared types, written three ways:
-    # by the row's emitter, with drawn whitespace and key order, and with
-    # every string as `\uXXXX` escapes (and the emitter's line with one
+    # through a fully fixed site, with drawn whitespace and key order, and with
+    # every string as `\uXXXX` escapes (and the site's line with one
     # character put in); where the fast path reads a line, it reads the slow
     # path's row and values, and a line the slow path refuses it leaves to it
     row = eng.LOG_FIELDS[shape]
     seq, t_us = data.draw(_INT), data.draw(_INT)
     values = tuple(shape[1] if name == "layer" else data.draw(_VALUES[declared]) for name, declared in zip(row, row.types))
-    renderer = eng.Renderer()
-    emitted = row.emit(renderer.quoted, renderer.render, seq, t_us, *values).removesuffix("\n")
     detail = dict(zip(row, values))
+    emitted = (row.site(**detail).line % (seq, t_us)).removesuffix("\n")
     outer = {"seq": seq, "t_us": t_us, "kind": row.kind, "detail": detail}
     if data.draw(st.booleans()):
         outer = dict(data.draw(st.permutations(list(outer.items()))))
@@ -315,7 +314,7 @@ def test_fast_path_reads_a_line_as_the_slow_path_does(shape, data):
     spaces = st.sampled_from(["", " ", "  ", "\t", " \t"])
     spaced = _written(outer, lambda: data.draw(spaces), escape=False)
     escaped = _written({"seq": seq, "t_us": t_us, "kind": row.kind, "detail": detail}, lambda: " ", escape=True)
-    # and the emitter's line with one character put in where a value starts
+    # and the site's line with one character put in where a value starts
     # or ends, such as a leading zero, in each such place
     places = [m.start() for m in re.finditer(r"(?<=: )|(?<=\[)|(?=[,}\]])", emitted)]
     perturbed = [emitted[:at] + char + emitted[at:] for at in places for char in '0-.e "\\']
@@ -324,7 +323,7 @@ def test_fast_path_reads_a_line_as_the_slow_path_does(shape, data):
         if fast is not None:
             assert fast[0] is slow[0] and fast[1:] == slow[1:], line
             assert [type(v) for v in fast[3]] == [type(v) for v in slow[3]], line
-    # the emitter's line of values the canonical form holds is the fast path's
+    # the site's line of values the canonical form holds is the fast path's
     if all(map(_has_canonical_text, (seq, t_us, *values))):
         assert _fast(emitted) is not None, emitted
     assert _fast(escaped) is None  # every string, the keys too, is escaped
