@@ -19,7 +19,7 @@ import os
 import re
 import shutil
 import sys
-from typing import Iterator, Sequence, TextIO
+from typing import Iterator, TextIO
 
 from . import engine as engine_mod
 from .bus import BusError
@@ -31,13 +31,11 @@ from .dsl import BindErrors, ParseError, bind_program, format_program, parse_pro
 # bench/tracing.py, looks up each function it wraps in this module's
 # namespace, and a missing one fails it
 from .engine import (
-    LogRow,
-    LogSite,
+    LogWriter,
     MalformedLogError,
     RunLimitError,
     StatsAccumulator,
     TraceError,
-    block_lines,
     compute_stats,
     load_trace,
     parse_log,
@@ -116,23 +114,6 @@ def cmd_parse(args: argparse.Namespace) -> int:
     return ExitStatus.OK
 
 
-class _LogWriter:
-    """A run's sink: `add` writes each entry as it is logged, its site's
-    line template filled in, and `block` the lines of a block at once, each
-    entry from its tail.  The output's own buffer batches the bytes."""
-
-    __slots__ = ("write",)
-
-    def __init__(self, out: TextIO) -> None:
-        self.write = out.write
-
-    def add(self, site: LogSite, seq: int, t_us: int, args: tuple) -> None:
-        self.write(site.line % (seq, t_us, *args))
-
-    def block(self, row: LogRow, first_seq: int, t_us: int, items: Sequence[tuple[tuple, str]]) -> None:
-        self.write("".join(block_lines(first_seq, t_us, items)))
-
-
 class _Tee:
     """A run's sink that hands each entry, and each block, to every one of
     its sinks in turn."""
@@ -205,7 +186,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     stats = StatsAccumulator() if args.stats else None
     try:
         with _output(args.output) as out:
-            writer = _LogWriter(out)
+            writer = LogWriter(out)
             sink = writer if stats is None else _Tee(writer, stats)
             engine_mod.run(config, program, trace, horizon_us=args.until, sink=sink)
     except BusError as exc:

@@ -24,7 +24,7 @@ import re
 import statistics
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence, TextIO
 
 from . import sched
 from .bus import DeliveryRecord, Layer, MessageBus, Topic, evaluate_safety
@@ -184,12 +184,6 @@ class LogRow(tuple):
         return tuple(form.read(text) for form, text in zip(self.forms, texts))
 
 
-def block_lines(first_seq: int, t_us: int, items: Iterable[tuple[tuple, str]]) -> list[str]:
-    """The lines of a block: item i's line is seq `first_seq + i` and `t_us`,
-    then the item's tail."""
-    return [f'{{"seq": {seq}, "t_us": {t_us}{tail}' for seq, (_values, tail) in enumerate(items, first_seq)]
-
-
 # The log schema: each entry shape, (kind, producing layer for a `message`,
 # else None), -> its row.  The `_log` call sites pass each row's values in its
 # field order; `serialize_log` refuses any other shape.
@@ -273,13 +267,10 @@ for _row in LOG_FIELDS.values():
     _ROWS[_row.group] = _row
 del _row
 
-# Intra-timestamp processing order: window boundaries close before any work
-# at the boundary instant, completions before deferred enqueues; trace arrivals,
-# read beside the heap, come last so a reading can never race the task it spawns.
-_RANK_TASK_DONE = 1
-_RANK_ENQUEUE = 2
-
 STOP_COMMAND = "STOP"
+
+# the running task's completion time while no task runs
+_IDLE = float("inf")
 
 # Window boundaries log one `priority_update` per task however idle the time
 # between them, so theirs is the only entry count that does not grow with the
@@ -370,6 +361,24 @@ class ExecutionLog:
         return tuple(records)
 
 
+class LogWriter:
+    """A run's sink that writes its log to `out`: each entry as it is
+    logged, its site's line filled in, and a block's lines in one `write`,
+    each its seq and t_us, then its item's tail.  The output's own buffer
+    batches the bytes."""
+
+    __slots__ = ("write",)
+
+    def __init__(self, out: TextIO) -> None:
+        self.write = out.write
+
+    def add(self, site: LogSite, seq: int, t_us: int, args: tuple) -> None:
+        self.write(site.line % (seq, t_us, *args))
+
+    def block(self, row: LogRow, first_seq: int, t_us: int, items: Sequence[tuple[tuple, str]]) -> None:
+        self.write("".join([f'{{"seq": {seq}, "t_us": {t_us}{tail}' for seq, (_values, tail) in enumerate(items, first_seq)]))
+
+
 # ---------------------------------------------------------------------------
 # JSON-lines reading
 
@@ -406,6 +415,22 @@ def _split_lines(text: str | Iterable[str], chunk: int = CHUNK_CHARS) -> Iterato
         yield from block[:end].splitlines()
 
 
+class _RepeatedKey(ValueError):
+    """A JSON object names one key twice: a decoder would keep the last."""
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A decoder's `object_pairs_hook` that refuses a repeated key."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _value in pairs:
+            if key in seen:
+                raise _RepeatedKey(f"repeated key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def _json_lines(
     text: str | Iterable[str],
     scan: Callable[[str, int], tuple[object, int]],
@@ -415,7 +440,8 @@ def _json_lines(
 ) -> Iterator[tuple[int, object]]:
     """`(line number, value)` per non-blank line of `text`, whole or in
     pieces, the first line numbered `first_line`; a line that is not one JSON
-    value raises `error(line number, reason)`.
+    value raises `error(line number, reason)`, and so does one that names a
+    key twice in one object, if `scan` and `decode` refuse that.
 
     `decode` scans from 0 too unless the line starts with whitespace (or, for
     `json.loads`, a BOM), so a value that spans the whole line is exactly what
@@ -433,6 +459,8 @@ def _json_lines(
                 obj = decode(line)
         except json.JSONDecodeError as exc:
             raise error(line_no, f"invalid JSON: {exc.msg}") from None
+        except _RepeatedKey as exc:
+            raise error(line_no, str(exc)) from None
         except ValueError as exc:  # a non-finite constant or an over-long integer
             raise error(line_no, f"invalid JSON: {exc}") from None
         except RecursionError:
@@ -443,18 +471,43 @@ def _json_lines(
 # ---------------------------------------------------------------------------
 # trace loading
 
-# json.loads's settings: a NaN or Infinity value decodes, then fails the trace's own check
+# json.loads's settings: a NaN or Infinity value decodes, then fails the trace's own check;
+# the fast scan keeps the last of a repeated key, and the checked scan and decode refuse it
 _TRACE_SCAN = json.JSONDecoder().scan_once
+_TRACE_CHECKED = (
+    json.JSONDecoder(object_pairs_hook=_unique_keys).scan_once,
+    functools.partial(json.loads, object_pairs_hook=_unique_keys),
+)
 
 
 def load_trace(text: str, config: SystemConfig) -> list[TraceEvent]:
     """Parse a JSON-lines trace and check it against the config's sensors.
 
     Events come back sorted by timestamp, file order preserved among ties.
+    A line that names one key twice is refused.  The lines are read through
+    the fast scan, which keeps the last of a repeated key, and read again,
+    through the checked one, only when a line is refused or the text holds
+    more `:`s than its lines have keys (a key repeated at any depth adds
+    one), so the first bad line is the one refused.
     """
+    try:
+        events, keys = _trace_events(text, config, _TRACE_SCAN, json.loads)
+    except TraceError:
+        keys = -1
+    if keys != text.count(":"):
+        events, keys = _trace_events(text, config, *_TRACE_CHECKED)
+    events.sort(key=lambda e: e.t_us)  # stable: ties keep file order
+    return events
+
+
+def _trace_events(
+    text: str, config: SystemConfig, scan: Callable[[str, int], tuple[object, int]], decode: Callable[[str], object]
+) -> tuple[list[TraceEvent], int]:
+    """The trace's events in file order, and the keys their lines hold."""
     sensor_names = {s.name for s in config.sensors}
     events: list[TraceEvent] = []
-    for line_no, obj in _json_lines(text, _TRACE_SCAN, json.loads, TraceError):
+    overrides = 0
+    for line_no, obj in _json_lines(text, scan, decode, TraceError):
         if not isinstance(obj, dict):
             raise TraceError(line_no, "each line must be an object")
         t_us = obj.get("t_us")
@@ -478,12 +531,12 @@ def load_trace(text: str, config: SystemConfig) -> list[TraceEvent]:
             if command != STOP_COMMAND:
                 raise TraceError(line_no, f"unsupported override {command!r}")
             events.append(Override(t_us))
+            overrides += 1
         else:
             raise TraceError(
                 line_no, "expected keys {t_us, sensor, value} or {t_us, override}"
             )
-    events.sort(key=lambda e: e.t_us)  # stable: ties keep file order
-    return events
+    return events, 3 * len(events) - overrides  # a reading's line holds 3 keys, an override's 2
 
 
 # ---------------------------------------------------------------------------
@@ -597,15 +650,18 @@ class _LogScan:
         return _decoded(text, line + 1)
 
 
+# the slow path's decoder: `_LOG_DECODER`'s, refusing a repeated key too
+_LOG_LINE_DECODER = json.JSONDecoder(parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
+
+
 def _decoded(text: str, first_line: int = 1) -> list[tuple[LogRow, int, int, tuple]]:
     """`(row, seq, t_us, values)` per entry of a log's `text`, its first
     line numbered `first_line`, read the slow way: each line through the JSON
     decoder and `_checked`.  Raises MalformedLogError naming the first bad
     line."""
     rows = []
-    lines = _json_lines(
-        text, _LOG_DECODER.scan_once, _LOG_DECODER.decode, lambda n, reason: MalformedLogError(reason, n), first_line
-    )
+    decoder = _LOG_LINE_DECODER
+    lines = _json_lines(text, decoder.scan_once, decoder.decode, lambda n, reason: MalformedLogError(reason, n), first_line)
     for line_no, obj in lines:
         if not isinstance(obj, dict) or obj.keys() != _LOG_ENTRY_KEYS:
             raise MalformedLogError("expected keys {seq, t_us, kind, detail}", line_no)
@@ -911,11 +967,12 @@ class _Engine:
         self.clock_us = 0
         self.halted = False
         self.running: sched.QueueEntry | None = None
+        self._done_us: int | float = _IDLE  # when `running` completes
         self.values: dict[str, float] = {}  # condition signal -> last processed value
         self.gate_prev: dict[str, float] = {}  # sensor -> last forwarded value
 
-        # (t_us, rank, tie, payload) of the running task's completion and of WAIT-deferred commands
-        self._heap: list[tuple[int, int, int, object]] = []
+        # (t_us, tie, item) of each WAIT-deferred command
+        self._heap: list[tuple[int, int, tuple]] = []
         self._ties = itertools.count()
         self._window_us = config.scheduler.window_us
         self._cost_us = config.scheduler.default_task_cost_us  # every task's run time
@@ -1051,19 +1108,25 @@ class _Engine:
 
     def run(self) -> Mapping[str, tuple[Layer, tuple[Layer, ...]]]:
         """Log the whole run to the sink; returns the bus table.  The sorted
-        trace is read in place beside the heap, and a halt ends the loop."""
+        trace is read in place beside the running task's completion and the
+        heap of deferred commands.  At one instant, window boundaries come
+        first, then the completion, deferred commands and the trace, so a
+        reading never races the task it spawns.  A halt ends the loop."""
         trace, heap = self.trace, self._heap
         position = 0  # of the next trace event
         try:
             while not self.halted:
-                # a trace event comes after every heap event of its instant
-                if position < len(trace) and (not heap or trace[position].t_us < heap[0][0]):
+                done_us = self._done_us
+                next_us = heap[0][0] if heap and heap[0][0] < done_us else done_us
+                if position < len(trace) and trace[position].t_us < next_us:
                     payload = trace[position]
                     position += 1
                     t_us, handle = payload.t_us, self._handle_trace
-                elif heap:
-                    t_us, rank, _tie, payload = heapq.heappop(heap)
-                    handle = self._handle_task_done if rank == _RANK_TASK_DONE else self._handle_deferred_enqueue
+                elif next_us < done_us:  # a deferred command
+                    t_us, _tie, payload = heapq.heappop(heap)
+                    handle = self._handle_deferred_enqueue
+                elif self.running is not None:
+                    t_us, payload, handle = done_us, self.running, self._handle_task_done
                 else:
                     break
                 if self._next_window <= t_us:
@@ -1123,9 +1186,7 @@ class _Engine:
         self.queue.push(task, self.clock_us, (topic, delta, event))
 
     def _handle_task_done(self, entry: sched.QueueEntry) -> None:
-        # after a halt the main loop handles no completion, so this task still runs
-        assert entry is self.running
-        self.running = None
+        self.running, self._done_us = None, _IDLE
         self._log(self._finished[entry.task.id], entry.enqueue_seq)
         self._FINISH[entry.task.category](self, entry)
 
@@ -1164,7 +1225,7 @@ class _Engine:
     def _finish_behavioral(self, entry: sched.QueueEntry) -> None:
         behavior: str = entry.payload  # type: ignore[assignment]
         for offset_us, item in self._plans[behavior]:
-            heapq.heappush(self._heap, (self.clock_us + offset_us, _RANK_ENQUEUE, next(self._ties), item))
+            heapq.heappush(self._heap, (self.clock_us + offset_us, next(self._ties), item))
 
     def _handle_deferred_enqueue(self, item: tuple) -> None:
         command, sent, _done = item
@@ -1191,7 +1252,7 @@ class _Engine:
         command: str | None = None,
     ) -> None:
         # no safety work is ever queued: the running task aborts, the queue empties
-        aborted, self.running = self.running, None
+        aborted, self.running, self._done_us = self.running, None, _IDLE
         purged = [e.task.id for e in self.queue.purge()]
         neutral = {a.name: a.clamp(0.0) for a in self.config.actuators}
         aborted_id = aborted.task.id if aborted else None
@@ -1215,8 +1276,7 @@ class _Engine:
         runner_up = self.queue.peek()
         assert runner_up is None or runner_up.task.current_priority <= task.current_priority
         self._log(self._started[task.id], entry.enqueue_seq, entry.enqueue_t_us, task.current_priority)
-        self.running = entry
-        heapq.heappush(self._heap, (self.clock_us + self._cost_us, _RANK_TASK_DONE, next(self._ties), entry))
+        self.running, self._done_us = entry, self.clock_us + self._cost_us
 
 
 def run(

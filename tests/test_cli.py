@@ -445,7 +445,7 @@ def _watch_the_writer(monkeypatch, fail_after: int | None = None) -> list[str]:
     """Each text the run's writer writes to its output, in order; once
     `fail_after` lines are written, the next write finds the disk full."""
     written: list[str] = []
-    init = cli._LogWriter.__init__
+    init = engine.LogWriter.__init__
 
     class Watched:
         def __init__(self, out):
@@ -458,7 +458,7 @@ def _watch_the_writer(monkeypatch, fail_after: int | None = None) -> list[str]:
             written.append(text)
             return self.out.write(text)
 
-    monkeypatch.setattr(cli._LogWriter, "__init__", lambda writer, out: init(writer, Watched(out)))
+    monkeypatch.setattr(engine.LogWriter, "__init__", lambda writer, out: init(writer, Watched(out)))
     return written
 
 
@@ -595,6 +595,41 @@ def test_json_readers_never_trace_back(tmp_files, tmp_path, capsys, reader, text
     output = captured.out if reader == "validate" else captured.err
     assert output.startswith(message)
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize(
+    "reader, text, message",
+    [
+        ("trace", '{"t_us": 1000, "sensor": "touch", "value": 2, "t_us": 5}\n', "trace error: line 1: repeated key 't_us'\n"),
+        (
+            "stats",
+            '{"seq": 0, "t_us": 0, "kind": "sensor_event", "detail": {"sensor": "touch", "value": 2.000000}, "seq": 5}\n',
+            "malformed log: line 1: repeated key 'seq'\n",
+        ),
+        (
+            "stats",
+            '{"seq": 0, "t_us": 0, "kind": "sensor_event", "detail": {"sensor": "touch", "value": 2.0, "value": 3.0}}\n',
+            "malformed log: line 1: repeated key 'value'\n",
+        ),
+    ],
+    ids=["trace_t_us", "log_seq", "log_detail_value"],
+)
+def test_a_repeated_key_is_refused_at_its_line(tmp_files, tmp_path, capsys, reader, text, message):
+    # JSON would keep the last of the two: the trace line would run at t_us 5
+    path = tmp_path / "input"
+    path.write_text(text)
+    log = tmp_path / "log.jsonl"
+    argv = {
+        "stats": ["stats", str(path)],
+        "trace": ["run", "-c", str(tmp_files["config"]), "-b", str(tmp_files["behavior"]), "-t", str(path), "-o", str(log)],
+    }[reader]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", message)
+    assert not log.exists()
+    if reader == "stats":  # and parse_log refuses the same line
+        with pytest.raises(engine.MalformedLogError) as refused:
+            parse_log(text)
+        assert f"malformed log: {refused.value}\n" == message
 
 
 @pytest.mark.parametrize(

@@ -243,7 +243,7 @@ def test_a_run_hands_each_entry_to_its_sink(tmp_path):
         blocked = {"touch": set(), "until_idle": {"priority_update"}}.get(name, {"priority_update", "behavior_suppressed"})
         assert handed.blocks == blocked, name
         output, stats, recorder = _Output(), eng.StatsAccumulator(), _Recorder()
-        writer = cli._LogWriter(output)
+        writer = eng.LogWriter(output)
         sink = cli._Tee(writer, stats, recorder, _WrittenSoFar(output, recorder))
         eng.run(config, program, trace, horizon_us=until, sink=sink)
         assert "".join(output) == eng.serialize_log(kept.entries), name
@@ -306,13 +306,13 @@ def test_finished_run_leaves_no_cyclic_garbage(touch_config_text, behavior_text,
         del entries
         assert gc.collect() == 0
         out = io.StringIO()
-        eng.run(config, program, trace, sink=cli._LogWriter(out))
+        eng.run(config, program, trace, sink=eng.LogWriter(out))
         assert out.getvalue()
         del out
         assert gc.collect() == 0
         for (run_config, run_program, run_trace, error), writer in itertools.product(failing, (False, True)):
             try:
-                eng.run(run_config, run_program, run_trace, sink=cli._LogWriter(io.StringIO()) if writer else None)
+                eng.run(run_config, run_program, run_trace, sink=eng.LogWriter(io.StringIO()) if writer else None)
             except error:
                 pass
             else:
@@ -1381,8 +1381,10 @@ def test_row_emitters_match_serialize_log(shape, data):
     line = eng.serialize_log([eng.LogEntry(seq, t_us, row.kind, detail)])
     assert site.line % (seq, t_us, *args) == line
     assert site.row is row and site.values(args) == values
-    # and a block's line is its seq and t_us, then a fully fixed site's tail
-    assert eng.block_lines(seq, t_us, [(values, row.site(**detail).tail())]) == [line]
+    # and the writer writes a block's line as its seq and t_us, then a fully fixed site's tail
+    out = io.StringIO()
+    eng.LogWriter(out).block(row, seq, t_us, [(values, row.site(**detail).tail())])
+    assert out.getvalue() == line
 
 
 def test_a_site_varies_only_numbers_of_its_row():

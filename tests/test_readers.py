@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from robosync import cli, engine as eng
 from robosync.cli import main
-from robosync.config import ConfigError, parse_config
+from robosync.config import ConfigError, SensorSpec, SystemConfig, parse_config
 from robosync.sensorproc import Reading, finite_float
 
 from conftest import FIXTURES
@@ -521,18 +521,32 @@ def test_load_trace_raises_only_trace_error(text):
         pass
 
 
+class _Repeated(Exception):
+    pass
+
+
+def _refuse_repeats(pairs: list) -> dict:
+    keys = [key for key, _value in pairs]
+    repeated = [key for i, key in enumerate(keys) if key in keys[:i]]
+    if repeated:
+        raise _Repeated(f"repeated key {repeated[0]!r}")
+    return dict(pairs)
+
+
 def _load_trace_oracle(text: str, config) -> list:
     """load_trace as it read lines before sharing a loop with the log reader: one
-    `json.loads` per line."""
+    `json.loads` per line, with a pairs hook that refuses a repeated key."""
     sensor_names = {s.name for s in config.sensors}
     events = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = json.loads(line, object_pairs_hook=_refuse_repeats)
         except json.JSONDecodeError as exc:
             raise eng.TraceError(line_no, f"invalid JSON: {exc.msg}") from None
+        except _Repeated as exc:
+            raise eng.TraceError(line_no, str(exc)) from None
         except ValueError as exc:
             raise eng.TraceError(line_no, f"invalid JSON: {exc}") from None
         except RecursionError:
@@ -570,9 +584,14 @@ def _load_trace_oracle(text: str, config) -> list:
 @example(text='\ufeff{"t_us": 1, "override": "STOP"}')
 @example(text=' {"t_us": 2, "sensor": "touch", "value": 1} \n{"t_us": 1, "override": "STOP"} 3')
 @example(text='{"t_us": 1, "sensor": "touch", "value": NaN}')
+@example(text='{"t_us": 1, "sensor": "touch", "value": 1,"t_us":2}')
+@example(text='{"t_us": 1, "sensor": "touch", "value": {"a": 1, "a": 2}, "t_us": 2}')
+@example(text='[{"t_us": 1, "t_us": 2}]')
+@example(text='{"t_us": 1, "t_us": 2, "sensor": "touch", "value": 1}\n{"t_us": 3, "sensor": "ghost", "value": 1}')
 def test_load_trace_matches_json_loads_oracle(text):
     """The shared scan-then-decode loop reads a trace exactly as `json.loads`
-    did: the same events, or the same located error."""
+    did, but for a repeated key, which it refuses as a pairs hook on every
+    line would: the same events, or the same located error."""
     try:
         expected = _load_trace_oracle(text, TOUCH_CONFIG)
     except eng.TraceError as exc:
@@ -581,6 +600,110 @@ def test_load_trace_matches_json_loads_oracle(text):
         assert (got.value.line, got.value.reason) == (exc.line, exc.reason)
     else:
         assert eng.load_trace(text, TOUCH_CONFIG) == expected
+
+
+# ---------------------------------------------------------------------------
+# a key named twice in one object: the trace and log readers refuse it at its line
+
+_TRACE_PAIRS = ([("t_us", 1000), ("sensor", "touch"), ("value", 2)], [("t_us", 7), ("override", "STOP")])
+_SPACE = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_a_repeated_trace_key_is_refused_at_its_line(data):
+    # a valid line with one of its keys written again, at a drawn position,
+    # with a drawn value and spacing, and each key perhaps written with
+    # `\u` escapes (so `"t\u005fus"` is `t_us`): refused at its line, among
+    # good lines, while the line without the repeat loads as it did
+    pairs = data.draw(st.sampled_from(_TRACE_PAIRS))
+    key = data.draw(st.sampled_from([name for name, _value in pairs]))
+    at = data.draw(st.integers(0, len(pairs)))
+    escapes = set(data.draw(st.lists(st.integers(0, len(pairs)))))
+    before, after = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    items = [(name, json.dumps(value)) for name, value in pairs]
+    items.insert(at, (key, data.draw(_JSON_VALUE)))
+
+    def space() -> str:
+        return data.draw(_SPACE)
+
+    written = [
+        f"{_escaped(name) if i in escapes else json.dumps(name)}{space()}:{space()}{text}" for i, (name, text) in enumerate(items)
+    ]
+
+    def line(written: list[str]) -> str:
+        return space() + "{" + space() + f"{space()},{space()}".join(written) + space() + "}" + space()
+
+    good = '{"t_us": 1, "sensor": "touch", "value": 1}\n'
+    repeated = good * before + line(written) + "\n" + good * after
+    with pytest.raises(eng.TraceError) as refused:
+        eng.load_trace(repeated, TOUCH_CONFIG)
+    assert (refused.value.line, refused.value.reason) == (before + 1, f"repeated key {key!r}")
+    once = good * before + line(written[:at] + written[at + 1 :]) + "\n" + good * after
+    assert eng.load_trace(once, TOUCH_CONFIG) == _load_trace_oracle(once, TOUCH_CONFIG)
+
+
+def test_a_colon_in_a_string_is_no_repeated_key():
+    # the text then holds more `:`s than its lines have keys, so its lines
+    # are read again through the checked decoder, to the same events
+    config = SystemConfig(sensors=(SensorSpec("a:b", "virtual"),))
+    text = '{"t_us": 2, "sensor": "a:b", "value": 1}\n{"t_us": 1, "override": "STOP"}\n'
+    assert eng.load_trace(text, config) == [eng.Override(1), Reading("a:b", 2, 1.0)]
+
+
+def _json_with(value, path: list | None, key: str, text: str, at: int, separators: tuple[str, str]) -> str:
+    """`value` as JSON with these separators, and one more item `key: text`
+    at position `at` of the object at `path` (its keys from the top); None
+    is no path."""
+    if not isinstance(value, dict):
+        return json.dumps(value, separators=separators)
+    comma, colon = separators
+    items = [
+        f"{json.dumps(k)}{colon}{_json_with(v, path[1:] if path and path[0] == k else None, key, text, at, separators)}"
+        for k, v in value.items()
+    ]
+    if path == []:
+        items.insert(at, f"{json.dumps(key)}{colon}{text}")
+    return "{" + comma.join(items) + "}"
+
+
+_LOGS = [GOLDEN_LOG] + [(FIXTURES / "scenarios" / name / "log.jsonl").read_text(encoding="utf-8") for name in ("halt_windows", "escaped_text")]
+# a line's objects: the entry, its detail and the objects in that
+_OBJECT_PATHS = [[], ["detail"], ["detail", "command"], ["detail", "neutral"]]
+
+
+def _at(entry: dict, path: list) -> dict | None:
+    """The non-empty object at `path` in an entry, else None."""
+    for key in path:
+        entry = entry.get(key) if isinstance(entry, dict) else None
+    return entry if isinstance(entry, dict) and entry else None
+
+
+@settings(max_examples=200)
+@given(data=st.data(), chunk=st.sampled_from([1, 3, 64, eng.CHUNK_CHARS]))
+def test_a_repeated_log_key_is_refused_alike_by_parse_log_and_stats(data, chunk):
+    # a log line rewritten off the canonical form, with one key of one of
+    # its objects (the entry, its detail or an object in that) written again
+    # at a drawn position with a drawn value: `parse_log` and the stats pass
+    # refuse it at its line, whatever the chunks the text comes in
+    path = data.draw(st.sampled_from(_OBJECT_PATHS))
+    logs = [log.splitlines(keepends=True) for log in _LOGS]
+    lines = data.draw(st.sampled_from([lines for lines in logs if any(_at(json.loads(line), path) for line in lines)]))
+    candidates = [i for i, line in enumerate(lines) if _at(json.loads(line), path)]
+    index = data.draw(st.sampled_from(candidates))
+    entry = json.loads(lines[index])
+    key = data.draw(st.sampled_from(sorted(_at(entry, path))))
+    at = data.draw(st.integers(0, len(_at(entry, path))))
+    separators = data.draw(st.sampled_from([(",", ":"), (", ", ":"), (",", ": "), (" ,", " : ")]))
+    lines[index] = _json_with(entry, path, key, data.draw(_JSON_VALUE), at, separators) + "\n"
+    text = "".join(lines)
+    pieces = [text[start : start + chunk] for start in range(0, len(text), chunk)]
+    expected = (index + 1, f"repeated key {key!r}")
+    with pytest.raises(eng.MalformedLogError) as parsed:
+        eng.parse_log(pieces)
+    with pytest.raises(eng.MalformedLogError) as counted:
+        eng.StatsAccumulator().read(iter(pieces))
+    assert (parsed.value.line, parsed.value.reason) == (counted.value.line, counted.value.reason) == expected
 
 
 @settings(max_examples=300)
