@@ -41,8 +41,25 @@ def _reject_constant(name: str) -> float:
     raise ValueError(f"non-finite number {name}")
 
 
-# a log holds no NaN or Infinity, and stats computed from one would not be JSON
-_LOG_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+class _RepeatedKey(ValueError):
+    """A JSON object names one key twice: a decoder would keep the last."""
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A decoder's `object_pairs_hook` that refuses a repeated key."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _value in pairs:
+            if key in seen:
+                raise _RepeatedKey(f"repeated key {key!r}")
+            seen.add(key)
+    return obj
+
+
+# a log holds no NaN or Infinity, and stats computed from one would not be JSON;
+# nor does it name a key twice in one object
+_LOG_DECODER = json.JSONDecoder(parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
 
 
 class _Form(NamedTuple):
@@ -415,22 +432,6 @@ def _split_lines(text: str | Iterable[str], chunk: int = CHUNK_CHARS) -> Iterato
         yield from block[:end].splitlines()
 
 
-class _RepeatedKey(ValueError):
-    """A JSON object names one key twice: a decoder would keep the last."""
-
-
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A decoder's `object_pairs_hook` that refuses a repeated key."""
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        seen = set()
-        for key, _value in pairs:
-            if key in seen:
-                raise _RepeatedKey(f"repeated key {key!r}")
-            seen.add(key)
-    return obj
-
-
 def _json_lines(
     text: str | Iterable[str],
     scan: Callable[[str, int], tuple[object, int]],
@@ -472,42 +473,20 @@ def _json_lines(
 # trace loading
 
 # json.loads's settings: a NaN or Infinity value decodes, then fails the trace's own check;
-# the fast scan keeps the last of a repeated key, and the checked scan and decode refuse it
-_TRACE_SCAN = json.JSONDecoder().scan_once
-_TRACE_CHECKED = (
-    json.JSONDecoder(object_pairs_hook=_unique_keys).scan_once,
-    functools.partial(json.loads, object_pairs_hook=_unique_keys),
-)
+# both the scan and the decode refuse a repeated key
+_TRACE_SCAN = json.JSONDecoder(object_pairs_hook=_unique_keys).scan_once
+_TRACE_DECODE = functools.partial(json.loads, object_pairs_hook=_unique_keys)
 
 
 def load_trace(text: str, config: SystemConfig) -> list[TraceEvent]:
     """Parse a JSON-lines trace and check it against the config's sensors.
 
     Events come back sorted by timestamp, file order preserved among ties.
-    A line that names one key twice is refused.  The lines are read through
-    the fast scan, which keeps the last of a repeated key, and read again,
-    through the checked one, only when a line is refused or the text holds
-    more `:`s than its lines have keys (a key repeated at any depth adds
-    one), so the first bad line is the one refused.
+    A line that names one key twice is refused.
     """
-    try:
-        events, keys = _trace_events(text, config, _TRACE_SCAN, json.loads)
-    except TraceError:
-        keys = -1
-    if keys != text.count(":"):
-        events, keys = _trace_events(text, config, *_TRACE_CHECKED)
-    events.sort(key=lambda e: e.t_us)  # stable: ties keep file order
-    return events
-
-
-def _trace_events(
-    text: str, config: SystemConfig, scan: Callable[[str, int], tuple[object, int]], decode: Callable[[str], object]
-) -> tuple[list[TraceEvent], int]:
-    """The trace's events in file order, and the keys their lines hold."""
     sensor_names = {s.name for s in config.sensors}
     events: list[TraceEvent] = []
-    overrides = 0
-    for line_no, obj in _json_lines(text, scan, decode, TraceError):
+    for line_no, obj in _json_lines(text, _TRACE_SCAN, _TRACE_DECODE, TraceError):
         if not isinstance(obj, dict):
             raise TraceError(line_no, "each line must be an object")
         t_us = obj.get("t_us")
@@ -531,12 +510,12 @@ def _trace_events(
             if command != STOP_COMMAND:
                 raise TraceError(line_no, f"unsupported override {command!r}")
             events.append(Override(t_us))
-            overrides += 1
         else:
             raise TraceError(
                 line_no, "expected keys {t_us, sensor, value} or {t_us, override}"
             )
-    return events, 3 * len(events) - overrides  # a reading's line holds 3 keys, an override's 2
+    events.sort(key=lambda e: e.t_us)  # stable: ties keep file order
+    return events
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +604,8 @@ class _LogScan:
     r"""A serialized log, whole or as an iterable of its text in pieces, read
     once.  Iterating it gives, per block of whole lines, the iterator of
     `_CANONICAL` matches that tiles the block: each canonical line is one
-    match, read by its row's regex alone, and each other line, up to its
-    `\n`, is one `_OTHER` match, which `other` reads the slow way."""
+    match, read by its row's regex alone (`read`), and each other line, up
+    to its `\n`, is one `_OTHER` match, which `other` reads the slow way."""
 
     __slots__ = ("text", "line", "block", "at")
 
@@ -640,18 +619,24 @@ class _LogScan:
             yield _CANONICAL.finditer(block, 0, end)
             self.line += block.count("\n", self.at, end)
 
+    def read(self, match: re.Match, group: int = 0) -> object:
+        """The values of a canonical match, read by its row, or with `group`
+        the object that group holds, decoded alone; a line whose object names
+        a key twice is read the slow way, which refuses it at its line."""
+        try:
+            return _LOG_DECODER.decode(match[group]) if group else _ROWS[match.lastindex].read(match)
+        except _RepeatedKey:
+            self.other(match)
+            raise
+
     def other(self, match: re.Match) -> list[tuple[LogRow, int, int, tuple]]:
-        """The entries of an `_OTHER` match, read the slow way, its lines
-        numbered as `str.splitlines` breaks the whole text."""
+        """The entries of a match, read the slow way, its lines numbered as
+        `str.splitlines` breaks the whole text."""
         start, end = match.span()
         line = self.line + self.block.count("\n", self.at, start)
         text = match.group()
         self.line, self.at = line + len(text.splitlines()), end
         return _decoded(text, line + 1)
-
-
-# the slow path's decoder: `_LOG_DECODER`'s, refusing a repeated key too
-_LOG_LINE_DECODER = json.JSONDecoder(parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
 
 
 def _decoded(text: str, first_line: int = 1) -> list[tuple[LogRow, int, int, tuple]]:
@@ -660,7 +645,7 @@ def _decoded(text: str, first_line: int = 1) -> list[tuple[LogRow, int, int, tup
     decoder and `_checked`.  Raises MalformedLogError naming the first bad
     line."""
     rows = []
-    decoder = _LOG_LINE_DECODER
+    decoder = _LOG_DECODER
     lines = _json_lines(text, decoder.scan_once, decoder.decode, lambda n, reason: MalformedLogError(reason, n), first_line)
     for line_no, obj in lines:
         if not isinstance(obj, dict) or obj.keys() != _LOG_ENTRY_KEYS:
@@ -685,7 +670,7 @@ def parse_log(text: str | Iterable[str]) -> list[LogEntry]:
             if row is None:
                 entries += [row.entry(seq, t_us, values) for row, seq, t_us, values in scan.other(match)]
             else:
-                entries.append(row.entry(int(match[1]), int(match[2]), row.read(match)))
+                entries.append(row.entry(int(match[1]), int(match[2]), scan.read(match)))
     return entries
 
 
@@ -781,17 +766,21 @@ class StatsAccumulator:
     def read(self, text: str | Iterable[str]) -> None:
         """Count a serialized log, whole or as an iterable of its text in
         pieces.  A canonical line's row is its match's last group, and only
-        the fields the pass reads are converted; any other line is read the
-        slow way and counted through `count`.  Raises the MalformedLogError of
-        the first malformed line, else of the first unmatched start or
-        finish."""
+        the fields the pass reads are converted, and the object a line may
+        hold, to refuse a repeated key; any other line is read the slow way
+        and counted through `count`.  Raises the MalformedLogError of the
+        first malformed line, else of the first unmatched start or finish."""
         counts, start, end = self.counts, self._start, self._end
         started = _TASK_START.group
         task = started - len(_TASK_START)  # the group of a start's `task`
         # an end's group -> its kind and the group of its `task`
         ends = {row.group: (row.kind, row.group - len(row)) for row in (_TASK_FINISH, _TASK_ABORT)}
         halt = _SAFETY_HALT.group
-        reads = frozenset({started, *ends, halt, _OTHER})
+        # a row with an object field (one at most) -> that field's group: the
+        # object is decoded, to refuse a repeated key
+        objects = {row.group: row.group - len(row) + row.types.index(dict) for row in LOG_FIELDS.values() if dict in row.types}
+        reads = frozenset({started, *ends, *objects, _OTHER})
+        read_objects: set[str] = set()
         scan = _LogScan(text)
         blocks = iter(scan)
         try:
@@ -808,18 +797,24 @@ class StatsAccumulator:
                         kind, at = ends[group]
                         seq, name, enqueue_seq = match.group(1, at, at + 1)
                         end(kind, (name, int(enqueue_seq)), seq)
-                    elif group == halt:
-                        if self.halt_t_us is None:
-                            self.halt_t_us = int(match[2])
-                    else:
+                    elif group == _OTHER:
                         for entry in scan.other(match):
                             self.count(*entry)
+                    else:
+                        at = objects[group]
+                        if match[at] not in read_objects:  # an object's text repeats: it is decoded once
+                            scan.read(match, at)
+                            read_objects.add(match[at])
+                        if group == halt and self.halt_t_us is None:
+                            self.halt_t_us = int(match[2])
         except MalformedLogError as error:
             if error.line is None:  # a stats error: the first malformed line after it outranks it
                 for matches in itertools.chain([matches], blocks):
                     for match in matches:
                         if match.lastindex == _OTHER:
                             scan.other(match)
+                        elif match.lastindex in objects:
+                            scan.read(match, objects[match.lastindex])
             raise
 
     def result(self) -> dict:

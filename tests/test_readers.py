@@ -644,8 +644,6 @@ def test_a_repeated_trace_key_is_refused_at_its_line(data):
 
 
 def test_a_colon_in_a_string_is_no_repeated_key():
-    # the text then holds more `:`s than its lines have keys, so its lines
-    # are read again through the checked decoder, to the same events
     config = SystemConfig(sensors=(SensorSpec("a:b", "virtual"),))
     text = '{"t_us": 2, "sensor": "a:b", "value": 1}\n{"t_us": 1, "override": "STOP"}\n'
     assert eng.load_trace(text, config) == [eng.Override(1), Reading("a:b", 2, 1.0)]
@@ -699,6 +697,54 @@ def test_a_repeated_log_key_is_refused_alike_by_parse_log_and_stats(data, chunk)
     text = "".join(lines)
     pieces = [text[start : start + chunk] for start in range(0, len(text), chunk)]
     expected = (index + 1, f"repeated key {key!r}")
+    with pytest.raises(eng.MalformedLogError) as parsed:
+        eng.parse_log(pieces)
+    with pytest.raises(eng.MalformedLogError) as counted:
+        eng.StatsAccumulator().read(iter(pieces))
+    assert (parsed.value.line, parsed.value.reason) == (counted.value.line, counted.value.reason) == expected
+
+
+# canonical scalar texts, as the log writer renders a command's or neutral's values
+_CANONICAL_SCALAR = st.one_of(
+    st.integers(-(10**17), 10**17),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, blacklist_characters='"\\'), max_size=6),
+    st.booleans(),
+    st.none(),
+).map(eng.render)
+
+
+@settings(max_examples=200)
+@given(data=st.data(), chunk=st.sampled_from([1, 3, 64, eng.CHUNK_CHARS]), orphan=st.booleans())
+def test_a_repeated_key_in_a_canonical_object_is_refused_as_off_it(data, chunk, orphan):
+    # a canonical line whose command or neutral object names one of its keys
+    # again, written as the log writer writes it, so the line stays
+    # canonical: `parse_log` and the stats pass refuse it at its line, as the
+    # slow path refuses it, even after a stats error (a finish with no start)
+    logs = [log.splitlines(keepends=True) for log in _LOGS]
+    objects = {row.group: row.group - len(row) + row.types.index(dict) for row in eng.LOG_FIELDS.values() if dict in row.types}
+
+    def object_group(line: str) -> int | None:
+        match = eng._CANONICAL.match(line)
+        at = objects.get(match.lastindex)
+        return at if at is not None and match[at] != "{}" else None
+
+    lines = data.draw(st.sampled_from([lines for lines in logs if any(map(object_group, lines))]))
+    index = data.draw(st.sampled_from([i for i, line in enumerate(lines) if object_group(line)]))
+    line = lines[index]
+    match = eng._CANONICAL.match(line)
+    start, end = match.span(object_group(line))
+    obj = json.loads(line[start:end])
+    items = [f"{json.dumps(k)}: {eng.render(v)}" for k, v in obj.items()]
+    assert "{" + ", ".join(items) + "}" == line[start:end]
+    key = data.draw(st.sampled_from(sorted(obj)))
+    items.insert(data.draw(st.integers(0, len(items))), f"{json.dumps(key)}: {data.draw(_CANONICAL_SCALAR)}")
+    lines[index] = line[:start] + "{" + ", ".join(items) + "}" + line[end:]
+    assert eng._CANONICAL.match(lines[index]).lastindex == match.lastindex  # still canonical
+    assert _slow(lines[index].removesuffix("\n")) == f"repeated key {key!r}"
+    text = (_ORPHAN_FINISH + "\n" if orphan else "") + "".join(lines)
+    pieces = [text[start : start + chunk] for start in range(0, len(text), chunk)]
+    expected = (index + 1 + orphan, f"repeated key {key!r}")
     with pytest.raises(eng.MalformedLogError) as parsed:
         eng.parse_log(pieces)
     with pytest.raises(eng.MalformedLogError) as counted:
