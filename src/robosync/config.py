@@ -456,6 +456,46 @@ def _unlocated_syntax_error(text: str, exc: ValueError | RecursionError) -> Conf
     return ConfigSyntaxError(reason, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
 
+class _Repeats(dict):
+    """A decoded JSON object that names `key` twice: the dict keeps its last value."""
+
+    __slots__ = ("key",)
+
+
+def _pairs_hook(repeats: list[_Repeats], pairs: list[tuple[str, Any]]) -> dict:
+    """A decoder's `object_pairs_hook` that notes, in `repeats`, each object
+    that names a key twice, with the first key named again."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        obj = _Repeats(obj)
+        seen = set()
+        for key, _value in pairs:
+            if key in seen:
+                obj.key = key
+                break
+            seen.add(key)
+        repeats.append(obj)
+    return obj
+
+
+def _repeat_error(doc: dict) -> SchemaError:
+    """The first repeated key of a decoded document that holds one, outer
+    objects before the ones they hold, each in document order.  A value that
+    a repeat dropped sits in an object that repeats, so one is met."""
+    stack: list[tuple[str, Any]] = [("", doc)]
+    while True:
+        path, value = stack.pop()
+        if isinstance(value, dict):
+            if isinstance(value, _Repeats):
+                return SchemaError(f"{path}.{value.key}" if path else value.key, "repeated key")
+            items = [(f"{path}.{key}" if path else key, item) for key, item in value.items()]
+        elif isinstance(value, list):
+            items = [(f"{path}[{i}]", item) for i, item in enumerate(value)]
+        else:
+            continue
+        stack += reversed(items)
+
+
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -480,21 +520,32 @@ def parse_config(text: str) -> SystemConfig:
     """Parse and fully validate a configuration document.
 
     Raises ConfigSyntaxError for malformed JSON, SchemaError (with a field
-    path) for shape violations and plugin params the factory refuses or, in a
+    path) for a key named twice in one object, which JSON would read as the
+    last, for shape violations and plugin params the factory refuses or, in a
     `plugin` entry, does not read; UnknownPluginError for unregistered
     plugins, and CrossReferenceError, listing validate_config's issues, when
     references dangle or a behavior priority is out of range or repeated (so
     a priority issue comes after any schema error).  A returned config always
     passes validate_config with no issue.
     """
+    repeats: list[_Repeats] = []
     try:
-        raw = json.loads(text)
+        try:
+            raw = json.loads(text, object_pairs_hook=partial(_pairs_hook, repeats))
+        except RecursionError:
+            # the hook takes frames json.loads alone does not: within two levels
+            # of the limit, read as json.loads reads, from this frame, with no
+            # note of repeats; nested that deep, the schema refuses it anyway
+            repeats.clear()
+            raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigSyntaxError(exc.msg, exc.lineno, exc.colno) from None
     except (ValueError, RecursionError) as exc:
         raise _unlocated_syntax_error(text, exc) from None
     if not isinstance(raw, dict):
         raise SchemaError("$", "top-level value must be an object")
+    if repeats:
+        raise _repeat_error(raw)
     unknown = sorted(set(raw) - {key for key, _default, _section in _SECTIONS})
     if unknown:
         raise SchemaError(unknown[0], "unknown top-level key")

@@ -2,15 +2,15 @@
 formatter, condition compiler, and the binder that resolves a parsed program
 against a system configuration.
 
-Tokens, tried in this order at each position of a line (`_TOKEN_RE`): blanks
-and a '#' comment to the end of the line, skipped; STRING ("..." within the
-line); OP; LPAREN; RPAREN; WORD ([A-Z][A-Z_]*, which must be a keyword);
-IDENT ([a-z][a-z0-9_]*); NUMBER (ASCII digits, with optional sign and
-exponent).  Lines are split as `str.splitlines` splits them, so a form
-feed or U+2028 ends a line as a line feed does.  EOF sits one past the
-last character: right after a last line that has no break, else at column
-1 of the line after the last break.  Grammar, where NL is the end of a line
-that has tokens and `sound`, `ms`, `us` are IDENTs:
+Tokens, each told apart by its first character (`_TOKEN_RE`): blanks and a
+'#' comment to the end of the line, skipped; STRING ("..." within the line);
+OP; LPAREN; RPAREN; WORD ([A-Z][A-Z_]*, which must be a keyword); IDENT
+([a-z][a-z0-9_]*); NUMBER (ASCII digits, with optional sign and exponent).
+Any other character is refused.  Lines are split as `str.splitlines` splits
+them, so a form feed or U+2028 ends a line as a line feed does.  EOF sits
+one past the last character: right after a last line that has no break,
+else at column 1 of the line after the last break.  Grammar, where NL is
+the end of a line that has tokens and `sound`, `ms`, `us` are IDENTs:
 
     Program     := (Rule | Definition)*
     Rule        := WHEN Cond NL DO IDENT NL (ELSE NL DO IDENT NL)? END
@@ -195,61 +195,74 @@ class BoundProgram:
 # lexer
 
 
-# one match per token, groups tried in order; `bad` takes any character the
-# others refuse, so the matches of a line cover every character of it
+# one match per token, after the blanks before it; the groups start with
+# distinct characters, and `bad` takes any other one, so the matches of a line
+# cover every character of it but trailing blanks.  A comment matches no group.
 _TOKEN_RE = re.compile(
-    r'(?P<skip>[ \t\r]+|#.*)'
-    r'|"(?P<STRING>[^"]*)"'
-    rf"|(?P<OP>{'|'.join(_COMPARISON_OPS)})"
-    r"|(?P<LPAREN>\()|(?P<RPAREN>\))"
-    r"|(?P<WORD>[A-Z][A-Z_]*)"
+    r"[ \t]*(?:#.*"
     r"|(?P<IDENT>[a-z][a-z0-9_]*)"
+    r"|(?P<WORD>[A-Z][A-Z_]*)"
     r"|(?P<NUMBER>[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)"
-    r"|(?P<bad>.)"
+    rf"|(?P<OP>{'|'.join(_COMPARISON_OPS)})"
+    r'|(?P<STRING>"[^"]*")'
+    r"|(?P<LPAREN>\()|(?P<RPAREN>\))"
+    r"|(?P<bad>[^ \t]))"
 )
 
 
-# not frozen: one is built per token, and a frozen dataclass takes about 3x as long to build
+# not frozen, and its span kept as ints: one is built per token, and a frozen
+# dataclass takes about 3x as long to build
 @dataclass(slots=True)
 class _Token:
     kind: str  # keyword text, or one of IDENT NUMBER STRING OP LPAREN RPAREN NEWLINE EOF
     text: str
     value: object
-    span: SourceSpan
+    line: int
+    column: int
+    length: int = 1
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.line, self.column, self.length)
 
 
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    append = tokens.append
+    lines = text.splitlines() or [""]
+    if text[-1:].splitlines() == [""]:  # a break ends the text, so EOF sits on a line of its own
+        lines.append("")
+    for line_no, line in enumerate(lines, start=1):
         start_count = len(tokens)
         for m in _TOKEN_RE.finditer(line):
             kind = m.lastgroup
-            if kind == "skip":
+            if kind is None:  # a comment
                 continue
-            lexeme = m.group(kind)
-            start = m.start()
-            span = SourceSpan(line_no, start + 1, m.end() - start)
-            if kind == "WORD":
+            lexeme = m[kind]
+            start, end = m.span(kind)
+            column, length = start + 1, end - start
+            if kind == "IDENT" or kind == "OP":
+                append(_Token(kind, lexeme, lexeme, line_no, column, length))
+            elif kind == "WORD":
                 if lexeme not in _KEYWORDS:
-                    raise ParseError(f"unknown keyword {lexeme!r}", span)
-                tokens.append(_Token(lexeme, lexeme, None, span))
+                    raise ParseError(f"unknown keyword {lexeme!r}", SourceSpan(line_no, column, length))
+                append(_Token(lexeme, lexeme, None, line_no, column, length))
             elif kind == "NUMBER":
                 # a negative zero reads as 0, as the canonical form writes it
                 value = float(lexeme) or 0.0
                 if not math.isfinite(value):
-                    raise ParseError(f"number {lexeme} is out of range", span)
-                tokens.append(_Token(kind, lexeme, value, span))
+                    raise ParseError(f"number {lexeme} is out of range", SourceSpan(line_no, column, length))
+                append(_Token(kind, lexeme, value, line_no, column, length))
+            elif kind == "STRING":
+                append(_Token(kind, lexeme[1:-1], lexeme[1:-1], line_no, column, length))
             elif kind == "bad":
-                raise ParseError("unterminated string" if lexeme == '"' else f"unexpected character {lexeme!r}", span)
+                message = "unterminated string" if lexeme == '"' else f"unexpected character {lexeme!r}"
+                raise ParseError(message, SourceSpan(line_no, column, length))
             else:
-                tokens.append(_Token(kind, lexeme, None if kind in ("LPAREN", "RPAREN") else lexeme, span))
+                append(_Token(kind, lexeme, None, line_no, column, length))
         if len(tokens) > start_count:
-            tokens.append(_Token("NEWLINE", "\n", None, SourceSpan(line_no, len(line) + 1)))
-    # EOF sits one past the last character: "." lands after a last line that has
-    # no break, or on a line of its own after the last break, breaks counted as
-    # `splitlines` counts them
-    lines = (text + ".").splitlines()
-    tokens.append(_Token("EOF", "", None, SourceSpan(len(lines), len(lines[-1]))))
+            append(_Token("NEWLINE", "\n", None, line_no, len(line) + 1))
+    append(_Token("EOF", "", None, len(lines), len(lines[-1]) + 1))
     return tokens
 
 
@@ -259,21 +272,14 @@ def _lex(text: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
-        self._pos = 0
+        self._rest = iter(tokens)
+        self.tok = next(self._rest)  # the current token
         self._depth = 0  # NOT / '(' / AND / OR levels above the current operand
-
-    @property
-    def tok(self) -> _Token:
-        return self._tokens[self._pos]
-
-    def at(self, kind: str) -> bool:
-        return self.tok.kind == kind
 
     def advance(self) -> _Token:
         tok = self.tok
         if tok.kind != "EOF":
-            self._pos += 1
+            self.tok = next(self._rest)
         return tok
 
     def error(self, expected: set[str]) -> ParseError:
@@ -283,9 +289,12 @@ class _Parser:
         return ParseError(f"expected {wanted}, found {found}", tok.span, frozenset(expected))
 
     def expect(self, kind: str) -> _Token:
-        if self.at(kind):
-            return self.advance()
-        raise self.error({kind})
+        """The current token, which must be of `kind` (never EOF), and advance."""
+        tok = self.tok
+        if tok.kind != kind:
+            raise self.error({kind})
+        self.tok = next(self._rest)
+        return tok
 
     def line(self, *kinds: str) -> list[_Token]:
         """The tokens of these kinds, in order, then the NEWLINE that ends their line."""
@@ -295,7 +304,7 @@ class _Parser:
 
     def word(self, *texts: str) -> _Token:
         """An IDENT that spells one of `texts`, as a keyword would."""
-        if self.at("IDENT") and self.tok.text in texts:
+        if self.tok.kind == "IDENT" and self.tok.text in texts:
             return self.advance()
         raise self.error(set(texts))
 
@@ -304,10 +313,10 @@ class _Parser:
     def program(self) -> BehaviorProgram:
         rules: list[Rule] = []
         definitions: dict[str, Definition] = {}
-        while not self.at("EOF"):
-            if self.at("WHEN"):
+        while (kind := self.tok.kind) != "EOF":
+            if kind == "WHEN":
                 rules.append(self.rule())
-            elif self.at("DEFINE"):
+            elif kind == "DEFINE":
                 definition = self.definition()
                 if definition.name in definitions:
                     raise ParseError(
@@ -325,7 +334,7 @@ class _Parser:
         self.line()
         _do, then_tok = self.line("DO", "IDENT")
         else_tok = None
-        if self.at("ELSE"):
+        if self.tok.kind == "ELSE":
             self.line("ELSE")
             _do, else_tok = self.line("DO", "IDENT")
         self.line("END")
@@ -350,7 +359,7 @@ class _Parser:
         `_depth` plus a height never exceeds MAX_NESTING_DEPTH.  Each link puts
         the chain so far one level deeper, so it spends one level."""
         left, height = operand()
-        while self.at(word):
+        while self.tok.kind == word:
             if self._depth + height >= MAX_NESTING_DEPTH:
                 raise self.too_deep()
             self.advance()
@@ -361,7 +370,7 @@ class _Parser:
         return left, height
 
     def unary(self) -> tuple[Condition, int]:
-        if not (self.at("NOT") or self.at("LPAREN")):
+        if self.tok.kind not in ("NOT", "LPAREN"):
             return self.comparison(), 0
         if self._depth >= MAX_NESTING_DEPTH:
             raise self.too_deep()
@@ -379,14 +388,13 @@ class _Parser:
         return ParseError(f"condition nested deeper than {MAX_NESTING_DEPTH} levels", self.tok.span)
 
     def comparison(self) -> Comparison:
-        if not self.at("IDENT"):
+        if self.tok.kind != "IDENT":
             raise self.error({"IDENT", "NOT", "LPAREN"})
         signal = self.advance()
-        level = False
-        if self.at("LEVEL"):
+        level = self.tok.kind == "LEVEL"
+        if level:
             self.advance()
-            level = True
-        if not self.at("OP"):
+        if self.tok.kind != "OP":
             raise self.error(set(_COMPARISON_OPS))
         op = self.advance()
         number = self.expect("NUMBER")
@@ -395,19 +403,20 @@ class _Parser:
     def definition(self) -> Definition:
         start, name = self.line("DEFINE", "IDENT")
         body: list[Statement] = []
-        while not self.at("END"):
+        while self.tok.kind != "END":
             body.append(self.statement())
         self.line("END")
         return Definition(name.text, tuple(body), span=start.span)
 
     def statement(self) -> Statement:
-        if self.at("MOVE"):
+        kind = self.tok.kind
+        if kind == "MOVE":
             self.advance()
             actuator = self.expect("IDENT")
-            if self.at("SLOWLY") or self.at("QUICKLY"):
+            if self.tok.kind in ("SLOWLY", "QUICKLY"):
                 word = self.advance()
                 speed: float | str = word.kind.lower()
-            elif self.at("NUMBER"):
+            elif self.tok.kind == "NUMBER":
                 number = self.advance()
                 speed = number.value  # type: ignore[assignment]
                 if not (0.0 <= speed <= 1.0):
@@ -416,15 +425,15 @@ class _Parser:
                 raise self.error({"SLOWLY", "QUICKLY", "NUMBER"})
             self.expect("NEWLINE")
             return Move(actuator.text, speed, span=actuator.span)
-        if self.at("PLAY"):
+        if kind == "PLAY":
             self.advance()
             self.word("sound")
             (resource,) = self.line("STRING")
             return Play(resource.value, span=resource.span)  # type: ignore[arg-type]
-        if self.at("SET"):
+        if kind == "SET":
             _set, actuator, number = self.line("SET", "IDENT", "NUMBER")
             return Set(actuator.text, number.value, span=actuator.span)  # type: ignore[arg-type]
-        if self.at("WAIT"):
+        if kind == "WAIT":
             self.advance()
             number = self.expect("NUMBER")
             amount: float = number.value  # type: ignore[assignment]

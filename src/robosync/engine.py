@@ -20,6 +20,7 @@ import functools
 import heapq
 import itertools
 import json
+import math
 import re
 import statistics
 from dataclasses import dataclass, field
@@ -438,8 +439,8 @@ def _json_lines(
     decode: Callable[[str], object],
     error: Callable[[int, str], Exception],
     first_line: int = 1,
-) -> Iterator[tuple[int, object]]:
-    """`(line number, value)` per non-blank line of `text`, whole or in
+) -> Iterator[tuple[int, str, object]]:
+    """`(line number, line, value)` per non-blank line of `text`, whole or in
     pieces, the first line numbered `first_line`; a line that is not one JSON
     value raises `error(line number, reason)`, and so does one that names a
     key twice in one object, if `scan` and `decode` refuse that.
@@ -466,54 +467,73 @@ def _json_lines(
             raise error(line_no, f"invalid JSON: {exc}") from None
         except RecursionError:
             raise error(line_no, "invalid JSON: nested too deeply") from None
-        yield line_no, obj
+        yield line_no, line, obj
 
 
 # ---------------------------------------------------------------------------
 # trace loading
 
-# json.loads's settings: a NaN or Infinity value decodes, then fails the trace's own check;
-# both the scan and the decode refuse a repeated key
-_TRACE_SCAN = json.JSONDecoder(object_pairs_hook=_unique_keys).scan_once
-_TRACE_DECODE = functools.partial(json.loads, object_pairs_hook=_unique_keys)
+# json.loads's settings, but each object decodes to the tuple of its pairs,
+# so it is told apart from an array; a NaN or Infinity value decodes, then
+# fails the trace's own check
+_TRACE_SCAN = json.JSONDecoder(object_pairs_hook=tuple).scan_once
+_TRACE_DECODE = functools.partial(json.loads, object_pairs_hook=tuple)
+# the same, but each object a dict, refusing a repeated key
+_CHECKED_SCAN = json.JSONDecoder(object_pairs_hook=_unique_keys).scan_once
+_CHECKED_DECODE = functools.partial(json.loads, object_pairs_hook=_unique_keys)
+_READING_KEYS = frozenset({"t_us", "sensor", "value"})
+_OVERRIDE_KEYS = frozenset({"t_us", "override"})
 
 
 def load_trace(text: str, config: SystemConfig) -> list[TraceEvent]:
     """Parse a JSON-lines trace and check it against the config's sensors.
 
     Events come back sorted by timestamp, file order preserved among ties.
-    A line that names one key twice is refused.
+    A line that names one key twice in any of its objects is refused.  Each
+    line is scanned with no Python per object; a line that is refused is
+    decoded again through the repeated-key check, whose refusal comes first.
     """
     sensor_names = {s.name for s in config.sensors}
     events: list[TraceEvent] = []
-    for line_no, obj in _json_lines(text, _TRACE_SCAN, _TRACE_DECODE, TraceError):
-        if not isinstance(obj, dict):
-            raise TraceError(line_no, "each line must be an object")
-        t_us = obj.get("t_us")
-        if isinstance(t_us, bool) or not isinstance(t_us, int) or t_us < 0:
-            raise TraceError(line_no, "t_us must be a non-negative integer")
-        keys = set(obj)
-        if keys == {"t_us", "sensor", "value"}:
-            sensor = obj["sensor"]
-            value = finite_float(obj["value"])
-            if not isinstance(sensor, str):
-                raise TraceError(line_no, "sensor must be a string")
-            if sensor not in sensor_names:
-                raise TraceError(line_no, f"unknown sensor {sensor!r}")
-            if value is None:
-                raise TraceError(line_no, "value must be a finite number")
-            events.append(Reading(sensor, t_us, value))
-        elif keys == {"t_us", "override"}:
-            command = obj["override"]
-            if not isinstance(command, str):
-                raise TraceError(line_no, "override must be a string")
-            if command != STOP_COMMAND:
-                raise TraceError(line_no, f"unsupported override {command!r}")
-            events.append(Override(t_us))
-        else:
-            raise TraceError(
-                line_no, "expected keys {t_us, sensor, value} or {t_us, override}"
-            )
+    for line_no, line, pairs in _json_lines(text, _TRACE_SCAN, _TRACE_DECODE, TraceError):
+        try:
+            if type(pairs) is not tuple:
+                raise TraceError(line_no, "each line must be an object")
+            obj = dict(pairs)
+            if len(obj) < len(pairs):
+                raise TraceError(line_no, "repeated key")  # named by the checking decoder below
+            t_us = obj.get("t_us")
+            if type(t_us) is not int or t_us < 0:  # JSON decodes no other int type but bool
+                raise TraceError(line_no, "t_us must be a non-negative integer")
+            keys = obj.keys()
+            if keys == _READING_KEYS:
+                sensor = obj["sensor"]
+                value = obj["value"]
+                if type(value) is not float or not math.isfinite(value):  # else finite_float would return it
+                    value = finite_float(value)
+                if type(sensor) is not str:
+                    raise TraceError(line_no, "sensor must be a string")
+                if sensor not in sensor_names:
+                    raise TraceError(line_no, f"unknown sensor {sensor!r}")
+                if value is None:
+                    raise TraceError(line_no, "value must be a finite number")
+                events.append(Reading(sensor, t_us, value))
+            elif keys == _OVERRIDE_KEYS:
+                command = obj["override"]
+                if type(command) is not str:
+                    raise TraceError(line_no, "override must be a string")
+                if command != STOP_COMMAND:
+                    raise TraceError(line_no, f"unsupported override {command!r}")
+                events.append(Override(t_us))
+            else:
+                raise TraceError(line_no, "expected keys {t_us, sensor, value} or {t_us, override}")
+        except TraceError:
+            # a repeated key, the innermost first, or nesting too deep for the
+            # checking hook outranks the reason; read from this frame, the line
+            # meets the recursion limit where a checked scan of every line would
+            for _checked in _json_lines(line, _CHECKED_SCAN, _CHECKED_DECODE, TraceError, line_no):
+                pass
+            raise
     events.sort(key=lambda e: e.t_us)  # stable: ties keep file order
     return events
 
@@ -647,7 +667,7 @@ def _decoded(text: str, first_line: int = 1) -> list[tuple[LogRow, int, int, tup
     rows = []
     decoder = _LOG_DECODER
     lines = _json_lines(text, decoder.scan_once, decoder.decode, lambda n, reason: MalformedLogError(reason, n), first_line)
-    for line_no, obj in lines:
+    for line_no, _line, obj in lines:
         if not isinstance(obj, dict) or obj.keys() != _LOG_ENTRY_KEYS:
             raise MalformedLogError("expected keys {seq, t_us, kind, detail}", line_no)
         try:

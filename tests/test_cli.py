@@ -157,6 +157,30 @@ def test_bad_plugin_params_are_located_by_validate_and_run(tmp_files, touch_conf
     assert capsys.readouterr() == ("", line + "\n")
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (
+            '{"sensors": [{"name": "touch", "type": "virtual", "delta": -3, "delta": 0.5}]}',
+            "sensors[0].delta: repeated key",
+        ),
+        (
+            '{"sensors": [{"name": "touch", "type": "virtual"}], "algorithms": [{"name": "avg", '
+            '"plugin": "moving_average", "inputs": ["touch"], "params": {"k": 0, "k": 3}}]}',
+            "algorithms[0].params.k: repeated key",
+        ),
+    ],
+    ids=["sensor_delta", "params_k"],
+)
+def test_a_repeated_config_key_is_located_by_validate_and_run(tmp_files, capsys, text, line):
+    tmp_files["config"].write_text(text)
+    assert main(["validate", "-c", str(tmp_files["config"])]) == 1
+    assert capsys.readouterr() == (line + "\n", "")
+    argv = ["run", "-c", str(tmp_files["config"]), "-b", str(tmp_files["behavior"]), "-t", str(tmp_files["trace"])]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", line + "\n")
+
+
 def test_validate_missing_file(tmp_path, capsys):
     assert main(["validate", "-c", str(tmp_path / "nope.json")]) == 2
     assert "cannot read" in capsys.readouterr().err

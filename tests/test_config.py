@@ -755,3 +755,37 @@ def test_unknown_param_keys_are_refused_for_plugin_entries_only():
     assert (exc.value.path, exc.value.reason) == ("algorithms[0].params.K", "unknown key")
     # a legacy `path` module may read params of its own
     assert parse({"path": "lib/moving_average.so"}).algorithms[0].params == (("k", 4), ("K", 5))
+
+
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        ('{"sensors": [{"name": "touch", "type": "virtual", "delta": -3, "delta": 0.5}]}', "sensors[0].delta"),
+        ('{"sensors": [{"name": "touch", "type": "virtual", "delta": 0.5, "delta": -3}]}', "sensors[0].delta"),
+        (
+            '{"sensors": [{"name": "touch", "type": "virtual"}], "algorithms": [{"name": "avg", '
+            '"plugin": "moving_average", "inputs": ["touch"], "params": {"k": 0, "k": 3}}]}',
+            "algorithms[0].params.k",
+        ),
+        ('{"sensors": [], "sensors": [{"name": "touch", "type": "virtual"}]}', "sensors"),
+        ('{"scheduler": {"alpha": 0.1, "alpha": 0.2}}', "scheduler.alpha"),
+        # outer objects first, then each object's values in document order
+        ('{"sensors": [{"name": "a", "name": "b"}], "sensors": []}', "sensors"),
+        ('{"sensors": [{"units": {"x": 1, "x": 2}, "name": "a", "name": "b"}]}', "sensors[0].name"),
+        ('{"sensors": [{"name": "a", "type": "virtual"}, {"name": "b", "units": {"x": 1, "x": 2}}]}', "sensors[1].units.x"),
+        ('{"bogus": 1, "sensors": [[{"name": "a", "name": "b"}]]}', "sensors[0][0].name"),
+    ],
+    ids=["delta_bad_first", "delta_bad_last", "params_k", "top_level", "scheduler", "outer_first", "own_keys_first", "second_entry", "before_schema"],
+)
+def test_a_repeated_key_is_refused_at_its_path(text, path):
+    """JSON keeps the last of a repeated key, so a bad value could hide
+    behind a good one; the repeat is refused before any schema check."""
+    with pytest.raises(cfg.SchemaError) as exc:
+        cfg.parse_config(text)
+    assert (exc.value.path, exc.value.reason) == (path, "repeated key")
+    assert str(exc.value) == f"{path}: repeated key"
+
+
+def test_a_key_repeated_in_no_object_is_not_a_repeat():
+    config = cfg.parse_config('{"sensors": [{"name": "a", "type": "virtual"}, {"name": "b", "type": "virtual"}]}')
+    assert [s.name for s in config.sensors] == ["a", "b"]

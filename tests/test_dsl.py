@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -375,6 +376,114 @@ def test_lexer_ends_each_line_that_has_tokens_with_one_newline(lines, last):
     assert kinds[0] != "NEWLINE"
     assert ("NEWLINE", "NEWLINE") not in zip(kinds, kinds[1:])
     assert len(kinds) == 1 or kinds[-2] == "NEWLINE"
+
+
+# The lexer as it was when each token carried a frozen SourceSpan, kept as an
+# independent oracle: a regex match per token and per run of blanks, tried in
+# a fixed order, and EOF placed by splitting the text with a "." appended.
+_ORACLE_TOKEN_RE = re.compile(
+    r'(?P<skip>[ \t\r]+|#.*)'
+    r'|"(?P<STRING>[^"]*)"'
+    r"|(?P<OP><=|>=|==|!=|<|>)"
+    r"|(?P<LPAREN>\()|(?P<RPAREN>\))"
+    r"|(?P<WORD>[A-Z][A-Z_]*)"
+    r"|(?P<IDENT>[a-z][a-z0-9_]*)"
+    r"|(?P<NUMBER>[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)"
+    r"|(?P<bad>.)"
+)
+
+
+def _lex_oracle(text):
+    """(kind, text, value, span) per token; raises the ParseError the lexer raises."""
+    tokens = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        start_count = len(tokens)
+        for m in _ORACLE_TOKEN_RE.finditer(line):
+            kind = m.lastgroup
+            if kind == "skip":
+                continue
+            lexeme = m.group(kind)
+            start = m.start()
+            span = dsl.SourceSpan(line_no, start + 1, m.end() - start)
+            if kind == "WORD":
+                if lexeme not in dsl._KEYWORDS:
+                    raise dsl.ParseError(f"unknown keyword {lexeme!r}", span)
+                tokens.append((lexeme, lexeme, None, span))
+            elif kind == "NUMBER":
+                value = float(lexeme) or 0.0
+                if not math.isfinite(value):
+                    raise dsl.ParseError(f"number {lexeme} is out of range", span)
+                tokens.append((kind, lexeme, value, span))
+            elif kind == "bad":
+                raise dsl.ParseError("unterminated string" if lexeme == '"' else f"unexpected character {lexeme!r}", span)
+            else:
+                tokens.append((kind, lexeme, None if kind in ("LPAREN", "RPAREN") else lexeme, span))
+        if len(tokens) > start_count:
+            tokens.append(("NEWLINE", "\n", None, dsl.SourceSpan(line_no, len(line) + 1)))
+    lines = (text + ".").splitlines()
+    tokens.append(("EOF", "", None, dsl.SourceSpan(len(lines), len(lines[-1]))))
+    return tokens
+
+
+# blanks, comments, strings cut short, line breaks of every kind and digits
+# that are not ASCII, beside DSL tokens
+_LEXER_FRAGMENTS = _FRAGMENTS + _LINE_BREAKS + ("٣", "１", "²", "# note", '"cut', "\t#", "  ", "\r\n")
+_LEXER_TEXTS = (
+    _dsl_texts()
+    | st.text()
+    | st.lists(st.tuples(st.sampled_from(_LEXER_FRAGMENTS), st.sampled_from(("", " ")))).map(
+        lambda parts: "".join(fragment + separator for fragment, separator in parts)
+    )
+)
+
+
+def _lexed(text):
+    try:
+        return [(tok.kind, tok.text, tok.value, tok.span) for tok in dsl._lex(text)]
+    except dsl.ParseError as exc:
+        return exc.message, exc.span, exc.expected
+
+
+def _spans(program):
+    """Every span a program's nodes hold, in a fixed order."""
+    spans = []
+    for rule in program.rules:
+        spans += [rule.span, rule.then_span, rule.else_span]
+        stack = [rule.condition]
+        while stack:
+            match stack.pop():
+                case dsl.Comparison(span=span):
+                    spans.append(span)
+                case dsl.And(left=left, right=right) | dsl.Or(left=left, right=right):
+                    stack += (right, left)
+                case dsl.Not(inner=inner):
+                    stack.append(inner)
+    for definition in program.definitions.values():
+        spans.append(definition.span)
+        spans += [stmt.span for stmt in definition.body]
+    return spans
+
+
+def _parsed(parse):
+    try:
+        program = parse()
+    except dsl.ParseError as exc:
+        return exc.message, exc.span, exc.expected
+    return program, _spans(program)
+
+
+@settings(max_examples=500)
+@given(text=_LEXER_TEXTS)
+def test_lexer_matches_the_oracle_token_for_token(text):
+    try:
+        expected = _lex_oracle(text)
+    except dsl.ParseError as exc:
+        expected = exc.message, exc.span, exc.expected
+    assert _lexed(text) == expected
+    if isinstance(expected, list):
+        # the parser reads the same program, spans and refusals from either
+        oracle_tokens = [dsl._Token(kind, lexeme, value, span.line, span.column, span.length) for kind, lexeme, value, span in expected]
+        assert _parsed(lambda: dsl.parse_program(text)) == _parsed(dsl._Parser(oracle_tokens).program)
 
 
 def test_parse_determinism(behavior_text):

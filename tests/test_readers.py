@@ -588,10 +588,18 @@ def _load_trace_oracle(text: str, config) -> list:
 @example(text='{"t_us": 1, "sensor": "touch", "value": {"a": 1, "a": 2}, "t_us": 2}')
 @example(text='[{"t_us": 1, "t_us": 2}]')
 @example(text='{"t_us": 1, "t_us": 2, "sensor": "touch", "value": 1}\n{"t_us": 3, "sensor": "ghost", "value": 1}')
+@example(text='[["t_us", 1], ["sensor", "touch"], ["value", 1]]')
+@example(text='{"value": 1.5, "sensor": "touch", "t_us": 3}\n{"override": "STOP", "t_us": 2}')
+@example(text='{"t_us": 1, "sensor": "touch", "value": 7}')
+@example(text='{"t_us": 1, "sensor": "touch", "value": 1e400}')
+@example(text='{"t_us": 1, "sensor": "touch", "value": 1' + "0" * 399 + "}")
+@example(text='{"t_us": 1, "sensor": "touch", "value": {"a": 1, "b": [2]}}')
+@example(text='{"t_us": 1, "t_us": 2, "sensor": "touch", "value": [{"b": 1, "b": 2}]}')
 def test_load_trace_matches_json_loads_oracle(text):
     """The shared scan-then-decode loop reads a trace exactly as `json.loads`
     did, but for a repeated key, which it refuses as a pairs hook on every
-    line would: the same events, or the same located error."""
+    line would: the same events, of the same types, or the same located
+    error."""
     try:
         expected = _load_trace_oracle(text, TOUCH_CONFIG)
     except eng.TraceError as exc:
@@ -599,7 +607,9 @@ def test_load_trace_matches_json_loads_oracle(text):
             eng.load_trace(text, TOUCH_CONFIG)
         assert (got.value.line, got.value.reason) == (exc.line, exc.reason)
     else:
-        assert eng.load_trace(text, TOUCH_CONFIG) == expected
+        events = eng.load_trace(text, TOUCH_CONFIG)
+        assert events == expected
+        assert [repr(event) for event in events] == [repr(event) for event in expected]
 
 
 # ---------------------------------------------------------------------------

@@ -304,15 +304,15 @@ def _rename_program(prefix: str, text: str) -> str:
     lines = []
     for line in text.splitlines():
         tokens: list[str] = []  # the line's tokens so far, blanks and comments left out
-        pieces = []
+        pieces, end = [], 0  # the line up to `end`, renamed
         for m in _TOKEN_RE.finditer(line):
-            piece = m.group()
-            if m.lastgroup == "IDENT" and tokens[-1:] != ["PLAY"] and tokens[-2:-1] != ["WAIT"]:
-                piece = prefix + piece
-            if m.lastgroup != "skip":
-                tokens.append(piece)
-            pieces.append(piece)
-        lines.append("".join(pieces) + "\n")
+            kind = m.lastgroup
+            if kind == "IDENT" and tokens[-1:] != ["PLAY"] and tokens[-2:-1] != ["WAIT"]:
+                pieces += [line[end : m.start(kind)], prefix]
+                end = m.start(kind)
+            if kind is not None:
+                tokens.append(m[kind])
+        lines.append("".join(pieces) + line[end:] + "\n")
     return "".join(lines)
 
 
