@@ -63,18 +63,27 @@ class _Unreadable(Exception):
 def _read_chunks(path: str) -> Iterator[str]:
     """The text of the file at `path`, `engine.CHUNK_CHARS` characters at a
     time, with universal newlines.  Each chunk is checked before it is handed
-    on, so the first byte that is not UTF-8 is refused with its line."""
+    on, so the first byte that is not UTF-8 is refused with its line.  Only
+    then are the lines before it counted: a file that can be read again is
+    read again up to the chunk that holds it, and one that cannot (a pipe)
+    has its `\n`s counted as it is read."""
     try:
         with open(path, encoding="utf-8", errors="surrogateescape") as file:
-            line = 1
-            for chunk in iter(functools.partial(file.read, engine_mod.CHUNK_CHARS), ""):
+            size, again = engine_mod.CHUNK_CHARS, file.seekable()
+            chunks = lines = 0  # the chunks handed on, and the `\n`s in them if the file is read once
+            for chunk in iter(functools.partial(file.read, size), ""):
                 bad = None if chunk.isascii() else _NOT_UTF8.search(chunk)
                 if bad:
+                    if again:
+                        file.seek(0)
+                        lines = sum(file.read(size).count("\n") for _ in range(chunks))
                     # "\r\n" and a lone "\r" end a line too: both read as "\n"
-                    line += chunk.count("\n", 0, bad.start())
+                    line = lines + chunk.count("\n", 0, bad.start()) + 1
                     print(f"error: {path}: line {line}: invalid UTF-8 byte 0x{ord(bad.group()) - 0xDC00:02x}", file=sys.stderr)
                     raise _Unreadable(ExitStatus.FAILURE)
-                line += chunk.count("\n")
+                chunks += 1
+                if not again:
+                    lines += chunk.count("\n")
                 yield chunk
     except OSError as exc:
         print(f"error: cannot read {path}: {exc.strerror}", file=sys.stderr)

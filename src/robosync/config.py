@@ -30,6 +30,28 @@ _HEX_RE = re.compile(r"0[xX][0-9A-Fa-f]+")
 # bracket or number (integer digits, fraction, exponent)
 _JSON_TOKEN_RE = re.compile(r'"(?:[^"\\]|\\.)*"?|[\[{]|[\]}]|-?(\d+)(\.\d+)?([eE][-+]?\d+)?', re.ASCII | re.DOTALL)
 
+# Every JSON reader (the config's, the trace's and the log's slow path)
+# refuses a text nested deeper than this as nested too deeply, ahead of any
+# other reason.  A decoder meets the recursion limit sooner from a deeper
+# caller, so the limit is well under it, and the verdict is the input's own.
+# No valid input nests past its schema (a config 5 deep, a log line 3, a
+# trace line 1), so only a refused text is measured.
+MAX_JSON_DEPTH = 100
+
+
+def json_depth(text: str) -> tuple[int, int]:
+    """How deep the brackets of JSON `text` nest outside its strings, and
+    where the first bracket at that depth is (0 if none)."""
+    depth = deepest = pos = 0
+    for token in _JSON_TOKEN_RE.finditer(text):
+        if token.group() in ("[", "{"):
+            depth += 1
+            if depth > deepest:
+                deepest, pos = depth, token.start()
+        elif token.group() in ("]", "}"):
+            depth -= 1
+    return deepest, pos
+
 
 class ConfigError(Exception):
     """Base class for configuration failures."""
@@ -430,30 +452,22 @@ def default_priorities(behaviors: Sequence[BehaviorSpec]) -> list[BehaviorSpec]:
     return [replace(b, priority=v) for b, v in zip(behaviors, values)]
 
 
+def _syntax_error(reason: str, text: str, pos: int) -> ConfigSyntaxError:
+    return ConfigSyntaxError(reason, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
+
+
 def _unlocated_syntax_error(text: str, exc: ValueError | RecursionError) -> ConfigSyntaxError:
     """Locate what json.loads rejects without a position: nesting past the
     recursion limit, reported at the first bracket of the deepest nesting, or
     an integer too long to convert, at the first such integer."""
-    pos = 0
     if isinstance(exc, RecursionError):
-        reason = "nested too deeply"
-        depth = deepest = 0
-        for token in _JSON_TOKEN_RE.finditer(text):
-            if token.group() in ("[", "{"):
-                depth += 1
-                if depth > deepest:
-                    deepest, pos = depth, token.start()
-            elif token.group() in ("]", "}"):
-                depth -= 1
-    else:
-        reason = str(exc)
-        limit = sys.get_int_max_str_digits()
-        for token in _JSON_TOKEN_RE.finditer(text):
-            digits, fraction, exponent = token.groups()
-            if digits is not None and fraction is None and exponent is None and len(digits) > limit:
-                pos = token.start()
-                break
-    return ConfigSyntaxError(reason, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
+        return _syntax_error("nested too deeply", text, json_depth(text)[1])
+    limit = sys.get_int_max_str_digits()
+    for token in _JSON_TOKEN_RE.finditer(text):
+        digits, fraction, exponent = token.groups()
+        if digits is not None and fraction is None and exponent is None and len(digits) > limit:
+            return _syntax_error(str(exc), text, token.start())
+    return _syntax_error(str(exc), text, 0)
 
 
 class _Repeats(dict):
@@ -525,19 +539,23 @@ def parse_config(text: str) -> SystemConfig:
     `plugin` entry, does not read; UnknownPluginError for unregistered
     plugins, and CrossReferenceError, listing validate_config's issues, when
     references dangle or a behavior priority is out of range or repeated (so
-    a priority issue comes after any schema error).  A returned config always
-    passes validate_config with no issue.
+    a priority issue comes after any schema error).  A document nested
+    deeper than MAX_JSON_DEPTH is refused as such, ahead of any of these.  A
+    returned config always passes validate_config with no issue.
     """
+    try:
+        return _parse_config(text)
+    except ConfigError:
+        depth, pos = json_depth(text)
+        if depth <= MAX_JSON_DEPTH:
+            raise
+    raise _syntax_error("nested too deeply", text, pos)
+
+
+def _parse_config(text: str) -> SystemConfig:
     repeats: list[_Repeats] = []
     try:
-        try:
-            raw = json.loads(text, object_pairs_hook=partial(_pairs_hook, repeats))
-        except RecursionError:
-            # the hook takes frames json.loads alone does not: within two levels
-            # of the limit, read as json.loads reads, from this frame, with no
-            # note of repeats; nested that deep, the schema refuses it anyway
-            repeats.clear()
-            raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=partial(_pairs_hook, repeats))
     except json.JSONDecodeError as exc:
         raise ConfigSyntaxError(exc.msg, exc.lineno, exc.colno) from None
     except (ValueError, RecursionError) as exc:

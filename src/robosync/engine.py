@@ -25,11 +25,11 @@ import re
 import statistics
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence, TextIO
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence, TextIO
 
 from . import sched
 from .bus import DeliveryRecord, Layer, MessageBus, Topic, evaluate_safety
-from .config import SafetyCheckSpec, SystemConfig, command_topic, processing_stages
+from .config import MAX_JSON_DEPTH, SafetyCheckSpec, SystemConfig, command_topic, json_depth, processing_stages
 # eval_condition stays a name of this module though nothing here calls it
 # (each route compiles its conditions): the benchmark's tracer,
 # bench/tracing.py, looks up each function it wraps in this module's
@@ -64,18 +64,24 @@ _LOG_DECODER = json.JSONDecoder(parse_constant=_reject_constant, object_pairs_ho
 
 
 class _Form(NamedTuple):
-    """How the log reads a value of one declared type.  `pattern` matches the
-    canonical text a log site writes (an int as `%d`, a float as `%.6f`,
-    anything else as `render` writes it), with one group holding the value's
-    text (none for `null`), and `read` turns that text into the value the
-    JSON decoder gives.  `allowed` is the decoded types a line read the slow
-    way may hold there (a JSON integer is a number too), and `noun` names
-    them."""
+    """How the log reads a value of one declared type.  `around % text` is
+    the regex of the canonical text a log site writes (an int as `%d`, a
+    float as `%.6f`, anything else as `render` writes it), where `text`
+    matches the value's text (none for `null`), and `read` turns that text
+    into the value the JSON decoder gives.  `allowed` is the decoded types a
+    line read the slow way may hold there (a JSON integer is a number too),
+    and `noun` names them."""
 
-    pattern: str
+    around: str
+    text: str
     read: Callable[[str | None], object]
     allowed: frozenset[type]
     noun: str
+
+    def pattern(self, group: str | None) -> str:
+        """The regex of the canonical text, with the value's text in a group
+        of this name, or in none."""
+        return self.around % (self.text if group is None else f"(?P<{group}>{self.text})")
 
 
 # canonical text: at most 18 digits, so `int` never meets its digit limit;
@@ -101,13 +107,13 @@ def _float_or_none(text: str | None) -> float | None:
 
 _NONE = type(None)
 _FORMS: dict[object, _Form] = {
-    int: _Form(f"({_INT})", int, frozenset({int}), "an integer"),
-    float: _Form(f"({_FLOAT})", float, frozenset({float, int}), "a number"),
-    str: _Form(f'"({_TEXT})"', _same, frozenset({str}), "a string"),
-    list: _Form(f"({_LIST})", _LOG_DECODER.decode, frozenset({list}), "an array"),
-    dict: _Form(f"({_DICT})", _LOG_DECODER.decode, frozenset({dict}), "an object"),
-    str | None: _Form(f'(?:null|"({_TEXT})")', _same, frozenset({str, _NONE}), "a string or null"),
-    float | None: _Form(f"(?:null|({_FLOAT}))", _float_or_none, frozenset({float, int, _NONE}), "a number or null"),
+    int: _Form("%s", _INT, int, frozenset({int}), "an integer"),
+    float: _Form("%s", _FLOAT, float, frozenset({float, int}), "a number"),
+    str: _Form('"%s"', _TEXT, _same, frozenset({str}), "a string"),
+    list: _Form("%s", _LIST, _LOG_DECODER.decode, frozenset({list}), "an array"),
+    dict: _Form("%s", _DICT, _LOG_DECODER.decode, frozenset({dict}), "an object"),
+    str | None: _Form('(?:null|"%s")', _TEXT, _same, frozenset({str, _NONE}), "a string or null"),
+    float | None: _Form("(?:null|%s)", _FLOAT, _float_or_none, frozenset({float, int, _NONE}), "a number or null"),
 }
 
 
@@ -147,11 +153,10 @@ class LogRow(tuple):
     """A row of the log schema: the tuple of its detail field names, in the
     order they are written, with its entries' `kind`, the `layer` a `message`
     row's entries hold (else None), each field's declared type in `types` and
-    its `_Form` in `forms`, and `pattern`, the regex of its canonical line
-    (the one a site writes) from the kind's name to the detail's brace, one
-    group per field.  `site(**fixed)` makes the row's log sites.  `group` is
-    the empty group that ends the row's branch in `_CANONICAL`, which joins
-    the patterns: the row's fields are the groups before it."""
+    its `_Form` in `forms`, and `label`, `<kind>_<layer>`, which names its
+    groups in a line regex (`_log_line`).  `site(**fixed)` makes the row's
+    log sites.  `group` is the empty group that ends the row's branch in
+    `_CANONICAL`: the row's fields are the groups before it."""
 
     kind: str
     layer: str | None
@@ -159,7 +164,7 @@ class LogRow(tuple):
     forms: tuple[_Form, ...]
     template: str
     conversions: tuple[str, ...]
-    pattern: str
+    label: str
     group: int
 
     def __new__(cls, kind: str, fields: Mapping[str, object], layer: str | None = None) -> LogRow:
@@ -170,10 +175,19 @@ class LogRow(tuple):
         detail = ", ".join(f'"{name}": %s' for name in row)
         row.template = _HEAD.replace("%", "%%") + f', "kind": "{kind}", "detail": {{{detail}{_LINE_END}'
         row.conversions = tuple(_CONVERSIONS.get(value_type, "") for value_type in row.types)
-        # a `message` row's `layer` is its own layer's name
-        patterns = [f'"({layer})"' if name == "layer" else form.pattern for name, form in zip(row, row.forms)]
-        row.pattern = f'{kind}", "detail": \\{{' + ", ".join(f'"{name}": {p}' for name, p in zip(row, patterns)) + r"\}"
+        row.label = f"{kind}_{layer}"
         return row
+
+    def pattern(self, captured: Collection[str]) -> str:
+        """The regex of the row's canonical line (the one a site writes) from
+        the kind's name to the detail's brace, with each field `captured`
+        names in a group named `<label>_<field>`, in field order."""
+        fields = []
+        for name, form in zip(self, self.forms):
+            if name == "layer":  # a `message` row's `layer` is its own layer's name
+                form = form._replace(text=self.layer)
+            fields.append(f'"{name}": ' + form.pattern(f"{self.label}_{name}" if name in captured else None))
+        return f'{self.kind}", "detail": \\{{' + ", ".join(fields) + r"\}"
 
     def site(self, **fixed: object) -> LogSite:
         """The site whose named fields hold these values (a `message` row's
@@ -197,7 +211,8 @@ class LogRow(tuple):
         return LogEntry(seq, t_us, self.kind, dict(zip(self, values)))
 
     def read(self, match: re.Match) -> tuple:
-        """The values of a canonical line of this row that `_CANONICAL` matched."""
+        """The values of a canonical line of this row that `_CANONICAL`
+        matched."""
         texts = match.groups()[self.group - 1 - len(self) : self.group - 1]
         return tuple(form.read(text) for form, text in zip(self.forms, texts))
 
@@ -262,27 +277,46 @@ LOG_FIELDS: dict[tuple[str, str | None], LogRow] = {
 }
 LOG_KINDS = frozenset(kind for kind, _layer in LOG_FIELDS)
 
-# One line of a log: a canonical line of some row, whose fields' groups end
-# in an empty group named after its shape, or else (the last group) any other
-# line, up to and with its `\n`.  Its matches in a text of whole lines tile
-# it, so each canonical match starts a line: a `\n` ends the one before it.
-# Each row's branch starts with its kind's name, which a branch that does not
-# match fails on at once; the kinds the bench logs hold most are tried first.
-_FIRST_TRIED = ("task_start", "task_finish", "priority_update", "behavior_suppressed", "message")
-_CANONICAL = re.compile(
-    rf'\{{"seq": ({_INT}), "t_us": ({_INT}), "kind": "(?:'
-    + "|".join(
-        f"{row.pattern}(?P<{row.kind}_{row.layer}>)"
-        for row in sorted(LOG_FIELDS.values(), key=lambda row: (*_FIRST_TRIED, row.kind).index(row.kind))
+
+def _log_line(
+    captured: Mapping[tuple[str, str | None], Sequence[str]],
+) -> tuple[re.Pattern, list[LogRow | None], dict[tuple[str, str | None], tuple[int, ...]]]:
+    r"""The regex of one line of a log, the row each of its groups ends (None
+    for the others), and, per shape `captured` names, the group that ends its
+    row's branch and those of the fields it names, in its order.
+
+    A canonical line of some row (keyed by its shape, as in `LOG_FIELDS`) is
+    matched with its seq and t_us in groups 1 and 2, and each field
+    `captured` names for it in a group named `<label>_<field>`, then an empty
+    group named after its label; any other line, up to and with its `\n`, is
+    the last group.  Its matches in a text of whole lines tile it, so each
+    canonical match is exactly one line.  Each row's branch starts with its
+    kind's name, which a branch that does not match fails on at once; the
+    kinds the bench logs hold most are tried first."""
+    first = ("task_start", "task_finish", "priority_update", "behavior_suppressed", "message")
+    regex = re.compile(
+        rf'\{{"seq": ({_INT}), "t_us": ({_INT}), "kind": "(?:'
+        + "|".join(
+            f"{row.pattern(captured.get(shape, ()))}(?P<{row.label}>)"
+            for shape, row in sorted(LOG_FIELDS.items(), key=lambda item: (*first, item[1].kind).index(item[1].kind))
+        )
+        + r")\}\r?(?:\n|\Z)|([^\n]*\n|[^\n]+)"
     )
-    + r")\}\r?(?:\n|\Z)|([^\n]*\n|[^\n]+)"
-)
+    rows: list[LogRow | None] = [None] * (regex.groups + 1)
+    for row in LOG_FIELDS.values():
+        rows[regex.groupindex[row.label]] = row
+    groups = {
+        shape: (regex.groupindex[(label := LOG_FIELDS[shape].label)], *[regex.groupindex[f"{label}_{name}"] for name in names])
+        for shape, names in captured.items()
+    }
+    return regex, rows, groups
+
+
+# every field of every row: the reader of whole entries
+_CANONICAL, _ROWS, _ = _log_line(LOG_FIELDS)
 _OTHER = _CANONICAL.groups
-# group -> the row whose canonical line it ends, None for the others
-_ROWS: list[LogRow | None] = [None] * (_OTHER + 1)
 for _row in LOG_FIELDS.values():
-    _row.group = _CANONICAL.groupindex[f"{_row.kind}_{_row.layer}"]
-    _ROWS[_row.group] = _row
+    _row.group = _CANONICAL.groupindex[_row.label]
 del _row
 
 STOP_COMMAND = "STOP"
@@ -433,6 +467,15 @@ def _split_lines(text: str | Iterable[str], chunk: int = CHUNK_CHARS) -> Iterato
         yield from block[:end].splitlines()
 
 
+_NESTED = "invalid JSON: nested too deeply"
+
+
+def _too_deep(line: str) -> bool:
+    """Whether `line` nests deeper than MAX_JSON_DEPTH; a line with no more
+    brackets than that is not scanned."""
+    return line.count("[") + line.count("{") > MAX_JSON_DEPTH and json_depth(line)[0] > MAX_JSON_DEPTH
+
+
 def _json_lines(
     text: str | Iterable[str],
     scan: Callable[[str, int], tuple[object, int]],
@@ -443,7 +486,8 @@ def _json_lines(
     """`(line number, line, value)` per non-blank line of `text`, whole or in
     pieces, the first line numbered `first_line`; a line that is not one JSON
     value raises `error(line number, reason)`, and so does one that names a
-    key twice in one object, if `scan` and `decode` refuse that.
+    key twice in one object, if `scan` and `decode` refuse that.  A line
+    nested deeper than MAX_JSON_DEPTH that is refused is refused as that.
 
     `decode` scans from 0 too unless the line starts with whitespace (or, for
     `json.loads`, a BOM), so a value that spans the whole line is exactly what
@@ -459,14 +503,16 @@ def _json_lines(
                 end = -1
             if end != len(line):
                 obj = decode(line)
-        except json.JSONDecodeError as exc:
-            raise error(line_no, f"invalid JSON: {exc.msg}") from None
-        except _RepeatedKey as exc:
-            raise error(line_no, str(exc)) from None
-        except ValueError as exc:  # a non-finite constant or an over-long integer
-            raise error(line_no, f"invalid JSON: {exc}") from None
-        except RecursionError:
-            raise error(line_no, "invalid JSON: nested too deeply") from None
+        except (ValueError, RecursionError) as exc:
+            if isinstance(exc, RecursionError) or _too_deep(line):
+                reason = _NESTED
+            elif isinstance(exc, json.JSONDecodeError):
+                reason = f"invalid JSON: {exc.msg}"
+            elif isinstance(exc, _RepeatedKey):
+                reason = str(exc)
+            else:  # a non-finite constant or an over-long integer
+                reason = f"invalid JSON: {exc}"
+            raise error(line_no, reason) from None
         yield line_no, line, obj
 
 
@@ -491,7 +537,8 @@ def load_trace(text: str, config: SystemConfig) -> list[TraceEvent]:
     Events come back sorted by timestamp, file order preserved among ties.
     A line that names one key twice in any of its objects is refused.  Each
     line is scanned with no Python per object; a line that is refused is
-    decoded again through the repeated-key check, whose refusal comes first.
+    decoded again through the repeated-key check, whose refusal comes first,
+    but for nesting deeper than MAX_JSON_DEPTH, which comes before it.
     """
     sensor_names = {s.name for s in config.sensors}
     events: list[TraceEvent] = []
@@ -528,9 +575,10 @@ def load_trace(text: str, config: SystemConfig) -> list[TraceEvent]:
             else:
                 raise TraceError(line_no, "expected keys {t_us, sensor, value} or {t_us, override}")
         except TraceError:
-            # a repeated key, the innermost first, or nesting too deep for the
-            # checking hook outranks the reason; read from this frame, the line
-            # meets the recursion limit where a checked scan of every line would
+            # nesting too deep, then a repeated key, the innermost first,
+            # outranks the reason
+            if _too_deep(line):
+                raise TraceError(line_no, _NESTED) from None
             for _checked in _json_lines(line, _CHECKED_SCAN, _CHECKED_DECODE, TraceError, line_no):
                 pass
             raise
@@ -622,52 +670,53 @@ def _checked(seq: object, t_us: object, kind: object, detail: object) -> tuple[L
 
 class _LogScan:
     r"""A serialized log, whole or as an iterable of its text in pieces, read
-    once.  Iterating it gives, per block of whole lines, the iterator of
-    `_CANONICAL` matches that tiles the block: each canonical line is one
-    match, read by its row's regex alone (`read`), and each other line, up
-    to its `\n`, is one `_OTHER` match, which `other` reads the slow way."""
+    once.  Iterating it gives the matches of a `_log_line` regex that tile
+    its text, block by block: each canonical line is one match, and each
+    other line, up to its `\n`, is one match of the last group, which
+    `other` reads the slow way.  A canonical match is exactly one line, so
+    lines are numbered from the matches: the match that `index` matches come
+    before starts at line `index + 1`, plus the lines past the first of each
+    other match before it, as `str.splitlines` breaks the whole text."""
 
-    __slots__ = ("text", "line", "block", "at")
+    __slots__ = ("matches", "extra")
 
-    def __init__(self, text: str | Iterable[str]) -> None:
-        self.text = text
-        self.line = 0  # the lines before `at` in the current block and before that block
+    def __init__(self, text: str | Iterable[str], regex: re.Pattern = _CANONICAL) -> None:
+        self.matches = itertools.chain.from_iterable(regex.finditer(block, 0, end) for block, end in _blocks(text))
+        self.extra = 0  # the lines past the first of each other match read so far
 
-    def __iter__(self) -> Iterator[Iterator[re.Match]]:
-        for block, end in _blocks(self.text):
-            self.block, self.at = block, 0
-            yield _CANONICAL.finditer(block, 0, end)
-            self.line += block.count("\n", self.at, end)
+    def __iter__(self) -> Iterator[re.Match]:
+        return self.matches
 
-    def read(self, match: re.Match, group: int = 0) -> object:
-        """The values of a canonical match, read by its row, or with `group`
-        the object that group holds, decoded alone; a line whose object names
-        a key twice is read the slow way, which refuses it at its line."""
+    def read(self, match: re.Match, index: int, group: int = 0) -> object:
+        """The values of a `_CANONICAL` match, read by its row, or with
+        `group` the object that group holds, decoded alone; a line whose
+        object names a key twice is read the slow way, which refuses it at
+        its line."""
         try:
             return _LOG_DECODER.decode(match[group]) if group else _ROWS[match.lastindex].read(match)
         except _RepeatedKey:
-            self.other(match)
+            self.other(match, index)
             raise
 
-    def other(self, match: re.Match) -> list[tuple[LogRow, int, int, tuple]]:
-        """The entries of a match, read the slow way, its lines numbered as
-        `str.splitlines` breaks the whole text."""
-        start, end = match.span()
-        line = self.line + self.block.count("\n", self.at, start)
+    def other(self, match: re.Match, index: int) -> list[tuple[LogRow, int, int, tuple]]:
+        """The entries of a match, read the slow way."""
         text = match.group()
-        self.line, self.at = line + len(text.splitlines()), end
-        return _decoded(text, line + 1)
+        line = index + 1 + self.extra
+        self.extra += len(text.splitlines()) - 1
+        return _decoded(text, line)
 
 
 def _decoded(text: str, first_line: int = 1) -> list[tuple[LogRow, int, int, tuple]]:
     """`(row, seq, t_us, values)` per entry of a log's `text`, its first
     line numbered `first_line`, read the slow way: each line through the JSON
     decoder and `_checked`.  Raises MalformedLogError naming the first bad
-    line."""
+    line; a line nested deeper than MAX_JSON_DEPTH is bad for that first."""
     rows = []
     decoder = _LOG_DECODER
     lines = _json_lines(text, decoder.scan_once, decoder.decode, lambda n, reason: MalformedLogError(reason, n), first_line)
-    for line_no, _line, obj in lines:
+    for line_no, line, obj in lines:
+        if _too_deep(line):  # an object field's value may nest
+            raise MalformedLogError(_NESTED, line_no)
         if not isinstance(obj, dict) or obj.keys() != _LOG_ENTRY_KEYS:
             raise MalformedLogError("expected keys {seq, t_us, kind, detail}", line_no)
         try:
@@ -684,13 +733,12 @@ def parse_log(text: str | Iterable[str]) -> list[LogEntry]:
     and the row's checks."""
     entries = []
     scan = _LogScan(text)
-    for matches in scan:
-        for match in matches:
-            row = _ROWS[match.lastindex]
-            if row is None:
-                entries += [row.entry(seq, t_us, values) for row, seq, t_us, values in scan.other(match)]
-            else:
-                entries.append(row.entry(int(match[1]), int(match[2]), scan.read(match)))
+    for index, match in enumerate(scan):
+        row = _ROWS[match.lastindex]
+        if row is None:
+            entries += [row.entry(seq, t_us, values) for row, seq, t_us, values in scan.other(match, index)]
+        else:
+            entries.append(row.entry(int(match[1]), int(match[2]), scan.read(match, index)))
     return entries
 
 
@@ -724,6 +772,24 @@ def compute_stats(entries: Iterable[LogEntry]) -> dict:
 
 # the rows whose values the stats pass reads; it only counts the others
 _READ_ROWS = (_TASK_START, _TASK_FINISH, _TASK_ABORT, _SAFETY_HALT)
+# What the stats pass reads of a canonical line, per shape: a task's name
+# and enqueue_seq, which pair its start with its end, a start's
+# enqueue_t_us, for its latency, and each object, decoded to refuse a
+# repeated key.  Its regex captures those fields beside each line's seq and
+# t_us (the first halt's), and nothing of any other row.
+_STATS_FIELDS = {
+    ("task_start", None): ("task", "enqueue_seq", "enqueue_t_us"),
+    ("task_finish", None): ("task", "enqueue_seq"),
+    ("task_abort", None): ("task", "enqueue_seq"),
+    ("message", "behavior"): ("command",),
+    ("safety_halt", None): ("neutral",),
+}
+_STATS, _STATS_ROWS, _STATS_GROUPS = _log_line(_STATS_FIELDS)
+_STATS_OTHER = _STATS.groups
+# the pass decodes each distinct object text once, keeping at most this many
+# texts: a log of more distinct objects is read alike, decoding the others
+# each time
+MAX_READ_OBJECTS = 1024
 
 
 class StatsAccumulator:
@@ -734,13 +800,14 @@ class StatsAccumulator:
     serialized log; and `result()` ends the log and returns its stats
     document.  A MalformedLogError from any of them ends the accumulator."""
 
-    __slots__ = ("counts", "open_tasks", "latencies", "halt_t_us")
+    __slots__ = ("counts", "open_tasks", "latencies", "halt_t_us", "read_objects")
 
     def __init__(self) -> None:
-        self.counts = [0] * (_OTHER + 1)  # a row's `group` -> its entries so far
+        self.counts = [0] * (_OTHER + 1)  # a row's `group` (`_OTHER`: a line read the slow way) -> its entries so far
         self.open_tasks: dict[tuple[str, int], None] = {}  # (task, enqueue_seq) started and not yet ended, in start order
         self.latencies: list[int] = []
         self.halt_t_us: int | None = None
+        self.read_objects: set[str] = set()  # object texts `read` decoded, at most MAX_READ_OBJECTS
 
     def add(self, site: LogSite, seq: int, t_us: int, args: tuple) -> None:
         row = site.row
@@ -785,57 +852,70 @@ class StatsAccumulator:
 
     def read(self, text: str | Iterable[str]) -> None:
         """Count a serialized log, whole or as an iterable of its text in
-        pieces.  A canonical line's row is its match's last group, and only
-        the fields the pass reads are converted, and the object a line may
-        hold, to refuse a repeated key; any other line is read the slow way
-        and counted through `count`.  Raises the MalformedLogError of the
-        first malformed line, else of the first unmatched start or finish."""
-        counts, start, end = self.counts, self._start, self._end
-        started = _TASK_START.group
-        task = started - len(_TASK_START)  # the group of a start's `task`
-        # an end's group -> its kind and the group of its `task`
-        ends = {row.group: (row.kind, row.group - len(row)) for row in (_TASK_FINISH, _TASK_ABORT)}
-        halt = _SAFETY_HALT.group
-        # a row with an object field (one at most) -> that field's group: the
-        # object is decoded, to refuse a repeated key
-        objects = {row.group: row.group - len(row) + row.types.index(dict) for row in LOG_FIELDS.values() if dict in row.types}
-        reads = frozenset({started, *ends, *objects, _OTHER})
-        read_objects: set[str] = set()
-        scan = _LogScan(text)
-        blocks = iter(scan)
+        pieces.  A canonical line is matched by `_STATS`, whose last matched
+        group names its row, and only the fields `_STATS_FIELDS` declares are
+        converted; a start and its end pair up in place.  Any other line is
+        read the slow way and counted through `count`.  Raises the
+        MalformedLogError of the first malformed line, else of the first
+        unmatched start or finish."""
+        open_tasks, latencies, read_objects = self.open_tasks, self.latencies, self.read_objects
+        tally = [0] * (_STATS_OTHER + 1)  # a `_STATS` group -> its matches so far
+        started, *fields = _STATS_GROUPS["task_start", None]
+        start = (1, 2, *fields)  # seq, t_us, task, enqueue_seq, enqueue_t_us
+        ends = {}  # an end's group -> its kind and the groups of seq, task and enqueue_seq
+        for kind in ("task_finish", "task_abort"):
+            group, *fields = _STATS_GROUPS[kind, None]
+            ends[group] = (kind, (1, *fields))
+        # a row with an object field -> that field's group
+        objects = dict(_STATS_GROUPS[shape] for shape in (("message", "behavior"), ("safety_halt", None)))
+        halt = _STATS_GROUPS["safety_halt", None][0]
+        reads = frozenset({started, *ends, *objects, _STATS_OTHER})
+        scan = _LogScan(text, _STATS)
         try:
-            for matches in blocks:
-                for match in matches:
-                    group = match.lastindex
-                    counts[group] += 1
-                    if group not in reads:
-                        continue
-                    if group == started:
-                        seq, t_us, name, enqueue_seq, enqueue_t_us = match.group(1, 2, task, task + 1, task + 2)
-                        start((name, int(enqueue_seq)), int(t_us) - int(enqueue_t_us), seq)
-                    elif group in ends:
-                        kind, at = ends[group]
-                        seq, name, enqueue_seq = match.group(1, at, at + 1)
-                        end(kind, (name, int(enqueue_seq)), seq)
-                    elif group == _OTHER:
-                        for entry in scan.other(match):
-                            self.count(*entry)
-                    else:
-                        at = objects[group]
-                        if match[at] not in read_objects:  # an object's text repeats: it is decoded once
-                            scan.read(match, at)
+            for match in scan:
+                group = match.lastindex
+                tally[group] += 1
+                if group not in reads:
+                    continue
+                if group == started:
+                    seq, t_us, task, enqueue_seq, enqueue_t_us = match.group(*start)
+                    key, latency = (task, int(enqueue_seq)), int(t_us) - int(enqueue_t_us)
+                    if key in open_tasks or latency < 0:
+                        self._start(key, latency, seq)
+                    open_tasks[key] = None
+                    latencies.append(latency)
+                elif group in ends:
+                    kind, at = ends[group]
+                    seq, task, enqueue_seq = match.group(*at)
+                    key = (task, int(enqueue_seq))
+                    try:
+                        del open_tasks[key]
+                    except KeyError:
+                        self._end(kind, key, seq)
+                elif group == _STATS_OTHER:
+                    for entry in scan.other(match, sum(tally) - 1):
+                        self.count(*entry)
+                else:
+                    at = objects[group]
+                    if match[at] not in read_objects:  # an object's text repeats: it is decoded once
+                        scan.read(match, sum(tally) - 1, at)
+                        if len(read_objects) < MAX_READ_OBJECTS:
                             read_objects.add(match[at])
-                        if group == halt and self.halt_t_us is None:
-                            self.halt_t_us = int(match[2])
+                    if group == halt and self.halt_t_us is None:
+                        self.halt_t_us = int(match[2])
         except MalformedLogError as error:
             if error.line is None:  # a stats error: the first malformed line after it outranks it
-                for matches in itertools.chain([matches], blocks):
-                    for match in matches:
-                        if match.lastindex == _OTHER:
-                            scan.other(match)
-                        elif match.lastindex in objects:
-                            scan.read(match, objects[match.lastindex])
+                for index, match in enumerate(scan, sum(tally)):
+                    if match.lastindex == _STATS_OTHER:
+                        scan.other(match, index)
+                    elif match.lastindex in objects:
+                        scan.read(match, index, objects[match.lastindex])
             raise
+        finally:
+            counts = self.counts
+            for group, matched in enumerate(tally):
+                if matched:
+                    counts[_OTHER if group == _STATS_OTHER else _STATS_ROWS[group].group] += matched
 
     def result(self) -> dict:
         if self.open_tasks:

@@ -1387,6 +1387,76 @@ def test_row_emitters_match_serialize_log(shape, data):
     assert out.getvalue() == line
 
 
+# values of each declared type that a line holds as they are written
+# (printable ASCII but `"` and `\`, up to 18 digits, finite floats)
+_canonical_text = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, blacklist_characters='"\\'), max_size=6)
+_canonical_float = st.floats(allow_nan=False, allow_infinity=False)
+_canonical_int = st.integers(-(10**17), 10**17)
+_CANONICAL_VALUES = {
+    int: _canonical_int,
+    float: _canonical_float,
+    str: _canonical_text,
+    str | None: st.none() | _canonical_text,
+    float | None: st.none() | _canonical_float,
+    list: st.lists(_canonical_text, max_size=3),
+    dict: st.dictionaries(_canonical_text, _canonical_float | _canonical_text, max_size=3),
+}
+_MUTATIONS = st.sampled_from(["none", "truncate", "cut", "pad", "kind", "drop", "crlf"])
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_the_stats_scan_reads_what_the_canonical_scan_reads(data):
+    # the stats pass's regex captures only the fields `_STATS_FIELDS`
+    # declares, from the same row patterns as `_CANONICAL`, which captures
+    # them all: over site lines of drawn values of every row (any split into
+    # fixed and varying), and mutations of them, both tile a text alike,
+    # name the same row, and read the same seq, t_us and declared fields
+    lines = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        shape = data.draw(st.sampled_from(list(eng.LOG_FIELDS)))
+        row = eng.LOG_FIELDS[shape]
+        drawn = _CANONICAL_VALUES if data.draw(st.booleans()) else _DECLARED
+        seq, t_us = data.draw(drawn[int]), data.draw(drawn[int])
+        detail = {name: shape[1] if name == "layer" else data.draw(drawn[declared]) for name, declared in zip(row, row.types)}
+        varying = [name for name, declared in zip(row, row.types) if declared in (int, float) and data.draw(st.booleans())]
+        site = row.site(**{name: value for name, value in detail.items() if name not in varying})
+        line = site.line % (seq, t_us, *[detail[name] for name in varying])
+        mutation = data.draw(_MUTATIONS)
+        if mutation == "truncate":
+            line = line[: data.draw(st.integers(0, len(line) - 1))]
+        elif mutation == "cut":  # one character of one field's value, its first or last often
+            match, field = eng._CANONICAL.match(line), data.draw(st.integers(0, len(row) - 1))
+            start, end = match.span(row.group - len(row) + field) if match.lastindex == row.group else (0, len(line))
+            if start < end:
+                at = data.draw(st.sampled_from([start, end - 1]) | st.integers(start, end - 1))
+                line = line[:at] + line[at + 1 :]
+        elif mutation == "pad":
+            at = data.draw(st.integers(0, len(line) - 1))
+            line = line[:at] + data.draw(st.sampled_from([" ", "\t", "  "])) + line[at:]
+        elif mutation == "kind":
+            other = data.draw(st.sampled_from(sorted(eng.LOG_KINDS - {row.kind})))
+            line = line.replace(f'"kind": "{row.kind}"', f'"kind": "{other}"', 1)
+        elif mutation == "drop":
+            del detail[data.draw(st.sampled_from(row))]
+            line = eng.render({"seq": seq, "t_us": t_us, "kind": row.kind, "detail": detail}) + "\n"
+        elif mutation == "crlf":
+            line = line.removesuffix("\n") + "\r\n"
+        lines.append(line)
+    text = "".join(lines)
+    canonical, counted = list(eng._CANONICAL.finditer(text)), list(eng._STATS.finditer(text))
+    assert [match.span() for match in canonical] == [match.span() for match in counted]
+    for full, read in zip(canonical, counted):
+        row = eng._ROWS[full.lastindex]
+        assert eng._STATS_ROWS[read.lastindex] is row
+        if row is None:
+            continue
+        assert read.group(1, 2) == full.group(1, 2)
+        names = eng._STATS_FIELDS.get((row.kind, row.layer), ())
+        groups = eng._STATS_GROUPS[row.kind, row.layer][1:] if names else ()
+        assert [read[group] for group in groups] == [full[row.group - len(row) + row.index(name)] for name in names]
+
+
 def test_a_site_varies_only_numbers_of_its_row():
     with pytest.raises(TypeError, match="^task_start field 'task' is no number: it cannot vary$"):
         eng._TASK_START.site()

@@ -6,7 +6,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import re
+import threading
 from unittest import mock
 
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from robosync import cli, engine as eng
 from robosync.cli import main
-from robosync.config import ConfigError, SensorSpec, SystemConfig, parse_config
+from robosync.config import MAX_JSON_DEPTH, ConfigError, SensorSpec, SystemConfig, parse_config
 from robosync.sensorproc import Reading, finite_float
 
 from conftest import FIXTURES
@@ -127,6 +129,26 @@ def test_stats_names_the_line_of_a_bad_byte_past_the_first_chunk(tmp_path, monke
     path.write_bytes(b"\r\n".join(lines))
     monkeypatch.setattr(eng, "CHUNK_CHARS", 100)
     assert _stats_cli(path) == (1, "", f"error: {path}: line 30: invalid UTF-8 byte 0xe9\n")
+
+
+def test_stats_names_the_line_of_a_bad_byte_read_from_a_pipe(tmp_path, monkeypatch):
+    # a file is read again to number a bad byte's line; a pipe cannot be, so
+    # its lines are counted as it is read
+    lines = GOLDEN_LOG.encode("utf-8").splitlines()
+    lines[29] = lines[29][:30] + b"\xe9" + lines[29][30:]
+    path = tmp_path / "log.jsonl"
+
+    def feed() -> None:
+        with contextlib.suppress(BrokenPipeError), open(path, "wb") as fifo:
+            fifo.write(b"\r\n".join(lines))
+
+    os.mkfifo(path)
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    monkeypatch.setattr(eng, "CHUNK_CHARS", 100)
+    assert _stats_cli(path) == (1, "", f"error: {path}: line 30: invalid UTF-8 byte 0xe9\n")
+    writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def test_stats_malformed_line_in_a_later_chunk_outranks_a_stats_error(tmp_path, monkeypatch):
@@ -533,14 +555,40 @@ def _refuse_repeats(pairs: list) -> dict:
     return dict(pairs)
 
 
+def _depth(text: str) -> int:
+    """How deep the brackets of JSON text nest outside its strings (an
+    unterminated one runs to the end), read a character at a time."""
+    depth = deepest = 0
+    in_string = escaped = False
+    for char in text:
+        if in_string:
+            if escaped:
+                escaped = False
+            elif char == "\\":
+                escaped = True
+            elif char == '"':
+                in_string = False
+        elif char == '"':
+            in_string = True
+        elif char in "[{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif char in "]}":
+            depth -= 1
+    return deepest
+
+
 def _load_trace_oracle(text: str, config) -> list:
     """load_trace as it read lines before sharing a loop with the log reader: one
-    `json.loads` per line, with a pairs hook that refuses a repeated key."""
+    `json.loads` per line, with a pairs hook that refuses a repeated key, after
+    refusing a line nested deeper than MAX_JSON_DEPTH."""
     sensor_names = {s.name for s in config.sensors}
     events = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
+        if _depth(line) > MAX_JSON_DEPTH:
+            raise eng.TraceError(line_no, "invalid JSON: nested too deeply")
         try:
             obj = json.loads(line, object_pairs_hook=_refuse_repeats)
         except json.JSONDecodeError as exc:
@@ -762,6 +810,29 @@ def test_a_repeated_key_in_a_canonical_object_is_refused_as_off_it(data, chunk, 
     assert (parsed.value.line, parsed.value.reason) == (counted.value.line, counted.value.reason) == expected
 
 
+def test_the_stats_pass_keeps_at_most_max_read_objects_texts(tmp_path, monkeypatch):
+    # a log of twice as many distinct command objects as the pass keeps the
+    # texts of, read in small chunks: its stats are the eager path's, the
+    # pass holds MAX_READ_OBJECTS texts, and a repeated key in an object past
+    # them is still refused at its line
+    line = (
+        '{"seq": %d, "t_us": 0, "kind": "message", "detail": {"topic": "arm_cmd", "layer": "behavior", '
+        '"bus_seq": 0, "command": {"action": "move", "value": %d.000000}, "behavior": "b"}}\n'
+    )
+    n = 2 * eng.MAX_READ_OBJECTS
+    text = "".join(line % (i, i) for i in range(n))
+    path = tmp_path / "log.jsonl"
+    path.write_text(text)
+    monkeypatch.setattr(eng, "CHUNK_CHARS", 1000)
+    stats = eng.StatsAccumulator()
+    stats.read(cli._read_chunks(str(path)))
+    assert stats.result() == eng.compute_stats(eng.parse_log(text))
+    assert stats.result()["messages_per_layer"]["behavior"] == n
+    assert (len(stats.read_objects), stats.counts[eng._OTHER]) == (eng.MAX_READ_OBJECTS, 0)
+    path.write_text(text + line.replace('"move"', '"move", "action": "set"') % (n, n))
+    assert _stats_cli(path) == (1, "", f"malformed log: line {n + 1}: repeated key 'action'\n")
+
+
 @settings(max_examples=300)
 @given(text=st.one_of(_config_text(), st.text()))
 @example(text='{"sensors": ' + "[" * 100_000 + "]" * 100_000 + "}")
@@ -790,3 +861,59 @@ def test_long_config_integer_is_located():
     with pytest.raises(ConfigError, match="Exceeds the limit") as exc:
         parse_config(text)
     assert (exc.value.line, exc.value.column) == (2, 16)
+
+
+# ---------------------------------------------------------------------------
+# nesting past MAX_JSON_DEPTH: the input's own verdict, whatever the caller's stack
+
+
+def _nested_text(head: str, depth: int, tail: str) -> str:
+    """`head`, arrays nested `depth` deep around a 0, then `tail`."""
+    return head + "[" * depth + "0" + "]" * depth + tail
+
+
+def _nested_log_line(depth: int) -> str:
+    head = '{"seq": 0, "t_us": 0, "kind": "message", "detail": {"topic": "arm_cmd", "layer": "behavior", "bus_seq": 0, "command": {"a": '
+    return _nested_text(head, depth - 3, '}, "behavior": "b"}}\n')
+
+
+_NESTED_CONFIG_HEAD = '{"sensors": '
+# each reader's text, nested `depth` deep: a trace line's value, a log line's
+# command (a line the slow path accepts up to the limit) and a config's sensors
+_NESTED_READS = {
+    "trace": lambda depth: lambda: eng.load_trace(
+        _nested_text('{"t_us": 1, "sensor": "touch", "value": ', depth - 1, "}"), TOUCH_CONFIG
+    ),
+    "log": lambda depth: lambda: eng.parse_log(_nested_log_line(depth)),
+    "stats": lambda depth: lambda: eng.StatsAccumulator().read(_nested_log_line(depth)),
+    "config": lambda depth: lambda: parse_config(_nested_text(_NESTED_CONFIG_HEAD, depth - 1, "}")),
+}
+
+
+def _verdict(read) -> str:
+    try:
+        read()
+    except (eng.TraceError, eng.MalformedLogError, ConfigError) as exc:
+        return str(exc)
+    return "accepted"
+
+
+def _verdict_from_deeper(frames: int, read) -> str:
+    return _verdict(read) if frames == 0 else _verdict_from_deeper(frames - 1, read)
+
+
+@pytest.mark.parametrize("reader", list(_NESTED_READS))
+@pytest.mark.parametrize("depth", [MAX_JSON_DEPTH - 1, MAX_JSON_DEPTH, MAX_JSON_DEPTH + 1, MAX_JSON_DEPTH + 2, *range(984, 997)])
+def test_nesting_past_the_limit_is_refused_alike_from_any_caller(reader, depth):
+    # near the recursion limit a decoder's verdict hangs on the caller's
+    # stack; each reader's does not, from this frame or 50 frames deeper,
+    # and nesting past the limit is its one reason
+    read = _NESTED_READS[reader](depth)
+    verdict = _verdict(read)
+    assert _verdict_from_deeper(50, read) == verdict
+    if depth <= MAX_JSON_DEPTH:
+        assert "nested" not in verdict
+    elif reader == "config":
+        assert verdict == f"line 1, column {len(_NESTED_CONFIG_HEAD) + depth - 1}: nested too deeply"
+    else:
+        assert verdict == "line 1: invalid JSON: nested too deeply"
