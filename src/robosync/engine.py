@@ -21,11 +21,12 @@ import heapq
 import itertools
 import json
 import math
+import operator
 import re
 import statistics
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence, TextIO
+from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
 from . import sched
 from .bus import DeliveryRecord, Layer, MessageBus, Topic, evaluate_safety
@@ -118,32 +119,36 @@ _FORMS: dict[object, _Form] = {
 
 
 # every line starts with its seq and t_us, and ends with its detail's brace, then its own
-_HEAD = '{"seq": %d, "t_us": %d'
-_LINE_END = "}}\n"
+_HEAD = b'{"seq": %d, "t_us": %d'
+_LINE_END = b"}}\n"
+# a block's line at one t_us, as `_BLOCK_LINE % t_us`: its seq, then its tail
+_BLOCK_LINE = _HEAD.replace(b"%d", b"%%d", 1) + b"%%b"
 # a site's conversion for a field that varies: only a number may
-_CONVERSIONS = {int: "%d", float: "%.6f"}
+_CONVERSIONS = {int: b"%d", float: b"%.6f"}
 # a site's value for each field that varies
 _VARYING = object()
 
 
 class LogSite(NamedTuple):
     """A place the run logs entries of `row` from, with some of the row's
-    fields fixed: `line` is the whole line as one `%` template, each fixed
-    field's text in place (with every `%` doubled) and a `%d` or `%.6f` for
-    each other field, after the `%d`s of seq and t_us, so an entry's line is
-    `line % (seq, t_us, *args)`, `args` its varying values in field order.
-    `fixed` holds the row's values, `_VARYING` for each that varies."""
+    fields fixed.  An entry logged here is `(seq, t_us, *args)`, `args` its
+    varying values in field order.  `line` is the whole line as one ASCII
+    `bytes` `%` template, each fixed field's text in place (with every `%`
+    doubled) and a `%d` or `%.6f` for each other field, after the `%d`s of
+    seq and t_us, so an entry's line is `line % entry`.  `fixed` holds the
+    row's values, `_VARYING` for each that varies, and `pick` takes `entry +
+    fixed` to the row's values, in field order."""
 
     row: LogRow
-    line: str
+    line: bytes
     fixed: tuple
+    pick: Callable[[tuple], tuple]
 
-    def values(self, args: tuple) -> tuple:
-        """The row's values of the entry logged here with `args`."""
-        varying = iter(args)
-        return tuple([next(varying) if value is _VARYING else value for value in self.fixed])
+    def values(self, entry: tuple) -> tuple:
+        """The row's values of an entry `(seq, t_us, *args)` logged here."""
+        return self.pick(entry + self.fixed)
 
-    def tail(self, *args: object) -> str:
+    def tail(self, *args: object) -> bytes:
         """The line of an entry logged here with `args`, after its t_us: a
         block item's tail."""
         return self.line[len(_HEAD) :] % args
@@ -162,8 +167,8 @@ class LogRow(tuple):
     layer: str | None
     types: tuple[object, ...]
     forms: tuple[_Form, ...]
-    template: str
-    conversions: tuple[str, ...]
+    template: bytes
+    conversions: tuple[bytes, ...]
     label: str
     group: int
 
@@ -173,8 +178,8 @@ class LogRow(tuple):
         row.forms = tuple(_FORMS[value_type] for value_type in row.types)
         # a site's line, with each field's text in place of its `%s`
         detail = ", ".join(f'"{name}": %s' for name in row)
-        row.template = _HEAD.replace("%", "%%") + f', "kind": "{kind}", "detail": {{{detail}{_LINE_END}'
-        row.conversions = tuple(_CONVERSIONS.get(value_type, "") for value_type in row.types)
+        row.template = _HEAD.replace(b"%", b"%%") + f', "kind": "{kind}", "detail": {{{detail}'.encode("ascii") + _LINE_END
+        row.conversions = tuple(_CONVERSIONS.get(value_type, b"") for value_type in row.types)
         row.label = f"{kind}_{layer}"
         return row
 
@@ -201,10 +206,19 @@ class LogRow(tuple):
         if fixed:
             raise TypeError(f"{self.kind} has no field {next(iter(fixed))!r}")
         conversions = self.conversions
-        texts = tuple([c if v is _VARYING else render(v).replace("%", "%%") for v, c in zip(values, conversions)])
-        if "" in texts:  # no value renders to ""
-            raise TypeError(f"{self.kind} field {self[texts.index('')]!r} is no number: it cannot vary")
-        return LogSite(self, self.template % texts, values)
+        # `render` writes only ASCII
+        texts = tuple(
+            [c if v is _VARYING else render(v).encode("ascii").replace(b"%", b"%%") for v, c in zip(values, conversions)]
+        )
+        if b"" in texts:  # no value renders to ""
+            raise TypeError(f"{self.kind} field {self[texts.index(b'')]!r} is no number: it cannot vary")
+        # in `entry + values`, the k-th varying value is at 2 + k, and the
+        # field at `position` at the entry's length plus `position`; every
+        # row has two fields or more, so `pick` returns a tuple
+        varying = itertools.count(2)
+        length = 2 + sum(value is _VARYING for value in values)
+        pick = operator.itemgetter(*[next(varying) if v is _VARYING else length + i for i, v in enumerate(values)])
+        return LogSite(self, self.template % texts, values, pick)
 
     def entry(self, seq: int, t_us: int, values: tuple) -> LogEntry:
         """The entry of these values, in field order."""
@@ -330,6 +344,12 @@ _IDLE = float("inf")
 # the run and fill memory.  A million is 25x the bench's largest run.
 MAX_WINDOW_ENTRIES = 1_000_000
 
+# A run hands its sink the entries it logs one at a time in batches: once
+# this many wait after an event (which logs a few, bounded by the program's
+# size), and fewer before each block and at the run's end.  So there is one
+# sink call and one write per batch, and a bounded list of entries waiting.
+BATCH_ENTRIES = 512
+
 
 class TraceError(Exception):
     def __init__(self, line: int, reason: str):
@@ -361,17 +381,20 @@ TraceEvent = Reading | Override
 
 
 class LogSink(Protocol):
-    """What a run hands its entries to as they are logged.  `add` takes one
-    entry, as the site it is logged from and its varying values, `args`:
-    its line is `site.line % (seq, t_us, *args)`, and its row's values are
-    `site.values(args)`.  `block` takes a block: consecutive entries of one
+    """What a run hands its entries to, in log order, in two kinds of call.
+    `batch` takes a list of entries, each logged alone, as `(site, entry)`
+    pairs: `entry` is `(seq, t_us, *args)`, with `args` the entry's varying
+    values, so its line is `site.line % entry` and its row's values are
+    `site.values(entry)`.  `block` takes a block: consecutive entries of one
     row at one instant, from seq `first_seq` on, one per `(values, tail)`
     item, where `values` are the entry's values in the row's field order and
-    `tail` is its line after its t_us."""
+    `tail` is its line after its t_us.  The run hands on the entries it has
+    logged so far before each block, once BATCH_ENTRIES of them wait after an
+    event, and when it ends or fails."""
 
-    def add(self, site: LogSite, seq: int, t_us: int, args: tuple) -> object: ...
+    def batch(self, batch: Sequence[tuple[LogSite, tuple]]) -> object: ...
 
-    def block(self, row: LogRow, first_seq: int, t_us: int, items: Sequence[tuple[tuple, str]]) -> object: ...
+    def block(self, row: LogRow, first_seq: int, t_us: int, items: Sequence[tuple[tuple, bytes]]) -> object: ...
 
 
 # not frozen: one is built per log entry written or read back, and a frozen
@@ -392,10 +415,13 @@ class ExecutionLog:
     # the run's bus table: topic -> (producer layer, subscriber layers)
     routes: Mapping[str, tuple[Layer, tuple[Layer, ...]]] = field(default_factory=dict)
 
-    def add(self, site: LogSite, seq: int, t_us: int, args: tuple) -> None:
-        self.entries.append(site.row.entry(seq, t_us, site.values(args)))
+    def batch(self, batch: Sequence[tuple[LogSite, tuple]]) -> None:
+        # `site.values(entry)`, inlined
+        self.entries += [
+            LogEntry(entry[0], entry[1], site.row.kind, dict(zip(site.row, site.pick(entry + site.fixed)))) for site, entry in batch
+        ]
 
-    def block(self, row: LogRow, first_seq: int, t_us: int, items: Sequence[tuple[tuple, str]]) -> None:
+    def block(self, row: LogRow, first_seq: int, t_us: int, items: Sequence[tuple[tuple, bytes]]) -> None:
         self.entries += [row.entry(seq, t_us, values) for seq, (values, _tail) in enumerate(items, first_seq)]
 
     @property
@@ -414,21 +440,22 @@ class ExecutionLog:
 
 
 class LogWriter:
-    """A run's sink that writes its log to `out`: each entry as it is
-    logged, its site's line filled in, and a block's lines in one `write`,
-    each its seq and t_us, then its item's tail.  The output's own buffer
-    batches the bytes."""
+    """A run's sink that writes its log to `out`, a binary output, one
+    `write` per batch or block: a batch's lines, each its site's line filled
+    in, and a block's, each its seq and t_us, then its item's tail, each made
+    by one comprehension."""
 
     __slots__ = ("write",)
 
-    def __init__(self, out: TextIO) -> None:
+    def __init__(self, out: BinaryIO) -> None:
         self.write = out.write
 
-    def add(self, site: LogSite, seq: int, t_us: int, args: tuple) -> None:
-        self.write(site.line % (seq, t_us, *args))
+    def batch(self, batch: Sequence[tuple[LogSite, tuple]]) -> None:
+        self.write(b"".join([site.line % entry for site, entry in batch]))
 
-    def block(self, row: LogRow, first_seq: int, t_us: int, items: Sequence[tuple[tuple, str]]) -> None:
-        self.write("".join([f'{{"seq": {seq}, "t_us": {t_us}{tail}' for seq, (_values, tail) in enumerate(items, first_seq)]))
+    def block(self, row: LogRow, first_seq: int, t_us: int, items: Sequence[tuple[tuple, bytes]]) -> None:
+        line = _BLOCK_LINE % t_us
+        self.write(b"".join([line % (seq, tail) for seq, (_values, tail) in enumerate(items, first_seq)]))
 
 
 # ---------------------------------------------------------------------------
@@ -770,8 +797,8 @@ def compute_stats(entries: Iterable[LogEntry]) -> dict:
     return stats.result()
 
 
-# the rows whose values the stats pass reads; it only counts the others
-_READ_ROWS = (_TASK_START, _TASK_FINISH, _TASK_ABORT, _SAFETY_HALT)
+# the groups of the rows whose values the stats pass reads; it only counts the others
+_READ_GROUPS = frozenset(row.group for row in (_TASK_START, _TASK_FINISH, _TASK_ABORT, _SAFETY_HALT))
 # What the stats pass reads of a canonical line, per shape: a task's name
 # and enqueue_seq, which pair its start with its end, a start's
 # enqueue_t_us, for its latency, and each object, decoded to refuse a
@@ -795,7 +822,7 @@ MAX_READ_OBJECTS = 1024
 class StatsAccumulator:
     """The stats pass, keyed on schema rows: it counts each row's entries,
     pairs each task's start with its finish or abort, and takes each start's
-    latency and the first halt's t_us.  It is a run's sink (`add`, `block`);
+    latency and the first halt's t_us.  It is a run's sink (`batch`, `block`);
     `count(row, seq, t_us, values)` counts one entry; `read(text)` counts a
     serialized log; and `result()` ends the log and returns its stats
     document.  A MalformedLogError from any of them ends the accumulator."""
@@ -809,12 +836,14 @@ class StatsAccumulator:
         self.halt_t_us: int | None = None
         self.read_objects: set[str] = set()  # object texts `read` decoded, at most MAX_READ_OBJECTS
 
-    def add(self, site: LogSite, seq: int, t_us: int, args: tuple) -> None:
-        row = site.row
-        if row in _READ_ROWS:
-            self.count(row, seq, t_us, site.values(args))
-        else:
-            self.counts[row.group] += 1
+    def batch(self, batch: Sequence[tuple[LogSite, tuple]]) -> None:
+        counts = self.counts
+        for site, entry in batch:
+            row = site.row
+            if row.group in _READ_GROUPS:
+                self.count(row, entry[0], entry[1], site.values(entry))
+            else:
+                counts[row.group] += 1
 
     def count(self, row: LogRow, seq: int, t_us: int, values: tuple) -> None:
         self.counts[row.group] += 1
@@ -825,8 +854,8 @@ class StatsAccumulator:
         elif row is _SAFETY_HALT and self.halt_t_us is None:
             self.halt_t_us = t_us
 
-    def block(self, row: LogRow, first_seq: int, t_us: int, items: Sequence[tuple[tuple, str]]) -> None:
-        if row in _READ_ROWS:
+    def block(self, row: LogRow, first_seq: int, t_us: int, items: Sequence[tuple[tuple, bytes]]) -> None:
+        if row.group in _READ_GROUPS:
             for seq, (values, _tail) in enumerate(items, first_seq):
                 self.count(row, seq, t_us, values)
         else:
@@ -960,14 +989,14 @@ class _Branch:
 
     outcome: bool
     values: tuple[str, float, int, str]
-    close: str
+    close: bytes
 
 
-def _suppressed_head(branch: _Branch) -> str:
+def _suppressed_head(branch: _Branch) -> bytes:
     """The tail of a `behavior_suppressed` line of the branch, up to its
     `"winner": `, from a fully fixed site."""
     site = _SUPPRESSED.site(**dict(zip(_SUPPRESSED, branch.values)), winner="")
-    return site.tail().removesuffix('""' + _LINE_END)
+    return site.tail().removesuffix(b'""' + _LINE_END)
 
 
 def _compile_rule(
@@ -979,7 +1008,8 @@ def _compile_rule(
     branches = []
     for outcome, branch, target in ((True, "then", rule.then_behavior), (False, "else", rule.else_behavior)):
         if target is not None:
-            branches.append(_Branch(outcome, (target, priorities[target], index, branch), render(target) + _LINE_END))
+            close = render(target).encode("ascii") + _LINE_END
+            branches.append(_Branch(outcome, (target, priorities[target], index, branch), close))
     signals = frozenset(signal for signal, _span in condition_signals(rule.condition))
     return compile_condition(rule.condition), signals, tuple(branches)
 
@@ -1052,12 +1082,15 @@ class _Engine:
         self.program = program
         self.horizon_us = horizon_us
         # a stable sort: the events of one instant keep their trace order
-        self.trace = sorted((e for e in trace if horizon_us is None or e.t_us < horizon_us), key=lambda e: e.t_us)
+        if horizon_us is not None:
+            trace = [event for event in trace if event.t_us < horizon_us]
+        self.trace = sorted(trace, key=operator.attrgetter("t_us"))
 
         self.bus = MessageBus()
         self.queue = sched.ReadyQueue()
-        # the sink takes each entry as it is logged; the engine keeps none
-        self._add, self._add_block = sink.add, sink.block
+        # the sink takes the entries in batches; the engine keeps none it has handed on
+        self._batch, self._block = sink.batch, sink.block
+        self._pending: list[tuple[LogSite, tuple]] = []  # the entries logged since the last batch
         self._seqs = itertools.count()
         self.clock_us = 0
         self.halted = False
@@ -1156,7 +1189,7 @@ class _Engine:
         # each window's `priority_update`s, as a block: an idle task's item is rendered here, once
         updated = _Cache(lambda key: _PRIORITY_UPDATE.site(task=key[0], behavior=key[1]))
 
-        def item(values: tuple) -> tuple[tuple, str]:
+        def item(values: tuple) -> tuple[tuple, bytes]:
             task, old, new, f_max, behavior, delta = values
             return values, updated[task, behavior].tail(old, new, f_max, delta)
 
@@ -1183,20 +1216,30 @@ class _Engine:
 
     def _log(self, site: LogSite, *args: object) -> None:
         # the clock only moves forward, so entries come in t_us order
-        self._add(site, next(self._seqs), self.clock_us, args)
+        self._pending.append((site, (next(self._seqs), self.clock_us) + args))
 
-    def _log_block(self, row: LogRow, items: Sequence[tuple[tuple, str]]) -> None:
+    def _flush(self) -> None:
+        """Hand the entries logged since the last batch to the sink, if any.
+        The list is swapped out first, so a sink that fails is not handed it
+        again."""
+        batch = self._pending
+        if batch:
+            self._pending = []
+            self._batch(batch)
+
+    def _log_block(self, row: LogRow, items: Sequence[tuple[tuple, bytes]]) -> None:
         """Log one entry of `row` per `(values, tail)` item, all now, in one
-        call of the sink's `block`."""
+        call of the sink's `block`, after the entries logged before it."""
+        self._flush()
         first_seq = next(self._seqs)
         self._seqs = itertools.count(first_seq + len(items))
-        self._add_block(row, first_seq, self.clock_us, items)
+        self._block(row, first_seq, self.clock_us, items)
 
     def _publish(self, site: LogSite, topic: Topic, payload: object, *args: object) -> None:
         """Log the topic's `message` entry from its site, then publish: the
         entry precedes anything the synchronous fan-out logs."""
         bus = self.bus
-        self._add(site, next(self._seqs), self.clock_us, (bus.next_seq, *args))
+        self._pending.append((site, (next(self._seqs), self.clock_us, bus.next_seq) + args))
         bus.publish(topic, payload)
 
     # -- main loop --------------------------------------------------------
@@ -1206,7 +1249,10 @@ class _Engine:
         trace is read in place beside the running task's completion and the
         heap of deferred commands.  At one instant, window boundaries come
         first, then the completion, deferred commands and the trace, so a
-        reading never races the task it spawns.  A halt ends the loop."""
+        reading never races the task it spawns.  A halt ends the loop.  The
+        entries logged one at a time wait in `_pending` until the sink takes
+        them (`_flush`): after an event that leaves BATCH_ENTRIES of them,
+        before a block, and when the run ends or fails."""
         trace, heap = self.trace, self._heap
         position = 0  # of the next trace event
         try:
@@ -1229,6 +1275,8 @@ class _Engine:
                 self.clock_us = max(self.clock_us, t_us)
                 handle(payload)
                 self._dispatch()
+                if len(self._pending) >= BATCH_ENTRIES:
+                    self._flush()
 
             # after a halt nothing runs: each trace event left is logged dropped
             for event in itertools.islice(trace, position, None):
@@ -1237,6 +1285,8 @@ class _Engine:
                     self._log(_TRACE_DROPPED.site(sensor=None, value=None, command=STOP_COMMAND))
                 else:
                     self._log(_TRACE_DROPPED.site(sensor=event.sensor, value=event.value, command=None))
+                if len(self._pending) >= BATCH_ENTRIES:
+                    self._flush()
 
             if not self.halted and self.horizon_us is not None:
                 self._tick_windows(self.horizon_us)
@@ -1245,6 +1295,9 @@ class _Engine:
             # the bus's handlers point back at the engine: once they are detached,
             # nothing keeps a finished or failed engine alive but its callers
             self.bus.close()
+            # the last batch, whether the run ended or failed: a failed run's
+            # sink still gets every entry logged before the failure
+            self._flush()
 
     # -- handlers ---------------------------------------------------------
 
@@ -1382,12 +1435,12 @@ def run(
     sink: LogSink | None = None,
 ) -> ExecutionLog:
     """Simulate a trace; `horizon_us` truncates the trace and extends window
-    boundary ticks through otherwise idle time (used by --until).  Each entry
-    goes to the sink as it is logged (see `LogSink`): a firing's suppressed
-    entries and a window's priority updates as one block each, every other
-    entry alone.  Without a sink, the returned log's `entries` holds them
-    all, and with one it is empty.  Raises RunLimitError past
-    MAX_WINDOW_ENTRIES priority updates."""
+    boundary ticks through otherwise idle time (used by --until).  The
+    entries go to the sink as the run goes (see `LogSink`): a firing's
+    suppressed entries and a window's priority updates as one block each,
+    every other entry in a batch.  Without a sink, the returned log's
+    `entries` holds them all, and with one it is empty.  Raises
+    RunLimitError past MAX_WINDOW_ENTRIES priority updates."""
     log = ExecutionLog()
     log.routes = _Engine(config, program, trace, horizon_us, log if sink is None else sink).run()
     return log

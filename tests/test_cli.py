@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import errno
 import gc
 import io
@@ -14,7 +15,10 @@ import pytest
 
 from robosync import cli, engine
 from robosync.cli import main
+from robosync.config import parse_config
+from robosync.dsl import bind_program, parse_program
 from robosync.engine import parse_log
+from robosync.sensorproc import NonFiniteOutputError
 
 from conftest import FIXTURES
 
@@ -422,8 +426,8 @@ class _RawSink(io.RawIOBase):
 
 @pytest.mark.parametrize("batch", [1, 2, 7])
 def test_run_output_does_not_depend_on_the_batch_size(tmp_files, tmp_path, fixtures_dir, capsys, monkeypatch, batch):
-    # the writer hands each line to its output, whose text and byte buffers
-    # batch them: with `-o -` both buffers here hold `batch` at a time
+    # the writer hands each batch of lines to its output, whose buffers cut
+    # them up: with `-o -` stdout's buffers here hold `batch` at a time
     golden_log = (fixtures_dir / "golden_touch_log.jsonl").read_bytes()
     golden_stats = (fixtures_dir / "golden_touch_stats.json").read_text(encoding="utf-8")
     argv = ["run", "-c", str(tmp_files["config"]), "-b", str(tmp_files["behavior"]), "-t", str(tmp_files["trace"])]
@@ -448,6 +452,25 @@ def test_run_output_does_not_depend_on_the_batch_size(tmp_files, tmp_path, fixtu
     assert not gap_log.exists()
 
 
+def test_run_to_stdout_writes_the_log_bytes_after_the_text_before(tmp_files, fixtures_dir, monkeypatch):
+    # `-o -` writes the log to stdout's binary layer once its text layer is
+    # flushed, so text printed before comes first; a stdout with no binary
+    # layer, such as a StringIO, gets the log as text
+    golden_log = (fixtures_dir / "golden_touch_log.jsonl").read_bytes()
+    argv = ["run", "-c", str(tmp_files["config"]), "-b", str(tmp_files["behavior"]), "-t", str(tmp_files["trace"]), "-o", "-"]
+    raw = _RawSink()
+    stdout = io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8")
+    stdout.write("printed before\n")
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 0
+    assert bytes(raw.data) == b"printed before\n" + golden_log
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main(argv) == 0
+    assert text.getvalue() == golden_log.decode("ascii")
+
+
 _FAILING_RUNS = {
     # 300 readings, then two whose moving average overflows
     "non_finite": (
@@ -465,22 +488,23 @@ _FAILING_RUNS = {
 }
 
 
-def _watch_the_writer(monkeypatch, fail_after: int | None = None) -> list[str]:
-    """Each text the run's writer writes to its output, in order; once
+def _watch_the_writer(monkeypatch, fail_after: int | None = None) -> list[tuple[bytes, BaseException | None]]:
+    """Each bytes the run's writer writes to its output, in order, with the
+    exception on its way out of the run as it was written, if any; once
     `fail_after` lines are written, the next write finds the disk full."""
-    written: list[str] = []
+    written: list[tuple[bytes, BaseException | None]] = []
     init = engine.LogWriter.__init__
 
     class Watched:
         def __init__(self, out):
             self.out, self.lines = out, 0
 
-        def write(self, text):
+        def write(self, data):
             if fail_after is not None and self.lines >= fail_after:
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            self.lines += text.count("\n")
-            written.append(text)
-            return self.out.write(text)
+            self.lines += data.count(b"\n")
+            written.append((data, sys.exc_info()[1]))
+            return self.out.write(data)
 
     monkeypatch.setattr(engine.LogWriter, "__init__", lambda writer, out: init(writer, Watched(out)))
     return written
@@ -493,6 +517,15 @@ def test_run_error_after_output_began_leaves_the_output_path_as_it_was(tmp_files
     if config_text is not None:
         tmp_files["config"].write_text(config_text)
     tmp_files["trace"].write_text(trace_text)
+    # the lines the run logs before its error, each handed on as it is
+    # logged, in batches of one, so that none waits when the error comes
+    config = parse_config(tmp_files["config"].read_text())
+    program = bind_program(parse_program(tmp_files["behavior"].read_text()), config)
+    one_by_one = io.BytesIO()
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "BATCH_ENTRIES", 1)
+        with pytest.raises((NonFiniteOutputError, engine.RunLimitError)):
+            engine.run(config, program, engine.load_trace(trace_text, config), sink=engine.LogWriter(one_by_one))
     written = _watch_the_writer(monkeypatch)
     out_dir = tmp_path / "out"
     out_dir.mkdir()
@@ -501,13 +534,18 @@ def test_run_error_after_output_began_leaves_the_output_path_as_it_was(tmp_files
         log.write_text("an older log\n")
     argv = ["run", "-c", str(tmp_files["config"]), "-b", str(tmp_files["behavior"]), "-t", str(tmp_files["trace"])]
     assert main([*argv, "-o", "-" if target == "stdout" else str(log)]) == 1
-    logged = "".join(written)
-    assert logged.count("\n") > 1000  # the output had begun
+    logged = b"".join(data for data, _raised in written)
+    assert logged.count(b"\n") > 1000  # the output had begun
+    # a batch waited when the error came: the writer was handed it last, as
+    # the error left the run, and so every line logged before the error
+    assert [raised for _data, raised in written[:-1]] == [None] * (len(written) - 1)
+    assert isinstance(written[-1][1], (NonFiniteOutputError, engine.RunLimitError))
+    assert logged == one_by_one.getvalue()
     captured = capsys.readouterr()
     assert captured.err == error
     if target == "stdout":
         # stdout cannot take back what it was given: each line logged before the error
-        assert captured.out == logged and captured.out.endswith("\n")
+        assert captured.out == logged.decode("ascii") and captured.out.endswith("\n")
     else:
         assert captured.out == ""
     assert [path.name for path in out_dir.iterdir()] == ([] if target != "older_file" else ["log.jsonl"])

@@ -180,8 +180,8 @@ class _Recorder:
         self.entries: list[eng.LogEntry] = []
         self.blocks: set[str] = set()
 
-    def add(self, site, seq, t_us, args):
-        self.entries.append(site.row.entry(seq, t_us, site.values(args)))
+    def batch(self, batch):
+        self.entries += [site.row.entry(entry[0], entry[1], site.values(entry)) for site, entry in batch]
 
     def block(self, row, first_seq, t_us, items):
         self.entries += [row.entry(seq, t_us, values) for seq, (values, _tail) in enumerate(items, first_seq)]
@@ -189,28 +189,28 @@ class _Recorder:
 
 
 class _Output(list):
-    """An output that keeps each text written to it."""
+    """An output that keeps each bytes written to it."""
 
-    def write(self, text):
-        self.append(text)
+    def write(self, data):
+        self.append(data)
 
 
 class _WrittenSoFar:
-    """A sink behind the writer and a recorder in a tee: each entry or block
+    """A sink behind the writer and a recorder in a tee: each batch or block
     made one write to the writer's output, of the lines of the entries
-    recorded since, so the output holds exactly the lines logged so far."""
+    recorded since, so the output holds exactly the lines handed on so far."""
 
     def __init__(self, output: _Output, recorder: _Recorder):
         self.output, self.recorder, self.writes, self.logged = output, recorder, 0, 0
 
-    def add(self, *entry):
+    def batch(self, *batch):
         entries = self.recorder.entries
         self.writes += 1
         assert len(self.output) == self.writes
-        assert self.output[-1] == eng.serialize_log(entries[self.logged :])
+        assert self.output[-1] == eng.serialize_log(entries[self.logged :]).encode("ascii")
         self.logged = len(entries)
 
-    block = add
+    block = batch
 
 
 def _sink_inputs(tmp_path):
@@ -232,7 +232,7 @@ def _sink_inputs(tmp_path):
 def test_a_run_hands_each_entry_to_its_sink(tmp_path):
     # with a sink the run keeps no entry: the list sink, and the writer and
     # the stats of `run --stats`, agree with the entries a run keeps; the
-    # writer writes each entry, and each block, as it is handed it
+    # writer writes each batch, and each block, as it is handed it
     for name, config_text, program_text, trace_text, until in _sink_inputs(tmp_path):
         config, program = _setup(config_text, program_text)
         trace = eng.load_trace(trace_text, config)
@@ -246,14 +246,14 @@ def test_a_run_hands_each_entry_to_its_sink(tmp_path):
         writer = eng.LogWriter(output)
         sink = cli._Tee(writer, stats, recorder, _WrittenSoFar(output, recorder))
         eng.run(config, program, trace, horizon_us=until, sink=sink)
-        assert "".join(output) == eng.serialize_log(kept.entries), name
+        assert b"".join(output) == eng.serialize_log(kept.entries).encode("ascii"), name
         assert stats.result() == eng.compute_stats(kept.entries), name
 
 
 def test_stats_count_a_block_of_task_rows_as_one_entry_at_a_time():
-    # the engine hands task rows to its sink one at a time, but a block may
-    # hold any row: task starts, ends and halts in one are counted as `add`s,
-    # here each from a fully fixed site
+    # the engine hands task rows to its sink in batches, but a block may
+    # hold any row: task starts, ends and halts in one are counted as in a
+    # batch, here each from a fully fixed site
     blocks = [
         (eng._TASK_START, 0, 10, [("a", 0, 0, 0.5), ("b", 1, 4, 0.25)]),
         (eng._TASK_FINISH, 2, 110, [("a", 0)]),
@@ -261,14 +261,13 @@ def test_stats_count_a_block_of_task_rows_as_one_entry_at_a_time():
         (eng._TASK_ABORT, 4, 150, [("b", 1, "safety_halt")]),
         (eng._PRIORITY_UPDATE, 5, 150, [("a", 0.5, 0.5, 0, None, 0.0), ("b", 0.25, 0.25, 0, None, 0.0)]),
     ]
-    by_block, by_add = eng.StatsAccumulator(), eng.StatsAccumulator()
+    by_block, by_batch = eng.StatsAccumulator(), eng.StatsAccumulator()
     for row, first_seq, t_us, values in blocks:
         sites = [row.site(**dict(zip(row, v))) for v in values]
         by_block.block(row, first_seq, t_us, [(v, site.tail()) for v, site in zip(values, sites)])
-        for seq, site in enumerate(sites, first_seq):
-            by_add.add(site, seq, t_us, ())
-    assert by_block.result() == by_add.result()
-    assert by_add.result()["latency_us"] == {"min": 6, "mean": 8.0, "max": 10}
+        by_batch.batch([(site, (seq, t_us)) for seq, site in enumerate(sites, first_seq)])
+    assert by_block.result() == by_batch.result()
+    assert by_batch.result()["latency_us"] == {"min": 6, "mean": 8.0, "max": 10}
 
 
 def test_finished_run_leaves_no_cyclic_garbage(touch_config_text, behavior_text, touch_trace_text):
@@ -305,14 +304,14 @@ def test_finished_run_leaves_no_cyclic_garbage(touch_config_text, behavior_text,
         eng.serialize_stats(eng.compute_stats(entries))
         del entries
         assert gc.collect() == 0
-        out = io.StringIO()
+        out = io.BytesIO()
         eng.run(config, program, trace, sink=eng.LogWriter(out))
         assert out.getvalue()
         del out
         assert gc.collect() == 0
         for (run_config, run_program, run_trace, error), writer in itertools.product(failing, (False, True)):
             try:
-                eng.run(run_config, run_program, run_trace, sink=eng.LogWriter(io.StringIO()) if writer else None)
+                eng.run(run_config, run_program, run_trace, sink=eng.LogWriter(io.BytesIO()) if writer else None)
             except error:
                 pass
             else:
@@ -1379,12 +1378,12 @@ def test_row_emitters_match_serialize_log(shape, data):
     site = row.site(**{name: value for name, value in detail.items() if name not in varying})
     args = tuple(detail[name] for name in varying)
     line = eng.serialize_log([eng.LogEntry(seq, t_us, row.kind, detail)])
-    assert site.line % (seq, t_us, *args) == line
-    assert site.row is row and site.values(args) == values
+    assert site.line % (seq, t_us, *args) == line.encode("ascii")
+    assert site.row is row and site.values((seq, t_us, *args)) == values
     # and the writer writes a block's line as its seq and t_us, then a fully fixed site's tail
-    out = io.StringIO()
+    out = io.BytesIO()
     eng.LogWriter(out).block(row, seq, t_us, [(values, row.site(**detail).tail())])
-    assert out.getvalue() == line
+    assert out.getvalue() == line.encode("ascii")
 
 
 # values of each declared type that a line holds as they are written
@@ -1421,7 +1420,7 @@ def test_the_stats_scan_reads_what_the_canonical_scan_reads(data):
         detail = {name: shape[1] if name == "layer" else data.draw(drawn[declared]) for name, declared in zip(row, row.types)}
         varying = [name for name, declared in zip(row, row.types) if declared in (int, float) and data.draw(st.booleans())]
         site = row.site(**{name: value for name, value in detail.items() if name not in varying})
-        line = site.line % (seq, t_us, *[detail[name] for name in varying])
+        line = (site.line % (seq, t_us, *[detail[name] for name in varying])).decode("ascii")
         mutation = data.draw(_MUTATIONS)
         if mutation == "truncate":
             line = line[: data.draw(st.integers(0, len(line) - 1))]
@@ -1464,7 +1463,7 @@ def test_a_site_varies_only_numbers_of_its_row():
         eng._TASK_FINISH.site(task="t", reason="safety_halt")
     # a `message` site holds its row's own layer
     site = eng._PROCESSED_MESSAGE.site(topic="t")
-    assert site.values((1, 2.0, 3)) == ("t", "processing", 1, 2.0, 3)
+    assert site.values((0, 0, 1, 2.0, 3)) == ("t", "processing", 1, 2.0, 3)
 
 
 def test_dispatch_dominance_reconstructed_from_log(touch_config_text):

@@ -327,7 +327,7 @@ def test_fast_path_reads_a_line_as_the_slow_path_does(shape, data):
     seq, t_us = data.draw(_INT), data.draw(_INT)
     values = tuple(shape[1] if name == "layer" else data.draw(_VALUES[declared]) for name, declared in zip(row, row.types))
     detail = dict(zip(row, values))
-    emitted = (row.site(**detail).line % (seq, t_us)).removesuffix("\n")
+    emitted = (row.site(**detail).line % (seq, t_us)).decode("ascii").removesuffix("\n")
     outer = {"seq": seq, "t_us": t_us, "kind": row.kind, "detail": detail}
     if data.draw(st.booleans()):
         outer = dict(data.draw(st.permutations(list(outer.items()))))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import copy
 import importlib.util
+import io
 import json
 import random
 import subprocess
@@ -26,12 +27,14 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from robosync.cli import build_parser, main
+from robosync import engine
+from robosync.cli import _Tee, build_parser, main
 from robosync.config import parse_config, processing_stages
 from robosync.dsl import _TOKEN_RE, bind_program, format_program, parse_program
 from robosync.engine import (
     _OTHER,
     LogEntry,
+    LogWriter,
     StatsAccumulator,
     compute_stats,
     load_trace,
@@ -102,6 +105,28 @@ def test_run_stats_equal_the_stats_of_its_written_log(trio, tmp_path, capsys):
     assert main(["stats", str(log)]) == 0
     golden = GOLDEN_STATS[trio].read_text(encoding="utf-8")
     assert (run_stats, capsys.readouterr().out) == (golden, golden)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, engine.BATCH_ENTRIES])
+@pytest.mark.parametrize("trio", sorted(GOLDEN_STATS))
+def test_every_batch_cap_gives_the_golden_log_and_stats(trio, cap, monkeypatch):
+    """A run hands its sink the entries it logs one at a time in batches,
+    each once `cap` entries wait after an event, before each block and at
+    the run's end: at any cap, the writer writes the golden bytes, the tee
+    of `run --stats` counts the golden stats, and the list sink keeps the
+    same entries, which render to the golden bytes too."""
+    config_text, program_text, trace_text, until = _texts(trio)
+    config, program = _bind(config_text, program_text)
+    trace = load_trace(trace_text, config)
+    kept = run(config, program, trace, horizon_us=until).entries
+    golden = GOLDEN_LOGS[trio].read_bytes()
+    monkeypatch.setattr(engine, "BATCH_ENTRIES", cap)
+    out, stats = io.BytesIO(), StatsAccumulator()
+    run(config, program, trace, horizon_us=until, sink=_Tee(LogWriter(out), stats))
+    assert out.getvalue() == golden
+    assert serialize_stats(stats.result()).encode("utf-8") == GOLDEN_STATS[trio].read_bytes()
+    entries = run(config, program, trace, horizon_us=until).entries
+    assert entries == kept and serialize_log(entries).encode("utf-8") == golden
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "1", "7", "12345"])
