@@ -382,15 +382,16 @@ TraceEvent = Reading | Override
 
 class LogSink(Protocol):
     """What a run hands its entries to, in log order, in two kinds of call.
-    `batch` takes a list of entries, each logged alone, as `(site, entry)`
-    pairs: `entry` is `(seq, t_us, *args)`, with `args` the entry's varying
-    values, so its line is `site.line % entry` and its row's values are
-    `site.values(entry)`.  `block` takes a block: consecutive entries of one
-    row at one instant, from seq `first_seq` on, one per `(values, tail)`
-    item, where `values` are the entry's values in the row's field order and
-    `tail` is its line after its t_us.  The run hands on the entries it has
-    logged so far before each block, once BATCH_ENTRIES of them wait after an
-    event, and when it ends or fails."""
+    `batch` takes a list of entries, each logged from its own site, as
+    `(site, entry)` pairs: `entry` is `(seq, t_us, *args)`, with `args` the
+    entry's varying values, so its line is `site.line % entry` and its row's
+    values are `site.values(entry)`.  `block` takes a block: a window's
+    `priority_update` entries, consecutive entries of one row at one instant,
+    from seq `first_seq` on, one per `(values, tail)` item, where `values`
+    are the entry's values in the row's field order and `tail` is its line
+    after its t_us.  The run hands on the entries it has logged so far
+    before each block, once BATCH_ENTRIES of them wait after an event, and
+    when it ends or fails."""
 
     def batch(self, batch: Sequence[tuple[LogSite, tuple]]) -> object: ...
 
@@ -609,7 +610,7 @@ def load_trace(text: str, config: SystemConfig) -> list[TraceEvent]:
             for _checked in _json_lines(line, _CHECKED_SCAN, _CHECKED_DECODE, TraceError, line_no):
                 pass
             raise
-    events.sort(key=lambda e: e.t_us)  # stable: ties keep file order
+    events.sort(key=operator.attrgetter("t_us"))  # stable: ties keep file order
     return events
 
 
@@ -979,24 +980,23 @@ class StatsAccumulator:
 # the engine
 
 
-# eq=False: a branch is hashed by identity, as the key of its log text
+# eq=False: a branch is hashed by identity, as the key of its log sites
 @dataclass(frozen=True, slots=True, eq=False)
 class _Branch:
     """One branch of a rule, THEN or the ELSE it has: the outcome that takes
     it, and `values`, its `(behavior, priority, rule, branch)`, the fields
-    its `behavior_fired` and `behavior_suppressed` entries share.  `close`
-    ends the tail of a suppressed line that this branch wins."""
+    its `behavior_fired` and `behavior_suppressed` entries share."""
 
     outcome: bool
     values: tuple[str, float, int, str]
-    close: bytes
 
 
-def _suppressed_head(branch: _Branch) -> bytes:
-    """The tail of a `behavior_suppressed` line of the branch, up to its
-    `"winner": `, from a fully fixed site."""
-    site = _SUPPRESSED.site(**dict(zip(_SUPPRESSED, branch.values)), winner="")
-    return site.tail().removesuffix(b'""' + _LINE_END)
+def _suppressed_site(pair: tuple[_Branch, _Branch]) -> LogSite:
+    """The fully fixed site of the `behavior_suppressed` entry of a firing's
+    branch `loser` that its branch `winner` wins, for the pair `(loser,
+    winner)`."""
+    loser, winner = pair
+    return _SUPPRESSED.site(**dict(zip(_SUPPRESSED, (*loser.values, winner.values[0]))))
 
 
 def _compile_rule(
@@ -1008,8 +1008,7 @@ def _compile_rule(
     branches = []
     for outcome, branch, target in ((True, "then", rule.then_behavior), (False, "else", rule.else_behavior)):
         if target is not None:
-            close = render(target).encode("ascii") + _LINE_END
-            branches.append(_Branch(outcome, (target, priorities[target], index, branch), close))
+            branches.append(_Branch(outcome, (target, priorities[target], index, branch)))
     signals = frozenset(signal for signal, _span in condition_signals(rule.condition))
     return compile_condition(rule.condition), signals, tuple(branches)
 
@@ -1106,7 +1105,8 @@ class _Engine:
         self._cost_us = config.scheduler.default_task_cost_us  # every task's run time
         self._next_window = self._window_us
         # the log sites, keyed on what they fix: a task id, a sensor, a
-        # processing topic, a rule branch, a behavior's plan
+        # processing topic, a rule branch or a (loser, winner) pair of them,
+        # a behavior's plan
         self._started = _Cache(lambda task: _TASK_START.site(task=task))
         self._finished = _Cache(lambda task: _TASK_FINISH.site(task=task))
         self._arrived = _Cache(lambda sensor: _SENSOR_EVENT.site(sensor=sensor))
@@ -1114,7 +1114,7 @@ class _Engine:
         self._forwarded = _Cache(lambda sensor: _SENSOR_MESSAGE.site(topic=sensor, sensor=sensor))
         self._processed = _Cache(lambda topic: _PROCESSED_MESSAGE.site(topic=topic))
         self._fired = _Cache(lambda branch: _FIRED.site(**dict(zip(_FIRED, branch.values))))
-        self._suppressed = _Cache(_suppressed_head)
+        self._suppressed = _Cache(_suppressed_site)
         self._plans = _Cache(functools.partial(_plan_items, program.plans))
         try:
             self._wire()
@@ -1249,11 +1249,16 @@ class _Engine:
         trace is read in place beside the running task's completion and the
         heap of deferred commands.  At one instant, window boundaries come
         first, then the completion, deferred commands and the trace, so a
-        reading never races the task it spawns.  A halt ends the loop.  The
-        entries logged one at a time wait in `_pending` until the sink takes
-        them (`_flush`): after an event that leaves BATCH_ENTRIES of them,
-        before a block, and when the run ends or fails."""
-        trace, heap = self.trace, self._heap
+        reading never races the task it spawns.  The loop completes the
+        running task itself: it logs the task's `task_finish` and calls its
+        category's `_FINISH`.  After each event, if no task runs and the
+        queue holds one, it dispatches the task `sched.select_next` pops.  A
+        halt ends the loop.  The entries logged one at a time wait in
+        `_pending` until the sink takes them (`_flush`): after an event that
+        leaves BATCH_ENTRIES of them, before a block, and when the run ends
+        or fails."""
+        trace, heap, queue, finish = self.trace, self._heap, self.queue, self._FINISH
+        started, finished, cost_us = self._started, self._finished, self._cost_us
         position = 0  # of the next trace event
         try:
             while not self.halted:
@@ -1266,15 +1271,30 @@ class _Engine:
                 elif next_us < done_us:  # a deferred command
                     t_us, _tie, payload = heapq.heappop(heap)
                     handle = self._handle_deferred_enqueue
-                elif self.running is not None:
-                    t_us, payload, handle = done_us, self.running, self._handle_task_done
+                elif self.running is not None:  # the running task completes
+                    t_us, payload, handle = done_us, self.running, None
                 else:
                     break
                 if self._next_window <= t_us:
                     self._tick_windows(t_us)
-                self.clock_us = max(self.clock_us, t_us)
-                handle(payload)
-                self._dispatch()
+                clock_us = self.clock_us = max(self.clock_us, t_us)
+                if handle is None:
+                    self.running, self._done_us = None, _IDLE
+                    self._pending.append((finished[payload.task.id], (next(self._seqs), clock_us, payload.enqueue_seq)))
+                    finish[payload.task.category](self, payload)
+                else:
+                    handle(payload)
+                if self.running is None and not self.halted and queue:
+                    entry = sched.select_next(queue)
+                    task = entry.task
+                    # dispatch dominance: the heap top is the best of what is
+                    # still queued, so nothing may outrank the pick
+                    runner_up = queue.peek()
+                    assert runner_up is None or runner_up.task.current_priority <= task.current_priority
+                    self._pending.append(
+                        (started[task.id], (next(self._seqs), clock_us, entry.enqueue_seq, entry.enqueue_t_us, task.current_priority))
+                    )
+                    self.running, self._done_us = entry, clock_us + cost_us
                 if len(self._pending) >= BATCH_ENTRIES:
                     self._flush()
 
@@ -1333,11 +1353,6 @@ class _Engine:
                 return
         self.queue.push(task, self.clock_us, (topic, delta, event))
 
-    def _handle_task_done(self, entry: sched.QueueEntry) -> None:
-        self.running, self._done_us = None, _IDLE
-        self._log(self._finished[entry.task.id], entry.enqueue_seq)
-        self._FINISH[entry.task.category](self, entry)
-
     def _finish_sensor_input(self, entry: sched.QueueEntry) -> None:
         topic, delta, reading = entry.payload  # type: ignore[misc]
         prev = self.gate_prev.get(reading.sensor)
@@ -1367,8 +1382,8 @@ class _Engine:
         sched.record_trigger(self.counts, behavior)
         self.queue.push(self._behavior_tasks[behavior], self.clock_us, behavior)
         if suppressed:
-            close, heads = winner.close, self._suppressed
-            self._log_block(_SUPPRESSED, [(pair.values + (behavior,), heads[pair] + close) for pair in suppressed])
+            seqs, clock_us, sites = self._seqs, self.clock_us, self._suppressed
+            self._pending += [(sites[loser, winner], (next(seqs), clock_us)) for loser in suppressed]
 
     def _finish_behavioral(self, entry: sched.QueueEntry) -> None:
         behavior: str = entry.payload  # type: ignore[assignment]
@@ -1413,19 +1428,6 @@ class _Engine:
             self._log(_TASK_ABORT.site(task=aborted.task.id, enqueue_seq=aborted.enqueue_seq, reason="safety_halt"))
         self.halted = True
 
-    def _dispatch(self) -> None:
-        if self.halted or self.running is not None or len(self.queue) == 0:
-            return
-        entry = sched.select_next(self.queue)
-        assert entry is not None
-        task = entry.task
-        # dispatch dominance: the heap top is the best of what is still queued,
-        # so nothing may outrank the pick
-        runner_up = self.queue.peek()
-        assert runner_up is None or runner_up.task.current_priority <= task.current_priority
-        self._log(self._started[task.id], entry.enqueue_seq, entry.enqueue_t_us, task.current_priority)
-        self.running, self._done_us = entry, self.clock_us + self._cost_us
-
 
 def run(
     config: SystemConfig,
@@ -1436,9 +1438,9 @@ def run(
 ) -> ExecutionLog:
     """Simulate a trace; `horizon_us` truncates the trace and extends window
     boundary ticks through otherwise idle time (used by --until).  The
-    entries go to the sink as the run goes (see `LogSink`): a firing's
-    suppressed entries and a window's priority updates as one block each,
-    every other entry in a batch.  Without a sink, the returned log's
+    entries go to the sink as the run goes (see `LogSink`): a window's
+    priority updates as one block, and every other entry, a firing's
+    suppressed ones too, in a batch.  Without a sink, the returned log's
     `entries` holds them all, and with one it is empty.  Raises
     RunLimitError past MAX_WINDOW_ENTRIES priority updates."""
     log = ExecutionLog()

@@ -495,6 +495,7 @@ _SERIALIZED_SHA256 = {
     "scenarios/escaped_text/config.json": "0f711a65645a201bbaf7087b3453e6a9606c6b534d9c512a984f66657acb6aee",
     "scenarios/halt_windows/config.json": "0dba72848ce1fffff7e51d73641a9f375ba5904a11380635f86130475885cabf",
     "scenarios/plugins/config.json": "adc1b2f2dc1bd320f68c90eedd5af9444bfb776fbdf57f5f2bab8fd9b9931cb9",
+    "scenarios/suppression/config.json": "2e43e99e89f83867a76b759ec9f1e7cc374b60a1daf778f94ef82c5ed8de8f04",
     "scenarios/until_idle/config.json": "c89f1ac7c0aa705f69ce9a42c9e7cbc84c3696d3acbf572a2e01e884080e3d0d",
     "scenarios/wait_lexemes/config.json": "7c46a60aae53e6c293d2a2c187ae357a1a0fff0857f267132b25341dc8f8186e",
     "FULL_CONFIG": "fcd1e58c78dc76d40812a90a21f95ad83c3e8bfe98d459bbf42885a8848dda0e",

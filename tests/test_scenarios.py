@@ -27,7 +27,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from robosync import engine
+from robosync import engine, sched
 from robosync.cli import _Tee, build_parser, main
 from robosync.config import parse_config, processing_stages
 from robosync.dsl import _TOKEN_RE, bind_program, format_program, parse_program
@@ -252,6 +252,40 @@ def _texts(trio: str) -> tuple[str, str, str, int | None]:
 def _bind(config_text: str, program_text: str):
     config = parse_config(config_text)
     return config, bind_program(parse_program(program_text), config)
+
+
+@pytest.mark.parametrize("inputs", [*sorted(TRIOS), *(f"bench_{name}" for name in BENCH_WORKLOADS.WORKLOADS)])
+def test_each_dispatch_is_one_select_next_call_and_each_queued_task_one_push(inputs, tmp_path, monkeypatch):
+    """The scheduler counts the bench's tracer reads, on every trio and on a
+    300-reading seed-1 trio of each bench workload: the run calls
+    `sched.select_next` once per `task_start` entry, and `ReadyQueue.push`
+    once per `task_start` entry plus once per id a halt purged."""
+    if inputs in TRIOS:
+        config_text, program_text, trace_text, until = _texts(inputs)
+    else:
+        BENCH_WORKLOADS.generate(inputs.removeprefix("bench_"), 1, readings=300).write(tmp_path)
+        config_text, program_text, trace_text = (
+            (tmp_path / file).read_text(encoding="utf-8") for file in ("config.json", "behavior.rsb", "trace.jsonl")
+        )
+        until = None
+    config, program = _bind(config_text, program_text)
+    trace = load_trace(trace_text, config)
+    calls = {"select_next": 0, "push": 0}
+
+    def counted(name, function):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(sched, "select_next", counted("select_next", sched.select_next))
+    monkeypatch.setattr(sched.ReadyQueue, "push", counted("push", sched.ReadyQueue.push))
+    entries = run(config, program, trace, horizon_us=until).entries
+    starts = sum(entry.kind == "task_start" for entry in entries)
+    purged = sum(len(entry.detail["purged"]) for entry in entries if entry.kind == "safety_halt")
+    assert starts > 0
+    assert calls == {"select_next": starts, "push": starts + purged}
 
 
 @pytest.mark.parametrize("k", [1, 3, 7])
